@@ -269,6 +269,10 @@ def _invariant_matrix(args: argparse.Namespace, lc: LinearCoefficients,
                       echo: dict) -> tuple[dict, list[str]]:
     matrix = parse_matrix(args.matrix)
     spec = generator_for_matrix(matrix)
+    if spec.is_degenerate():
+        raise DegenerateGenerator(
+            "target - I is a multiple of the identity (uniform scaling); "
+            "every function of (M, H) is invariant")
     # Normalized variant: coefficient vector scaled to unit max-norm, to ease
     # cross-run comparison of kernels from different embeddings.
     norm = max(abs(spec.bprime), abs(spec.gprime), abs(spec.delta))

@@ -2,15 +2,18 @@
 
 A cloud is summarized by two numbers: the slope M of its least-squares
 straight line and a companion ratio H of centered second moments.  Both are
-quotients of the centered sums (M_n, H_n, D), which this module computes in
-a cancellation-safe way (coordinates are centered before the quadratic sums
-are formed).
+quotients of the centered sums (M_n, H_n, D), so the moments (mean x, mean y,
+Sxx, Sxy, Syy) are a sufficient statistic.  A cloud reduces them once, while
+its coordinates are copied in: one pass over fixed-size chunks centers each
+chunk on its own mean before the quadratic sums are formed (no cancellation
+on offset clouds) and merges the chunk results pairwise (Chan, Golub &
+LeVeque 1979).  Every later query reads the cached moments.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,6 +24,11 @@ DEGENERACY_RTOL = 1e-12
 
 # Default tolerance for the collinearity test.
 COLLINEARITY_RTOL = 1e-9
+
+# Points per chunk of the fused copy-and-reduce pass.  A chunk of both output
+# coordinates and the two centering buffers (1 MiB together) stays in a
+# core's L2 cache, so each value comes from main memory once.
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -40,49 +48,129 @@ class Point:
 PointLike = Union[Point, Sequence[float]]
 
 
+class _Moments(NamedTuple):
+    """Means and centered second moments of a cloud's coordinates."""
+
+    mx: float
+    my: float
+    sxx: float
+    sxy: float
+    syy: float
+
+
+_Entries = tuple[float, float, float, float]
+
+
+def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[_Entries] = None
+                     ) -> tuple[np.ndarray, np.ndarray, _Moments]:
+    """Fresh copies of (xs, ys), or their image (a*x + b*y, c*x + d*y) under
+    the matrix entries t = (a, b, c, d), and the moments of the result.
+
+    One pass over chunks of ``_CHUNK`` points.  Each chunk is written out and,
+    while it is still in cache, centered on its own mean into two reusable
+    buffers and reduced; the chunk results are merged pairwise (Chan, Golub &
+    LeVeque 1979).  The residual sum of each centered chunk corrects its mean,
+    and merged means are held relative to the first chunk's mean, so the
+    merge keeps full accuracy on offset clouds.  A cloud of one chunk gets
+    exactly the sums of a plain two-pass reduction.
+    """
+    n = xs.size
+    out_x = np.empty(n)
+    out_y = np.empty(n)
+    cx = np.empty(min(n, _CHUNK))
+    cy = np.empty(min(n, _CHUNK))
+    count = 0
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        k = hi - lo
+        x, y, bx, by = out_x[lo:hi], out_y[lo:hi], cx[:k], cy[:k]
+        if t is None:
+            np.copyto(x, xs[lo:hi])
+            np.copyto(y, ys[lo:hi])
+        else:
+            a, b, c, d = t
+            np.multiply(xs[lo:hi], a, out=x)
+            np.multiply(ys[lo:hi], b, out=bx)
+            np.add(x, bx, out=x)
+            np.multiply(xs[lo:hi], c, out=y)
+            np.multiply(ys[lo:hi], d, out=by)
+            np.add(y, by, out=y)
+        mx = float(np.add.reduce(x)) / k
+        my = float(np.add.reduce(y)) / k
+        np.subtract(x, mx, out=bx)
+        np.subtract(y, my, out=by)
+        if count == 0:
+            x0, y0 = mx, my
+        ux = (mx - x0) + float(np.add.reduce(bx)) / k
+        uy = (my - y0) + float(np.add.reduce(by)) / k
+        sxx = float(np.dot(bx, bx))
+        sxy = float(np.dot(bx, by))
+        syy = float(np.dot(by, by))
+        if count == 0:
+            mean_x, mean_y, acc_xx, acc_xy, acc_yy = ux, uy, sxx, sxy, syy
+        else:
+            total = count + k
+            dx = ux - mean_x
+            dy = uy - mean_y
+            w = k / total
+            mean_x += dx * w
+            mean_y += dy * w
+            f = count * w
+            acc_xx += sxx + dx * dx * f
+            acc_xy += sxy + dx * dy * f
+            acc_yy += syy + dy * dy * f
+        count += k
+    return out_x, out_y, _Moments(x0 + mean_x, y0 + mean_y, acc_xx, acc_xy, acc_yy)
+
+
 class Cloud:
     """An ordered sequence of at least two planar points.
 
     Point order is preserved, but every derived quantity is a symmetric sum
     and therefore order-independent.  Coordinates are stored as read-only
-    float64 arrays.
+    float64 arrays; their moments are reduced once, when the cloud is built.
     """
 
-    __slots__ = ("xs", "ys")
+    __slots__ = ("xs", "ys", "_moments")
 
     def __init__(self, points: Iterable[PointLike]):
         pts = [(p.x, p.y) if isinstance(p, Point) else (float(p[0]), float(p[1]))
                for p in points]
         if len(pts) < 2:
             raise ValueError(f"a cloud needs at least 2 points, got {len(pts)}")
-        xs = np.array([p[0] for p in pts], dtype=np.float64)
-        ys = np.array([p[1] for p in pts], dtype=np.float64)
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        self._fill(np.array([p[0] for p in pts], dtype=np.float64),
+                   np.array([p[1] for p in pts], dtype=np.float64))
+
+    @classmethod
+    def from_arrays(cls, xs: np.ndarray, ys: np.ndarray) -> "Cloud":
+        """Build a cloud from equal-length coordinate arrays (copied)."""
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        if xs.shape != ys.shape or xs.ndim != 1:
+            raise ValueError("coordinate arrays must be 1-D and equal length")
+        if xs.size < 2:
+            raise ValueError(f"a cloud needs at least 2 points, got {xs.size}")
+        cloud = object.__new__(cls)
+        cloud._fill(xs, ys)
+        return cloud
+
+    def _fill(self, xs: np.ndarray, ys: np.ndarray,
+              t: Optional[_Entries] = None) -> None:
+        """Set the coordinates to copies of (xs, ys), or to their image under
+        the matrix entries t, and cache their moments."""
+        # Non-finite values are expected here and judged just below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs, ys, moments = _copy_and_reduce(xs, ys, t)
+        # A non-finite coordinate makes its axis mean non-finite; finite
+        # coordinates whose sums overflow are still a valid cloud.
+        if not all(map(math.isfinite, moments)) and not (
+                np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise ValueError("cloud coordinates must all be finite")
         xs.flags.writeable = False
         ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-
-    @classmethod
-    def from_arrays(cls, xs: np.ndarray, ys: np.ndarray) -> "Cloud":
-        """Build a cloud from equal-length coordinate arrays."""
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        if xs.shape != ys.shape or xs.ndim != 1:
-            raise ValueError("coordinate arrays must be 1-D and equal length")
-        cloud = object.__new__(cls)
-        if xs.size < 2:
-            raise ValueError(f"a cloud needs at least 2 points, got {xs.size}")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise ValueError("cloud coordinates must all be finite")
-        xs = xs.copy()
-        ys = ys.copy()
-        xs.flags.writeable = False
-        ys.flags.writeable = False
-        object.__setattr__(cloud, "xs", xs)
-        object.__setattr__(cloud, "ys", ys)
-        return cloud
+        object.__setattr__(self, "_moments", moments)
 
     def __len__(self) -> int:
         return int(self.xs.size)
@@ -139,24 +227,23 @@ class LinearCoefficients:
 
 
 def raw_sums(cloud: Cloud) -> RawSums:
-    """Compute the centered sums (M_n, H_n, D) of a cloud.
+    """The centered sums (M_n, H_n, D) of a cloud: n times its co-moments.
 
-    Single pass over centered coordinates; equal to N*sum(xy) - sum(x)*sum(y)
-    etc. in exact arithmetic but without the catastrophic cancellation the raw
-    formulas suffer on offset clouds.
+    Reads the moments the cloud reduced when it was built (chunk by chunk,
+    each chunk centered on its own mean, then merged), so this costs O(1).
+    Equal to N*sum(xy) - sum(x)*sum(y) etc. in exact arithmetic but without
+    the catastrophic cancellation the raw formulas suffer on offset clouds.
     """
     n = len(cloud)
-    xm = cloud.xs - cloud.xs.mean()
-    ym = cloud.ys - cloud.ys.mean()
-    mn = n * float(np.dot(xm, ym))
-    hn = n * float(np.dot(ym, ym))
-    d = n * float(np.dot(xm, xm))
-    return RawSums(mn, hn, d)
+    mo = cloud._moments
+    return RawSums(n * mo.sxy, n * mo.syy, n * mo.sxx)
 
 
 def _d_scale(cloud: Cloud) -> float:
+    # n * sum(x**2), from the moments: sum(x**2) = Sxx + n * mean_x**2.
     n = len(cloud)
-    return max(1.0, n * float(np.dot(cloud.xs, cloud.xs)))
+    mo = cloud._moments
+    return max(1.0, n * (mo.sxx + n * mo.mx * mo.mx))
 
 
 def linear_coefficients(cloud: Cloud) -> LinearCoefficients:

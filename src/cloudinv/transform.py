@@ -110,8 +110,15 @@ def parse_matrix(literal: str) -> Matrix2:
         if (not isinstance(rows, list) or len(rows) != 2
                 or any(not isinstance(r, list) or len(r) != 2 for r in rows)):
             raise ValueError(f"expected [[a,b],[c,d]], got {literal!r}")
-        return Matrix2(float(rows[0][0]), float(rows[0][1]),
-                       float(rows[1][0]), float(rows[1][1]))
+        cells = [v for row in rows for v in row]
+        if any(isinstance(v, bool) or not isinstance(v, (int, float))
+               for v in cells):
+            raise ValueError(f"matrix entries must be numbers, got {literal!r}")
+        try:
+            values = [float(v) for v in cells]
+        except OverflowError as exc:
+            raise ValueError(f"matrix entry out of range in {literal!r}") from exc
+        return Matrix2(*values)
     rows = text.split(";")
     if len(rows) != 2:
         raise ValueError(f"expected 'a,b;c,d', got {literal!r}")
@@ -135,10 +142,15 @@ def apply_to_cloud(m: Matrix2, cloud: Cloud) -> Cloud:
     """Pointwise image of a cloud under an invertible matrix.
 
     Each point maps to (a*x + b*y, c*x + d*y); length and order are preserved.
+    The image is written and its moments reduced in one pass over the cloud.
+
+    Raises:
+        ValueError: an image coordinate overflows to infinity.
     """
     _require_invertible(m)
-    return Cloud.from_arrays(m.a * cloud.xs + m.b * cloud.ys,
-                             m.c * cloud.xs + m.d * cloud.ys)
+    image = object.__new__(Cloud)
+    image._fill(cloud.xs, cloud.ys, m.entries())
+    return image
 
 
 def induced_raw(m: Matrix2, rs: RawSums) -> RawSums:

@@ -1,6 +1,8 @@
 """Shared fixtures and random-input helpers."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,24 @@ def random_invertible(rng: np.random.Generator,
         a, b, c, d = rng.uniform(-2.0, 2.0, size=4)
         if abs(a * d - b * c) >= min_det:
             return Matrix2(a, b, c, d)
+
+
+def two_pass_sums(xs, ys):
+    """Reference (M_n, H_n, D): exactly rounded means, then exactly rounded
+    sums of centered products."""
+    n = len(xs)
+    mx = math.fsum(xs) / n
+    my = math.fsum(ys) / n
+    dx = [x - mx for x in xs]
+    dy = [y - my for y in ys]
+    return (n * math.fsum(a * b for a, b in zip(dx, dy)),
+            n * math.fsum(b * b for b in dy),
+            n * math.fsum(a * a for a in dx))
+
+
+def assert_sums_close(rs, ref, rel=1e-12):
+    for got, want in zip((rs.mn, rs.hn, rs.d), ref):
+        assert abs(got - want) <= rel * abs(want)
 
 
 @pytest.fixture

@@ -240,3 +240,26 @@ class TestSeedEnvVar:
         monkeypatch.setenv("CLOUD_INV_SEED", "not-a-number")
         code, _, err = run(capsys, "coeffs", "--gen", "uniform-box")
         assert code == 2
+
+
+class TestBadInputExitCodes:
+    """Inputs that once escaped as tracebacks: each must give its documented
+    exit code and a single error line."""
+
+    @pytest.mark.parametrize("argv,exit_code", [
+        (["invariant", "--coeffs", "1.5,3.5", "--matrix", "2,0;0,2"], 4),
+        (["invariant", "--coeffs", "1.5,3.5", "--matrix", "[[0.5,0],[0,0.5]]"], 4),
+        (["transform", "--coeffs", "1.5,3.5", "--matrix", "[[null,1],[2,3]]"], 2),
+        (["transform", "--coeffs", "1.5,3.5", "--matrix", "[[{},1],[2,3]]"], 2),
+        (["transform", "--coeffs", "1.5,3.5", "--matrix", "[[1,[2]],[2,3]]"], 2),
+        (["transform", "--coeffs", "1.5,3.5", "--matrix", '[[1,2],["3",4]]'], 2),
+        (["transform", "--coeffs", "1.5,3.5", "--matrix", "[[1,2],[3,true]]"], 2),
+        (["transform", "--coeffs", "1.5,3.5", "--matrix", f"[[1{'0' * 400},0],[0,1]]"], 2),
+    ])
+    def test_exit_code_and_one_error_line(self, capsys, argv, exit_code):
+        code, out, err = run(capsys, *argv)
+        assert code == exit_code
+        assert out == ""
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,14 +1,17 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudinv import (Cloud, DegenerateCloud, Point, is_collinear,
-                      linear_coefficients, raw_sums, read_cloud_csv,
-                      write_cloud_csv)
+from cloudinv import (Cloud, DegenerateCloud, Matrix2, Point, apply_to_cloud,
+                      is_collinear, linear_coefficients, raw_sums,
+                      read_cloud_csv, write_cloud_csv)
+from cloudinv.coefficients import _CHUNK
+from conftest import assert_sums_close, two_pass_sums
 
 TRIANGLE = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
 
@@ -170,3 +173,99 @@ class TestCsv:
         back = read_cloud_csv(io.StringIO(buf.getvalue()))
         assert np.array_equal(back.xs, cloud.xs)
         assert np.array_equal(back.ys, cloud.ys)
+
+
+class TestChunkedReduction:
+    """Clouds are reduced in chunks of _CHUNK points, merged pairwise."""
+
+    @pytest.mark.parametrize("n", [2, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                   3 * _CHUNK + 5])
+    def test_matches_two_pass_reference(self, rng, n):
+        xs = rng.standard_normal(n)
+        ys = 0.3 * xs + rng.standard_normal(n)
+        assert_sums_close(raw_sums(Cloud.from_arrays(xs, ys)),
+                          two_pass_sums(xs.tolist(), ys.tolist()))
+
+    def test_offset_cloud_over_several_chunks(self, rng):
+        n = 3 * _CHUNK + 5
+        xs = 1e8 + rng.standard_normal(n)
+        ys = -3e7 + 0.3 * (xs - 1e8) + rng.standard_normal(n)
+        assert_sums_close(raw_sums(Cloud.from_arrays(xs, ys)),
+                          two_pass_sums(xs.tolist(), ys.tolist()))
+
+    def test_vertical_line_over_several_chunks(self, rng):
+        n = 3 * _CHUNK + 5
+        with pytest.raises(DegenerateCloud):
+            linear_coefficients(Cloud.from_arrays(np.full(n, 1e8),
+                                                  rng.standard_normal(n)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_in_last_chunk_rejected(self, rng, bad, axis):
+        arrays = [rng.random(3 * _CHUNK + 5), rng.random(3 * _CHUNK + 5)]
+        arrays[axis][-1] = bad
+        with pytest.raises(ValueError, match="must all be finite"):
+            Cloud.from_arrays(*arrays)
+
+    @pytest.mark.parametrize("n", [2, 3 * _CHUNK + 5])
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_finite_coordinates_with_overflowing_sums_accepted(self, rng, n, scale):
+        # 1e200: the squared sums overflow; 1e308: the plain sums do too.
+        xs = scale * (1.0 + rng.random(n) / 2)
+        cloud = Cloud.from_arrays(xs, rng.random(n))
+        assert np.array_equal(cloud.xs, xs)
+        with pytest.raises(ValueError, match="must be finite"):
+            raw_sums(cloud)
+
+    def test_from_arrays_copies(self, rng):
+        xs = rng.random(3 * _CHUNK + 5)
+        ys = rng.random(3 * _CHUNK + 5)
+        cloud = Cloud.from_arrays(xs, ys)
+        kept = (cloud.xs.copy(), cloud.ys.copy(), raw_sums(cloud))
+        xs[:] = 0.0
+        ys[:] = 1.0
+        assert np.array_equal(cloud.xs, kept[0])
+        assert np.array_equal(cloud.ys, kept[1])
+        assert raw_sums(cloud) == kept[2]
+
+
+def traced_peak(call) -> int:
+    """Peak bytes allocated while ``call`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
+
+
+class TestAllocation:
+    """Deterministic guard against full-size temporaries: built clouds answer
+    queries from their cached moments, and building a cloud or its image
+    allocates its two coordinate arrays plus chunk-sized buffers only."""
+
+    N = 1_000_000
+    QUERY_LIMIT = 64 * 1024
+    BUILD_LIMIT = 16 * N + 32 * _CHUNK + 64 * 1024
+
+    @pytest.fixture(scope="class")
+    def arrays(self):
+        rng = np.random.default_rng(5)
+        return rng.random(self.N), rng.random(self.N)
+
+    @pytest.mark.parametrize("query", [raw_sums, linear_coefficients,
+                                       is_collinear])
+    def test_queries_allocate_no_arrays(self, arrays, query):
+        cloud = Cloud.from_arrays(*arrays)
+        assert traced_peak(lambda: query(cloud)) < self.QUERY_LIMIT
+
+    def test_from_arrays(self, arrays):
+        assert traced_peak(lambda: Cloud.from_arrays(*arrays)) <= self.BUILD_LIMIT
+
+    def test_apply_to_cloud(self, arrays):
+        cloud = Cloud.from_arrays(*arrays)
+        m = Matrix2(0.4, -0.4, -0.05, 0.9)
+        assert traced_peak(lambda: apply_to_cloud(m, cloud)) <= self.BUILD_LIMIT
