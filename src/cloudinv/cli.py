@@ -26,7 +26,7 @@ from .coefficients import (Cloud, LinearCoefficients, is_collinear,
 from .embedding import generator_for_matrix
 from .errors import (CloudInvError, DegenerateGenerator, DegenerateImage,
                      DegenerateTarget)
-from .families import (DiagonalFamily, KernelSpec, kernel_value, parse_family)
+from .families import DiagonalFamily, kernel_value, parse_family
 from .generators import FamilyGenerator
 from .transform import (Matrix2, apply_to_cloud, induced_coefficients,
                         parse_matrix)
@@ -218,8 +218,11 @@ def _phi_list(text: str) -> list[float]:
 def _invariant_family(args: argparse.Namespace, lc: LinearCoefficients,
                       echo: dict) -> tuple[dict, list[str]]:
     family = parse_family(args.family)
-    phis = _phi_list(args.phi) if args.phi else [family.identity_parameter()]
-    family.identity_parameter()
+    phis = _phi_list(args.phi) if args.phi else None
+    # Raises NoIdentityParameter even when --phi is given.
+    identity = family.identity_parameter()
+    if phis is None:
+        phis = [identity]
     spec = family.derivative_coefficients()
     diagonal = isinstance(family, DiagonalFamily)
     before_kernel = kernel_value(spec, lc.m, lc.h)

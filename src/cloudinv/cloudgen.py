@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coefficients import Cloud
+
+if TYPE_CHECKING:
+    import numpy as np
 
 KINDS = ("uniform-box", "line-with-noise", "ellipse", "two-segment")
 
@@ -37,36 +39,63 @@ class CloudGenSpec:
 
 
 def generate_cloud(spec: CloudGenSpec) -> Cloud:
-    """Generate a cloud deterministically from a spec."""
+    """Generate a cloud deterministically from a spec.
+
+    Each draw goes straight into the output arrays, which are then updated in
+    place, so a cloud costs its two coordinate arrays plus one noise buffer
+    (freed before the cloud copies them).  The draws and the arithmetic are
+    those of the plain formulas in the comments, value for value.
+    """
+    import numpy as np
+
     rng = np.random.default_rng(spec.seed)
     n = spec.n
+    xs = np.empty(n)
+    ys = np.empty(n)
     if spec.kind == "uniform-box":
-        xs = rng.random(n)
-        ys = rng.random(n)
+        rng.random(out=xs)
+        rng.random(out=ys)
         return Cloud.from_arrays(xs, ys)
     if spec.kind == "line-with-noise":
-        # Slope 0.5 and zero intercept keep y = 0.5*x exact in binary, so a
-        # zero-noise draw is exactly collinear.
-        xs = 2.0 * rng.random(n)
-        ys = 0.5 * xs
-        if spec.noise > 0:
-            ys = ys + spec.noise * rng.standard_normal(n)
+        # xs = 2*U, ys = 0.5*xs (+ noise*N).  Slope 0.5 and zero intercept
+        # keep y = 0.5*x exact in binary, so a zero-noise draw is exactly
+        # collinear.
+        rng.random(out=xs)
+        xs *= 2.0
+        np.multiply(xs, 0.5, out=ys)
+        _add_noise(rng, spec.noise, ys)
         return Cloud.from_arrays(xs, ys)
     if spec.kind == "ellipse":
-        theta = 2.0 * np.pi * rng.random(n)
-        xs = 0.5 + 1.0 * np.cos(theta)
-        ys = 0.5 + 0.5 * np.sin(theta)
-        if spec.noise > 0:
-            xs = xs + spec.noise * rng.standard_normal(n)
-            ys = ys + spec.noise * rng.standard_normal(n)
-        return Cloud.from_arrays(xs, ys)
-    # two-segment: a bent polyline, half the points per leg.
-    k = n // 2
-    t1 = rng.random(k)
-    t2 = rng.random(n - k)
-    xs = np.concatenate([t1, 1.0 + t2])
-    ys = np.concatenate([2.0 * t1, 2.0 - t2])
-    if spec.noise > 0:
-        xs = xs + spec.noise * rng.standard_normal(n)
-        ys = ys + spec.noise * rng.standard_normal(n)
+        # theta = 2*pi*U (held in ys), xs = 0.5 + cos(theta),
+        # ys = 0.5 + 0.5*sin(theta).
+        theta = ys
+        rng.random(out=theta)
+        theta *= 2.0 * np.pi
+        np.cos(theta, out=xs)
+        xs += 0.5
+        np.sin(theta, out=ys)
+        ys *= 0.5
+        ys += 0.5
+    else:
+        # two-segment, a bent polyline with half the points per leg:
+        # t1 = U(k), t2 = U(n - k), xs = [t1, 1 + t2], ys = [2*t1, 2 - t2].
+        k = n // 2
+        rng.random(out=xs[:k])
+        rng.random(out=xs[k:])
+        np.multiply(xs[:k], 2.0, out=ys[:k])
+        np.subtract(2.0, xs[k:], out=ys[k:])
+        xs[k:] += 1.0
+    _add_noise(rng, spec.noise, xs, ys)
     return Cloud.from_arrays(xs, ys)
+
+
+def _add_noise(rng: np.random.Generator, noise: float, *axes: np.ndarray) -> None:
+    """Add noise * N(0, 1) to each axis in turn, drawing into one buffer."""
+    import numpy as np
+
+    if noise > 0:
+        e = np.empty(axes[0].size)
+        for axis in axes:
+            rng.standard_normal(out=e)
+            e *= noise
+            axis += e

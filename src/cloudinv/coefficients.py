@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
-
-import numpy as np
+from typing import (IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence, Union)
 
 from .errors import DegenerateCloud
+
+# numpy is imported by the functions that build arrays, so importing the
+# package, or computing with (M, H) alone, does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Scale-relative threshold below which the x-spread sum D counts as zero.
 DEGENERACY_RTOL = 1e-12
@@ -74,6 +78,8 @@ def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[_Entries] = Non
     merge keeps full accuracy on offset clouds.  A cloud of one chunk gets
     exactly the sums of a plain two-pass reduction.
     """
+    import numpy as np
+
     n = xs.size
     out_x = np.empty(n)
     out_y = np.empty(n)
@@ -134,6 +140,8 @@ class Cloud:
     __slots__ = ("xs", "ys", "_moments")
 
     def __init__(self, points: Iterable[PointLike]):
+        import numpy as np
+
         pts = [(p.x, p.y) if isinstance(p, Point) else (float(p[0]), float(p[1]))
                for p in points]
         if len(pts) < 2:
@@ -144,6 +152,8 @@ class Cloud:
     @classmethod
     def from_arrays(cls, xs: np.ndarray, ys: np.ndarray) -> "Cloud":
         """Build a cloud from equal-length coordinate arrays (copied)."""
+        import numpy as np
+
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         if xs.shape != ys.shape or xs.ndim != 1:
@@ -158,6 +168,8 @@ class Cloud:
               t: Optional[_Entries] = None) -> None:
         """Set the coordinates to copies of (xs, ys), or to their image under
         the matrix entries t, and cache their moments."""
+        import numpy as np
+
         # Non-finite values are expected here and judged just below.
         with np.errstate(over="ignore", invalid="ignore"):
             xs, ys, moments = _copy_and_reduce(xs, ys, t)

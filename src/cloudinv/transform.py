@@ -77,8 +77,11 @@ class Matrix2:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
     def is_invertible(self) -> bool:
-        scale = self.max_abs_entry() ** 2
-        return abs(self.det) > SINGULARITY_RTOL * max(1.0, scale)
+        """|det| > SINGULARITY_RTOL * max(1, max|entry|)**2, evaluated on the
+        entries divided by max(1, max|entry|) so that no product overflows."""
+        s = max(1.0, self.max_abs_entry())
+        a, b, c, d = self.a / s, self.b / s, self.c / s, self.d / s
+        return abs(a * d - b * c) > SINGULARITY_RTOL
 
     def scaled(self, kappa: float) -> "Matrix2":
         """The matrix kappa * self (kappa must be nonzero)."""
@@ -169,10 +172,14 @@ def induced_coefficients(m: Matrix2, lc: LinearCoefficients) -> LinearCoefficien
     Raises:
         DegenerateImage: the common denominator 2abM + b^2 H + a^2 vanishes
             within tolerance; the transformed cloud would have all x equal.
+        ValueError: the denominator overflows.
     """
     _require_invertible(m)
     a, b, c, d = m.a, m.b, m.c, m.d
     den = 2.0 * a * b * lc.m + b * b * lc.h + a * a
+    if not math.isfinite(den):
+        raise ValueError(
+            f"induced map overflows: denominator 2abM + b^2 H + a^2 is {den}")
     scale = abs(2.0 * a * b * lc.m) + abs(b * b * lc.h) + a * a
     if abs(den) <= SINGULARITY_RTOL * max(1.0, scale):
         raise DegenerateImage(

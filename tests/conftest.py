@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,19 @@ def two_pass_sums(xs, ys):
 def assert_sums_close(rs, ref, rel=1e-12):
     for got, want in zip((rs.mn, rs.hn, rs.d), ref):
         assert abs(got - want) <= rel * abs(want)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes allocated while ``call`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
 
 
 @pytest.fixture

@@ -255,6 +255,8 @@ class TestBadInputExitCodes:
         (["transform", "--coeffs", "1.5,3.5", "--matrix", '[[1,2],["3",4]]'], 2),
         (["transform", "--coeffs", "1.5,3.5", "--matrix", "[[1,2],[3,true]]"], 2),
         (["transform", "--coeffs", "1.5,3.5", "--matrix", f"[[1{'0' * 400},0],[0,1]]"], 2),
+        (["transform", "--coeffs", "1.5,3.5", "--matrix", "1e308,1e308;-1e308,1e308"], 2),
+        (["transform", "--coeffs", "1.5,3.5", "--matrix", "[[1e308,1e308],[-1e308,1e308]]"], 2),
     ])
     def test_exit_code_and_one_error_line(self, capsys, argv, exit_code):
         code, out, err = run(capsys, *argv)

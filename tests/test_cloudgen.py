@@ -3,6 +3,8 @@ import pytest
 
 from cloudinv import (CloudGenSpec, KINDS, generate_cloud, is_collinear,
                       linear_coefficients)
+from cloudinv.coefficients import _CHUNK
+from conftest import traced_peak
 
 
 class TestSpecValidation:
@@ -65,3 +67,52 @@ def test_two_segment_shape_is_generic():
     cloud = generate_cloud(CloudGenSpec(kind="two-segment", n=10000, seed=42))
     lc = linear_coefficients(cloud)
     assert lc.h > lc.m ** 2 + 0.01
+
+
+def reference_arrays(spec):
+    """The generators as plain array formulas, each step a fresh array."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n
+    if spec.kind == "uniform-box":
+        return rng.random(n), rng.random(n)
+    if spec.kind == "line-with-noise":
+        xs = 2.0 * rng.random(n)
+        ys = 0.5 * xs
+        if spec.noise > 0:
+            ys = ys + spec.noise * rng.standard_normal(n)
+        return xs, ys
+    if spec.kind == "ellipse":
+        theta = 2.0 * np.pi * rng.random(n)
+        xs = 0.5 + 1.0 * np.cos(theta)
+        ys = 0.5 + 0.5 * np.sin(theta)
+    else:
+        k = n // 2
+        t1 = rng.random(k)
+        t2 = rng.random(n - k)
+        xs = np.concatenate([t1, 1.0 + t2])
+        ys = np.concatenate([2.0 * t1, 2.0 - t2])
+    if spec.noise > 0:
+        xs = xs + spec.noise * rng.standard_normal(n)
+        ys = ys + spec.noise * rng.standard_normal(n)
+    return xs, ys
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [2, 3, 1001, 70000])
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_bit_identical_to_reference_formulas(kind, n, noise):
+    spec = CloudGenSpec(kind=kind, n=n, noise=noise, seed=n + 17)
+    cloud = generate_cloud(spec)
+    xs, ys = reference_arrays(spec)
+    assert cloud.xs.tobytes() == xs.tobytes()
+    assert cloud.ys.tobytes() == ys.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_generation_allocates_cloud_and_one_noise_buffer(kind):
+    # The two coordinate arrays and the cloud's copies of them, plus the
+    # chunk buffers of the copy: no full-size temporaries beyond those.
+    n = 1_000_000
+    spec = CloudGenSpec(kind=kind, n=n, noise=0.05, seed=3)
+    limit = 32 * n + 32 * _CHUNK + 64 * 1024
+    assert traced_peak(lambda: generate_cloud(spec)) <= limit

@@ -1,6 +1,5 @@
 import io
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from cloudinv import (Cloud, DegenerateCloud, Matrix2, Point, apply_to_cloud,
                       is_collinear, linear_coefficients, raw_sums,
                       read_cloud_csv, write_cloud_csv)
 from cloudinv.coefficients import _CHUNK
-from conftest import assert_sums_close, two_pass_sums
+from conftest import assert_sums_close, traced_peak, two_pass_sums
 
 TRIANGLE = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
 
@@ -227,19 +226,6 @@ class TestChunkedReduction:
         assert np.array_equal(cloud.xs, kept[0])
         assert np.array_equal(cloud.ys, kept[1])
         assert raw_sums(cloud) == kept[2]
-
-
-def traced_peak(call) -> int:
-    """Peak bytes allocated while ``call`` runs, its result included."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = call()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    del result
-    return peak
 
 
 class TestAllocation:

@@ -1,0 +1,87 @@
+"""Golden CLI outputs: stdout, stderr and exit code must stay byte-identical.
+
+Each case is one argv; its recorded output lives in ``tests/golden/<name>.json``.
+After a deliberate output change, re-record with ``PYTHONPATH=src python
+tests/test_golden.py`` and name the change in CHANGES.md.
+"""
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from cloudinv.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+REF = "--coeffs=1.52244,2.46998"
+
+# Written by the test into the working directory, so the echoed path is
+# the same on every run.
+CSV_NAME = "golden_cloud.csv"
+CSV_TEXT = "x,y\n0,0\n1,1\n2,0\n3,2.5\n-1.25,0.5\n"
+
+CASES = {
+    "coeffs-uniform-box": ["coeffs", "--gen", "uniform-box", "--n", "300",
+                           "--seed", "1", "--json"],
+    "coeffs-line-with-noise": ["coeffs", "--gen", "line-with-noise", "--n", "300",
+                               "--seed", "2", "--json"],
+    "transform-ellipse": ["transform", "--gen", "ellipse", "--n", "300",
+                          "--seed", "3", "--matrix", "0.4,-0.4;-0.05,0.9",
+                          "--json"],
+    "simulate-two-segment": ["simulate", "--gen", "two-segment", "--n", "300",
+                             "--seed", "4", "--json"],
+    "coeffs-csv": ["coeffs", "--csv", CSV_NAME, "--json"],
+    "transform-coeffs": ["transform", REF, "--matrix", "1,0.7;0,1", "--json"],
+    "invariant-matrix-coeffs": ["invariant", REF, "--matrix",
+                                "[[0.4,-0.4],[-0.05,0.9]]", "--json"],
+    "invariant-family-phi-list": ["invariant", REF, "--family", "diag",
+                                  "--phi", "0.5,1,2.5", "--json"],
+    "simulate-coeffs": ["simulate", REF, "--json"],
+    "text-simulate-coeffs": ["simulate", REF],
+    "text-invariant-family": ["invariant", REF, "--family", "diag",
+                              "--phi", "0.5,2"],
+    "exit2-singular-matrix": ["transform", REF, "--matrix", "1,2;2,4"],
+    "exit3-degenerate-image": ["transform", "--coeffs", "1,1",
+                               "--matrix", "1,-1;0,1"],
+    "exit4-uniform-scaling": ["invariant", "--coeffs", "1.5,3.5",
+                              "--matrix", "2,0;0,2"],
+}
+
+
+def run_case(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / CSV_NAME).write_text(CSV_TEXT)
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert want["argv"] == CASES[name]
+    code, out, err = run_case(CASES[name])
+    assert (code, out, err) == (want["exit"], want["stdout"], want["stderr"])
+
+
+def record():
+    GOLDEN.mkdir(exist_ok=True)
+    here = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        Path(CSV_NAME).write_text(CSV_TEXT)
+        results = {name: run_case(argv) for name, argv in CASES.items()}
+        os.remove(CSV_NAME)
+    finally:
+        os.chdir(here)
+    for name, (code, out, err) in results.items():
+        doc = {"argv": CASES[name], "exit": code, "stdout": out, "stderr": err}
+        (GOLDEN / f"{name}.json").write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    record()

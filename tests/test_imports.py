@@ -1,0 +1,57 @@
+"""The scalar layer and the CLI's --coeffs paths run without numpy; numpy is
+loaded when a point array is first built."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Prints whether numpy was loaded after importing the package and running
+# each argv given as JSON on the command line (exit codes and output of the
+# runs are reported too).
+PROBE = """
+import contextlib, io, json, sys
+import cloudinv, cloudinv.cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cloudinv.cli.main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"numpy": "numpy" in sys.modules, "runs": runs}))
+"""
+
+
+def probe(*argvs):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_import_does_not_load_numpy():
+    assert probe() == {"numpy": False, "runs": []}
+
+
+def test_coeffs_commands_do_not_load_numpy():
+    ref = "--coeffs=1.52244,2.46998"
+    result = probe(
+        ["transform", ref, "--matrix", "1,0.7;0,1"],
+        ["invariant", ref, "--matrix", "0.4,-0.4;-0.05,0.9"],
+        ["invariant", ref, "--family", "diag", "--phi", "0.5,2"],
+        ["simulate", ref, "--json"],
+        ["transform", ref, "--matrix", "1,2;2,4"],
+        ["transform", "--coeffs", "1,1", "--matrix", "1,-1;0,1"],
+        ["invariant", "--coeffs", "1.5,3.5", "--matrix", "2,0;0,2"],
+    )
+    assert [run[0] for run in result["runs"]] == [0, 0, 0, 0, 2, 3, 4]
+    assert result["numpy"] is False
+
+
+def test_generated_cloud_loads_numpy():
+    result = probe(["coeffs", "--gen", "ellipse", "--n", "300", "--json"])
+    code, out, _ = result["runs"][0]
+    assert code == 0 and json.loads(out)["inputs"]["n"] == 300
+    assert result["numpy"] is True

@@ -26,6 +26,22 @@ class TestMatrix2:
         with pytest.raises(NonInvertibleMatrix):
             Matrix2(1e9, 0.0, 0.0, 1e-9)
 
+    def test_invertibility_of_huge_entries_does_not_overflow(self):
+        # max|entry|**2 and the determinant itself overflow here.
+        assert Matrix2(1e308, 1e308, -1e308, 1e308).is_invertible()
+        assert not Matrix2.unchecked(1e308, 1e308, 1e308, 1e308).is_invertible()
+
+    @pytest.mark.parametrize("s", [1.0, 3.0, 1e150, 1e200])
+    def test_singularity_threshold_both_sides(self, s):
+        # |det| against 1e-12 * max(1, max|entry|)**2, just above and below.
+        assert Matrix2.unchecked(s, 0.0, 0.0, 1.01e-12 * s).is_invertible()
+        assert not Matrix2.unchecked(s, 0.0, 0.0, 0.99e-12 * s).is_invertible()
+
+    def test_induced_map_overflow_is_value_error(self):
+        m = Matrix2(1e308, 1e308, -1e308, 1e308)
+        with pytest.raises(ValueError, match="overflows"):
+            induced_coefficients(m, LinearCoefficients(1.5, 3.5))
+
     def test_unchecked_allows_singular_but_ops_reject(self):
         m = Matrix2.unchecked(1.0, 0.0, 0.0, 0.0)
         cloud = Cloud([(0, 0), (1, 1)])
