@@ -6,8 +6,9 @@ Subcommands:
     invariant  kernel values before/after a family member or a matrix
     simulate   the four standard transformations on a generated cloud
 
-Exit codes: 0 success, 2 input/validation error, 3 degenerate image,
-4 degenerate generator (every function invariant).
+Exit codes: 0 success, 2 input/validation error (a cloud too large for
+memory included), 3 degenerate image, 4 degenerate generator (every function
+invariant).
 """
 from __future__ import annotations
 
@@ -429,6 +430,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_DEGENERATE_IMAGE
     except (_CliInputError, CloudInvError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -42,9 +42,10 @@ def generate_cloud(spec: CloudGenSpec) -> Cloud:
     """Generate a cloud deterministically from a spec.
 
     Each draw goes straight into the output arrays, which are then updated in
-    place, so a cloud costs its two coordinate arrays plus one noise buffer
-    (freed before the cloud copies them).  The draws and the arithmetic are
-    those of the plain formulas in the comments, value for value.
+    place and become the cloud's own, so a cloud costs its two coordinate
+    arrays plus one noise buffer (freed before the cloud is reduced).  The
+    draws and the arithmetic are those of the plain formulas in the comments,
+    value for value.
     """
     import numpy as np
 
@@ -55,7 +56,7 @@ def generate_cloud(spec: CloudGenSpec) -> Cloud:
     if spec.kind == "uniform-box":
         rng.random(out=xs)
         rng.random(out=ys)
-        return Cloud.from_arrays(xs, ys)
+        return Cloud._own(xs, ys)
     if spec.kind == "line-with-noise":
         # xs = 2*U, ys = 0.5*xs (+ noise*N).  Slope 0.5 and zero intercept
         # keep y = 0.5*x exact in binary, so a zero-noise draw is exactly
@@ -64,7 +65,7 @@ def generate_cloud(spec: CloudGenSpec) -> Cloud:
         xs *= 2.0
         np.multiply(xs, 0.5, out=ys)
         _add_noise(rng, spec.noise, ys)
-        return Cloud.from_arrays(xs, ys)
+        return Cloud._own(xs, ys)
     if spec.kind == "ellipse":
         # theta = 2*pi*U (held in ys), xs = 0.5 + cos(theta),
         # ys = 0.5 + 0.5*sin(theta).
@@ -86,7 +87,7 @@ def generate_cloud(spec: CloudGenSpec) -> Cloud:
         np.subtract(2.0, xs[k:], out=ys[k:])
         xs[k:] += 1.0
     _add_noise(rng, spec.noise, xs, ys)
-    return Cloud.from_arrays(xs, ys)
+    return Cloud._own(xs, ys)
 
 
 def _add_noise(rng: np.random.Generator, noise: float, *axes: np.ndarray) -> None:

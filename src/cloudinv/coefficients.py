@@ -3,11 +3,13 @@
 A cloud is summarized by two numbers: the slope M of its least-squares
 straight line and a companion ratio H of centered second moments.  Both are
 quotients of the centered sums (M_n, H_n, D), so the moments (mean x, mean y,
-Sxx, Sxy, Syy) are a sufficient statistic.  A cloud reduces them once, while
-its coordinates are copied in: one pass over fixed-size chunks centers each
-chunk on its own mean before the quadratic sums are formed (no cancellation
-on offset clouds) and merges the chunk results pairwise (Chan, Golub &
-LeVeque 1979).  Every later query reads the cached moments.
+Sxx, Sxy, Syy) are a sufficient statistic.  A cloud reduces them once, when
+it is built: one pass over fixed-size chunks centers each chunk on its own
+mean before the quadratic sums are formed (no cancellation on offset clouds)
+and merges the chunk results pairwise (Chan, Golub & LeVeque 1979).  The
+same pass copies the coordinates in (``Cloud.from_arrays``), reduces arrays
+the cloud takes over (generated clouds), or reduces a matrix image chunk by
+chunk without writing it.  Every later query reads the cached moments.
 """
 from __future__ import annotations
 
@@ -65,35 +67,41 @@ class _Moments(NamedTuple):
 _Entries = tuple[float, float, float, float]
 
 
-def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[_Entries] = None
-                     ) -> tuple[np.ndarray, np.ndarray, _Moments]:
-    """Fresh copies of (xs, ys), or their image (a*x + b*y, c*x + d*y) under
-    the matrix entries t = (a, b, c, d), and the moments of the result.
+def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[_Entries] = None,
+                     out: Optional[tuple[np.ndarray, np.ndarray]] = None
+                     ) -> _Moments:
+    """The moments of (xs, ys), or of their image (a*x + b*y, c*x + d*y)
+    under the matrix entries t = (a, b, c, d); given ``out``, that cloud is
+    also written to the two arrays ``out``.
 
-    One pass over chunks of ``_CHUNK`` points.  Each chunk is written out and,
-    while it is still in cache, centered on its own mean into two reusable
-    buffers and reduced; the chunk results are merged pairwise (Chan, Golub &
+    One pass over chunks of ``_CHUNK`` points.  Each chunk (read in place,
+    copied to ``out``, or an image chunk written to ``out`` or else to a
+    reused chunk-sized buffer) is, while still in cache, centered on its own
+    mean into two reusable buffers and reduced; the chunk results are merged pairwise (Chan, Golub &
     LeVeque 1979).  The residual sum of each centered chunk corrects its mean,
     and merged means are held relative to the first chunk's mean, so the
     merge keeps full accuracy on offset clouds.  A cloud of one chunk gets
-    exactly the sums of a plain two-pass reduction.
+    exactly the sums of a plain two-pass reduction.  The arithmetic does not
+    depend on ``out``, so the moments are the same bits with or without it.
     """
     import numpy as np
 
     n = xs.size
-    out_x = np.empty(n)
-    out_y = np.empty(n)
     cx = np.empty(min(n, _CHUNK))
     cy = np.empty(min(n, _CHUNK))
+    if out is None and t is not None:
+        tx = np.empty(min(n, _CHUNK))
+        ty = np.empty(min(n, _CHUNK))
     count = 0
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         k = hi - lo
-        x, y, bx, by = out_x[lo:hi], out_y[lo:hi], cx[:k], cy[:k]
-        if t is None:
-            np.copyto(x, xs[lo:hi])
-            np.copyto(y, ys[lo:hi])
-        else:
+        bx, by = cx[:k], cy[:k]
+        if t is not None:
+            if out is None:
+                x, y = tx[:k], ty[:k]
+            else:
+                x, y = out[0][lo:hi], out[1][lo:hi]
             a, b, c, d = t
             np.multiply(xs[lo:hi], a, out=x)
             np.multiply(ys[lo:hi], b, out=bx)
@@ -101,6 +109,12 @@ def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[_Entries] = Non
             np.multiply(xs[lo:hi], c, out=y)
             np.multiply(ys[lo:hi], d, out=by)
             np.add(y, by, out=y)
+        elif out is not None:
+            x, y = out[0][lo:hi], out[1][lo:hi]
+            np.copyto(x, xs[lo:hi])
+            np.copyto(y, ys[lo:hi])
+        else:
+            x, y = xs[lo:hi], ys[lo:hi]
         mx = float(np.add.reduce(x)) / k
         my = float(np.add.reduce(y)) / k
         np.subtract(x, mx, out=bx)
@@ -126,18 +140,24 @@ def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[_Entries] = Non
             acc_xy += sxy + dx * dy * f
             acc_yy += syy + dy * dy * f
         count += k
-    return out_x, out_y, _Moments(x0 + mean_x, y0 + mean_y, acc_xx, acc_xy, acc_yy)
+    return _Moments(x0 + mean_x, y0 + mean_y, acc_xx, acc_xy, acc_yy)
 
 
 class Cloud:
     """An ordered sequence of at least two planar points.
 
     Point order is preserved, but every derived quantity is a symmetric sum
-    and therefore order-independent.  Coordinates are stored as read-only
-    float64 arrays; their moments are reduced once, when the cloud is built.
+    and therefore order-independent.  Coordinates are read-only float64
+    arrays; their moments are reduced once, when the cloud is built.
+
+    The image of a cloud under a matrix (see ``transform.apply_to_cloud``)
+    starts out pending: it holds its source's arrays and the matrix entries
+    ``_t``, and only its moments are reduced.  Its coordinates are written,
+    once, when ``xs``, ``ys``, the points or an iteration first asks for
+    them; ``len`` and the moment queries never do.
     """
 
-    __slots__ = ("xs", "ys", "_moments")
+    __slots__ = ("_xs", "_ys", "_moments", "_t")
 
     def __init__(self, points: Iterable[PointLike]):
         import numpy as np
@@ -161,31 +181,58 @@ class Cloud:
         if xs.size < 2:
             raise ValueError(f"a cloud needs at least 2 points, got {xs.size}")
         cloud = object.__new__(cls)
-        cloud._fill(xs, ys)
+        cloud._fill(xs, ys, copy=True)
+        return cloud
+
+    @classmethod
+    def _own(cls, xs: np.ndarray, ys: np.ndarray,
+             t: Optional[_Entries] = None) -> "Cloud":
+        """A cloud over (xs, ys) themselves, which it marks read-only, or the
+        pending image of them under the matrix entries t.  The arrays must be
+        1-D float64 of one length >= 2 that no one else writes to."""
+        cloud = object.__new__(cls)
+        cloud._fill(xs, ys, t)
         return cloud
 
     def _fill(self, xs: np.ndarray, ys: np.ndarray,
-              t: Optional[_Entries] = None) -> None:
-        """Set the coordinates to copies of (xs, ys), or to their image under
-        the matrix entries t, and cache their moments."""
+              t: Optional[_Entries] = None, copy: bool = False) -> None:
+        """Hold (xs, ys), fresh copies of them (``copy``), or their image
+        under the matrix entries t (pending unless ``copy``), and cache the
+        moments of the cloud held."""
         import numpy as np
 
+        out = (np.empty(xs.size), np.empty(xs.size)) if copy else None
         # Non-finite values are expected here and judged just below.
         with np.errstate(over="ignore", invalid="ignore"):
-            xs, ys, moments = _copy_and_reduce(xs, ys, t)
-        # A non-finite coordinate makes its axis mean non-finite; finite
-        # coordinates whose sums overflow are still a valid cloud.
-        if not all(map(math.isfinite, moments)) and not (
-                np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise ValueError("cloud coordinates must all be finite")
+            moments = _copy_and_reduce(xs, ys, t, out)
+        if out is not None:
+            (xs, ys), t = out, None
         xs.flags.writeable = False
         ys.flags.writeable = False
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "_moments", moments)
+        self._xs, self._ys, self._moments, self._t = xs, ys, moments, t
+        # A non-finite coordinate makes its axis mean non-finite; finite
+        # coordinates whose sums overflow are still a valid cloud.  Reading
+        # ``self.xs`` writes a pending image first.
+        if not all(map(math.isfinite, moments)) and not (
+                np.all(np.isfinite(self.xs)) and np.all(np.isfinite(self.ys))):
+            raise ValueError("cloud coordinates must all be finite")
+
+    @property
+    def xs(self) -> np.ndarray:
+        """The x coordinates, a read-only float64 array."""
+        if self._t is not None:
+            self._fill(self._xs, self._ys, self._t, copy=True)
+        return self._xs
+
+    @property
+    def ys(self) -> np.ndarray:
+        """The y coordinates, a read-only float64 array."""
+        if self._t is not None:
+            self._fill(self._xs, self._ys, self._t, copy=True)
+        return self._ys
 
     def __len__(self) -> int:
-        return int(self.xs.size)
+        return int(self._xs.size)
 
     def __iter__(self) -> Iterator[Point]:
         for x, y in zip(self.xs, self.ys):
@@ -281,7 +328,7 @@ def is_collinear(cloud: Cloud, tol: float = COLLINEARITY_RTOL) -> bool:
     consistent with h == m**2 whenever d > 0, and also detects vertical
     lines, where d == 0.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     rs = raw_sums(cloud)
     gap = rs.hn * rs.d - rs.mn * rs.mn

@@ -145,15 +145,16 @@ def apply_to_cloud(m: Matrix2, cloud: Cloud) -> Cloud:
     """Pointwise image of a cloud under an invertible matrix.
 
     Each point maps to (a*x + b*y, c*x + d*y); length and order are preserved.
-    The image is written and its moments reduced in one pass over the cloud.
+    One pass over the cloud reduces the image's moments, an image chunk at a
+    time, without writing the image: it holds the cloud's arrays and the
+    matrix, and writes its coordinates (16 bytes a point) when they are first
+    read.  The image of an image writes the inner one first.
 
     Raises:
         ValueError: an image coordinate overflows to infinity.
     """
     _require_invertible(m)
-    image = object.__new__(Cloud)
-    image._fill(cloud.xs, cloud.ys, m.entries())
-    return image
+    return Cloud._own(cloud.xs, cloud.ys, m.entries())
 
 
 def induced_raw(m: Matrix2, rs: RawSums) -> RawSums:

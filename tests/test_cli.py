@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from cloudinv import read_cloud_csv
 from cloudinv.cli import main
-from conftest import REF_H, REF_M
+from cloudinv.coefficients import _CHUNK
+from conftest import REF_H, REF_M, traced_peak
 
 REF_COEFFS = f"--coeffs={REF_M},{REF_H}"
 
@@ -265,3 +267,35 @@ class TestBadInputExitCodes:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 745. TiB", ""])
+    def test_out_of_memory(self, capsys, monkeypatch, message):
+        # The allocation is refused by a stub: a really huge request could
+        # succeed lazily and then exhaust the machine.
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(np, "empty", refuse)
+        code, out, err = run(capsys, "coeffs", "--gen", "uniform-box",
+                             "--n", "100000000000000")
+        assert (code, out) == (2, "")
+        assert err == f"error: out of memory: {message or 'allocation failed'}\n"
+
+
+class TestAllocation:
+    """Direct recomputation on a generated cloud allocates the cloud and
+    chunk-sized buffers only: the image is reduced, never written."""
+
+    N = 1_000_000
+    LIMIT = 16 * N + 32 * _CHUNK + 1024 * 1024
+
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--gen", "uniform-box", "--n", str(N),
+         "--matrix", "0.4,-0.4;-0.05,0.9", "--json"],
+        ["simulate", "--gen", "uniform-box", "--n", str(N), "--json"],
+    ])
+    def test_peak(self, capsys, argv):
+        codes = []
+        assert traced_peak(lambda: codes.append(main(argv))) <= self.LIMIT
+        assert codes == [0]
+        assert "after_direct" in capsys.readouterr().out

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cloudinv import (CloudGenSpec, KINDS, generate_cloud, is_collinear,
-                      linear_coefficients)
+from cloudinv import (Cloud, CloudGenSpec, KINDS, generate_cloud,
+                      is_collinear, linear_coefficients)
 from cloudinv.coefficients import _CHUNK
 from conftest import traced_peak
 
@@ -106,13 +106,16 @@ def test_bit_identical_to_reference_formulas(kind, n, noise):
     xs, ys = reference_arrays(spec)
     assert cloud.xs.tobytes() == xs.tobytes()
     assert cloud.ys.tobytes() == ys.tobytes()
+    assert not (cloud.xs.flags.writeable or cloud.ys.flags.writeable)
+    assert cloud._moments == Cloud.from_arrays(xs, ys)._moments
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_generation_allocates_cloud_and_one_noise_buffer(kind):
-    # The two coordinate arrays and the cloud's copies of them, plus the
-    # chunk buffers of the copy: no full-size temporaries beyond those.
+    # The two coordinate arrays, which the cloud keeps, one noise buffer and
+    # the chunk buffers of the reduction: no full-size temporaries beyond
+    # those.
     n = 1_000_000
     spec = CloudGenSpec(kind=kind, n=n, noise=0.05, seed=3)
-    limit = 32 * n + 32 * _CHUNK + 64 * 1024
+    limit = 24 * n + 32 * _CHUNK + 64 * 1024
     assert traced_peak(lambda: generate_cloud(spec)) <= limit

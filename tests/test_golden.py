@@ -5,6 +5,7 @@ After a deliberate output change, re-record with ``PYTHONPATH=src python
 tests/test_golden.py`` and name the change in CHANGES.md.
 """
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -21,6 +22,8 @@ REF = "--coeffs=1.52244,2.46998"
 # the same on every run.
 CSV_NAME = "golden_cloud.csv"
 CSV_TEXT = "x,y\n0,0\n1,1\n2,0\n3,2.5\n-1.25,0.5\n"
+# Points file written by ``--dump-points``; its sha256 is recorded too.
+DUMP_NAME = "golden_dump.csv"
 
 CASES = {
     "coeffs-uniform-box": ["coeffs", "--gen", "uniform-box", "--n", "300",
@@ -47,15 +50,32 @@ CASES = {
                                "--matrix", "1,-1;0,1"],
     "exit4-uniform-scaling": ["invariant", "--coeffs", "1.5,3.5",
                               "--matrix", "2,0;0,2"],
+    # Several reduction chunks.
+    "simulate-ellipse-70000": ["simulate", "--gen", "ellipse", "--n", "70000",
+                               "--seed", "5", "--json"],
+    "transform-two-segment-70000-dump": [
+        "transform", "--gen", "two-segment", "--n", "70000", "--seed", "6",
+        "--matrix", "0.4,-0.4;-0.05,0.9", "--dump-points", DUMP_NAME, "--json"],
 }
 
 
+def dump_digest():
+    """sha256 of the dumped points file, or None if no case wrote one."""
+    if not os.path.exists(DUMP_NAME):
+        return None
+    with open(DUMP_NAME, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    os.remove(DUMP_NAME)
+    return digest
+
+
 def run_case(argv):
-    """(exit code, stdout, stderr) of one in-process CLI run."""
+    """(exit code, stdout, stderr, sha256 of the dumped points or None) of one
+    in-process CLI run in the working directory."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue(), dump_digest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -64,8 +84,8 @@ def test_golden(name, tmp_path, monkeypatch):
     (tmp_path / CSV_NAME).write_text(CSV_TEXT)
     want = json.loads((GOLDEN / f"{name}.json").read_text())
     assert want["argv"] == CASES[name]
-    code, out, err = run_case(CASES[name])
-    assert (code, out, err) == (want["exit"], want["stdout"], want["stderr"])
+    assert run_case(CASES[name]) == (want["exit"], want["stdout"],
+                                     want["stderr"], want.get("dump_sha256"))
 
 
 def record():
@@ -78,8 +98,10 @@ def record():
         os.remove(CSV_NAME)
     finally:
         os.chdir(here)
-    for name, (code, out, err) in results.items():
+    for name, (code, out, err, digest) in results.items():
         doc = {"argv": CASES[name], "exit": code, "stdout": out, "stderr": err}
+        if digest is not None:
+            doc["dump_sha256"] = digest
         (GOLDEN / f"{name}.json").write_text(json.dumps(doc, indent=1) + "\n")
 
 

@@ -1,3 +1,5 @@
+import gc
+import io
 import math
 
 import numpy as np
@@ -8,10 +10,10 @@ from hypothesis import strategies as st
 from cloudinv import (Cloud, DegenerateImage, LinearCoefficients, Matrix2,
                       NonInvertibleMatrix, RawSums, apply_to_cloud,
                       induced_coefficients, induced_raw, linear_coefficients,
-                      parse_matrix, raw_sums)
+                      parse_matrix, raw_sums, write_cloud_csv)
 from cloudinv.coefficients import _CHUNK
 from conftest import (REF_H, REF_M, assert_sums_close, random_cloud,
-                      random_invertible, two_pass_sums)
+                      random_invertible, traced_peak, two_pass_sums)
 
 REF = LinearCoefficients(REF_M, REF_H)
 
@@ -132,6 +134,86 @@ class TestApplyToCloudChunked:
         with pytest.raises(ValueError, match="must all be finite"):
             apply_to_cloud(Matrix2.diagonal(1e10, 1.0),
                            Cloud.from_arrays(xs, rng.random(n)))
+
+    @pytest.mark.parametrize("n", [2, 3 * _CHUNK + 5])
+    def test_finite_image_with_overflowing_sums_accepted(self, rng, n):
+        # Its moments are not finite, so the image is written to be checked.
+        xs = 1e200 * (1.0 + rng.random(n) / 2)
+        ys = rng.random(n)
+        image = apply_to_cloud(Matrix2(1.0, 0.5, 0.0, 1.0),
+                               Cloud.from_arrays(xs, ys))
+        assert image.xs.tobytes() == (1.0 * xs + 0.5 * ys).tobytes()
+        assert image.ys.tobytes() == (0.0 * xs + 1.0 * ys).tobytes()
+
+
+class TestPendingImage:
+    """The image is reduced without being written; its coordinates are
+    written once, when first read, with the same arithmetic."""
+
+    M = Matrix2(0.4, -0.4, -0.05, 0.9)
+
+    @staticmethod
+    def image_arrays(m, xs, ys):
+        return m.a * xs + m.b * ys, m.c * xs + m.d * ys
+
+    @pytest.fixture
+    def source(self, rng):
+        n = 3 * _CHUNK + 5
+        return Cloud.from_arrays(1e6 + rng.standard_normal(n),
+                                 rng.standard_normal(n))
+
+    def test_len_does_not_write_the_image(self, source):
+        image = apply_to_cloud(self.M, source)
+        assert traced_peak(lambda: len(image)) < 64 * 1024
+        assert len(image) == len(source)
+
+    def test_first_read_writes_the_image_once(self, source):
+        image = apply_to_cloud(self.M, source)
+        xs, ys = image.xs, image.ys
+        want_x, want_y = self.image_arrays(self.M, source.xs, source.ys)
+        assert xs.tobytes() == want_x.tobytes()
+        assert ys.tobytes() == want_y.tobytes()
+        assert not (xs.flags.writeable or ys.flags.writeable)
+        assert image.xs is xs and image.ys is ys
+
+    def test_points_iteration_and_csv_match_an_eager_image(self, rng):
+        source = Cloud.from_arrays(rng.random(50), rng.random(50))
+        eager = Cloud.from_arrays(*self.image_arrays(self.M, source.xs,
+                                                     source.ys))
+        assert apply_to_cloud(self.M, source).points == eager.points
+        assert list(apply_to_cloud(self.M, source)) == list(eager)
+        got, want = io.StringIO(), io.StringIO()
+        write_cloud_csv(apply_to_cloud(self.M, source), got)
+        write_cloud_csv(eager, want)
+        assert got.getvalue() == want.getvalue()
+
+    def test_chained_image_equals_sequential_application(self, source):
+        second = Matrix2(1.0, 0.7, 0.0, 1.0)
+        chained = apply_to_cloud(second, apply_to_cloud(self.M, source))
+        want = Cloud.from_arrays(*self.image_arrays(
+            second, *self.image_arrays(self.M, source.xs, source.ys)))
+        assert chained._moments == want._moments
+        assert chained.xs.tobytes() == want.xs.tobytes()
+        assert chained.ys.tobytes() == want.ys.tobytes()
+
+    def test_image_outlives_its_source(self, rng):
+        n = 3 * _CHUNK + 5
+        xs, ys = rng.random(n), rng.random(n)
+        source = Cloud.from_arrays(xs, ys)
+        image = apply_to_cloud(self.M, source)
+        del source
+        gc.collect()
+        want_x, want_y = self.image_arrays(self.M, xs, ys)
+        assert image.xs.tobytes() == want_x.tobytes()
+        assert image.ys.tobytes() == want_y.tobytes()
+
+    @pytest.mark.parametrize("n", [2, _CHUNK, 3 * _CHUNK + 5])
+    def test_cached_moments_equal_those_of_the_written_image(self, rng, n):
+        image = apply_to_cloud(self.M, Cloud.from_arrays(
+            1e6 + rng.standard_normal(n), rng.standard_normal(n)))
+        pending = image._moments
+        assert pending == Cloud.from_arrays(image.xs, image.ys)._moments
+        assert image._moments == pending
 
 
 class TestInducedRaw:
