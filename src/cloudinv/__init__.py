@@ -16,9 +16,9 @@ from .embedding import Embedding, embed, generator_for_matrix, kernel_for_matrix
 from .errors import (CloudInvError, DegenerateCloud, DegenerateGenerator,
                      DegenerateImage, DegenerateTarget, KernelSingular,
                      NoIdentityParameter, NonInvertibleMatrix)
-from .families import (DiagonalFamily, KernelSpec, LinearFamily,
-                       LowerTriangularFamily, OneParamFamily, RotationFamily,
-                       UpperTriangularFamily, kernel_value, parse_family)
+from .families import (DiagonalFamily, LinearFamily, LowerTriangularFamily,
+                       OneParamFamily, RotationFamily, UpperTriangularFamily,
+                       kernel_value, parse_family)
 from .generators import (FamilyGenerator, Param, family_pde_residual,
                          full_pde_residuals, generator_fd_deviation,
                          generator_value)
@@ -35,7 +35,7 @@ __all__ = [
     "CloudInvError", "DegenerateCloud", "DegenerateGenerator",
     "DegenerateImage", "DegenerateTarget", "KernelSingular",
     "NoIdentityParameter", "NonInvertibleMatrix",
-    "DiagonalFamily", "KernelSpec", "LinearFamily", "LowerTriangularFamily",
+    "DiagonalFamily", "LinearFamily", "LowerTriangularFamily",
     "OneParamFamily", "RotationFamily", "UpperTriangularFamily",
     "kernel_value", "parse_family",
     "FamilyGenerator", "Param", "family_pde_residual", "full_pde_residuals",

@@ -6,10 +6,9 @@ seed reproduces the same cloud bit-for-bit on any platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .coefficients import Cloud
+from .coefficients import Cloud, _Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -17,25 +16,25 @@ if TYPE_CHECKING:
 KINDS = ("uniform-box", "line-with-noise", "ellipse", "two-segment")
 
 
-@dataclass(frozen=True)
-class CloudGenSpec:
+class CloudGenSpec(_Value):
     """What to generate: kind, point count, noise amplitude, RNG seed."""
 
-    kind: str
-    n: int
-    noise: float = 0.0
-    seed: int = 0
+    __slots__ = ("kind", "n", "noise", "seed")
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}; "
+    def __init__(self, kind: str, n: int, noise: float = 0.0, seed: int = 0) -> None:
+        if kind not in KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}; "
                              f"expected one of {KINDS}")
-        if self.n < 2:
-            raise ValueError(f"point count must be >= 2, got {self.n}")
-        if not (math.isfinite(self.noise) and self.noise >= 0):
-            raise ValueError(f"noise amplitude must be >= 0, got {self.noise}")
-        if not (0 <= self.seed < 2 ** 64):
-            raise ValueError(f"seed must be a 64-bit unsigned value, got {self.seed}")
+        if n < 2:
+            raise ValueError(f"point count must be >= 2, got {n}")
+        if not (math.isfinite(noise) and noise >= 0):
+            raise ValueError(f"noise amplitude must be >= 0, got {noise}")
+        if not (0 <= seed < 2 ** 64):
+            raise ValueError(f"seed must be a 64-bit unsigned value, got {seed}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "seed", seed)
 
 
 def generate_cloud(spec: CloudGenSpec) -> Cloud:

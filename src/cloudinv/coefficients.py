@@ -14,7 +14,6 @@ chunk without writing it.  Every later query reads the cached moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import (IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional,
                     Sequence, Union)
 
@@ -36,19 +35,71 @@ COLLINEARITY_RTOL = 1e-9
 # core's L2 cache, so each value comes from main memory once.
 _CHUNK = 1 << 15
 
+# Points per dot product.  OpenBLAS splits a dot of more than 10000 points
+# across its threads, which changes the rounding with the thread count; a
+# block of 8192 runs on one thread, so the moments do not depend on it.
+_DOT = 1 << 13
 
-@dataclass(frozen=True)
-class Point:
+
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__`` and sets them once, in
+    ``__init__``, with ``object.__setattr__``.  Values are equal when their
+    types and fields are, hash by their fields and repr as
+    ``Name(field=value, ...)``; assigning or deleting a field raises
+    AttributeError.  Pickling and copying restore the fields without calling
+    ``__init__``, so a singular ``Matrix2.unchecked`` round-trips too.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    __getstate__ = _fields
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    @classmethod
+    def _not_finite(cls, what: str, *values: float) -> ValueError:
+        """The error naming the first field whose value is not finite."""
+        name, v = next((name, v) for name, v in zip(cls.__slots__, values)
+                       if not math.isfinite(v))
+        return ValueError(f"{what}{name} must be finite, got {v}")
+
+
+class Point(_Value):
     """A planar point with finite coordinates."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float) -> None:
+        x, y = float(x), float(y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
 
 PointLike = Union[Point, Sequence[float]]
@@ -123,9 +174,12 @@ def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[_Entries] = Non
             x0, y0 = mx, my
         ux = (mx - x0) + float(np.add.reduce(bx)) / k
         uy = (my - y0) + float(np.add.reduce(by)) / k
-        sxx = float(np.dot(bx, bx))
-        sxy = float(np.dot(bx, by))
-        syy = float(np.dot(by, by))
+        sxx = sxy = syy = 0.0
+        for j in range(0, k, _DOT):
+            u, v = bx[j:j + _DOT], by[j:j + _DOT]
+            sxx += float(np.dot(u, u))
+            sxy += float(np.dot(u, v))
+            syy += float(np.dot(v, v))
         if count == 0:
             mean_x, mean_y, acc_xx, acc_xy, acc_yy = ux, uy, sxx, sxy, syy
         else:
@@ -246,43 +300,39 @@ class Cloud:
         return f"Cloud(n={len(self)})"
 
 
-@dataclass(frozen=True)
-class RawSums:
+class RawSums(_Value):
     """The centered second-moment sums (M_n, H_n, D) of a cloud.
 
     For any real cloud: d >= 0, hn >= 0 and hn*d >= mn**2 (Cauchy-Schwarz),
     with equality exactly on collinear clouds.
     """
 
-    mn: float
-    hn: float
-    d: float
+    __slots__ = ("mn", "hn", "d")
 
-    def __post_init__(self) -> None:
-        for name in ("mn", "hn", "d"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not math.isfinite(v):
-                raise ValueError(f"raw sum {name} must be finite, got {v}")
+    def __init__(self, mn: float, hn: float, d: float) -> None:
+        mn, hn, d = float(mn), float(hn), float(d)
+        if not (math.isfinite(mn) and math.isfinite(hn) and math.isfinite(d)):
+            raise self._not_finite("raw sum ", mn, hn, d)
+        object.__setattr__(self, "mn", mn)
+        object.__setattr__(self, "hn", hn)
+        object.__setattr__(self, "d", d)
 
 
-@dataclass(frozen=True)
-class LinearCoefficients:
+class LinearCoefficients(_Value):
     """The pair (M, H) identifying a cloud: slope and constant term.
 
     Satisfies h >= m**2 when produced from a valid cloud, with equality
     exactly on collinear clouds.
     """
 
-    m: float
-    h: float
+    __slots__ = ("m", "h")
 
-    def __post_init__(self) -> None:
-        for name in ("m", "h"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not math.isfinite(v):
-                raise ValueError(f"coefficient {name} must be finite, got {v}")
+    def __init__(self, m: float, h: float) -> None:
+        m, h = float(m), float(h)
+        if not (math.isfinite(m) and math.isfinite(h)):
+            raise self._not_finite("coefficient ", m, h)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "h", h)
 
 
 def raw_sums(cloud: Cloud) -> RawSums:

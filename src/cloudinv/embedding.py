@@ -8,8 +8,7 @@ kernel up to a constant factor, so the invariant family is canonical.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .coefficients import _Value
 from .errors import DegenerateTarget
 from .families import LinearFamily, kernel_value
 from .generators import FamilyGenerator
@@ -19,14 +18,14 @@ from .transform import Matrix2
 IDENTITY_TARGET_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(_Value):
     """A linear pencil through the identity (phi=0) and a target (phi=1)."""
 
-    family: LinearFamily
-    target: Matrix2
-    phi_star: float = 0.0
-    phi_one: float = 1.0
+    __slots__ = ("family", "target")
+
+    def __init__(self, family: LinearFamily, target: Matrix2) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "target", target)
 
 
 def _offset(target: Matrix2) -> tuple[float, float, float, float]:

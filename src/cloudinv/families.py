@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
+from .coefficients import _Value
 from .errors import DegenerateGenerator, KernelSingular, NoIdentityParameter
 from .generators import FamilyGenerator
 from .transform import Matrix2
@@ -27,14 +27,13 @@ IDENTITY_RTOL = 1e-12
 # Scale-relative tolerance for a zero kernel denominator.
 KERNEL_SINGULAR_RTOL = 1e-12
 
-# KernelSpec carries exactly the same three coefficients as FamilyGenerator.
-KernelSpec = FamilyGenerator
-
 Entries = tuple[float, float, float, float]
 
 
 class OneParamFamily(ABC):
     """A matrix curve A(phi); invertibility is pointwise, not structural."""
+
+    __slots__ = ()
 
     @abstractmethod
     def evaluate(self, phi: float) -> Matrix2:
@@ -54,9 +53,10 @@ class OneParamFamily(ABC):
         return kernel_value(self.derivative_coefficients(), m, h)
 
 
-@dataclass(frozen=True)
-class DiagonalFamily(OneParamFamily):
+class DiagonalFamily(_Value, OneParamFamily):
     """A(phi) = diag(1, phi); identity at phi = 1."""
+
+    __slots__ = ()
 
     def evaluate(self, phi: float) -> Matrix2:
         return Matrix2.unchecked(1.0, 0.0, 0.0, float(phi))
@@ -68,9 +68,10 @@ class DiagonalFamily(OneParamFamily):
         return FamilyGenerator(0.0, 0.0, -1.0)
 
 
-@dataclass(frozen=True)
-class UpperTriangularFamily(OneParamFamily):
+class UpperTriangularFamily(_Value, OneParamFamily):
     """A(phi) = (1, phi; 0, 1); identity at phi = 0."""
+
+    __slots__ = ()
 
     def evaluate(self, phi: float) -> Matrix2:
         return Matrix2.unchecked(1.0, float(phi), 0.0, 1.0)
@@ -82,9 +83,10 @@ class UpperTriangularFamily(OneParamFamily):
         return FamilyGenerator(1.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class LowerTriangularFamily(OneParamFamily):
+class LowerTriangularFamily(_Value, OneParamFamily):
     """A(phi) = (1, 0; phi, 1); identity at phi = 0."""
+
+    __slots__ = ()
 
     def evaluate(self, phi: float) -> Matrix2:
         return Matrix2.unchecked(1.0, 0.0, float(phi), 1.0)
@@ -96,9 +98,10 @@ class LowerTriangularFamily(OneParamFamily):
         return FamilyGenerator(0.0, 1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class RotationFamily(OneParamFamily):
+class RotationFamily(_Value, OneParamFamily):
     """A(phi) = (cos phi, sin phi; -sin phi, cos phi); identity at phi = 0."""
+
+    __slots__ = ()
 
     def evaluate(self, phi: float) -> Matrix2:
         c, s = math.cos(phi), math.sin(phi)
@@ -111,8 +114,7 @@ class RotationFamily(OneParamFamily):
         return FamilyGenerator(1.0, -1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class LinearFamily(OneParamFamily):
+class LinearFamily(_Value, OneParamFamily):
     """The pencil A(phi) = A0 + phi*B for fixed entry tuples A0 and B.
 
     Neither A0 nor B needs to be invertible.  An identity parameter exists
@@ -120,12 +122,10 @@ class LinearFamily(OneParamFamily):
     :meth:`identity_parameter`.
     """
 
-    a0: Entries
-    b: Entries
+    __slots__ = ("a0", "b")
 
-    def __post_init__(self) -> None:
-        for name in ("a0", "b"):
-            raw = getattr(self, name)
+    def __init__(self, a0: Entries, b: Entries) -> None:
+        for name, raw in (("a0", a0), ("b", b)):
             vals = tuple(float(v) for v in raw)
             if len(vals) != 4 or not all(math.isfinite(v) for v in vals):
                 raise ValueError(f"{name} must be 4 finite entries, got {raw!r}")
@@ -173,7 +173,7 @@ class LinearFamily(OneParamFamily):
         return FamilyGenerator(b12, b21, b11 - b22)
 
 
-def kernel_value(ks: KernelSpec, m: float, h: float) -> float:
+def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
     """The invariant kernel (M^2 - H) / (H*b' - g' + delta*M)^2.
 
     Raises:

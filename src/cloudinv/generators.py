@@ -14,11 +14,10 @@ residuals for caller-supplied kernel functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .coefficients import LinearCoefficients
+from .coefficients import LinearCoefficients, _Value
 from .errors import KernelSingular
 from .transform import Matrix2, induced_coefficients
 
@@ -37,8 +36,7 @@ class Param(Enum):
     DELTA = "delta"
 
 
-@dataclass(frozen=True)
-class FamilyGenerator:
+class FamilyGenerator(_Value):
     """Derivative data of a one-parameter family at its identity parameter.
 
     Fields are the entry derivatives beta'(phi*), gamma'(phi*) and the
@@ -46,16 +44,16 @@ class FamilyGenerator:
     the family's invariance PDE and its invariant kernel.
     """
 
-    bprime: float
-    gprime: float
-    delta: float
+    __slots__ = ("bprime", "gprime", "delta")
 
-    def __post_init__(self) -> None:
-        for name in ("bprime", "gprime", "delta"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+    def __init__(self, bprime: float, gprime: float, delta: float) -> None:
+        bprime, gprime, delta = float(bprime), float(gprime), float(delta)
+        if not (math.isfinite(bprime) and math.isfinite(gprime)
+                and math.isfinite(delta)):
+            raise self._not_finite("", bprime, gprime, delta)
+        object.__setattr__(self, "bprime", bprime)
+        object.__setattr__(self, "gprime", gprime)
+        object.__setattr__(self, "delta", delta)
 
     def is_degenerate(self) -> bool:
         return self.bprime == 0.0 and self.gprime == 0.0 and self.delta == 0.0

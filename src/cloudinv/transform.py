@@ -9,17 +9,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
-from .coefficients import Cloud, LinearCoefficients, RawSums
+from .coefficients import Cloud, LinearCoefficients, RawSums, _Value
 from .errors import DegenerateImage, NonInvertibleMatrix
 
 # Scale-relative singularity threshold for determinants and denominators.
 SINGULARITY_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Matrix2:
+class Matrix2(_Value):
     """A real 2x2 matrix (a b; c d), row-major.
 
     The default constructor rejects singular matrices; use
@@ -28,32 +26,31 @@ class Matrix2:
     invertibility re-check it).
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "d"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not math.isfinite(v):
-                raise ValueError(f"matrix entry {name} must be finite, got {v}")
+    def __init__(self, a: float, b: float, c: float, d: float) -> None:
+        self._store(a, b, c, d)
         if not self.is_invertible():
             raise NonInvertibleMatrix(
                 f"matrix ({self.a}, {self.b}; {self.c}, {self.d}) has "
                 f"determinant {self.det} within tolerance of zero"
             )
 
+    def _store(self, a: float, b: float, c: float, d: float) -> None:
+        a, b, c, d = float(a), float(b), float(c), float(d)
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
+                and math.isfinite(d)):
+            raise self._not_finite("matrix entry ", a, b, c, d)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
     @classmethod
     def unchecked(cls, a: float, b: float, c: float, d: float) -> "Matrix2":
         """Construct without the invertibility check (finiteness still holds)."""
         m = object.__new__(cls)
-        for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
-            v = float(v)
-            if not math.isfinite(v):
-                raise ValueError(f"matrix entry {name} must be finite, got {v}")
-            object.__setattr__(m, name, v)
+        m._store(a, b, c, d)
         return m
 
     @classmethod

@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +234,28 @@ class TestChunkedReduction:
         assert np.array_equal(cloud.xs, kept[0])
         assert np.array_equal(cloud.ys, kept[1])
         assert raw_sums(cloud) == kept[2]
+
+    def test_moments_do_not_depend_on_blas_threads(self):
+        # The moments, to the last bit, of a seeded cloud of several chunks
+        # and of its image, from fresh processes with one and two BLAS
+        # threads (the variable is read when numpy loads).
+        script = (
+            "import numpy as np\n"
+            "from cloudinv import Cloud, Matrix2, apply_to_cloud\n"
+            "from cloudinv.coefficients import _CHUNK\n"
+            "rng = np.random.default_rng(7)\n"
+            "xs, ys = rng.random(3 * _CHUNK + 5), rng.random(3 * _CHUNK + 5)\n"
+            "cloud = Cloud.from_arrays(1e3 + xs, 0.3 * xs + ys)\n"
+            "image = apply_to_cloud(Matrix2(0.4, -0.4, -0.05, 0.9), cloud)\n"
+            "print([v.hex() for c in (cloud, image) for v in c._moments])\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                env=env, check=True).stdout)
+        assert outputs[0] == outputs[1] != ""
 
 
 class TestAllocation:

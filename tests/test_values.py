@@ -1,0 +1,183 @@
+"""The package's small value types behave as immutable values: equality and
+hashing by type and fields, a fixed repr, read-only fields, their validation
+errors, and pickle / copy round trips."""
+import copy
+import math
+import pickle
+
+import pytest
+
+from cloudinv import (CloudGenSpec, DiagonalFamily, Embedding, FamilyGenerator,
+                      LinearCoefficients, LinearFamily, LowerTriangularFamily,
+                      Matrix2, NonInvertibleMatrix, Point, RawSums,
+                      RotationFamily, UpperTriangularFamily, embed)
+
+# name -> (value, an equal value built with keywords, a different value of
+# the same type, repr text, field names).
+VALUES = {
+    "Point": (Point(1, 2.5), Point(x=1.0, y=2.5), Point(1, 3), "Point(x=1.0, y=2.5)",
+              ("x", "y")),
+    "RawSums": (RawSums(1, 2, 3), RawSums(mn=1.0, hn=2.0, d=3.0), RawSums(1, 2, 4),
+                "RawSums(mn=1.0, hn=2.0, d=3.0)", ("mn", "hn", "d")),
+    "LinearCoefficients": (
+        LinearCoefficients(1.52244, 2.46998),
+        LinearCoefficients(m=1.52244, h=2.46998), LinearCoefficients(1.5, 2.5),
+        "LinearCoefficients(m=1.52244, h=2.46998)", ("m", "h")),
+    "Matrix2": (Matrix2(0.4, -0.4, -0.05, 0.9), Matrix2(a=0.4, b=-0.4, c=-0.05, d=0.9),
+                Matrix2(0.4, -0.4, -0.05, 1.0),
+                "Matrix2(a=0.4, b=-0.4, c=-0.05, d=0.9)", ("a", "b", "c", "d")),
+    "FamilyGenerator": (
+        FamilyGenerator(8, 1, 10), FamilyGenerator(bprime=8.0, gprime=1.0, delta=10.0),
+        FamilyGenerator(8, 1, 9),
+        "FamilyGenerator(bprime=8.0, gprime=1.0, delta=10.0)",
+        ("bprime", "gprime", "delta")),
+    "CloudGenSpec": (
+        CloudGenSpec("ellipse", 300, 0.05, 3),
+        CloudGenSpec(kind="ellipse", n=300, noise=0.05, seed=3),
+        CloudGenSpec("ellipse", 300),
+        "CloudGenSpec(kind='ellipse', n=300, noise=0.05, seed=3)",
+        ("kind", "n", "noise", "seed")),
+    "Embedding": (
+        embed(Matrix2(2, 1, 0, 3)),
+        Embedding(family=LinearFamily((1, 0, 0, 1), (1, 1, 0, 2)),
+                  target=Matrix2(2, 1, 0, 3)),
+        embed(Matrix2(2, 1, 0, 4)),
+        "Embedding(family=LinearFamily(a0=(1.0, 0.0, 0.0, 1.0), "
+        "b=(1.0, 1.0, 0.0, 2.0)), target=Matrix2(a=2.0, b=1.0, c=0.0, d=3.0))",
+        ("family", "target")),
+    "DiagonalFamily": (DiagonalFamily(), DiagonalFamily(), UpperTriangularFamily(),
+                       "DiagonalFamily()", ()),
+    "UpperTriangularFamily": (UpperTriangularFamily(), UpperTriangularFamily(),
+                              LowerTriangularFamily(), "UpperTriangularFamily()", ()),
+    "LowerTriangularFamily": (LowerTriangularFamily(), LowerTriangularFamily(),
+                              RotationFamily(), "LowerTriangularFamily()", ()),
+    "RotationFamily": (RotationFamily(), RotationFamily(), DiagonalFamily(),
+                       "RotationFamily()", ()),
+    "LinearFamily": (
+        LinearFamily((1, 0, 0, 1), (0, 1, 0, 0)),
+        LinearFamily(a0=[1.0, 0.0, 0.0, 1.0], b=[0.0, 1.0, 0.0, 0.0]),
+        LinearFamily((1, 0, 0, 1), (0, 0, 1, 0)),
+        "LinearFamily(a0=(1.0, 0.0, 0.0, 1.0), b=(0.0, 1.0, 0.0, 0.0))",
+        ("a0", "b")),
+}
+
+NAMES = sorted(VALUES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equality_and_hash(name):
+    value, same, other, _, fields = VALUES[name]
+    assert type(value).__name__ == name
+    assert value == same and not value != same
+    assert hash(value) == hash(same)
+    assert value != other and not value == other
+    assert len({value, same, other}) == 2
+    # Equal fields in another type do not make an equal value.
+    assert value != tuple(getattr(value, f) for f in fields)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_repr(name):
+    value, same, _, text, _ = VALUES[name]
+    assert repr(value) == text
+    assert repr(same) == text
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fields_are_read_only(name):
+    value, _, _, text, fields = VALUES[name]
+    for field in fields + ("not_a_field",):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0.0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert repr(value) == text
+
+
+def round_trips(value):
+    yield copy.copy(value)
+    yield copy.deepcopy(value)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(value, protocol))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_pickle_and_copy_round_trip(name):
+    value, _, _, text, _ = VALUES[name]
+    for back in round_trips(value):
+        assert type(back) is type(value)
+        assert back == value and hash(back) == hash(value)
+        assert repr(back) == text
+        with pytest.raises(AttributeError):
+            setattr(back, "not_a_field", 0.0)
+
+
+def test_unchecked_singular_matrix_round_trips():
+    singular = Matrix2.unchecked(1, 2, 2, 4)
+    assert singular.det == 0.0
+    for back in round_trips(singular):
+        assert type(back) is Matrix2
+        assert back.entries() == (1.0, 2.0, 2.0, 4.0)
+        assert not back.is_invertible()
+
+
+def test_fields_are_converted():
+    assert all(type(v) is float for v in Matrix2(1, 0, 0, 1).entries())
+    assert all(type(v) is float for v in Matrix2.unchecked(1, 2, 2, 4).entries())
+    assert type(Point(1, 2).x) is float
+    assert type(RawSums(1, 2, 3).d) is float
+    assert type(LinearCoefficients(1, 2).h) is float
+    assert type(FamilyGenerator(1, 0, 0).bprime) is float
+    family = LinearFamily([1, 0, 0, 1], [0, 1, 0, 0])
+    assert family.a0 == (1.0, 0.0, 0.0, 1.0) and type(family.b) is tuple
+    assert all(type(v) is float for v in family.a0 + family.b)
+
+
+INF, NAN = math.inf, math.nan
+
+INVALID = [
+    (lambda: Point(NAN, 0), ValueError, r"point coordinates must be finite"),
+    (lambda: Point(0, -INF), ValueError, r"point coordinates must be finite"),
+    (lambda: RawSums(INF, 0, 0), ValueError, r"raw sum mn must be finite, got inf"),
+    (lambda: RawSums(0, NAN, 0), ValueError, r"raw sum hn must be finite"),
+    (lambda: RawSums(0, 0, -INF), ValueError, r"raw sum d must be finite, got -inf"),
+    (lambda: LinearCoefficients(NAN, 0), ValueError, r"coefficient m must be finite"),
+    (lambda: LinearCoefficients(0, INF), ValueError, r"coefficient h must be finite"),
+    (lambda: Matrix2(NAN, 0, 0, 1), ValueError, r"matrix entry a must be finite"),
+    (lambda: Matrix2(1, 0, 0, INF), ValueError, r"matrix entry d must be finite"),
+    (lambda: Matrix2(1, 2, 2, 4), NonInvertibleMatrix, r"determinant 0\.0"),
+    (lambda: Matrix2(0, 0, 0, 0), NonInvertibleMatrix, r"within tolerance of zero"),
+    (lambda: Matrix2.unchecked(1, INF, 0, 1), ValueError,
+     r"matrix entry b must be finite"),
+    (lambda: Matrix2.unchecked(1, 0, NAN, 1), ValueError,
+     r"matrix entry c must be finite"),
+    (lambda: FamilyGenerator(NAN, 0, 0), ValueError, r"bprime must be finite"),
+    (lambda: FamilyGenerator(0, INF, 0), ValueError, r"gprime must be finite"),
+    (lambda: FamilyGenerator(0, 0, -INF), ValueError, r"delta must be finite"),
+    (lambda: CloudGenSpec("circle", 10), ValueError, r"unknown generator kind"),
+    (lambda: CloudGenSpec("ellipse", 1), ValueError, r"point count must be >= 2"),
+    (lambda: CloudGenSpec("ellipse", 10, -0.1), ValueError,
+     r"noise amplitude must be >= 0"),
+    (lambda: CloudGenSpec("ellipse", 10, NAN), ValueError,
+     r"noise amplitude must be >= 0"),
+    (lambda: CloudGenSpec("ellipse", 10, 0.0, -1), ValueError,
+     r"seed must be a 64-bit unsigned value"),
+    (lambda: CloudGenSpec("ellipse", 10, 0.0, 2 ** 64), ValueError,
+     r"seed must be a 64-bit unsigned value"),
+    (lambda: LinearFamily((1, 0, 0), (0, 1, 0, 0)), ValueError,
+     r"a0 must be 4 finite entries"),
+    (lambda: LinearFamily((1, 0, 0, 1), (0, INF, 0, 0)), ValueError,
+     r"b must be 4 finite entries"),
+]
+
+
+@pytest.mark.parametrize("make,exc,match", INVALID)
+def test_validation_errors(make, exc, match):
+    with pytest.raises(exc, match=match):
+        make()
+
+
+def test_limits_are_accepted():
+    assert Matrix2.unchecked(0, 0, 0, 0).det == 0.0
+    assert CloudGenSpec("two-segment", 2, 0.0, 2 ** 64 - 1).seed == 2 ** 64 - 1
+    assert Point(-1e308, 1e308).y == 1e308
