@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .coefficients import Cloud, _Value
+from .coefficients import _CHUNK, Cloud, _Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -25,6 +25,9 @@ class CloudGenSpec(_Value):
         if kind not in KINDS:
             raise ValueError(f"unknown generator kind {kind!r}; "
                              f"expected one of {KINDS}")
+        for name, value in (("n", n), ("seed", seed)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if n < 2:
             raise ValueError(f"point count must be >= 2, got {n}")
         if not (math.isfinite(noise) and noise >= 0):
@@ -42,9 +45,9 @@ def generate_cloud(spec: CloudGenSpec) -> Cloud:
 
     Each draw goes straight into the output arrays, which are then updated in
     place and become the cloud's own, so a cloud costs its two coordinate
-    arrays plus one noise buffer (freed before the cloud is reduced).  The
-    draws and the arithmetic are those of the plain formulas in the comments,
-    value for value.
+    arrays plus one chunk-sized noise buffer (freed before the cloud is
+    reduced).  The draws and the arithmetic are those of the plain formulas
+    in the comments, value for value.
     """
     import numpy as np
 
@@ -90,12 +93,17 @@ def generate_cloud(spec: CloudGenSpec) -> Cloud:
 
 
 def _add_noise(rng: np.random.Generator, noise: float, *axes: np.ndarray) -> None:
-    """Add noise * N(0, 1) to each axis in turn, drawing into one buffer."""
+    """Add noise * N(0, 1) to each axis in turn, drawing chunk by chunk into
+    one chunk-sized buffer; the draws are those of one draw per axis."""
     import numpy as np
 
     if noise > 0:
-        e = np.empty(axes[0].size)
+        n = axes[0].size
+        e = np.empty(min(n, _CHUNK))
         for axis in axes:
-            rng.standard_normal(out=e)
-            e *= noise
-            axis += e
+            for lo in range(0, n, _CHUNK):
+                part = axis[lo:lo + _CHUNK]
+                buf = e[:part.size]
+                rng.standard_normal(out=buf)
+                buf *= noise
+                part += buf

@@ -4,12 +4,13 @@ A cloud is summarized by two numbers: the slope M of its least-squares
 straight line and a companion ratio H of centered second moments.  Both are
 quotients of the centered sums (M_n, H_n, D), so the moments (mean x, mean y,
 Sxx, Sxy, Syy) are a sufficient statistic.  A cloud reduces them once, when
-it is built: one pass over fixed-size chunks centers each chunk on its own
-mean before the quadratic sums are formed (no cancellation on offset clouds)
-and merges the chunk results pairwise (Chan, Golub & LeVeque 1979).  The
-same pass copies the coordinates in (``Cloud.from_arrays``), reduces arrays
-the cloud takes over (generated clouds), or reduces a matrix image chunk by
-chunk without writing it.  Every later query reads the cached moments.
+it is built: one pass over fixed-size chunks shifts each chunk by a mean
+before the quadratic sums are formed (no cancellation on offset clouds) and
+merges the chunk results pairwise (Chan, Golub & LeVeque 1979).  The
+same pass copies the coordinates into one 2 x n block (``Cloud.from_arrays``),
+reduces arrays the cloud takes over (generated clouds), or reduces a matrix
+image chunk by chunk without writing it.  Every later query reads the cached
+moments.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ DEGENERACY_RTOL = 1e-12
 COLLINEARITY_RTOL = 1e-9
 
 # Points per chunk of the fused copy-and-reduce pass.  A chunk of both output
-# coordinates and the two centering buffers (1 MiB together) stays in a
+# coordinates and the two shift buffers (1 MiB together) stays in a
 # core's L2 cache, so each value comes from main memory once.
 _CHUNK = 1 << 15
 
@@ -119,40 +120,39 @@ _Entries = tuple[float, float, float, float]
 
 
 def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[_Entries] = None,
-                     out: Optional[tuple[np.ndarray, np.ndarray]] = None
-                     ) -> _Moments:
+                     out: Optional[np.ndarray] = None) -> _Moments:
     """The moments of (xs, ys), or of their image (a*x + b*y, c*x + d*y)
     under the matrix entries t = (a, b, c, d); given ``out``, that cloud is
-    also written to the two arrays ``out``.
+    also written to the two rows of ``out``.
 
     One pass over chunks of ``_CHUNK`` points.  Each chunk (read in place,
     copied to ``out``, or an image chunk written to ``out`` or else to a
-    reused chunk-sized buffer) is, while still in cache, centered on its own
-    mean into two reusable buffers and reduced; the chunk results are merged pairwise (Chan, Golub &
-    LeVeque 1979).  The residual sum of each centered chunk corrects its mean,
-    and merged means are held relative to the first chunk's mean, so the
-    merge keeps full accuracy on offset clouds.  A cloud of one chunk gets
-    exactly the sums of a plain two-pass reduction.  The arithmetic does not
-    depend on ``out``, so the moments are the same bits with or without it.
+    reused chunk-sized buffer) is, while still in cache, shifted into two
+    reusable buffers and reduced.  The first chunk is shifted by its own
+    mean, every later one by the running mean of the chunks before it (Chan,
+    Golub & LeVeque 1983), so no later chunk needs a pass for its own mean.
+    The residual sums r of a shifted chunk give its mean, shift + r/k, and
+    its centered sums, q - r*r/k from the shifted products q; each product
+    is one ``vecdot`` over ``_DOT``-point rows, summed in order.  The chunk
+    results are merged pairwise, with means held relative to the first
+    chunk's mean, so the merge keeps full accuracy on offset clouds.  A cloud
+    of one chunk gets exactly the sums of a plain two-pass reduction.  The
+    arithmetic does not depend on ``out``, so the moments are the same bits
+    with or without it.
     """
     import numpy as np
 
     n = xs.size
-    cx = np.empty(min(n, _CHUNK))
-    cy = np.empty(min(n, _CHUNK))
+    cx, cy = np.empty((2, min(n, _CHUNK)))
     if out is None and t is not None:
-        tx = np.empty(min(n, _CHUNK))
-        ty = np.empty(min(n, _CHUNK))
+        tx, ty = np.empty((2, min(n, _CHUNK)))
     count = 0
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         k = hi - lo
         bx, by = cx[:k], cy[:k]
         if t is not None:
-            if out is None:
-                x, y = tx[:k], ty[:k]
-            else:
-                x, y = out[0][lo:hi], out[1][lo:hi]
+            x, y = (tx[:k], ty[:k]) if out is None else out[:, lo:hi]
             a, b, c, d = t
             np.multiply(xs[lo:hi], a, out=x)
             np.multiply(ys[lo:hi], b, out=bx)
@@ -161,25 +161,34 @@ def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[_Entries] = Non
             np.multiply(ys[lo:hi], d, out=by)
             np.add(y, by, out=y)
         elif out is not None:
-            x, y = out[0][lo:hi], out[1][lo:hi]
+            x, y = out[:, lo:hi]
             np.copyto(x, xs[lo:hi])
             np.copyto(y, ys[lo:hi])
         else:
             x, y = xs[lo:hi], ys[lo:hi]
-        mx = float(np.add.reduce(x)) / k
-        my = float(np.add.reduce(y)) / k
-        np.subtract(x, mx, out=bx)
-        np.subtract(y, my, out=by)
         if count == 0:
-            x0, y0 = mx, my
-        ux = (mx - x0) + float(np.add.reduce(bx)) / k
-        uy = (my - y0) + float(np.add.reduce(by)) / k
+            x0 = float(np.add.reduce(x)) / k
+            y0 = float(np.add.reduce(y)) / k
+            sx, sy = x0, y0
+        else:
+            sx, sy = x0 + mean_x, y0 + mean_y
+        np.subtract(x, sx, out=bx)
+        np.subtract(y, sy, out=by)
+        rx = float(np.add.reduce(bx))
+        ry = float(np.add.reduce(by))
+        ux = (sx - x0) + rx / k
+        uy = (sy - y0) + ry / k
         sxx = sxy = syy = 0.0
-        for j in range(0, k, _DOT):
-            u, v = bx[j:j + _DOT], by[j:j + _DOT]
-            sxx += float(np.dot(u, u))
-            sxy += float(np.dot(u, v))
-            syy += float(np.dot(v, v))
+        m = k - k % _DOT
+        for u, v in ((bx[:m], by[:m]), (bx[m:k], by[m:k])):
+            if u.size:
+                u = u.reshape(-1, min(u.size, _DOT))
+                v = v.reshape(u.shape)
+                for pxx, pxy, pyy in zip(np.vecdot(u, u).tolist(), np.vecdot(u, v).tolist(),
+                                         np.vecdot(v, v).tolist()):
+                    sxx += pxx
+                    sxy += pxy
+                    syy += pyy
         if count == 0:
             mean_x, mean_y, acc_xx, acc_xy, acc_yy = ux, uy, sxx, sxy, syy
         else:
@@ -190,9 +199,9 @@ def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[_Entries] = Non
             mean_x += dx * w
             mean_y += dy * w
             f = count * w
-            acc_xx += sxx + dx * dx * f
-            acc_xy += sxy + dx * dy * f
-            acc_yy += syy + dy * dy * f
+            acc_xx += max(sxx - rx * rx / k, 0.0) + dx * dx * f
+            acc_xy += sxy - rx * ry / k + dx * dy * f
+            acc_yy += max(syy - ry * ry / k, 0.0) + dy * dy * f
         count += k
     return _Moments(x0 + mean_x, y0 + mean_y, acc_xx, acc_xy, acc_yy)
 
@@ -250,12 +259,13 @@ class Cloud:
 
     def _fill(self, xs: np.ndarray, ys: np.ndarray,
               t: Optional[_Entries] = None, copy: bool = False) -> None:
-        """Hold (xs, ys), fresh copies of them (``copy``), or their image
+        """Hold (xs, ys), a fresh copy of them (``copy``), or their image
         under the matrix entries t (pending unless ``copy``), and cache the
-        moments of the cloud held."""
+        moments of the cloud held.  A copy is one 2 x n block, its rows the
+        coordinates."""
         import numpy as np
 
-        out = (np.empty(xs.size), np.empty(xs.size)) if copy else None
+        out = np.empty((2, xs.size)) if copy else None
         # Non-finite values are expected here and judged just below.
         with np.errstate(over="ignore", invalid="ignore"):
             moments = _copy_and_reduce(xs, ys, t, out)
@@ -339,7 +349,7 @@ def raw_sums(cloud: Cloud) -> RawSums:
     """The centered sums (M_n, H_n, D) of a cloud: n times its co-moments.
 
     Reads the moments the cloud reduced when it was built (chunk by chunk,
-    each chunk centered on its own mean, then merged), so this costs O(1).
+    each chunk shifted by a mean, then merged), so this costs O(1).
     Equal to N*sum(xy) - sum(x)*sum(y) etc. in exact arithmetic but without
     the catastrophic cancellation the raw formulas suffer on offset clouds.
     """

@@ -126,10 +126,13 @@ class LinearFamily(_Value, OneParamFamily):
 
     def __init__(self, a0: Entries, b: Entries) -> None:
         for name, raw in (("a0", a0), ("b", b)):
-            vals = tuple(float(v) for v in raw)
-            if len(vals) != 4 or not all(math.isfinite(v) for v in vals):
+            # A string of four digits is not four entries; bools are not numbers.
+            vals = () if isinstance(raw, (str, bytes, bytearray)) else tuple(raw)
+            if len(vals) != 4 or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in vals):
                 raise ValueError(f"{name} must be 4 finite entries, got {raw!r}")
-            object.__setattr__(self, name, vals)
+            object.__setattr__(self, name, tuple(map(float, vals)))
 
     @classmethod
     def from_matrices(cls, a0: Matrix2, b: Matrix2) -> "LinearFamily":

@@ -26,6 +26,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             CloudGenSpec(kind="ellipse", n=10, seed=2 ** 64)
 
+    @pytest.mark.parametrize("field,args", [
+        ("n", (2.5,)), ("n", ("10",)), ("n", (True,)), ("n", (10.0,)),
+        ("seed", (10, 0.0, 1.5)), ("seed", (10, 0.0, "3")),
+        ("seed", (10, 0.0, False))])
+    def test_non_integer_count_or_seed(self, field, args):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            CloudGenSpec("ellipse", *args)
+
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_deterministic_under_fixed_seed(kind):
@@ -112,10 +120,10 @@ def test_bit_identical_to_reference_formulas(kind, n, noise):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_generation_allocates_cloud_and_one_noise_buffer(kind):
-    # The two coordinate arrays, which the cloud keeps, one noise buffer and
-    # the chunk buffers of the reduction: no full-size temporaries beyond
-    # those.
+    # The two coordinate arrays, which the cloud keeps, a chunk-sized noise
+    # buffer and the chunk buffers of the reduction: no full-size
+    # temporaries beyond those.
     n = 1_000_000
     spec = CloudGenSpec(kind=kind, n=n, noise=0.05, seed=3)
-    limit = 24 * n + 32 * _CHUNK + 64 * 1024
+    limit = 16 * n + 32 * _CHUNK + 64 * 1024
     assert traced_peak(lambda: generate_cloud(spec)) <= limit

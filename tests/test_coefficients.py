@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from cloudinv import (Cloud, DegenerateCloud, Matrix2, Point, apply_to_cloud,
                       is_collinear, linear_coefficients, raw_sums,
                       read_cloud_csv, write_cloud_csv)
-from cloudinv.coefficients import _CHUNK
+from cloudinv.coefficients import _CHUNK, _DOT
 from conftest import assert_sums_close, traced_peak, two_pass_sums
 
 TRIANGLE = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
@@ -182,6 +184,20 @@ class TestCsv:
         assert np.array_equal(back.ys, cloud.ys)
 
 
+def exact_sums(xs, ys):
+    """The exact (M_n, H_n, D) of float arrays, as Fractions: every value is
+    an integer over one common power of two, so integer sums are exact."""
+    n = xs.size
+    ratios = [v.as_integer_ratio() for v in xs.tolist() + ys.tolist()]
+    den = max(q for _, q in ratios)
+    ints = [p * (den // q) for p, q in ratios]
+    xi, yi = ints[:n], ints[n:]
+    sx, sy = sum(xi), sum(yi)
+    return (Fraction(n * sum(map(int.__mul__, xi, yi)) - sx * sy, den * den),
+            Fraction(n * sum(v * v for v in yi) - sy * sy, den * den),
+            Fraction(n * sum(v * v for v in xi) - sx * sx, den * den))
+
+
 class TestChunkedReduction:
     """Clouds are reduced in chunks of _CHUNK points, merged pairwise."""
 
@@ -235,6 +251,61 @@ class TestChunkedReduction:
         assert np.array_equal(cloud.ys, kept[1])
         assert raw_sums(cloud) == kept[2]
 
+    @pytest.mark.parametrize("n", [2, _DOT + 3, 2 * _DOT, _CHUNK])
+    def test_one_chunk_is_a_plain_two_pass_reduction(self, rng, n):
+        # To the last bit: the mean, corrected by the residual sum, and the
+        # centered sums as _DOT-point dots added in order.
+        xs = 1e3 + rng.random(n)
+        ys = 0.3 * xs + rng.random(n)
+        want = []
+        for a in (xs, ys):
+            m = float(np.add.reduce(a)) / n
+            want.append((m, a - m))
+        (mx, u), (my, v) = want
+        sums = [0.0, 0.0, 0.0]
+        for j in range(0, n, _DOT):
+            for i, (p, q) in enumerate(((u, u), (u, v), (v, v))):
+                sums[i] += float(np.dot(p[j:j + _DOT], q[j:j + _DOT]))
+        assert tuple(Cloud.from_arrays(xs, ys)._moments) == (
+            mx + float(np.add.reduce(u)) / n, my + float(np.add.reduce(v)) / n,
+            *sums)
+
+    @pytest.mark.parametrize("kind", [
+        "sorted", "offset-sorted", "jump-after-first-chunk", "step-trend",
+        "constant-after-first-chunk", "late-outlier-chunk"])
+    def test_adversarial_chunks_match_exact_sums(self, rng, kind):
+        # Chunks whose means stray far from the running mean, which every
+        # chunk after the first is shifted by.
+        n = 3 * _CHUNK + 5
+        xs = rng.standard_normal(n)
+        ys = 0.5 * xs + rng.standard_normal(n)
+        step = np.arange(n) // _CHUNK
+        late = slice(2 * _CHUNK, 3 * _CHUNK)
+        if kind in ("sorted", "offset-sorted"):
+            xs.sort()
+            ys.sort()
+            if kind == "offset-sorted":
+                xs += 1e8
+                ys -= 3e7
+        elif kind == "jump-after-first-chunk":
+            xs[_CHUNK:] += 1e4
+            ys[_CHUNK:] -= 3e3
+        elif kind == "step-trend":
+            xs += 50.0 * step
+            ys -= 20.0 * step
+        elif kind == "constant-after-first-chunk":
+            xs[_CHUNK:] = 0.7
+            ys[_CHUNK:] = -1.3
+        else:
+            xs[late] += 1e6
+            ys[late] -= 1e5
+        rs = raw_sums(Cloud.from_arrays(xs, ys))
+        mn, hn, d = exact_sums(xs, ys)
+        assert rs.d >= 0.0 and rs.hn >= 0.0
+        assert abs(Fraction(rs.d) - d) <= 1e-14 * d
+        assert abs(Fraction(rs.hn) - hn) <= 1e-14 * hn
+        assert abs(Fraction(rs.mn) - mn) <= 1e-14 * math.sqrt(d * hn)
+
     def test_moments_do_not_depend_on_blas_threads(self):
         # The moments, to the last bit, of a seeded cloud of several chunks
         # and of its image, from fresh processes with one and two BLAS
@@ -260,8 +331,8 @@ class TestChunkedReduction:
 
 class TestAllocation:
     """Deterministic guard against full-size temporaries: built clouds answer
-    queries from their cached moments, building a cloud allocates its two
-    coordinate arrays plus chunk-sized buffers only, and its image allocates
+    queries from their cached moments, building a cloud allocates one 2 x n
+    coordinate block plus chunk-sized buffers only, and its image allocates
     chunk-sized buffers only."""
 
     N = 1_000_000
@@ -282,6 +353,18 @@ class TestAllocation:
 
     def test_from_arrays(self, arrays):
         assert traced_peak(lambda: Cloud.from_arrays(*arrays)) <= self.BUILD_LIMIT
+
+    def test_from_arrays_copies_into_one_block(self, arrays):
+        # Both coordinates live in one 2 x n allocation, not one per axis.
+        tracemalloc.start()
+        try:
+            cloud = Cloud.from_arrays(*arrays)
+            large = [t.size for t in tracemalloc.take_snapshot().traces
+                     if t.size >= 8 * self.N]
+        finally:
+            tracemalloc.stop()
+        assert large == [16 * self.N]
+        assert cloud.xs.base is cloud.ys.base
 
     def test_apply_to_cloud(self, arrays):
         cloud = Cloud.from_arrays(*arrays)

@@ -20,6 +20,18 @@ CLOSED_VARIANTS = [
 ]
 
 
+@pytest.mark.parametrize("a0,b,bad", [
+    ("1001", "0100", "a0"),
+    ((1, 0, 0, 1), b"0100", "b"),
+    ((1, 0, 0, 1), ("0", 1, 0, 0), "b"),
+    ((1.0, 0.0, 0.0, True), (0, 1, 0, 0), "a0"),
+    ((1, 0, 0, 1), (0, 1, 0, None), "b"),
+])
+def test_linear_family_rejects_non_numeric_entries(a0, b, bad):
+    with pytest.raises(ValueError, match=f"^{bad} must be 4 finite entries"):
+        LinearFamily(a0, b)
+
+
 class TestEvaluate:
     def test_rotation_at_zero_is_identity(self):
         m = RotationFamily().evaluate(0.0)
