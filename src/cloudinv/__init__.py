@@ -14,10 +14,10 @@ from .coefficients import (Cloud, LinearCoefficients, Point, RawSums,
                            read_cloud_csv, write_cloud_csv)
 from .embedding import Embedding, embed, generator_for_matrix, kernel_for_matrix
 from .errors import (CloudInvError, DegenerateCloud, DegenerateGenerator,
-                     DegenerateImage, DegenerateTarget, KernelSingular,
-                     NoIdentityParameter, NonInvertibleMatrix)
-from .families import (DiagonalFamily, LinearFamily, LowerTriangularFamily,
-                       OneParamFamily, RotationFamily, UpperTriangularFamily,
+                     DegenerateImage, KernelSingular, NoIdentityParameter,
+                     NonInvertibleMatrix)
+from .families import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR,
+                       LinearFamily, OneParamFamily, RotationFamily,
                        kernel_value, parse_family)
 from .generators import (FamilyGenerator, Param, family_pde_residual,
                          full_pde_residuals, generator_fd_deviation,
@@ -33,10 +33,10 @@ __all__ = [
     "read_cloud_csv", "write_cloud_csv",
     "Embedding", "embed", "generator_for_matrix", "kernel_for_matrix",
     "CloudInvError", "DegenerateCloud", "DegenerateGenerator",
-    "DegenerateImage", "DegenerateTarget", "KernelSingular",
-    "NoIdentityParameter", "NonInvertibleMatrix",
-    "DiagonalFamily", "LinearFamily", "LowerTriangularFamily",
-    "OneParamFamily", "RotationFamily", "UpperTriangularFamily",
+    "DegenerateImage", "KernelSingular", "NoIdentityParameter",
+    "NonInvertibleMatrix",
+    "DIAGONAL", "LOWER_TRIANGULAR", "UPPER_TRIANGULAR",
+    "LinearFamily", "OneParamFamily", "RotationFamily",
     "kernel_value", "parse_family",
     "FamilyGenerator", "Param", "family_pde_residual", "full_pde_residuals",
     "generator_fd_deviation", "generator_value",

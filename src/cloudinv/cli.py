@@ -25,10 +25,9 @@ from .coefficients import (Cloud, LinearCoefficients, is_collinear,
                            linear_coefficients, raw_sums, read_cloud_csv,
                            write_cloud_csv)
 from .embedding import generator_for_matrix
-from .errors import (CloudInvError, DegenerateGenerator, DegenerateImage,
-                     DegenerateTarget)
-from .families import DiagonalFamily, kernel_value, parse_family
-from .generators import FamilyGenerator
+from .errors import CloudInvError, DegenerateGenerator, DegenerateImage
+from .families import (DIAGONAL, UPPER_TRIANGULAR, LinearFamily,
+                       RotationFamily, kernel_value, parse_family)
 from .transform import (Matrix2, apply_to_cloud, induced_coefficients,
                         parse_matrix)
 
@@ -41,13 +40,14 @@ EXIT_DEGENERATE_GENERATOR = 4
 
 SEED_ENV_VAR = "CLOUD_INV_SEED"
 
-# The four standard demonstration transformations: matrix, kernel spec of the
-# one-parameter family it belongs to, and whether to also report H/M^2.
+# The four standard demonstration transformations: matrix and the
+# one-parameter family it belongs to.  The diagonal case also reports H/M^2.
 _SIMULATION_CASES = (
-    ("diagonal", ("1,0;0,2"), FamilyGenerator(0.0, 0.0, -1.0), True),
-    ("upper-triangular", ("1,0.7;0,1"), FamilyGenerator(1.0, 0.0, 0.0), False),
-    ("rotation-pi/3", None, FamilyGenerator(1.0, -1.0, 0.0), False),
-    ("general", ("0.4,-0.4;-0.05,0.9"), FamilyGenerator(8.0, 1.0, 10.0), False),
+    ("diagonal", "1,0;0,2", DIAGONAL),
+    ("upper-triangular", "1,0.7;0,1", UPPER_TRIANGULAR),
+    ("rotation-pi/3", None, RotationFamily()),
+    ("general", "0.4,-0.4;-0.05,0.9",
+     LinearFamily((-2.0, -2.0, -0.25, 0.5), (12.0, 8.0, 1.0, 2.0))),
 )
 
 
@@ -211,9 +211,12 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 def _phi_list(text: str) -> list[float]:
     try:
-        return [float(c) for c in text.split(",") if c.strip() != ""]
-    except ValueError as exc:
-        raise _CliInputError(f"bad --phi list {text!r}") from exc
+        phis = [float(c) for c in text.split(",") if c.strip() != ""]
+        if all(map(math.isfinite, phis)):
+            return phis
+    except ValueError:
+        pass
+    raise _CliInputError(f"bad --phi list {text!r}")
 
 
 def _invariant_family(args: argparse.Namespace, lc: LinearCoefficients,
@@ -225,7 +228,7 @@ def _invariant_family(args: argparse.Namespace, lc: LinearCoefficients,
     if phis is None:
         phis = [identity]
     spec = family.derivative_coefficients()
-    diagonal = isinstance(family, DiagonalFamily)
+    diagonal = family == DIAGONAL
     before_kernel = kernel_value(spec, lc.m, lc.h)
     evaluations = []
     lines = [
@@ -273,10 +276,6 @@ def _invariant_matrix(args: argparse.Namespace, lc: LinearCoefficients,
                       echo: dict) -> tuple[dict, list[str]]:
     matrix = parse_matrix(args.matrix)
     spec = generator_for_matrix(matrix)
-    if spec.is_degenerate():
-        raise DegenerateGenerator(
-            "target - I is a multiple of the identity (uniform scaling); "
-            "every function of (M, H) is invariant")
     # Normalized variant: coefficient vector scaled to unit max-norm, to ease
     # cross-run comparison of kernels from different embeddings.
     norm = max(abs(spec.bprime), abs(spec.gprime), abs(spec.delta))
@@ -330,11 +329,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     lc, cloud, echo = _resolve_coefficients(args)
     cases = []
     lines = [f"before  M={lc.m!r}  H={lc.h!r}"]
-    for name, literal, spec, with_ratio in _SIMULATION_CASES:
+    for name, literal, family in _SIMULATION_CASES:
         if literal is None:
             matrix = Matrix2.rotation(math.pi / 3.0)
         else:
             matrix = parse_matrix(literal)
+        spec = family.derivative_coefficients()
         after = induced_coefficients(matrix, lc)
         before_kernel = kernel_value(spec, lc.m, lc.h)
         after_kernel = kernel_value(spec, after.m, after.h)
@@ -350,7 +350,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"{name:17s} after M={after.m!r} H={after.h!r}  "
             f"kernel {before_kernel!r} -> {after_kernel!r}  "
             f"drift={case['drift']['abs']!r}")
-        if with_ratio:
+        if family == DIAGONAL:
             case["h_over_m2_before"] = lc.h / (lc.m * lc.m)
             case["h_over_m2_after"] = after.h / (after.m * after.m)
             lines.append(
@@ -422,7 +422,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DegenerateGenerator, DegenerateTarget) as exc:
+    except DegenerateGenerator as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE_GENERATOR
     except DegenerateImage as exc:

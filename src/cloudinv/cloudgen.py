@@ -5,7 +5,7 @@ seed reproduces the same cloud bit-for-bit on any platform.
 """
 from __future__ import annotations
 
-import math
+import sys
 from typing import TYPE_CHECKING
 
 from .coefficients import _CHUNK, Cloud, _Value
@@ -30,7 +30,10 @@ class CloudGenSpec(_Value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if n < 2:
             raise ValueError(f"point count must be >= 2, got {n}")
-        if not (math.isfinite(noise) and noise >= 0):
+        if isinstance(noise, bool) or not isinstance(noise, (int, float)):
+            raise ValueError(f"noise must be a real number, got {noise!r}")
+        # A range test, so an int too large for a float is not converted.
+        if not 0 <= noise <= sys.float_info.max:
             raise ValueError(f"noise amplitude must be >= 0, got {noise}")
         if not (0 <= seed < 2 ** 64):
             raise ValueError(f"seed must be a 64-bit unsigned value, got {seed}")

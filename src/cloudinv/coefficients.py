@@ -25,8 +25,10 @@ from .errors import DegenerateCloud
 if TYPE_CHECKING:
     import numpy as np
 
-# Scale-relative threshold below which the x-spread sum D counts as zero.
-DEGENERACY_RTOL = 1e-12
+# The package's one scale-relative tolerance, for the x-spread sum D, the
+# determinant, the identity and uniform-scaling tests, and the induced-map
+# and kernel denominators: a quantity within RTOL of its scale counts as zero.
+RTOL = 1e-12
 
 # Default tolerance for the collinearity test.
 COLLINEARITY_RTOL = 1e-9
@@ -369,11 +371,11 @@ def linear_coefficients(cloud: Cloud) -> LinearCoefficients:
     """Compute (M, H) = (M_n/D, H_n/D) for a cloud.
 
     Raises:
-        DegenerateCloud: if D is zero within ``DEGENERACY_RTOL`` relative to
+        DegenerateCloud: if D is zero within ``RTOL`` relative to
             the cloud's coordinate scale (all x effectively equal).
     """
     rs = raw_sums(cloud)
-    if abs(rs.d) <= DEGENERACY_RTOL * _d_scale(cloud):
+    if abs(rs.d) <= RTOL * _d_scale(cloud):
         raise DegenerateCloud(
             f"x-spread sum D={rs.d} is zero within tolerance; "
             "least-squares line is vertical"

@@ -4,18 +4,17 @@ Any invertible matrix T sits on the linear pencil A(phi) = I + phi*(T - I),
 which passes through the identity at phi = 0 and through T at phi = 1.  The
 pencil's invariant kernel therefore yields functions unchanged when a cloud
 is transformed by T.  Replacing T - I by any nonzero multiple gives the same
-kernel up to a constant factor, so the invariant family is canonical.
+kernel up to a constant factor, so the invariant family is canonical.  A
+target proportional to the identity (the identity included) changes no
+(M, H), so it has no kernel: every function of (M, H) is invariant.
 """
 from __future__ import annotations
 
-from .coefficients import _Value
-from .errors import DegenerateTarget
+from .coefficients import RTOL, _Value
+from .errors import DegenerateGenerator
 from .families import LinearFamily, kernel_value
 from .generators import FamilyGenerator
 from .transform import Matrix2
-
-# Entrywise scale-relative tolerance for "target is the identity".
-IDENTITY_TARGET_RTOL = 1e-12
 
 
 class Embedding(_Value):
@@ -28,19 +27,6 @@ class Embedding(_Value):
         object.__setattr__(self, "target", target)
 
 
-def _offset(target: Matrix2) -> tuple[float, float, float, float]:
-    t11 = target.a - 1.0
-    t12 = target.b
-    t21 = target.c
-    t22 = target.d - 1.0
-    scale = max(1.0, target.max_abs_entry())
-    if max(abs(t11), abs(t12), abs(t21), abs(t22)) <= IDENTITY_TARGET_RTOL * scale:
-        raise DegenerateTarget(
-            "target equals the identity within tolerance; the transform "
-            "changes nothing and every function is invariant")
-    return t11, t12, t21, t22
-
-
 def embed(target: Matrix2) -> Embedding:
     """The canonical pencil A(phi) = I + phi*(target - I).
 
@@ -48,29 +34,43 @@ def embed(target: Matrix2) -> Embedding:
     entry by entry.
 
     Raises:
-        DegenerateTarget: target equals the identity within tolerance.
+        DegenerateGenerator: target is a multiple of the identity.
     """
-    t11, t12, t21, t22 = _offset(target)
-    family = LinearFamily((1.0, 0.0, 0.0, 1.0), (t11, t12, t21, t22))
+    generator_for_matrix(target)
+    a, b, c, d = target.entries()
+    family = LinearFamily((1.0, 0.0, 0.0, 1.0), (a - 1.0, b, c, d - 1.0))
     return Embedding(family=family, target=target)
 
 
 def generator_for_matrix(target: Matrix2) -> FamilyGenerator:
     """Derivative coefficients of the canonical pencil: the off-diagonal
-    entries of target - I and the difference of its diagonal entries."""
-    t11, t12, t21, t22 = _offset(target)
-    return FamilyGenerator(t12, t21, t11 - t22)
+    entries of target - I and the difference of its diagonal entries.
+
+    Raises:
+        DegenerateGenerator: target is a multiple of the identity within
+            RTOL relative to its largest entry: b, c and the diagonal
+            difference all vanish at that scale.
+    """
+    a, b, c, d = target.entries()
+    # Computed as embed's pencil computes it, so the two agree bit for bit.
+    delta = (a - 1.0) - (d - 1.0)
+    # Tested on delta itself, so a target that passes never yields three
+    # zero coefficients.
+    if max(abs(b), abs(c), abs(delta)) <= RTOL * target.max_abs_entry():
+        raise DegenerateGenerator(
+            "target - I is a multiple of the identity (uniform scaling); "
+            "every function of (M, H) is invariant")
+    return FamilyGenerator(b, c, delta)
 
 
 def kernel_for_matrix(target: Matrix2, m: float, h: float) -> float:
-    """Invariant kernel value for an arbitrary invertible, non-identity matrix.
+    """Invariant kernel value for an arbitrary invertible matrix.
 
     Equals (M^2 - H) / (H*t12 - t21 + (t11 - t22)*M)^2 with t = target - I.
 
     Raises:
-        DegenerateTarget: target is the identity within tolerance.
-        DegenerateGenerator: target - I has zero off-diagonals and equal
-            diagonals (uniform scaling), so every function is invariant.
+        DegenerateGenerator: target is a multiple of the identity (uniform
+            scaling), so every function is invariant.
         KernelSingular: the denominator vanishes at (m, h).
     """
     return kernel_value(generator_for_matrix(target), m, h)

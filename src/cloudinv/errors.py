@@ -31,10 +31,6 @@ class KernelSingular(CloudInvError):
 
 
 class DegenerateGenerator(CloudInvError):
-    """All derivative coefficients of a family vanish; every function of
-    (M, H) is trivially invariant (e.g. uniform scaling families)."""
-
-
-class DegenerateTarget(CloudInvError):
-    """An embedding target equals the identity within tolerance; the
-    transform changes nothing, so every function is invariant."""
+    """Every function of (M, H) is trivially invariant: a family's derivative
+    coefficients all vanish (e.g. a uniform-scaling pencil), or a target
+    matrix is a multiple of the identity (the identity included)."""

@@ -10,11 +10,8 @@ from __future__ import annotations
 import json
 import math
 
-from .coefficients import Cloud, LinearCoefficients, RawSums, _Value
+from .coefficients import RTOL, Cloud, LinearCoefficients, RawSums, _Value
 from .errors import DegenerateImage, NonInvertibleMatrix
-
-# Scale-relative singularity threshold for determinants and denominators.
-SINGULARITY_RTOL = 1e-12
 
 
 class Matrix2(_Value):
@@ -30,11 +27,7 @@ class Matrix2(_Value):
 
     def __init__(self, a: float, b: float, c: float, d: float) -> None:
         self._store(a, b, c, d)
-        if not self.is_invertible():
-            raise NonInvertibleMatrix(
-                f"matrix ({self.a}, {self.b}; {self.c}, {self.d}) has "
-                f"determinant {self.det} within tolerance of zero"
-            )
+        _require_invertible(self)
 
     def _store(self, a: float, b: float, c: float, d: float) -> None:
         a, b, c, d = float(a), float(b), float(c), float(d)
@@ -74,11 +67,11 @@ class Matrix2(_Value):
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
     def is_invertible(self) -> bool:
-        """|det| > SINGULARITY_RTOL * max(1, max|entry|)**2, evaluated on the
+        """|det| > RTOL * max(1, max|entry|)**2, evaluated on the
         entries divided by max(1, max|entry|) so that no product overflows."""
         s = max(1.0, self.max_abs_entry())
         a, b, c, d = self.a / s, self.b / s, self.c / s, self.d / s
-        return abs(a * d - b * c) > SINGULARITY_RTOL
+        return abs(a * d - b * c) > RTOL
 
     def scaled(self, kappa: float) -> "Matrix2":
         """The matrix kappa * self (kappa must be nonzero)."""
@@ -102,40 +95,36 @@ class Matrix2(_Value):
         return (self.a, self.b, self.c, self.d)
 
 
-def parse_matrix(literal: str) -> Matrix2:
-    """Parse a matrix from `a,b;c,d` or the JSON form `[[a,b],[c,d]]`."""
+def parse_entries(literal: str) -> tuple[float, float, float, float]:
+    """The entries (a, b, c, d) of a matrix literal `a,b;c,d` or the JSON
+    form `[[a,b],[c,d]]`, row-major."""
     text = literal.strip()
-    if text.startswith("["):
-        rows = json.loads(text)
-        if (not isinstance(rows, list) or len(rows) != 2
-                or any(not isinstance(r, list) or len(r) != 2 for r in rows)):
-            raise ValueError(f"expected [[a,b],[c,d]], got {literal!r}")
-        cells = [v for row in rows for v in row]
-        if any(isinstance(v, bool) or not isinstance(v, (int, float))
-               for v in cells):
-            raise ValueError(f"matrix entries must be numbers, got {literal!r}")
-        try:
-            values = [float(v) for v in cells]
-        except OverflowError as exc:
-            raise ValueError(f"matrix entry out of range in {literal!r}") from exc
-        return Matrix2(*values)
-    rows = text.split(";")
-    if len(rows) != 2:
-        raise ValueError(f"expected 'a,b;c,d', got {literal!r}")
-    values = []
-    for row in rows:
-        cells = row.split(",")
-        if len(cells) != 2:
-            raise ValueError(f"expected 'a,b;c,d', got {literal!r}")
-        values.extend(float(c) for c in cells)
-    return Matrix2(*values)
+    as_json = text.startswith("[")
+    rows = json.loads(text) if as_json else [r.split(",") for r in text.split(";")]
+    if (not isinstance(rows, list) or len(rows) != 2
+            or any(not isinstance(r, list) or len(r) != 2 for r in rows)):
+        form = "[[a,b],[c,d]]" if as_json else "'a,b;c,d'"
+        raise ValueError(f"expected {form}, got {literal!r}")
+    cells = [v for row in rows for v in row]
+    if as_json and any(isinstance(v, bool) or not isinstance(v, (int, float))
+                       for v in cells):
+        raise ValueError(f"matrix entries must be numbers, got {literal!r}")
+    try:
+        return tuple(float(v) for v in cells)
+    except OverflowError as exc:
+        raise ValueError(f"matrix entry out of range in {literal!r}") from exc
+
+
+def parse_matrix(literal: str) -> Matrix2:
+    """Parse an invertible matrix from either form :func:`parse_entries` reads."""
+    return Matrix2(*parse_entries(literal))
 
 
 def _require_invertible(m: Matrix2) -> None:
     if not m.is_invertible():
         raise NonInvertibleMatrix(
-            f"matrix ({m.a}, {m.b}; {m.c}, {m.d}) is singular within tolerance"
-        )
+            f"matrix ({m.a}, {m.b}; {m.c}, {m.d}) has determinant {m.det} "
+            "within tolerance of zero")
 
 
 def apply_to_cloud(m: Matrix2, cloud: Cloud) -> Cloud:
@@ -154,14 +143,20 @@ def apply_to_cloud(m: Matrix2, cloud: Cloud) -> Cloud:
     return Cloud._own(cloud.xs, cloud.ys, m.entries())
 
 
+def _congruence(t: Matrix2, mn: float, hn: float,
+                dx: float) -> tuple[float, float, float]:
+    """(mn, hn, dx) of T S T^T for the scatter matrix S = [[dx, mn], [mn, hn]]:
+    the one quadratic form behind both induced maps."""
+    a, b, c, d = t.a, t.b, t.c, t.d
+    return ((a * d + b * c) * mn + b * d * hn + a * c * dx,
+            2.0 * c * d * mn + d * d * hn + c * c * dx,
+            2.0 * a * b * mn + b * b * hn + a * a * dx)
+
+
 def induced_raw(m: Matrix2, rs: RawSums) -> RawSums:
     """Closed-form image of the raw sums under an invertible matrix."""
     _require_invertible(m)
-    a, b, c, d = m.a, m.b, m.c, m.d
-    mn_hat = a * c * rs.d + (a * d + b * c) * rs.mn + b * d * rs.hn
-    hn_hat = c * c * rs.d + d * d * rs.hn + 2.0 * c * d * rs.mn
-    d_hat = a * a * rs.d + b * b * rs.hn + 2.0 * a * b * rs.mn
-    return RawSums(mn_hat, hn_hat, d_hat)
+    return RawSums(*_congruence(m, rs.mn, rs.hn, rs.d))
 
 
 def induced_coefficients(m: Matrix2, lc: LinearCoefficients) -> LinearCoefficients:
@@ -173,17 +168,15 @@ def induced_coefficients(m: Matrix2, lc: LinearCoefficients) -> LinearCoefficien
         ValueError: the denominator overflows.
     """
     _require_invertible(m)
-    a, b, c, d = m.a, m.b, m.c, m.d
-    den = 2.0 * a * b * lc.m + b * b * lc.h + a * a
+    m_num, h_num, den = _congruence(m, lc.m, lc.h, 1.0)
     if not math.isfinite(den):
         raise ValueError(
             f"induced map overflows: denominator 2abM + b^2 H + a^2 is {den}")
+    a, b = m.a, m.b
     scale = abs(2.0 * a * b * lc.m) + abs(b * b * lc.h) + a * a
-    if abs(den) <= SINGULARITY_RTOL * max(1.0, scale):
+    if abs(den) <= RTOL * max(1.0, scale):
         raise DegenerateImage(
             f"induced-map denominator {den} is zero within tolerance; the "
             "image cloud has no x-spread"
         )
-    m_hat = ((a * d + b * c) * lc.m + b * d * lc.h + a * c) / den
-    h_hat = (2.0 * c * d * lc.m + d * d * lc.h + c * c) / den
-    return LinearCoefficients(m_hat, h_hat)
+    return LinearCoefficients(m_num / den, h_num / den)

@@ -8,11 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from cloudinv import (Cloud, DegenerateCloud, DegenerateImage,
-                      DiagonalFamily, FamilyGenerator, KernelSingular,
-                      LinearCoefficients, LowerTriangularFamily, Matrix2,
+from cloudinv import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR, Cloud,
+                      DegenerateCloud, DegenerateImage, FamilyGenerator,
+                      KernelSingular, LinearCoefficients, Matrix2,
                       NoIdentityParameter, NonInvertibleMatrix, Param,
-                      RotationFamily, UpperTriangularFamily, apply_to_cloud,
+                      RotationFamily, apply_to_cloud,
                       family_pde_residual, generator_fd_deviation,
                       induced_coefficients, kernel_for_matrix, kernel_value,
                       linear_coefficients)
@@ -130,9 +130,9 @@ def test_criterion_3_oracle_equivalence():
 # Criterion 4 -------------------------------------------------------------
 
 CRITERION_4 = [
-    ("diagonal", DiagonalFamily(), 0.3, 3.0),
-    ("upper", UpperTriangularFamily(), -2.0, 2.0),
-    ("lower", LowerTriangularFamily(), -2.0, 2.0),
+    ("diagonal", DIAGONAL, 0.3, 3.0),
+    ("upper", UPPER_TRIANGULAR, -2.0, 2.0),
+    ("lower", LOWER_TRIANGULAR, -2.0, 2.0),
     ("rotation", RotationFamily(), -1.3, 1.3),
     ("linear", CASE_STUDY, 0.2, 0.5),
 ]

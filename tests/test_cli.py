@@ -165,6 +165,33 @@ class TestInvariant:
         code, _, err = run(capsys, "invariant", REF_COEFFS,
                            "--matrix", "1,0;0,1")
         assert code == 4
+        assert "multiple of the identity (uniform scaling)" in err
+
+    @pytest.mark.parametrize("matrix", ["2,1e-300;0,2", "2,0;0,2.0000000000001",
+                                        "1e200,1;0,1e200"])
+    def test_near_uniform_scaling_matrix_exit_code(self, capsys, matrix):
+        # Within 1e-12 of a multiple of the identity, relative to the
+        # largest entry: the same exit as an exact multiple.
+        code, out, err = run(capsys, "invariant", REF_COEFFS, "--matrix", matrix)
+        assert (code, out) == (4, "")
+        assert "multiple of the identity (uniform scaling)" in err
+
+    def test_pencil_equal_to_diag_reports_ratio(self, capsys):
+        code, diag, _ = run_json(capsys, "invariant", REF_COEFFS,
+                                 "--family", "diag", "--phi", "2")
+        assert code == 0
+        code, pencil, _ = run_json(capsys, "invariant", REF_COEFFS, "--family",
+                                   "linear:1,0;0,0|0,0;0,1", "--phi", "2")
+        assert code == 0
+        assert "h_over_m2_after" in pencil["evaluations"][0]
+        pencil["inputs"]["family"] = "diag"
+        assert pencil == diag
+
+    def test_singular_family_member_exit_code(self, capsys):
+        code, out, err = run(capsys, "invariant", REF_COEFFS,
+                             "--family", "diag", "--phi", "0")
+        assert (code, out) == (2, "")
+        assert "has determinant 0.0 within tolerance of zero" in err
 
     def test_family_and_matrix_exclusive(self, capsys):
         code, _, err = run(capsys, "invariant", REF_COEFFS,
@@ -259,6 +286,10 @@ class TestBadInputExitCodes:
         (["transform", "--coeffs", "1.5,3.5", "--matrix", f"[[1{'0' * 400},0],[0,1]]"], 2),
         (["transform", "--coeffs", "1.5,3.5", "--matrix", "1e308,1e308;-1e308,1e308"], 2),
         (["transform", "--coeffs", "1.5,3.5", "--matrix", "[[1e308,1e308],[-1e308,1e308]]"], 2),
+        (["invariant", "--coeffs", "1.5,3.5", "--family", "rot", "--phi", "inf"], 2),
+        (["invariant", "--coeffs", "1.5,3.5", "--family", "rot", "--phi", "0.5,nan"], 2),
+        (["invariant", "--coeffs", "1.5,3.5", "--family", "diag", "--phi", "inf"], 2),
+        (["invariant", "--coeffs", "1.5,3.5", "--family", "diag", "--phi", "nan"], 2),
     ])
     def test_exit_code_and_one_error_line(self, capsys, argv, exit_code):
         code, out, err = run(capsys, *argv)
@@ -267,6 +298,8 @@ class TestBadInputExitCodes:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        if "--phi" in argv:
+            assert lines[0].startswith("error: bad --phi list")
 
     @pytest.mark.parametrize("message", ["Unable to allocate 745. TiB", ""])
     def test_out_of_memory(self, capsys, monkeypatch, message):

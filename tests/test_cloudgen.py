@@ -34,6 +34,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             CloudGenSpec("ellipse", *args)
 
+    @pytest.mark.parametrize("noise", ["0.1", True, False, None, [0.1]])
+    def test_non_real_noise(self, noise):
+        with pytest.raises(ValueError, match="^noise must be a real number"):
+            CloudGenSpec("ellipse", 10, noise)
+
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_deterministic_under_fixed_seed(kind):

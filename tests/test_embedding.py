@@ -1,12 +1,69 @@
 import pytest
 
-from cloudinv import (DegenerateGenerator, DegenerateTarget, FamilyGenerator,
-                      KernelSingular, Matrix2, apply_to_cloud, embed,
-                      generator_for_matrix, kernel_for_matrix, kernel_value,
-                      linear_coefficients)
+from cloudinv import (DegenerateGenerator, FamilyGenerator, KernelSingular,
+                      Matrix2, apply_to_cloud, embed, generator_for_matrix,
+                      kernel_for_matrix, kernel_value, linear_coefficients)
+from cloudinv.cli import main
 from conftest import REF_H, REF_M, random_cloud, random_invertible
 
 CASE_STUDY_TARGET = Matrix2(0.4, -0.4, -0.05, 0.9)
+
+# Directions away from the identity: E12, E21 and diag(1, 0).
+DIRECTIONS = {"E12": (0, 1, 0, 0), "E21": (0, 0, 1, 0), "E11": (1, 0, 0, 0)}
+
+
+def _near_scaling(k, direction, eps):
+    """kappa * (I + eps * E) with kappa = 2**k."""
+    kappa = 2.0 ** k
+    e = DIRECTIONS[direction]
+    return Matrix2(*(kappa * (i + eps * x) for i, x in zip((1, 0, 0, 1), e)))
+
+
+def _invariant_exit(capsys, target):
+    literal = "{!r},{!r};{!r},{!r}".format(*target.entries())
+    code = main(["invariant", f"--coeffs={REF_M},{REF_H}", f"--matrix={literal}"])
+    return code, capsys.readouterr().err
+
+
+class TestUniformScalingThreshold:
+    """T counts as a multiple of the identity when b, c and the diagonal
+    difference are at most 1e-12 of its largest entry, at every scale."""
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("k", [-10, 0, 10, 100])
+    def test_below_is_degenerate(self, capsys, k, direction):
+        target = _near_scaling(k, direction, 0.5e-12)
+        with pytest.raises(DegenerateGenerator, match="uniform scaling"):
+            generator_for_matrix(target)
+        with pytest.raises(DegenerateGenerator, match="uniform scaling"):
+            embed(target)
+        with pytest.raises(DegenerateGenerator, match="uniform scaling"):
+            kernel_for_matrix(target, REF_M, REF_H)
+        code, err = _invariant_exit(capsys, target)
+        assert code == 4 and "uniform scaling" in err
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("k", [-10, 0, 10, 100])
+    def test_above_is_not(self, capsys, k, direction):
+        target = _near_scaling(k, direction, 2e-12)
+        fg = generator_for_matrix(target)
+        assert not fg.is_degenerate()
+        assert embed(target).family.derivative_coefficients() == fg
+        # Below unit scale the kernel denominator can still fall under its
+        # max(1, scale) floor, which is a separate test (exit 2).
+        try:
+            kernel_for_matrix(target, REF_M, REF_H)
+        except KernelSingular:
+            assert k < 0
+        code, err = _invariant_exit(capsys, target)
+        assert code == 0 or (code == 2 and k < 0 and "kernel denominator" in err)
+
+
+def test_generator_is_the_embedded_pencils_derivative(rng):
+    for _ in range(200):
+        target = random_invertible(rng)
+        assert generator_for_matrix(target) == \
+            embed(target).family.derivative_coefficients()
 
 
 class TestEmbed:
@@ -23,11 +80,11 @@ class TestEmbed:
             pytest.approx((-0.4, -0.05, -0.5))
 
     def test_identity_target_rejected(self):
-        with pytest.raises(DegenerateTarget):
+        with pytest.raises(DegenerateGenerator):
             embed(Matrix2.identity())
 
     def test_near_identity_target_rejected(self):
-        with pytest.raises(DegenerateTarget):
+        with pytest.raises(DegenerateGenerator):
             embed(Matrix2(1.0 + 1e-15, 0.0, 0.0, 1.0))
 
     def test_endpoints_exact(self, rng):
@@ -35,7 +92,7 @@ class TestEmbed:
             target = random_invertible(rng)
             try:
                 emb = embed(target)
-            except DegenerateTarget:
+            except DegenerateGenerator:
                 continue
             at_star = emb.family.evaluate(0.0).entries()
             at_one = emb.family.evaluate(1.0).entries()
@@ -69,12 +126,14 @@ class TestKernelForMatrix:
             m = rng.uniform(-1.5, 1.5)
             try:
                 assert kernel_for_matrix(target, m, m * m) == 0.0
-            except (DegenerateGenerator, KernelSingular, DegenerateTarget):
+            except (DegenerateGenerator, KernelSingular):
                 continue
 
     def test_uniform_scaling_target_degenerate_generator(self):
         with pytest.raises(DegenerateGenerator):
             kernel_for_matrix(Matrix2.diagonal(2, 2), REF_M, REF_H)
+        with pytest.raises(DegenerateGenerator):
+            embed(Matrix2.diagonal(2, 2))
 
     def test_case_study_is_400x_unit_spec(self, rng):
         # (target - I) = -0.05 * (8, 1, 10), so the canonical kernel is
@@ -128,7 +187,7 @@ class TestKernelForMatrix:
                     continue
                 kb = kernel_for_matrix(target, before.m, before.h)
                 ka = kernel_for_matrix(target, after.m, after.h)
-            except (DegenerateTarget, DegenerateGenerator, KernelSingular):
+            except (DegenerateGenerator, KernelSingular):
                 skipped += 1
                 continue
             assert abs(ka - kb) <= 1e-8 * max(1.0, abs(kb))

@@ -2,20 +2,20 @@ import math
 
 import pytest
 
-from cloudinv import (DegenerateGenerator, DiagonalFamily, FamilyGenerator,
-                      KernelSingular, LinearCoefficients, LinearFamily,
-                      LowerTriangularFamily, NoIdentityParameter,
-                      RotationFamily, UpperTriangularFamily, apply_to_cloud,
-                      family_pde_residual, induced_coefficients, kernel_value,
-                      linear_coefficients, parse_family)
+from cloudinv import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR,
+                      DegenerateGenerator, FamilyGenerator, KernelSingular,
+                      LinearCoefficients, LinearFamily, NoIdentityParameter,
+                      RotationFamily, apply_to_cloud, family_pde_residual,
+                      induced_coefficients, kernel_value, linear_coefficients,
+                      parse_family)
 from conftest import REF_H, REF_M, random_cloud
 
 CASE_STUDY = LinearFamily((-2.0, -2.0, -0.25, 0.5), (12.0, 8.0, 1.0, 2.0))
 
 CLOSED_VARIANTS = [
-    (DiagonalFamily(), 1.0, (0.0, 0.0, -1.0)),
-    (UpperTriangularFamily(), 0.0, (1.0, 0.0, 0.0)),
-    (LowerTriangularFamily(), 0.0, (0.0, 1.0, 0.0)),
+    (DIAGONAL, 1.0, (0.0, 0.0, -1.0)),
+    (UPPER_TRIANGULAR, 0.0, (1.0, 0.0, 0.0)),
+    (LOWER_TRIANGULAR, 0.0, (0.0, 1.0, 0.0)),
     (RotationFamily(), 0.0, (1.0, -1.0, 0.0)),
 ]
 
@@ -26,6 +26,7 @@ CLOSED_VARIANTS = [
     ((1, 0, 0, 1), ("0", 1, 0, 0), "b"),
     ((1.0, 0.0, 0.0, True), (0, 1, 0, 0), "a0"),
     ((1, 0, 0, 1), (0, 1, 0, None), "b"),
+    ((1, 0, 0, 2 ** 1100), (0, 1, 0, 0), "a0"),
 ])
 def test_linear_family_rejects_non_numeric_entries(a0, b, bad):
     with pytest.raises(ValueError, match=f"^{bad} must be 4 finite entries"):
@@ -38,12 +39,21 @@ class TestEvaluate:
         assert m.entries() == (1.0, 0.0, 0.0, 1.0)
 
     def test_diagonal(self):
-        assert DiagonalFamily().evaluate(2.0).entries() == (1.0, 0.0, 0.0, 2.0)
+        assert DIAGONAL.evaluate(2.0).entries() == (1.0, 0.0, 0.0, 2.0)
 
     def test_diagonal_allows_singular_point(self):
         # phi = 0 gives a singular matrix; construction is allowed.
-        m = DiagonalFamily().evaluate(0.0)
+        m = DIAGONAL.evaluate(0.0)
         assert not m.is_invertible()
+
+    @pytest.mark.parametrize("family,entries", [
+        (DIAGONAL, lambda p: (1.0, 0.0, 0.0, p)),
+        (UPPER_TRIANGULAR, lambda p: (1.0, p, 0.0, 1.0)),
+        (LOWER_TRIANGULAR, lambda p: (1.0, 0.0, p, 1.0)),
+    ], ids=["diag", "upper", "lower"])
+    def test_named_pencils_are_exact(self, rng, family, entries):
+        for phi in [*rng.uniform(-3.0, 3.0, 50), 0.0, 5e-324, -1e-300, 1e300]:
+            assert family.evaluate(phi).entries() == entries(phi)
 
     def test_case_study_member(self):
         m = CASE_STUDY.evaluate(0.2)
@@ -213,11 +223,13 @@ ALL_FAMILIES = [v[0] for v in CLOSED_VARIANTS] + [CASE_STUDY]
 
 
 def _family_phis(family, rng, count):
-    if isinstance(family, DiagonalFamily):
+    # Matched by value: the named pencils are LinearFamily values too, and
+    # only the case-study pencil samples [0.3, 1.2].
+    if family == DIAGONAL:
         return [p for p in rng.uniform(0.2, 3.0, size=count)]
     if isinstance(family, RotationFamily):
         return [p for p in rng.uniform(-math.pi, math.pi, size=count)]
-    if isinstance(family, LinearFamily):
+    if family == CASE_STUDY:
         return [p for p in rng.uniform(0.3, 1.2, size=count)]
     return [p for p in rng.uniform(-2.0, 2.0, size=count)]
 
@@ -277,14 +289,14 @@ def test_direction_scaling_covariance(rng):
 
 
 class TestParseFamily:
-    @pytest.mark.parametrize("literal,cls", [
-        ("diag", DiagonalFamily),
-        ("upper", UpperTriangularFamily),
-        ("lower", LowerTriangularFamily),
-        ("rot", RotationFamily),
-    ])
-    def test_closed_literals(self, literal, cls):
-        assert isinstance(parse_family(literal), cls)
+    @pytest.mark.parametrize("literal,family", [
+        ("diag", DIAGONAL),
+        ("upper", UPPER_TRIANGULAR),
+        ("lower", LOWER_TRIANGULAR),
+        ("rot", RotationFamily()),
+    ], ids=["diag", "upper", "lower", "rot"])
+    def test_closed_literals(self, literal, family):
+        assert parse_family(literal) == family
 
     def test_linear_literal(self):
         fam = parse_family("linear:-2,-2;-0.25,0.5|12,8;1,2")
@@ -292,8 +304,28 @@ class TestParseFamily:
         assert fam.a0 == (-2.0, -2.0, -0.25, 0.5)
         assert fam.b == (12.0, 8.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("text", [
+        "linear:-2,-2;-0.25,0.5|12,8;1,2",
+        "linear:[[-2,-2],[-0.25,0.5]]|[[12,8],[1,2]]",
+        "linear:-2,-2;-0.25,0.5|[[12,8],[1,2]]",
+        " linear:[[-2.0, -2], [-0.25, 0.5]] | 12,8;1,2 ",
+    ])
+    def test_both_matrix_forms(self, text):
+        assert parse_family(text) == CASE_STUDY
+
     @pytest.mark.parametrize("bad", ["diagonal", "linear:1,2;3,4",
                                      "linear:1,2;3,4|5,6", ""])
     def test_bad_literals(self, bad):
         with pytest.raises(ValueError):
             parse_family(bad)
+
+    @pytest.mark.parametrize("part", [
+        "1,2;3", "1,2;3,4;5,6", "1,x;3,4", "1,2;3,inf", "[[1,2],[3]]",
+        "[[1,2],[3,true]]", "[[1,2],[3,", f"[[1{'0' * 400},0],[0,1]]",
+    ])
+    @pytest.mark.parametrize("side", ["a0", "b"])
+    def test_each_malformed_part(self, part, side):
+        good = "1,0;0,1"
+        a0, b = (part, good) if side == "a0" else (good, part)
+        with pytest.raises(ValueError):
+            parse_family(f"linear:{a0}|{b}")

@@ -45,6 +45,15 @@ CASES = {
     "text-simulate-coeffs": ["simulate", REF],
     "text-invariant-family": ["invariant", REF, "--family", "diag",
                               "--phi", "0.5,2"],
+    "invariant-family-upper": ["invariant", REF, "--family", "upper", "--json"],
+    "invariant-family-lower": ["invariant", REF, "--family", "lower",
+                               "--phi=-1.5,0.3", "--json"],
+    "invariant-family-rot": ["invariant", REF, "--family", "rot",
+                             "--phi", "0.5,1,2.5", "--json"],
+    "invariant-family-linear": ["invariant", REF, "--family",
+                                "linear:-2,-2;-0.25,0.5|12,8;1,2", "--json"],
+    "text-invariant-matrix": ["invariant", REF, "--matrix",
+                              "0.4,-0.4;-0.05,0.9"],
     "exit2-singular-matrix": ["transform", REF, "--matrix", "1,2;2,4"],
     "exit3-degenerate-image": ["transform", "--coeffs", "1,1",
                                "--matrix", "1,-1;0,1"],

@@ -241,6 +241,51 @@ class TestInducedRaw:
                 assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b))
 
 
+class TestCongruenceOracle:
+    """Both induced maps against T S T^T for S = [[D, Mn], [Mn, Hn]], as sympy
+    derives it from symbols and mpmath evaluates it at 40 digits."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        sympy = pytest.importorskip("sympy")
+        mpmath = pytest.importorskip("mpmath")
+        a, b, c, d, mn, hn, dx = sympy.symbols("a b c d mn hn dx", real=True)
+        image = (sympy.Matrix([[a, b], [c, d]]) * sympy.Matrix([[dx, mn], [mn, hn]])
+                 * sympy.Matrix([[a, c], [b, d]]))
+        form = sympy.lambdify((a, b, c, d, mn, hn, dx),
+                              (image[0, 1], image[1, 1], image[0, 0]), "mpmath")
+
+        def exact(t, mn, hn, dx):
+            with mpmath.workdps(40):
+                return tuple(float(v) for v in form(*t.entries(), mn, hn, dx))
+        return exact
+
+    def test_raw_sums(self, rng, oracle):
+        for _ in range(300):
+            t = random_invertible(rng)
+            rs = raw_sums(random_cloud(rng))
+            got = induced_raw(t, rs)
+            want = oracle(t, rs.mn, rs.hn, rs.d)
+            # The image is positive definite: its diagonal bounds |mn|.
+            scale = max(want[1], want[2])
+            for g, w in zip((got.mn, got.hn, got.d), want):
+                assert abs(g - w) <= 1e-13 * scale
+
+    def test_coefficients_are_its_quotients(self, rng, oracle):
+        for _ in range(300):
+            t = random_invertible(rng)
+            lc = linear_coefficients(random_cloud(rng))
+            mn, hn, dx = oracle(t, lc.m, lc.h, 1.0)
+            try:
+                got = induced_coefficients(t, lc)
+            except DegenerateImage:
+                continue
+            # h >= m^2 on the image, so max(1, h) bounds |m| too.
+            scale = max(1.0, hn / dx)
+            assert abs(got.m - mn / dx) <= 1e-13 * scale
+            assert abs(got.h - hn / dx) <= 1e-13 * scale
+
+
 class TestInducedCoefficients:
     def test_identity(self):
         out = induced_coefficients(Matrix2.identity(), REF)

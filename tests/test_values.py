@@ -7,10 +7,10 @@ import pickle
 
 import pytest
 
-from cloudinv import (CloudGenSpec, DiagonalFamily, Embedding, FamilyGenerator,
-                      LinearCoefficients, LinearFamily, LowerTriangularFamily,
-                      Matrix2, NonInvertibleMatrix, Point, RawSums,
-                      RotationFamily, UpperTriangularFamily, embed)
+from cloudinv import (DIAGONAL, CloudGenSpec, Embedding, FamilyGenerator,
+                      LinearCoefficients, LinearFamily, Matrix2,
+                      NonInvertibleMatrix, Point, RawSums, RotationFamily,
+                      embed)
 
 # name -> (value, an equal value built with keywords, a different value of
 # the same type, repr text, field names).
@@ -45,13 +45,8 @@ VALUES = {
         "Embedding(family=LinearFamily(a0=(1.0, 0.0, 0.0, 1.0), "
         "b=(1.0, 1.0, 0.0, 2.0)), target=Matrix2(a=2.0, b=1.0, c=0.0, d=3.0))",
         ("family", "target")),
-    "DiagonalFamily": (DiagonalFamily(), DiagonalFamily(), UpperTriangularFamily(),
-                       "DiagonalFamily()", ()),
-    "UpperTriangularFamily": (UpperTriangularFamily(), UpperTriangularFamily(),
-                              LowerTriangularFamily(), "UpperTriangularFamily()", ()),
-    "LowerTriangularFamily": (LowerTriangularFamily(), LowerTriangularFamily(),
-                              RotationFamily(), "LowerTriangularFamily()", ()),
-    "RotationFamily": (RotationFamily(), RotationFamily(), DiagonalFamily(),
+    # A fieldless type has no other value of its own; DIAGONAL is a pencil.
+    "RotationFamily": (RotationFamily(), RotationFamily(), DIAGONAL,
                        "RotationFamily()", ()),
     "LinearFamily": (
         LinearFamily((1, 0, 0, 1), (0, 1, 0, 0)),
@@ -168,6 +163,10 @@ INVALID = [
      r"a0 must be 4 finite entries"),
     (lambda: LinearFamily((1, 0, 0, 1), (0, INF, 0, 0)), ValueError,
      r"b must be 4 finite entries"),
+    (lambda: CloudGenSpec("ellipse", 10, INF), ValueError,
+     r"noise amplitude must be >= 0"),
+    (lambda: CloudGenSpec("ellipse", 10, 2 ** 1100), ValueError,
+     r"noise amplitude must be >= 0"),
 ]
 
 
