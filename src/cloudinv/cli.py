@@ -6,6 +6,11 @@ Subcommands:
     invariant  kernel values before/after a family member or a matrix
     simulate   the four standard transformations on a generated cloud
 
+Each command builds one report dict.  ``--json`` prints it as sorted,
+indented JSON; the text form prints one ``key  value`` line per leaf, in the
+report's order, with a dotted key (``cases[0].after.m``) and the leaf as
+JSON.  A non-finite number is an error in either form.
+
 Exit codes: 0 success, 2 input/validation error (a cloud too large for
 memory included), 3 degenerate image, 4 degenerate generator (every function
 invariant).
@@ -21,13 +26,14 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .cloudgen import KINDS, CloudGenSpec, generate_cloud
-from .coefficients import (Cloud, LinearCoefficients, is_collinear,
+from .coefficients import (Cloud, LinearCoefficients, Scatter, is_collinear,
                            linear_coefficients, raw_sums, read_cloud_csv,
                            write_cloud_csv)
 from .embedding import generator_for_matrix
 from .errors import CloudInvError, DegenerateGenerator, DegenerateImage
 from .families import (DIAGONAL, UPPER_TRIANGULAR, LinearFamily,
                        RotationFamily, kernel_value, parse_family)
+from .generators import FamilyGenerator
 from .transform import (Matrix2, apply_to_cloud, induced_coefficients,
                         parse_matrix)
 
@@ -43,10 +49,10 @@ SEED_ENV_VAR = "CLOUD_INV_SEED"
 # The four standard demonstration transformations: matrix and the
 # one-parameter family it belongs to.  The diagonal case also reports H/M^2.
 _SIMULATION_CASES = (
-    ("diagonal", "1,0;0,2", DIAGONAL),
-    ("upper-triangular", "1,0.7;0,1", UPPER_TRIANGULAR),
-    ("rotation-pi/3", None, RotationFamily()),
-    ("general", "0.4,-0.4;-0.05,0.9",
+    ("diagonal", Matrix2.diagonal(1.0, 2.0), DIAGONAL),
+    ("upper-triangular", Matrix2(1.0, 0.7, 0.0, 1.0), UPPER_TRIANGULAR),
+    ("rotation-pi/3", Matrix2.rotation(math.pi / 3.0), RotationFamily()),
+    ("general", Matrix2(0.4, -0.4, -0.05, 0.9),
      LinearFamily((-2.0, -2.0, -0.25, 0.5), (12.0, 8.0, 1.0, 2.0))),
 )
 
@@ -80,14 +86,14 @@ def _add_cloud_source(parser: argparse.ArgumentParser, with_coeffs: bool) -> Non
                          help="bypass the cloud: supply raw coefficients")
 
 
-def _parse_coeffs(text: str) -> LinearCoefficients:
+def _parse_coeffs(text: str) -> Scatter:
     cells = text.split(",")
     if len(cells) != 2:
         raise _CliInputError(f"expected --coeffs M,H, got {text!r}")
     try:
         return LinearCoefficients(float(cells[0]), float(cells[1]))
     except ValueError as exc:
-        raise _CliInputError(str(exc)) from exc
+        raise _CliInputError(f"expected finite --coeffs M,H, got {text!r}") from exc
 
 
 def _resolve_cloud(args: argparse.Namespace) -> tuple[Optional[Cloud], dict]:
@@ -115,9 +121,8 @@ def _resolve_cloud(args: argparse.Namespace) -> tuple[Optional[Cloud], dict]:
     return None, {}
 
 
-def _resolve_coefficients(args: argparse.Namespace,
-                          need_cloud: bool = False) -> tuple[
-                              LinearCoefficients, Optional[Cloud], dict]:
+def _resolve_coefficients(
+        args: argparse.Namespace) -> tuple[Scatter, Optional[Cloud], dict]:
     coeffs_text = getattr(args, "coeffs", None)
     cloud, echo = _resolve_cloud(args)
     if coeffs_text is not None:
@@ -126,8 +131,7 @@ def _resolve_coefficients(args: argparse.Namespace,
         lc = _parse_coeffs(coeffs_text)
         return lc, None, {"source": "coeffs", "m": lc.m, "h": lc.h}
     if cloud is None:
-        raise _CliInputError("no input: give --csv, --gen"
-                             + (" or --coeffs" if not need_cloud else ""))
+        raise _CliInputError("no input: give --csv, --gen or --coeffs")
     return linear_coefficients(cloud), cloud, echo
 
 
@@ -136,43 +140,71 @@ def _drift(before: float, after: float) -> dict:
     return {"abs": absolute, "rel": absolute / max(1.0, abs(before))}
 
 
-def _emit(report: dict, as_json: bool, lines: Sequence[str]) -> None:
-    if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+def _evaluation(matrix: Matrix2, spec: FamilyGenerator, lc: Scatter,
+                diagonal: bool) -> dict:
+    """The image of lc under matrix and the kernel of spec before and after;
+    for the diagonal family also H/M^2 before and after."""
+    after = induced_coefficients(matrix, lc)
+    before_kernel = kernel_value(spec, lc.m, lc.h)
+    after_kernel = kernel_value(spec, after.m, after.h)
+    entry = {
+        "after": {"m": after.m, "h": after.h},
+        "kernel_before": before_kernel,
+        "kernel_after": after_kernel,
+        "drift": _drift(before_kernel, after_kernel),
+    }
+    if diagonal:
+        entry["h_over_m2_before"] = lc.h / (lc.m * lc.m)
+        entry["h_over_m2_after"] = after.h / (after.m * after.m)
+    return entry
+
+
+def _flatten(node: object, key: str = ""):
+    """(dotted key, leaf) for each leaf of a report, in its order.  Items of
+    a list of dicts are indexed; any other list is one leaf."""
+    if isinstance(node, dict):
+        for name, value in node.items():
+            yield from _flatten(value, f"{key}.{name}" if key else name)
+    elif isinstance(node, list) and node and all(isinstance(v, dict) for v in node):
+        for i, value in enumerate(node):
+            yield from _flatten(value, f"{key}[{i}]")
     else:
-        for line in lines:
-            print(line)
+        yield key, node
+
+
+def _emit(report: dict, as_json: bool) -> None:
+    """Print a report as JSON or as text; nothing is printed if a number in
+    it is not finite (ValueError)."""
+    if as_json:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    else:
+        rows = [(key, json.dumps(leaf, allow_nan=False))
+                for key, leaf in _flatten(report)]
+        width = max(len(key) for key, _ in rows)
+        text = "\n".join(f"{key:{width}}  {value}" for key, value in rows)
+    print(text)
 
 
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_coeffs(args: argparse.Namespace) -> int:
+def _cmd_coeffs(args: argparse.Namespace) -> dict:
     cloud, echo = _resolve_cloud(args)
     if cloud is None:
         raise _CliInputError("no input: give --csv or --gen")
     rs = raw_sums(cloud)
     lc = linear_coefficients(cloud)
-    collinear = is_collinear(cloud)
-    report = {
+    return {
         "schema": SCHEMA,
         "command": "coeffs",
         "inputs": echo,
         "raw_sums": {"mn": rs.mn, "hn": rs.hn, "d": rs.d},
         "coefficients": {"m": lc.m, "h": lc.h},
-        "collinear": collinear,
+        "collinear": is_collinear(cloud),
     }
-    _emit(report, args.json, [
-        f"n          {len(cloud)}",
-        f"raw sums   mn={rs.mn!r}  hn={rs.hn!r}  d={rs.d!r}",
-        f"M          {lc.m!r}",
-        f"H          {lc.h!r}",
-        f"collinear  {collinear}",
-    ])
-    return EXIT_OK
 
 
-def _cmd_transform(args: argparse.Namespace) -> int:
+def _cmd_transform(args: argparse.Namespace) -> dict:
     matrix = parse_matrix(args.matrix)
     lc, cloud, echo = _resolve_coefficients(args)
     after_closed = induced_coefficients(matrix, lc)
@@ -183,30 +215,18 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         "before": {"m": lc.m, "h": lc.h},
         "after_closed_form": {"m": after_closed.m, "h": after_closed.h},
     }
-    lines = [
-        f"matrix              {matrix.a!r},{matrix.b!r};{matrix.c!r},{matrix.d!r}",
-        f"before              M={lc.m!r}  H={lc.h!r}",
-        f"after (closed form) M={after_closed.m!r}  H={after_closed.h!r}",
-    ]
     if cloud is not None:
         image = apply_to_cloud(matrix, cloud)
         after_direct = linear_coefficients(image)
-        disc = max(abs(after_direct.m - after_closed.m),
-                   abs(after_direct.h - after_closed.h))
         report["after_direct"] = {"m": after_direct.m, "h": after_direct.h}
-        report["discrepancy"] = disc
-        lines += [
-            f"after (direct)      M={after_direct.m!r}  H={after_direct.h!r}",
-            f"discrepancy         {disc!r}",
-        ]
+        report["discrepancy"] = max(abs(after_direct.m - after_closed.m),
+                                    abs(after_direct.h - after_closed.h))
         if args.dump_points:
             write_cloud_csv(image, args.dump_points)
             report["dumped_points"] = args.dump_points
-            lines.append(f"transformed cloud written to {args.dump_points}")
     elif args.dump_points:
         raise _CliInputError("--dump-points needs a cloud source, not --coeffs")
-    _emit(report, args.json, lines)
-    return EXIT_OK
+    return report
 
 
 def _phi_list(text: str) -> list[float]:
@@ -219,8 +239,7 @@ def _phi_list(text: str) -> list[float]:
     raise _CliInputError(f"bad --phi list {text!r}")
 
 
-def _invariant_family(args: argparse.Namespace, lc: LinearCoefficients,
-                      echo: dict) -> tuple[dict, list[str]]:
+def _invariant_family(args: argparse.Namespace, lc: Scatter, echo: dict) -> dict:
     family = parse_family(args.family)
     phis = _phi_list(args.phi) if args.phi else None
     # Raises NoIdentityParameter even when --phi is given.
@@ -228,52 +247,23 @@ def _invariant_family(args: argparse.Namespace, lc: LinearCoefficients,
     if phis is None:
         phis = [identity]
     spec = family.derivative_coefficients()
-    diagonal = family == DIAGONAL
     before_kernel = kernel_value(spec, lc.m, lc.h)
-    evaluations = []
-    lines = [
-        f"family    {args.family}",
-        f"spec      b'={spec.bprime!r}  g'={spec.gprime!r}  delta={spec.delta!r}",
-        f"before    M={lc.m!r}  H={lc.h!r}  kernel={before_kernel!r}",
-    ]
-    if diagonal:
-        ratio = lc.h / (lc.m * lc.m)
-        lines.append(f"          H/M^2={ratio!r}")
-    for phi in phis:
-        matrix = family.evaluate(phi)
-        after = induced_coefficients(matrix, lc)
-        after_kernel = kernel_value(spec, after.m, after.h)
-        entry = {
-            "phi": phi,
-            "after": {"m": after.m, "h": after.h},
-            "kernel_before": before_kernel,
-            "kernel_after": after_kernel,
-            "drift": _drift(before_kernel, after_kernel),
-        }
-        lines.append(
-            f"phi={phi!r}  after M={after.m!r} H={after.h!r}  "
-            f"kernel={after_kernel!r}  drift={entry['drift']['abs']!r}")
-        if diagonal:
-            entry["h_over_m2_before"] = lc.h / (lc.m * lc.m)
-            entry["h_over_m2_after"] = after.h / (after.m * after.m)
-            lines.append(f"          H/M^2 after={entry['h_over_m2_after']!r}")
-        evaluations.append(entry)
-    report = {
+    evaluations = [{"phi": phi, **_evaluation(family.evaluate(phi), spec, lc,
+                                              family == DIAGONAL)}
+                   for phi in phis]
+    return {
         "schema": SCHEMA,
         "command": "invariant",
-        "inputs": {**echo, "family": args.family,
-                   "phi": [e["phi"] for e in evaluations]},
+        "inputs": {**echo, "family": args.family, "phi": phis},
         "spec": {"bprime": spec.bprime, "gprime": spec.gprime,
                  "delta": spec.delta},
         "before": {"m": lc.m, "h": lc.h},
         "kernel_before": before_kernel,
         "evaluations": evaluations,
     }
-    return report, lines
 
 
-def _invariant_matrix(args: argparse.Namespace, lc: LinearCoefficients,
-                      echo: dict) -> tuple[dict, list[str]]:
+def _invariant_matrix(args: argparse.Namespace, lc: Scatter, echo: dict) -> dict:
     matrix = parse_matrix(args.matrix)
     spec = generator_for_matrix(matrix)
     # Normalized variant: coefficient vector scaled to unit max-norm, to ease
@@ -283,9 +273,7 @@ def _invariant_matrix(args: argparse.Namespace, lc: LinearCoefficients,
     after = induced_coefficients(matrix, lc)
     before_kernel = kernel_value(spec, lc.m, lc.h)
     after_kernel = kernel_value(spec, after.m, after.h)
-    before_norm = kernel_value(normalized, lc.m, lc.h)
-    after_norm = kernel_value(normalized, after.m, after.h)
-    report = {
+    return {
         "schema": SCHEMA,
         "command": "invariant",
         "inputs": {**echo, "matrix": list(matrix.entries())},
@@ -299,79 +287,41 @@ def _invariant_matrix(args: argparse.Namespace, lc: LinearCoefficients,
         "kernel_before": before_kernel,
         "kernel_after": after_kernel,
         "kernel_drift": _drift(before_kernel, after_kernel),
-        "normalized_kernel_before": before_norm,
-        "normalized_kernel_after": after_norm,
+        "normalized_kernel_before": kernel_value(normalized, lc.m, lc.h),
+        "normalized_kernel_after": kernel_value(normalized, after.m, after.h),
     }
-    lines = [
-        f"matrix     {matrix.a!r},{matrix.b!r};{matrix.c!r},{matrix.d!r}",
-        f"spec       b'={spec.bprime!r}  g'={spec.gprime!r}  delta={spec.delta!r}",
-        f"before     M={lc.m!r}  H={lc.h!r}  kernel={before_kernel!r}",
-        f"after      M={after.m!r}  H={after.h!r}  kernel={after_kernel!r}",
-        f"drift      {report['kernel_drift']['abs']!r}",
-        f"normalized kernel before={before_norm!r} after={after_norm!r}",
-    ]
-    return report, lines
 
 
-def _cmd_invariant(args: argparse.Namespace) -> int:
+def _cmd_invariant(args: argparse.Namespace) -> dict:
     if (args.family is None) == (args.matrix is None):
         raise _CliInputError("give exactly one of --family or --matrix")
     lc, _, echo = _resolve_coefficients(args)
     if args.family is not None:
-        report, lines = _invariant_family(args, lc, echo)
-    else:
-        report, lines = _invariant_matrix(args, lc, echo)
-    _emit(report, args.json, lines)
-    return EXIT_OK
+        return _invariant_family(args, lc, echo)
+    return _invariant_matrix(args, lc, echo)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> dict:
     lc, cloud, echo = _resolve_coefficients(args)
     cases = []
-    lines = [f"before  M={lc.m!r}  H={lc.h!r}"]
-    for name, literal, family in _SIMULATION_CASES:
-        if literal is None:
-            matrix = Matrix2.rotation(math.pi / 3.0)
-        else:
-            matrix = parse_matrix(literal)
+    for name, matrix, family in _SIMULATION_CASES:
         spec = family.derivative_coefficients()
-        after = induced_coefficients(matrix, lc)
-        before_kernel = kernel_value(spec, lc.m, lc.h)
-        after_kernel = kernel_value(spec, after.m, after.h)
-        case = {
-            "name": name,
-            "matrix": list(matrix.entries()),
-            "after": {"m": after.m, "h": after.h},
-            "kernel_before": before_kernel,
-            "kernel_after": after_kernel,
-            "drift": _drift(before_kernel, after_kernel),
-        }
-        lines.append(
-            f"{name:17s} after M={after.m!r} H={after.h!r}  "
-            f"kernel {before_kernel!r} -> {after_kernel!r}  "
-            f"drift={case['drift']['abs']!r}")
-        if family == DIAGONAL:
-            case["h_over_m2_before"] = lc.h / (lc.m * lc.m)
-            case["h_over_m2_after"] = after.h / (after.m * after.m)
-            lines.append(
-                f"{'':17s} H/M^2 {case['h_over_m2_before']!r} -> "
-                f"{case['h_over_m2_after']!r}")
+        case = {"name": name, "matrix": list(matrix.entries()),
+                **_evaluation(matrix, spec, lc, family == DIAGONAL)}
         if cloud is not None:
-            image = apply_to_cloud(matrix, cloud)
-            direct = linear_coefficients(image)
+            direct = linear_coefficients(apply_to_cloud(matrix, cloud))
+            after = case["after"]
             case["after_direct"] = {"m": direct.m, "h": direct.h}
-            case["closed_vs_direct"] = max(abs(direct.m - after.m),
-                                           abs(direct.h - after.h))
+            case["closed_vs_direct"] = max(abs(direct.m - after["m"]),
+                                           abs(direct.h - after["h"]))
         cases.append(case)
-    report = {
+    return {
         "schema": SCHEMA,
         "command": "simulate",
         "inputs": echo,
         "before": {"m": lc.m, "h": lc.h},
         "cases": cases,
     }
-    _emit(report, args.json, lines)
-    return EXIT_OK
 
 
 # ------------------------------------------------------------------ driver
@@ -421,7 +371,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(args), args.json)
+        return EXIT_OK
     except DegenerateGenerator as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE_GENERATOR

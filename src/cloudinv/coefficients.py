@@ -1,9 +1,10 @@
 """Least-squares linear coefficients of planar point clouds.
 
-A cloud is summarized by two numbers: the slope M of its least-squares
-straight line and a companion ratio H of centered second moments.  Both are
-quotients of the centered sums (M_n, H_n, D), so the moments (mean x, mean y,
-Sxx, Sxy, Syy) are a sufficient statistic.  A cloud reduces them once, when
+A cloud is summarized by its scatter matrix S = [[D, M_n], [M_n, H_n]] of
+centered second-moment sums (:class:`Scatter`).  The slope M of its
+least-squares straight line and a companion ratio H are the chart
+(M, H) = (M_n/D, H_n/D) on S, so the moments (mean x, mean y, Sxx, Sxy,
+Syy) are a sufficient statistic.  A cloud reduces them once, when
 it is built: one pass over fixed-size chunks shifts each chunk by a mean
 before the quadratic sums are formed (no cancellation on offset clouds) and
 merges the chunk results pairwise (Chan, Golub & LeVeque 1979).  The
@@ -312,11 +313,13 @@ class Cloud:
         return f"Cloud(n={len(self)})"
 
 
-class RawSums(_Value):
-    """The centered second-moment sums (M_n, H_n, D) of a cloud.
+class Scatter(_Value):
+    """The symmetric scatter matrix S = [[d, mn], [mn, hn]] of a cloud.
 
-    For any real cloud: d >= 0, hn >= 0 and hn*d >= mn**2 (Cauchy-Schwarz),
-    with equality exactly on collinear clouds.
+    Its entries are the centered sums (M_n, H_n, D).  (M, H) = (mn/d, hn/d)
+    is a chart on S; the chart point ``LinearCoefficients(m, h)`` is the
+    scatter with d = 1.  For any real cloud: d >= 0, hn >= 0 and
+    hn*d >= mn**2 (Cauchy-Schwarz), with equality exactly on collinear clouds.
     """
 
     __slots__ = ("mn", "hn", "d")
@@ -324,31 +327,29 @@ class RawSums(_Value):
     def __init__(self, mn: float, hn: float, d: float) -> None:
         mn, hn, d = float(mn), float(hn), float(d)
         if not (math.isfinite(mn) and math.isfinite(hn) and math.isfinite(d)):
-            raise self._not_finite("raw sum ", mn, hn, d)
+            raise self._not_finite("scatter ", mn, hn, d)
         object.__setattr__(self, "mn", mn)
         object.__setattr__(self, "hn", hn)
         object.__setattr__(self, "d", d)
 
+    @property
+    def m(self) -> float:
+        """The slope M = mn / d (ZeroDivisionError at d = 0)."""
+        return self.mn / self.d
 
-class LinearCoefficients(_Value):
-    """The pair (M, H) identifying a cloud: slope and constant term.
-
-    Satisfies h >= m**2 when produced from a valid cloud, with equality
-    exactly on collinear clouds.
-    """
-
-    __slots__ = ("m", "h")
-
-    def __init__(self, m: float, h: float) -> None:
-        m, h = float(m), float(h)
-        if not (math.isfinite(m) and math.isfinite(h)):
-            raise self._not_finite("coefficient ", m, h)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "h", h)
+    @property
+    def h(self) -> float:
+        """The constant term H = hn / d (ZeroDivisionError at d = 0)."""
+        return self.hn / self.d
 
 
-def raw_sums(cloud: Cloud) -> RawSums:
-    """The centered sums (M_n, H_n, D) of a cloud: n times its co-moments.
+def LinearCoefficients(m: float, h: float) -> Scatter:
+    """The chart point (M, H): the scatter (m, h, 1)."""
+    return Scatter(m, h, 1.0)
+
+
+def raw_sums(cloud: Cloud) -> Scatter:
+    """The scatter S = (M_n, H_n, D) of a cloud: n times its co-moments.
 
     Reads the moments the cloud reduced when it was built (chunk by chunk,
     each chunk shifted by a mean, then merged), so this costs O(1).
@@ -357,7 +358,7 @@ def raw_sums(cloud: Cloud) -> RawSums:
     """
     n = len(cloud)
     mo = cloud._moments
-    return RawSums(n * mo.sxy, n * mo.syy, n * mo.sxx)
+    return Scatter(n * mo.sxy, n * mo.syy, n * mo.sxx)
 
 
 def _d_scale(cloud: Cloud) -> float:
@@ -367,8 +368,8 @@ def _d_scale(cloud: Cloud) -> float:
     return max(1.0, n * (mo.sxx + n * mo.mx * mo.mx))
 
 
-def linear_coefficients(cloud: Cloud) -> LinearCoefficients:
-    """Compute (M, H) = (M_n/D, H_n/D) for a cloud.
+def linear_coefficients(cloud: Cloud) -> Scatter:
+    """The chart point (M, H) = (M_n/D, H_n/D) of a cloud's scatter.
 
     Raises:
         DegenerateCloud: if D is zero within ``RTOL`` relative to

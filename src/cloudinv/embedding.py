@@ -30,8 +30,8 @@ class Embedding(_Value):
 def embed(target: Matrix2) -> Embedding:
     """The canonical pencil A(phi) = I + phi*(target - I).
 
-    Exact by construction: A(0) is the identity and A(1) is the target,
-    entry by entry.
+    A(0) is the identity; A(1) = I + (target - I) is the target only up to
+    rounding: target - I loses the low bits of an entry far below 1.
 
     Raises:
         DegenerateGenerator: target is a multiple of the identity.
@@ -52,8 +52,7 @@ def generator_for_matrix(target: Matrix2) -> FamilyGenerator:
             difference all vanish at that scale.
     """
     a, b, c, d = target.entries()
-    # Computed as embed's pencil computes it, so the two agree bit for bit.
-    delta = (a - 1.0) - (d - 1.0)
+    delta = a - d
     # Tested on delta itself, so a target that passes never yields three
     # zero coefficients.
     if max(abs(b), abs(c), abs(delta)) <= RTOL * target.max_abs_entry():

@@ -136,7 +136,8 @@ def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
     Raises:
         DegenerateGenerator: all three coefficients are zero (every function
             is trivially invariant, e.g. uniform-scaling families).
-        KernelSingular: the denominator is zero within tolerance.
+        KernelSingular: the denominator is zero within tolerance, or the
+            value overflows.
     """
     if ks.is_degenerate():
         raise DegenerateGenerator(
@@ -147,7 +148,10 @@ def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
     if abs(den) <= RTOL * max(1.0, scale):
         raise KernelSingular(
             f"kernel denominator {den} is zero within tolerance at ({m}, {h})")
-    return (m * m - h) / (den * den)
+    value = (m * m - h) / (den * den)
+    if not math.isfinite(value):
+        raise KernelSingular(f"kernel non-finite at ({m}, {h}): {value}")
+    return value
 
 
 # The named pencils: identity at phi = 1 for DIAGONAL, at phi = 0 for the shears.

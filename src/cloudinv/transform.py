@@ -2,15 +2,16 @@
 
 Transforming every cloud point by an invertible matrix (a b; c d) induces a
 rational transformation of the linear coefficients.  This module provides
-the pointwise cloud action, the closed-form induced maps at both the
-raw-sum and the coefficient level, and matrix literal parsing.
+the pointwise cloud action, the closed-form induced map as the congruence
+S -> T S T^T of a cloud's scatter matrix and as the chart point of that
+image, and matrix literal parsing.
 """
 from __future__ import annotations
 
 import json
 import math
 
-from .coefficients import RTOL, Cloud, LinearCoefficients, RawSums, _Value
+from .coefficients import RTOL, Cloud, LinearCoefficients, Scatter, _Value
 from .errors import DegenerateImage, NonInvertibleMatrix
 
 
@@ -143,40 +144,38 @@ def apply_to_cloud(m: Matrix2, cloud: Cloud) -> Cloud:
     return Cloud._own(cloud.xs, cloud.ys, m.entries())
 
 
-def _congruence(t: Matrix2, mn: float, hn: float,
-                dx: float) -> tuple[float, float, float]:
-    """(mn, hn, dx) of T S T^T for the scatter matrix S = [[dx, mn], [mn, hn]]:
-    the one quadratic form behind both induced maps."""
-    a, b, c, d = t.a, t.b, t.c, t.d
-    return ((a * d + b * c) * mn + b * d * hn + a * c * dx,
-            2.0 * c * d * mn + d * d * hn + c * c * dx,
-            2.0 * a * b * mn + b * b * hn + a * a * dx)
-
-
-def induced_raw(m: Matrix2, rs: RawSums) -> RawSums:
-    """Closed-form image of the raw sums under an invertible matrix."""
-    _require_invertible(m)
-    return RawSums(*_congruence(m, rs.mn, rs.hn, rs.d))
-
-
-def induced_coefficients(m: Matrix2, lc: LinearCoefficients) -> LinearCoefficients:
-    """Closed-form image of (M, H) under an invertible matrix.
+def induced_raw(t: Matrix2, s: Scatter) -> Scatter:
+    """T S T^T: the scatter of the image of a cloud with scatter S under an
+    invertible matrix T, the one quadratic form behind both induced maps.
 
     Raises:
-        DegenerateImage: the common denominator 2abM + b^2 H + a^2 vanishes
-            within tolerance; the transformed cloud would have all x equal.
-        ValueError: the denominator overflows.
+        ValueError: an entry of T S T^T overflows.
     """
-    _require_invertible(m)
-    m_num, h_num, den = _congruence(m, lc.m, lc.h, 1.0)
-    if not math.isfinite(den):
-        raise ValueError(
-            f"induced map overflows: denominator 2abM + b^2 H + a^2 is {den}")
-    a, b = m.a, m.b
-    scale = abs(2.0 * a * b * lc.m) + abs(b * b * lc.h) + a * a
-    if abs(den) <= RTOL * max(1.0, scale):
+    _require_invertible(t)
+    a, b, c, d = t.a, t.b, t.c, t.d
+    image = ((a * d + b * c) * s.mn + b * d * s.hn + a * c * s.d,
+             2.0 * c * d * s.mn + d * d * s.hn + c * c * s.d,
+             2.0 * a * b * s.mn + b * b * s.hn + a * a * s.d)
+    if not all(map(math.isfinite, image)):
+        raise ValueError(f"induced map overflows: T S T^T is {image}")
+    return Scatter(*image)
+
+
+def induced_coefficients(t: Matrix2, s: Scatter) -> Scatter:
+    """Closed-form image of (M, H) under an invertible matrix: the chart
+    point of T S T^T, for the chart point of a cloud or any scatter S.
+
+    Raises:
+        DegenerateImage: the image's D = 2ab M_n + b^2 H_n + a^2 D vanishes
+            within tolerance; the transformed cloud would have all x equal.
+        ValueError: the induced map overflows.
+    """
+    image = induced_raw(t, s)
+    a, b = t.a, t.b
+    scale = abs(2.0 * a * b * s.mn) + abs(b * b * s.hn) + a * a * s.d
+    if abs(image.d) <= RTOL * max(s.d, scale):
         raise DegenerateImage(
-            f"induced-map denominator {den} is zero within tolerance; the "
+            f"induced-map denominator {image.d} is zero within tolerance; the "
             "image cloud has no x-spread"
         )
-    return LinearCoefficients(m_num / den, h_num / den)
+    return LinearCoefficients(image.m, image.h)

@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from cloudinv import read_cloud_csv
+from cloudinv import cli, read_cloud_csv
 from cloudinv.cli import main
 from cloudinv.coefficients import _CHUNK
 from conftest import REF_H, REF_M, traced_peak
@@ -290,6 +291,12 @@ class TestBadInputExitCodes:
         (["invariant", "--coeffs", "1.5,3.5", "--family", "rot", "--phi", "0.5,nan"], 2),
         (["invariant", "--coeffs", "1.5,3.5", "--family", "diag", "--phi", "inf"], 2),
         (["invariant", "--coeffs", "1.5,3.5", "--family", "diag", "--phi", "nan"], 2),
+        # Kernels that overflow to NaN or -inf, in either output form.
+        (["invariant", "--coeffs", "1e200,1e300", "--family", "upper", "--json"], 2),
+        (["invariant", "--coeffs", "1e-11,1e300", "--family", "diag", "--json"], 2),
+        (["invariant", "--coeffs", "1e200,1e300", "--family", "upper"], 2),
+        (["simulate", "--coeffs", "nan,1"], 2),
+        (["simulate", "--coeffs", "1,x"], 2),
     ])
     def test_exit_code_and_one_error_line(self, capsys, argv, exit_code):
         code, out, err = run(capsys, *argv)
@@ -300,6 +307,12 @@ class TestBadInputExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         if "--phi" in argv:
             assert lines[0].startswith("error: bad --phi list")
+
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_non_finite_report_prints_nothing(self, capsys, as_json):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._emit({"a": 1.0, "b": [{"c": math.nan}]}, as_json)
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("message", ["Unable to allocate 745. TiB", ""])
     def test_out_of_memory(self, capsys, monkeypatch, message):

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudinv import (Cloud, DegenerateCloud, Matrix2, Point, apply_to_cloud,
-                      is_collinear, linear_coefficients, raw_sums,
-                      read_cloud_csv, write_cloud_csv)
+from cloudinv import (KINDS, Cloud, CloudGenSpec, DegenerateCloud, Matrix2, Point,
+                      apply_to_cloud, generate_cloud, is_collinear,
+                      linear_coefficients, raw_sums, read_cloud_csv,
+                      write_cloud_csv)
 from cloudinv.coefficients import _CHUNK, _DOT
 from conftest import assert_sums_close, traced_peak, two_pass_sums
 
@@ -61,6 +62,16 @@ class TestRawSums:
     def test_duplicated_point(self):
         rs = raw_sums(Cloud([(3.5, -2.0), (3.5, -2.0)]))
         assert (rs.mn, rs.hn, rs.d) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [300, 70_000])
+@pytest.mark.parametrize("kind", KINDS)
+def test_raw_sums_chart_point_is_linear_coefficients(kind, n):
+    # The same division mn / d, so the same bits.
+    cloud = generate_cloud(CloudGenSpec(kind, n, seed=7))
+    rs, lc = raw_sums(cloud), linear_coefficients(cloud)
+    assert (rs.m, rs.h) == (lc.m, lc.h)
+    assert lc.d == 1.0
 
 
 class TestLinearCoefficients:

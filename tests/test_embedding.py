@@ -25,6 +25,17 @@ def _invariant_exit(capsys, target):
     return code, capsys.readouterr().err
 
 
+def _assert_pencil_derivative(target):
+    """The embedded pencil's derivative is generator_for_matrix(target): b'
+    and g' exactly, delta within 2**-50 * max(1, |a|, |d|), since the pencil
+    forms it as (a - 1) - (d - 1) and the generator as a - d."""
+    fg = generator_for_matrix(target)
+    pencil = embed(target).family.derivative_coefficients()
+    a, _, _, d = target.entries()
+    assert (pencil.bprime, pencil.gprime) == (fg.bprime, fg.gprime)
+    assert abs(pencil.delta - fg.delta) <= 2.0 ** -50 * max(1.0, abs(a), abs(d))
+
+
 class TestUniformScalingThreshold:
     """T counts as a multiple of the identity when b, c and the diagonal
     difference are at most 1e-12 of its largest entry, at every scale."""
@@ -48,7 +59,7 @@ class TestUniformScalingThreshold:
         target = _near_scaling(k, direction, 2e-12)
         fg = generator_for_matrix(target)
         assert not fg.is_degenerate()
-        assert embed(target).family.derivative_coefficients() == fg
+        _assert_pencil_derivative(target)
         # Below unit scale the kernel denominator can still fall under its
         # max(1, scale) floor, which is a separate test (exit 2).
         try:
@@ -61,9 +72,15 @@ class TestUniformScalingThreshold:
 
 def test_generator_is_the_embedded_pencils_derivative(rng):
     for _ in range(200):
-        target = random_invertible(rng)
-        assert generator_for_matrix(target) == \
-            embed(target).family.derivative_coefficients()
+        _assert_pencil_derivative(random_invertible(rng))
+
+
+def test_delta_is_the_diagonal_difference_below_unit_scale():
+    # (a - 1) - (d - 1) rounds this a - d = -3e-17 to -1.1e-16.
+    target = Matrix2.diagonal(1e-5, 1e-5 * (1 + 3e-12))
+    fg = generator_for_matrix(target)
+    assert fg.delta == target.a - target.d
+    assert (fg.bprime, fg.gprime) == (0.0, 0.0) and not fg.is_degenerate()
 
 
 class TestEmbed:

@@ -1,14 +1,17 @@
 """Golden CLI outputs: stdout, stderr and exit code must stay byte-identical.
 
 Each case is one argv; its recorded output lives in ``tests/golden/<name>.json``.
-After a deliberate output change, re-record with ``PYTHONPATH=src python
-tests/test_golden.py`` and name the change in CHANGES.md.
+After a deliberate output change, re-record the changed cases with
+``PYTHONPATH=src python tests/test_golden.py NAME...`` (every case when no
+name is given) and name the change in CHANGES.md.  The text form of every
+``--json`` case must hold the same report, one ``key  value`` line per leaf.
 """
 import contextlib
 import hashlib
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,7 +39,9 @@ CASES = {
     "simulate-two-segment": ["simulate", "--gen", "two-segment", "--n", "300",
                              "--seed", "4", "--json"],
     "coeffs-csv": ["coeffs", "--csv", CSV_NAME, "--json"],
+    "text-coeffs-csv": ["coeffs", "--csv", CSV_NAME],
     "transform-coeffs": ["transform", REF, "--matrix", "1,0.7;0,1", "--json"],
+    "text-transform-coeffs": ["transform", REF, "--matrix", "1,0.7;0,1"],
     "invariant-matrix-coeffs": ["invariant", REF, "--matrix",
                                 "[[0.4,-0.4],[-0.05,0.9]]", "--json"],
     "invariant-family-phi-list": ["invariant", REF, "--family", "diag",
@@ -97,13 +102,44 @@ def test_golden(name, tmp_path, monkeypatch):
                                      want["stderr"], want.get("dump_sha256"))
 
 
-def record():
+def leaves(node, key=""):
+    """(dotted key, leaf) for each leaf of a JSON report; items of a list of
+    objects are indexed, any other list is one leaf."""
+    if isinstance(node, dict):
+        return [kv for name, value in node.items()
+                for kv in leaves(value, f"{key}.{name}" if key else name)]
+    if isinstance(node, list) and node and all(isinstance(v, dict) for v in node):
+        return [kv for i, value in enumerate(node)
+                for kv in leaves(value, f"{key}[{i}]")]
+    return [(key, node)]
+
+
+@pytest.mark.parametrize("name", sorted(n for n, argv in CASES.items()
+                                        if "--json" in argv))
+def test_text_is_the_json_report(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / CSV_NAME).write_text(CSV_TEXT)
+    argv = CASES[name]
+    code, out, err, _ = run_case(argv)
+    report = dict(leaves(json.loads(out)))
+    text_code, text, text_err, _ = run_case([a for a in argv if a != "--json"])
+    assert (text_code, text_err) == (code, err) == (0, "")
+    rows = [line.split(None, 1) for line in text.splitlines()]
+    assert [key for key, _ in rows] == list(dict(rows))
+    assert {key: json.loads(value) for key, value in rows} == report
+
+
+def record(names=()):
+    """Re-record the named cases, or every case if none is named."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown golden cases: {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     here = os.getcwd()
     os.chdir(GOLDEN)
     try:
         Path(CSV_NAME).write_text(CSV_TEXT)
-        results = {name: run_case(argv) for name, argv in CASES.items()}
+        results = {name: run_case(CASES[name]) for name in names or CASES}
         os.remove(CSV_NAME)
     finally:
         os.chdir(here)
@@ -115,4 +151,4 @@ def record():
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cloudinv import (Cloud, DegenerateImage, LinearCoefficients, Matrix2,
-                      NonInvertibleMatrix, RawSums, apply_to_cloud,
+                      NonInvertibleMatrix, Scatter, apply_to_cloud,
                       induced_coefficients, induced_raw, linear_coefficients,
                       parse_matrix, raw_sums, write_cloud_csv)
 from cloudinv.coefficients import _CHUNK
@@ -218,16 +218,16 @@ class TestPendingImage:
 
 class TestInducedRaw:
     def test_identity(self):
-        rs = RawSums(0.3, 2.0, 6.0)
+        rs = Scatter(0.3, 2.0, 6.0)
         out = induced_raw(Matrix2.identity(), rs)
         assert (out.mn, out.hn, out.d) == (0.3, 2.0, 6.0)
 
     def test_diagonal(self):
-        out = induced_raw(Matrix2.diagonal(1, 2), RawSums(0.5, 2.0, 6.0))
+        out = induced_raw(Matrix2.diagonal(1, 2), Scatter(0.5, 2.0, 6.0))
         assert (out.mn, out.hn, out.d) == pytest.approx((1.0, 8.0, 6.0))
 
     def test_shear(self):
-        out = induced_raw(Matrix2(1, 0.7, 0, 1), RawSums(0.0, 2.0, 6.0))
+        out = induced_raw(Matrix2(1, 0.7, 0, 1), Scatter(0.0, 2.0, 6.0))
         assert (out.mn, out.hn, out.d) == pytest.approx((1.4, 2.0, 6.98))
 
     def test_matches_direct_recomputation(self, rng):
@@ -325,6 +325,27 @@ class TestInducedCoefficients:
             lc_hat = induced_coefficients(m, linear_coefficients(cloud))
             assert rs_hat.mn / rs_hat.d == pytest.approx(lc_hat.m, rel=1e-9, abs=1e-12)
             assert rs_hat.hn / rs_hat.d == pytest.approx(lc_hat.h, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_raw_sums_give_the_chart_points_image(self, rng, offset):
+        # T S T^T of the raw sums and of the chart point (D = 1) have the same
+        # quotients; only the rounding of the terms differs.
+        for _ in range(300):
+            cloud = random_cloud(rng, offset=offset)
+            t = random_invertible(rng)
+            want = induced_coefficients(t, linear_coefficients(cloud))
+            got = induced_coefficients(t, raw_sums(cloud))
+            scale = max(abs(want.m), abs(want.h))
+            assert abs(got.m - want.m) <= 1e-13 * scale
+            assert abs(got.h - want.h) <= 1e-13 * scale
+
+    def test_scatter_of_a_vertical_line(self):
+        # D = 0 has no chart point, but its image under a shear does: x = y.
+        vertical = raw_sums(Cloud([(0.0, 0.0), (0.0, 1.0), (0.0, 2.0)]))
+        out = induced_coefficients(Matrix2(1, 1, 0, 1), vertical)
+        assert (out.m, out.h) == (1.0, 1.0)
+        with pytest.raises(DegenerateImage):
+            induced_coefficients(Matrix2.diagonal(1, 2), vertical)
 
     def test_oracle_equivalence_sample(self, rng):
         for _ in range(100):

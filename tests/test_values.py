@@ -9,20 +9,21 @@ import pytest
 
 from cloudinv import (DIAGONAL, CloudGenSpec, Embedding, FamilyGenerator,
                       LinearCoefficients, LinearFamily, Matrix2,
-                      NonInvertibleMatrix, Point, RawSums, RotationFamily,
+                      NonInvertibleMatrix, Point, RotationFamily, Scatter,
                       embed)
 
-# name -> (value, an equal value built with keywords, a different value of
-# the same type, repr text, field names).
+# constructor name -> (value, an equal value built with keywords, a
+# different value of the same type, repr text, field names).
 VALUES = {
     "Point": (Point(1, 2.5), Point(x=1.0, y=2.5), Point(1, 3), "Point(x=1.0, y=2.5)",
               ("x", "y")),
-    "RawSums": (RawSums(1, 2, 3), RawSums(mn=1.0, hn=2.0, d=3.0), RawSums(1, 2, 4),
-                "RawSums(mn=1.0, hn=2.0, d=3.0)", ("mn", "hn", "d")),
+    "Scatter": (Scatter(1, 2, 3), Scatter(mn=1.0, hn=2.0, d=3.0), Scatter(1, 2, 4),
+                "Scatter(mn=1.0, hn=2.0, d=3.0)", ("mn", "hn", "d")),
+    # The chart point (M, H) is the scatter with d = 1.
     "LinearCoefficients": (
         LinearCoefficients(1.52244, 2.46998),
         LinearCoefficients(m=1.52244, h=2.46998), LinearCoefficients(1.5, 2.5),
-        "LinearCoefficients(m=1.52244, h=2.46998)", ("m", "h")),
+        "Scatter(mn=1.52244, hn=2.46998, d=1.0)", ("mn", "hn", "d", "m", "h")),
     "Matrix2": (Matrix2(0.4, -0.4, -0.05, 0.9), Matrix2(a=0.4, b=-0.4, c=-0.05, d=0.9),
                 Matrix2(0.4, -0.4, -0.05, 1.0),
                 "Matrix2(a=0.4, b=-0.4, c=-0.05, d=0.9)", ("a", "b", "c", "d")),
@@ -57,12 +58,14 @@ VALUES = {
 }
 
 NAMES = sorted(VALUES)
+# Constructors that are functions, and the type of the value they return.
+TYPE_NAMES = {"LinearCoefficients": "Scatter"}
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_equality_and_hash(name):
     value, same, other, _, fields = VALUES[name]
-    assert type(value).__name__ == name
+    assert type(value).__name__ == TYPE_NAMES.get(name, name)
     assert value == same and not value != same
     assert hash(value) == hash(same)
     assert value != other and not value == other
@@ -120,7 +123,7 @@ def test_fields_are_converted():
     assert all(type(v) is float for v in Matrix2(1, 0, 0, 1).entries())
     assert all(type(v) is float for v in Matrix2.unchecked(1, 2, 2, 4).entries())
     assert type(Point(1, 2).x) is float
-    assert type(RawSums(1, 2, 3).d) is float
+    assert type(Scatter(1, 2, 3).d) is float
     assert type(LinearCoefficients(1, 2).h) is float
     assert type(FamilyGenerator(1, 0, 0).bprime) is float
     family = LinearFamily([1, 0, 0, 1], [0, 1, 0, 0])
@@ -133,11 +136,13 @@ INF, NAN = math.inf, math.nan
 INVALID = [
     (lambda: Point(NAN, 0), ValueError, r"point coordinates must be finite"),
     (lambda: Point(0, -INF), ValueError, r"point coordinates must be finite"),
-    (lambda: RawSums(INF, 0, 0), ValueError, r"raw sum mn must be finite, got inf"),
-    (lambda: RawSums(0, NAN, 0), ValueError, r"raw sum hn must be finite"),
-    (lambda: RawSums(0, 0, -INF), ValueError, r"raw sum d must be finite, got -inf"),
-    (lambda: LinearCoefficients(NAN, 0), ValueError, r"coefficient m must be finite"),
-    (lambda: LinearCoefficients(0, INF), ValueError, r"coefficient h must be finite"),
+    (lambda: Scatter(INF, 0, 0), ValueError, r"scatter mn must be finite, got inf"),
+    (lambda: Scatter(0, NAN, 0), ValueError, r"scatter hn must be finite"),
+    (lambda: Scatter(0, 0, -INF), ValueError, r"scatter d must be finite, got -inf"),
+    (lambda: LinearCoefficients(NAN, 0), ValueError,
+     r"scatter mn must be finite, got nan"),
+    (lambda: LinearCoefficients(0, INF), ValueError,
+     r"scatter hn must be finite, got inf"),
     (lambda: Matrix2(NAN, 0, 0, 1), ValueError, r"matrix entry a must be finite"),
     (lambda: Matrix2(1, 0, 0, INF), ValueError, r"matrix entry d must be finite"),
     (lambda: Matrix2(1, 2, 2, 4), NonInvertibleMatrix, r"determinant 0\.0"),
@@ -174,6 +179,13 @@ INVALID = [
 def test_validation_errors(make, exc, match):
     with pytest.raises(exc, match=match):
         make()
+
+
+def test_linear_coefficients_is_the_chart_point():
+    lc = LinearCoefficients(m=1.52244, h=2.46998)
+    assert lc == Scatter(1.52244, 2.46998, 1.0)
+    assert (lc.m, lc.h) == (1.52244, 2.46998)
+    assert Scatter(3.0, 6.0, 2.0).m == 1.5 and Scatter(3.0, 6.0, 2.0).h == 3.0
 
 
 def test_limits_are_accepted():
