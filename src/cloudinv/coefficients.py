@@ -26,9 +26,11 @@ from .errors import DegenerateCloud
 if TYPE_CHECKING:
     import numpy as np
 
-# The package's one scale-relative tolerance, for the x-spread sum D, the
-# determinant, the identity and uniform-scaling tests, and the induced-map
-# and kernel denominators: a quantity within RTOL of its scale counts as zero.
+# The package's one tolerance.  A guarded quantity (the x-spread sum D, the
+# determinant, the identity and uniform-scaling tests, the induced-map and
+# kernel denominators) counts as zero when it is at most RTOL times the
+# largest value its expression can take for inputs of their magnitudes: a
+# bound of the quantity's own degree, with no unit floor.
 RTOL = 1e-12
 
 # Default tolerance for the collinearity test.
@@ -85,12 +87,14 @@ class _Value:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    @classmethod
-    def _not_finite(cls, what: str, *values: float) -> ValueError:
-        """The error naming the first field whose value is not finite."""
-        name, v = next((name, v) for name, v in zip(cls.__slots__, values)
-                       if not math.isfinite(v))
-        return ValueError(f"{what}{name} must be finite, got {v}")
+    def _set_floats(self, prefix: str, *values: float) -> None:
+        """Set the fields, in slot order, to the values as floats; the first
+        value that is not finite raises ValueError, naming its field."""
+        for name, v in zip(self.__slots__, values):
+            v = float(v)
+            if not math.isfinite(v):
+                raise ValueError(f"{prefix}{name} must be finite, got {v}")
+            object.__setattr__(self, name, v)
 
 
 class Point(_Value):
@@ -325,12 +329,7 @@ class Scatter(_Value):
     __slots__ = ("mn", "hn", "d")
 
     def __init__(self, mn: float, hn: float, d: float) -> None:
-        mn, hn, d = float(mn), float(hn), float(d)
-        if not (math.isfinite(mn) and math.isfinite(hn) and math.isfinite(d)):
-            raise self._not_finite("scatter ", mn, hn, d)
-        object.__setattr__(self, "mn", mn)
-        object.__setattr__(self, "hn", hn)
-        object.__setattr__(self, "d", d)
+        self._set_floats("scatter ", mn, hn, d)
 
     @property
     def m(self) -> float:
@@ -361,22 +360,17 @@ def raw_sums(cloud: Cloud) -> Scatter:
     return Scatter(n * mo.sxy, n * mo.syy, n * mo.sxx)
 
 
-def _d_scale(cloud: Cloud) -> float:
-    # n * sum(x**2), from the moments: sum(x**2) = Sxx + n * mean_x**2.
-    n = len(cloud)
-    mo = cloud._moments
-    return max(1.0, n * (mo.sxx + n * mo.mx * mo.mx))
-
-
 def linear_coefficients(cloud: Cloud) -> Scatter:
     """The chart point (M, H) = (M_n/D, H_n/D) of a cloud's scatter.
 
     Raises:
-        DegenerateCloud: if D is zero within ``RTOL`` relative to
-            the cloud's coordinate scale (all x effectively equal).
+        DegenerateCloud: if D = n*sum(x**2) - sum(x)**2 is at most
+            RTOL * n*sum(x**2), its largest value (all x effectively equal).
     """
     rs = raw_sums(cloud)
-    if abs(rs.d) <= RTOL * _d_scale(cloud):
+    n, mo = len(cloud), cloud._moments
+    # sum(x**2) = Sxx + n * mean_x**2.
+    if abs(rs.d) <= RTOL * n * (mo.sxx + n * mo.mx * mo.mx):
         raise DegenerateCloud(
             f"x-spread sum D={rs.d} is zero within tolerance; "
             "least-squares line is vertical"
@@ -387,15 +381,15 @@ def linear_coefficients(cloud: Cloud) -> Scatter:
 def is_collinear(cloud: Cloud, tol: float = COLLINEARITY_RTOL) -> bool:
     """True iff the cloud lies on a straight line (any orientation).
 
-    Tests the Cauchy-Schwarz gap hn*d - mn**2 against tol*max(1, hn*d);
-    consistent with h == m**2 whenever d > 0, and also detects vertical
-    lines, where d == 0.
+    Tests the Cauchy-Schwarz gap hn*d - mn**2 against tol*hn*d, the gap's
+    largest value; consistent with h == m**2 whenever d > 0, and also
+    detects vertical lines, where d == 0.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     rs = raw_sums(cloud)
-    gap = rs.hn * rs.d - rs.mn * rs.mn
-    return gap <= tol * max(1.0, rs.hn * rs.d)
+    hd = rs.hn * rs.d
+    return hd - rs.mn * rs.mn <= tol * hd
 
 
 def read_cloud_csv(source: Union[str, IO[str]]) -> Cloud:

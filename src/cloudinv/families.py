@@ -89,10 +89,6 @@ class LinearFamily(_Value, OneParamFamily):
                 raise ValueError(f"{name} must be 4 finite entries, got {raw!r}")
             object.__setattr__(self, name, tuple(map(float, vals)))
 
-    @classmethod
-    def from_matrices(cls, a0: Matrix2, b: Matrix2) -> "LinearFamily":
-        return cls(a0.entries(), b.entries())
-
     def evaluate(self, phi: float) -> Matrix2:
         phi = float(phi)
         e = tuple(a + phi * b for a, b in zip(self.a0, self.b))
@@ -101,25 +97,16 @@ class LinearFamily(_Value, OneParamFamily):
     def identity_parameter(self) -> float:
         """Per-entry consistency solve for A(phi*) = identity.
 
-        Every entry with a nonzero B component proposes a candidate
-        phi = (target - a0) / b; all candidates must agree and all entries
-        with zero B component must already sit on the identity.
+        Every entry with a nonzero B component proposes phi = (target - a0)/b;
+        the one from the largest |b| (0.0 for a constant family) must satisfy
+        |a0 + phi*b - target| <= RTOL * (|a0| + |phi*b| + 1) at every entry,
+        where 1 is the size of the identity's own entries.
         """
-        scale = max(1.0, max(abs(v) for v in self.a0 + self.b))
         candidates = [(abs(b), (t - a) / b)
                       for a, b, t in zip(self.a0, self.b, _IDENTITY) if b != 0.0]
-        if not candidates:
-            # Constant family: identity parameter exists iff A0 is the identity.
-            if all(abs(a - t) <= RTOL * scale
-                   for a, t in zip(self.a0, _IDENTITY)):
-                return 0.0
-            raise NoIdentityParameter(
-                "constant family whose matrix is not the identity")
-        # Solve from the best-conditioned entry, then verify all four.
-        phi = max(candidates)[1]
-        mat = self.evaluate(phi)
-        tol = RTOL * max(scale, scale * abs(phi))
-        if all(abs(e - t) <= tol for e, t in zip(mat.entries(), _IDENTITY)):
+        phi = max(candidates)[1] if candidates else 0.0
+        if all(abs(a + phi * b - t) <= RTOL * (abs(a) + abs(phi * b) + 1.0)
+               for a, b, t in zip(self.a0, self.b, _IDENTITY)):
             return phi
         raise NoIdentityParameter(
             f"no phi makes A0 + phi*B the identity (best candidate {phi})")
@@ -136,8 +123,8 @@ def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
     Raises:
         DegenerateGenerator: all three coefficients are zero (every function
             is trivially invariant, e.g. uniform-scaling families).
-        KernelSingular: the denominator is zero within tolerance, or the
-            value overflows.
+        KernelSingular: the denominator is at most RTOL * (|H*b'| + |g'| +
+            |delta*M|), its largest value, or the value overflows.
     """
     if ks.is_degenerate():
         raise DegenerateGenerator(
@@ -145,7 +132,7 @@ def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
             "is invariant")
     den = h * ks.bprime - ks.gprime + ks.delta * m
     scale = abs(h * ks.bprime) + abs(ks.gprime) + abs(ks.delta * m)
-    if abs(den) <= RTOL * max(1.0, scale):
+    if abs(den) <= RTOL * scale:
         raise KernelSingular(
             f"kernel denominator {den} is zero within tolerance at ({m}, {h})")
     value = (m * m - h) / (den * den)

@@ -47,13 +47,7 @@ class FamilyGenerator(_Value):
     __slots__ = ("bprime", "gprime", "delta")
 
     def __init__(self, bprime: float, gprime: float, delta: float) -> None:
-        bprime, gprime, delta = float(bprime), float(gprime), float(delta)
-        if not (math.isfinite(bprime) and math.isfinite(gprime)
-                and math.isfinite(delta)):
-            raise self._not_finite("", bprime, gprime, delta)
-        object.__setattr__(self, "bprime", bprime)
-        object.__setattr__(self, "gprime", gprime)
-        object.__setattr__(self, "delta", delta)
+        self._set_floats("", bprime, gprime, delta)
 
     def is_degenerate(self) -> bool:
         return self.bprime == 0.0 and self.gprime == 0.0 and self.delta == 0.0

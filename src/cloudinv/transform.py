@@ -27,24 +27,14 @@ class Matrix2(_Value):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: float, b: float, c: float, d: float) -> None:
-        self._store(a, b, c, d)
+        self._set_floats("matrix entry ", a, b, c, d)
         _require_invertible(self)
-
-    def _store(self, a: float, b: float, c: float, d: float) -> None:
-        a, b, c, d = float(a), float(b), float(c), float(d)
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
-                and math.isfinite(d)):
-            raise self._not_finite("matrix entry ", a, b, c, d)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
 
     @classmethod
     def unchecked(cls, a: float, b: float, c: float, d: float) -> "Matrix2":
         """Construct without the invertibility check (finiteness still holds)."""
         m = object.__new__(cls)
-        m._store(a, b, c, d)
+        m._set_floats("matrix entry ", a, b, c, d)
         return m
 
     @classmethod
@@ -68,9 +58,9 @@ class Matrix2(_Value):
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
     def is_invertible(self) -> bool:
-        """|det| > RTOL * max(1, max|entry|)**2, evaluated on the
-        entries divided by max(1, max|entry|) so that no product overflows."""
-        s = max(1.0, self.max_abs_entry())
+        """|det| > RTOL * max|entry|**2, on the entries divided by max|entry|
+        (not for the zero matrix) so that no product overflows."""
+        s = self.max_abs_entry() or 1.0
         a, b, c, d = self.a / s, self.b / s, self.c / s, self.d / s
         return abs(a * d - b * c) > RTOL
 
@@ -80,7 +70,7 @@ class Matrix2(_Value):
             raise ValueError("kappa must be nonzero")
         return Matrix2(kappa * self.a, kappa * self.b, kappa * self.c, kappa * self.d)
 
-    def compose(self, other: "Matrix2") -> "Matrix2":
+    def __matmul__(self, other: "Matrix2") -> "Matrix2":
         """Matrix product self @ other (apply ``other`` first)."""
         return Matrix2(
             self.a * other.a + self.b * other.c,
@@ -88,9 +78,6 @@ class Matrix2(_Value):
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def __matmul__(self, other: "Matrix2") -> "Matrix2":
-        return self.compose(other)
 
     def entries(self) -> tuple[float, float, float, float]:
         return (self.a, self.b, self.c, self.d)
@@ -165,15 +152,23 @@ def induced_coefficients(t: Matrix2, s: Scatter) -> Scatter:
     """Closed-form image of (M, H) under an invertible matrix: the chart
     point of T S T^T, for the chart point of a cloud or any scatter S.
 
+    The chart point has degree 0 in T, so it is computed on T / 2**e with
+    2**(e-1) <= max|entry| < 2**e: an exact scaling that changes no bit of
+    the result unless an entry underflows, and keeps products from overflow.
+
     Raises:
-        DegenerateImage: the image's D = 2ab M_n + b^2 H_n + a^2 D vanishes
-            within tolerance; the transformed cloud would have all x equal.
+        DegenerateImage: the image's D = 2ab M_n + b^2 H_n + a^2 D is at most
+            RTOL * (|a| + |b|)**2 * max(|M_n|, |H_n|, |D|), its largest value
+            (this D, a and b of the scaled T): the image has all x equal.
         ValueError: the induced map overflows.
     """
-    image = induced_raw(t, s)
-    a, b = t.a, t.b
-    scale = abs(2.0 * a * b * s.mn) + abs(b * b * s.hn) + a * a * s.d
-    if abs(image.d) <= RTOL * max(s.d, scale):
+    # Checked on t itself, so that the error names the caller's matrix.
+    _require_invertible(t)
+    e = math.frexp(t.max_abs_entry())[1]
+    a, b, c, d = (math.ldexp(v, -e) for v in t.entries())
+    image = induced_raw(Matrix2.unchecked(a, b, c, d), s)
+    bound = (abs(a) + abs(b)) ** 2 * max(abs(s.d), abs(s.mn), abs(s.hn))
+    if abs(image.d) <= RTOL * bound:
         raise DegenerateImage(
             f"induced-map denominator {image.d} is zero within tolerance; the "
             "image cloud has no x-spread"

@@ -6,12 +6,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cloudinv import Cloud, Matrix2
 
 # The reference coefficient pair used throughout the worked examples.
 REF_M = 1.52244
 REF_H = 2.46998
+
+# Floats of magnitude 1e-3 to 1e3, or zero, for the power-of-two scaling
+# properties: scaled by 2**k, |k| <= 200, they stay far from underflow.
+magnitude = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
 
 
 def random_cloud(rng: np.random.Generator, n: int = 30,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cloudinv import (KINDS, Cloud, CloudGenSpec, DegenerateCloud, Matrix2, Point,
@@ -17,7 +17,7 @@ from cloudinv import (KINDS, Cloud, CloudGenSpec, DegenerateCloud, Matrix2, Poin
                       linear_coefficients, raw_sums, read_cloud_csv,
                       write_cloud_csv)
 from cloudinv.coefficients import _CHUNK, _DOT
-from conftest import assert_sums_close, traced_peak, two_pass_sums
+from conftest import assert_sums_close, magnitude, traced_peak, two_pass_sums
 
 TRIANGLE = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
 
@@ -95,6 +95,11 @@ class TestLinearCoefficients:
         with pytest.raises(DegenerateCloud):
             linear_coefficients(Cloud([(1e8, 0), (1e8, 1), (1e8, 2)]))
 
+    def test_small_cloud_is_not_vertical(self):
+        cloud = Cloud.from_arrays(np.array([0.0, 1e-7, 2e-7]),
+                                  np.array([0.0, 1e-7, 3e-7]))
+        assert linear_coefficients(cloud).m == pytest.approx(1.5, rel=1e-12)
+
 
 class TestIsCollinear:
     def test_exact_line(self):
@@ -113,6 +118,35 @@ class TestIsCollinear:
     def test_nan_tol_rejected(self):
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             is_collinear(Cloud(TRIANGLE), float("nan"))
+
+    def test_small_box_is_not_collinear(self, rng):
+        xs, ys = rng.uniform(0.0, 1e-4, (2, 100))
+        assert not is_collinear(Cloud.from_arrays(xs, ys))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(magnitude, magnitude), min_size=2, max_size=20),
+       st.integers(-200, 200), st.integers(-200, 200))
+def test_power_of_two_axis_scaling_is_exact(pts, i, j):
+    # x * 2**i and y * 2**j scale every moment exactly while the products the
+    # guards form stay normal floats, with room for the tolerance factor:
+    # then D, M and H scale exactly and no verdict changes.
+    xs, ys = np.array(pts).T
+    base = Cloud.from_arrays(xs, ys)
+    scaled = Cloud.from_arrays(np.ldexp(xs, i), np.ldexp(ys, j))
+    rs = raw_sums(base)
+    assume(all(v == 0.0 or abs(math.ldexp(v, 2 * (i + j))) >= 1e-290
+               for v in (rs.hn * rs.d, rs.mn * rs.mn)))
+    assert is_collinear(base) == is_collinear(scaled)
+    try:
+        lc = linear_coefficients(base)
+    except DegenerateCloud:
+        with pytest.raises(DegenerateCloud):
+            linear_coefficients(scaled)
+        return
+    got = linear_coefficients(scaled)
+    assert got.m == math.ldexp(lc.m, j - i)
+    assert got.h == math.ldexp(lc.h, 2 * (j - i))
 
 
 coords = st.floats(min_value=-100.0, max_value=100.0,

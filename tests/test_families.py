@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudinv import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR,
                       DegenerateGenerator, FamilyGenerator, KernelSingular,
@@ -8,7 +10,7 @@ from cloudinv import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR,
                       RotationFamily, apply_to_cloud, family_pde_residual,
                       induced_coefficients, kernel_value, linear_coefficients,
                       parse_family)
-from conftest import REF_H, REF_M, random_cloud
+from conftest import REF_H, REF_M, magnitude, random_cloud
 
 CASE_STUDY = LinearFamily((-2.0, -2.0, -0.25, 0.5), (12.0, 8.0, 1.0, 2.0))
 
@@ -87,6 +89,17 @@ class TestIdentityParameter:
     def test_constant_non_identity_family(self):
         fam = LinearFamily((2.0, 0.0, 0.0, 2.0), (0.0, 0.0, 0.0, 0.0))
         with pytest.raises(NoIdentityParameter):
+            fam.identity_parameter()
+
+    @pytest.mark.parametrize("fam", [
+        LinearFamily((2.0, 0.0, 0.0, 2.0), (0.0, 0.0, 0.0, 0.0)),
+        # A12 is 1e-7 at every phi; the large A11 and phi = -999999 must not
+        # hide that.
+        LinearFamily((1e6, 1e-7, 0.0, 1.0), (1.0, 0.0, 0.0, 0.0)),
+    ])
+    def test_each_entry_is_checked_at_its_own_scale(self, fam):
+        with pytest.raises(NoIdentityParameter,
+                           match=r"no phi makes A0 \+ phi\*B the identity"):
             fam.identity_parameter()
 
 
@@ -217,6 +230,23 @@ class TestKernelValue:
         # b'=1, g'=h, delta=0 makes the denominator h - h = 0.
         with pytest.raises(KernelSingular):
             kernel_value(FamilyGenerator(1.0, 2.0, 0.0), 1.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(magnitude, magnitude, magnitude, magnitude, magnitude,
+       st.integers(-200, 200))
+def test_power_of_two_scaling_of_the_generator_is_exact(bprime, gprime, delta,
+                                                        m, h, k):
+    # The denominator has degree 1 in (b', g', delta), so the kernel of the
+    # generator times 2**k is 4**-k times the kernel, or the same error.
+    fg = FamilyGenerator(bprime, gprime, delta)
+    try:
+        want = math.ldexp(kernel_value(fg, m, h), -2 * k)
+    except (DegenerateGenerator, KernelSingular) as exc:
+        with pytest.raises(type(exc)):
+            kernel_value(fg.scaled(2.0 ** k), m, h)
+        return
+    assert kernel_value(fg.scaled(2.0 ** k), m, h) == want
 
 
 ALL_FAMILIES = [v[0] for v in CLOSED_VARIANTS] + [CASE_STUDY]

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cloudinv import (Cloud, DegenerateImage, LinearCoefficients, Matrix2,
-                      NonInvertibleMatrix, Scatter, apply_to_cloud,
+from cloudinv import (Cloud, CloudInvError, DegenerateImage, LinearCoefficients,
+                      Matrix2, NonInvertibleMatrix, Scatter, apply_to_cloud,
                       induced_coefficients, induced_raw, linear_coefficients,
                       parse_matrix, raw_sums, write_cloud_csv)
 from cloudinv.coefficients import _CHUNK
@@ -33,16 +33,21 @@ class TestMatrix2:
         assert Matrix2(1e308, 1e308, -1e308, 1e308).is_invertible()
         assert not Matrix2.unchecked(1e308, 1e308, 1e308, 1e308).is_invertible()
 
-    @pytest.mark.parametrize("s", [1.0, 3.0, 1e150, 1e200])
+    @pytest.mark.parametrize("s", [1e-200, 2.0 ** -60, 1e-5, 0.5, 1.0, 3.0,
+                                   1e150, 1e200])
     def test_singularity_threshold_both_sides(self, s):
-        # |det| against 1e-12 * max(1, max|entry|)**2, just above and below.
+        # |det| against 1e-12 * max|entry|**2, just above and below.
         assert Matrix2.unchecked(s, 0.0, 0.0, 1.01e-12 * s).is_invertible()
         assert not Matrix2.unchecked(s, 0.0, 0.0, 0.99e-12 * s).is_invertible()
 
     def test_induced_map_overflow_is_value_error(self):
         m = Matrix2(1e308, 1e308, -1e308, 1e308)
         with pytest.raises(ValueError, match="overflows"):
-            induced_coefficients(m, LinearCoefficients(1.5, 3.5))
+            induced_raw(m, LinearCoefficients(1.5, 3.5))
+
+    def test_small_well_conditioned_matrix_is_invertible(self):
+        # Condition number about 1.2, entries far below unit scale.
+        assert Matrix2(1e-6, 2e-7, 0.0, 1e-6).is_invertible()
 
     def test_unchecked_allows_singular_but_ops_reject(self):
         m = Matrix2.unchecked(1.0, 0.0, 0.0, 0.0)
@@ -317,6 +322,18 @@ class TestInducedCoefficients:
         with pytest.raises(DegenerateCloud):
             linear_coefficients(apply_to_cloud(quarter, horizontal))
 
+    def test_a_sixteenth_of_the_matrix_has_the_same_image(self):
+        lc = LinearCoefficients(0.0, 0.5)
+        want = induced_coefficients(Matrix2.diagonal(1e-5, 1.0), lc)
+        assert induced_coefficients(Matrix2.diagonal(1e-5 / 16, 1 / 16), lc) == want
+
+    def test_huge_entries_do_not_overflow(self):
+        # The image is that of the matrix divided by 1e200.
+        got = induced_coefficients(Matrix2(1e200, 1.0, 0.0, 1e200), REF)
+        want = induced_coefficients(Matrix2(1.0, 1e-200, 0.0, 1.0), REF)
+        assert got.m == pytest.approx(want.m, rel=1e-15)
+        assert got.h == pytest.approx(want.h, rel=1e-15)
+
     def test_raw_and_coefficient_levels_agree(self, rng):
         for _ in range(100):
             cloud = random_cloud(rng)
@@ -373,15 +390,8 @@ def _try_matrix(a, b, c, d):
         return None
 
 
-# The singularity tests of Matrix2 and of the induced-map denominator are
-# relative to max(1, scale), an absolute floor below unit scale, so kappa*mat
-# can fail either one when mat passes it.  The pinned examples scale to
-# (0.0078125, 0; 0, 1.25e-10), a singular matrix, and to a denominator of
-# 3.9e-13.  Both sides must meet the same preconditions.
 @settings(max_examples=200, deadline=None)
 @given(entry, entry, entry, entry, coeff_m, kappa_s)
-@example(1.0, 0.0, 0.0, 1.6e-8, 0.0, 0.0078125)
-@example(1e-5, 0.0, 0.0, 1.0, 0.0, 0.0625)
 def test_kappa_scaling(a, b, c, d, m, kappa):
     mat = _try_matrix(a, b, c, d)
     scaled_mat = _try_matrix(kappa * a, kappa * b, kappa * c, kappa * d)
@@ -395,6 +405,34 @@ def test_kappa_scaling(a, b, c, d, m, kappa):
         return
     assert abs(scaled.m - base.m) <= 1e-12 * max(1.0, abs(base.m))
     assert abs(scaled.h - base.h) <= 1e-12 * max(1.0, abs(base.h))
+
+
+def _outcome(f, *args):
+    """The repr of f(*args), which tells apart any two floats that differ in
+    a bit, or the type of the package error it raises."""
+    try:
+        return repr(f(*args))
+    except CloudInvError as exc:
+        return type(exc)
+
+
+# T * 2**k is exact unless an entry underflows, and the invertibility test
+# and the chart point have degree 0 in T, so neither may change.  The pinned
+# examples scale to (2**-7, 0; 0, 1.25e-10), within 1e-12 of singular only
+# against an absolute floor, and to a denominator of 3.9e-13.
+@settings(max_examples=300, deadline=None)
+@given(entry, entry, entry, entry, coeff_m, st.integers(-500, 500))
+@example(1.0, 0.0, 0.0, 1.6e-8, 0.0, -7)
+@example(1e-5, 0.0, 0.0, 1.0, 0.0, -4)
+def test_power_of_two_scaling_of_the_matrix_is_exact(a, b, c, d, m, k):
+    entries = (a, b, c, d)
+    scaled = tuple(math.ldexp(v, k) for v in entries)
+    assume(all(math.ldexp(v, -k) == u for u, v in zip(entries, scaled)))
+    base, big = Matrix2.unchecked(*entries), Matrix2.unchecked(*scaled)
+    lc = LinearCoefficients(m, m * m + 0.5)
+    assert base.is_invertible() == big.is_invertible()
+    assert (_outcome(induced_coefficients, base, lc)
+            == _outcome(induced_coefficients, big, lc))
 
 
 def test_composition(rng):
