@@ -302,6 +302,10 @@ class TestBadInputExitCodes:
         (["transform", "--coeffs", "1.5,3.5", "--matrix", '[[1,2],["3",4]]'], 2),
         (["transform", "--coeffs", "1.5,3.5", "--matrix", "[[1,2],[3,true]]"], 2),
         (["transform", "--coeffs", "1.5,3.5", "--matrix", f"[[1{'0' * 400},0],[0,1]]"], 2),
+        # A finite 1e308 matrix maps (TestTransform); a literal past the
+        # float range reads as inf and is refused.
+        (["transform", "--coeffs", "1.5,3.5", "--matrix", "1e309,1;-1,1"], 2),
+        (["transform", "--coeffs", "1.5,3.5", "--matrix", "[[1,1],[-1,1e309]]"], 2),
         (["invariant", "--coeffs", "1.5,3.5", "--family", "rot", "--phi", "inf"], 2),
         (["invariant", "--coeffs", "1.5,3.5", "--family", "rot", "--phi", "0.5,nan"], 2),
         (["invariant", "--coeffs", "1.5,3.5", "--family", "diag", "--phi", "inf"], 2),
