@@ -26,11 +26,10 @@ from .errors import DegenerateCloud
 if TYPE_CHECKING:
     import numpy as np
 
-# The package's one tolerance.  A guarded quantity (the x-spread sum D, the
-# determinant, the identity and uniform-scaling tests, the induced-map and
-# kernel denominators) counts as zero when it is at most RTOL times the
-# largest value its expression can take for inputs of their magnitudes: a
-# bound of the quantity's own degree, with no unit floor.
+# The package's one tolerance.  A guarded quantity (D, the determinant, the
+# identity and uniform-scaling tests, the induced-map and kernel denominators)
+# is zero when at most RTOL times the largest value its expression can take
+# for inputs of their magnitudes: a bound of its own degree, no unit floor.
 RTOL = 1e-12
 
 # Default tolerance for the collinearity test.
@@ -381,15 +380,14 @@ def linear_coefficients(cloud: Cloud) -> Scatter:
 def is_collinear(cloud: Cloud, tol: float = COLLINEARITY_RTOL) -> bool:
     """True iff the cloud lies on a straight line (any orientation).
 
-    Tests the Cauchy-Schwarz gap hn*d - mn**2 against tol*hn*d, the gap's
-    largest value; consistent with h == m**2 whenever d > 0, and also
-    detects vertical lines, where d == 0.
+    Tests the Cauchy-Schwarz gap d - mn**2/hn against tol*d, its largest
+    value, in degree 2 so that no product underflows.  True on vertical
+    lines (d == 0) and horizontal ones (hn == 0); agrees with h == m**2.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     rs = raw_sums(cloud)
-    hd = rs.hn * rs.d
-    return hd - rs.mn * rs.mn <= tol * hd
+    return rs.hn == 0.0 or rs.mn * (rs.mn / rs.hn) >= (1.0 - tol) * rs.d
 
 
 def read_cloud_csv(source: Union[str, IO[str]]) -> Cloud:

@@ -124,7 +124,7 @@ def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
         DegenerateGenerator: all three coefficients are zero (every function
             is trivially invariant, e.g. uniform-scaling families).
         KernelSingular: the denominator is at most RTOL * (|H*b'| + |g'| +
-            |delta*M|), its largest value, or the value overflows.
+            |delta*M|), its largest value, or it or the value overflows.
     """
     if ks.is_degenerate():
         raise DegenerateGenerator(
@@ -132,6 +132,8 @@ def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
             "is invariant")
     den = h * ks.bprime - ks.gprime + ks.delta * m
     scale = abs(h * ks.bprime) + abs(ks.gprime) + abs(ks.delta * m)
+    if not math.isfinite(scale):
+        raise KernelSingular(f"kernel denominator overflows at ({m}, {h})")
     if abs(den) <= RTOL * scale:
         raise KernelSingular(
             f"kernel denominator {den} is zero within tolerance at ({m}, {h})")

@@ -139,38 +139,39 @@ def induced_raw(t: Matrix2, s: Scatter) -> Scatter:
         ValueError: an entry of T S T^T overflows.
     """
     _require_invertible(t)
-    a, b, c, d = t.a, t.b, t.c, t.d
+    return Scatter(*_congruence(s, *t.entries()))
+
+
+def _congruence(s: Scatter, a: float, b: float, c: float, d: float) -> tuple:
     image = ((a * d + b * c) * s.mn + b * d * s.hn + a * c * s.d,
              2.0 * c * d * s.mn + d * d * s.hn + c * c * s.d,
              2.0 * a * b * s.mn + b * b * s.hn + a * a * s.d)
     if not all(map(math.isfinite, image)):
         raise ValueError(f"induced map overflows: T S T^T is {image}")
-    return Scatter(*image)
+    return image
 
 
 def induced_coefficients(t: Matrix2, s: Scatter) -> Scatter:
     """Closed-form image of (M, H) under an invertible matrix: the chart
     point of T S T^T, for the chart point of a cloud or any scatter S.
-
-    The chart point has degree 0 in T, so it is computed on T / 2**e with
-    2**(e-1) <= max|entry| < 2**e: an exact scaling that changes no bit of
-    the result unless an entry underflows, and keeps products from overflow.
+    It has degree 0 in T, so it is computed on T / 2**e, 2**(e-1) <=
+    max|entry| < 2**e: exact unless an entry underflows, and no overflow.
 
     Raises:
-        DegenerateImage: the image's D = 2ab M_n + b^2 H_n + a^2 D is at most
-            RTOL * (|a| + |b|)**2 * max(|M_n|, |H_n|, |D|), its largest value
-            (this D, a and b of the scaled T): the image has all x equal.
+        DegenerateImage: the image's D = a^2 D + 2ab M_n + b^2 H_n is at most
+            RTOL * ((|a| + |b|)**2 |D| + |2ab M_n| + b^2 |H_n|), a, b of the
+            scaled T: D is charged at the row's size, so a = cos(pi/2) is 0.
         ValueError: the induced map overflows.
     """
-    # Checked on t itself, so that the error names the caller's matrix.
     _require_invertible(t)
-    e = math.frexp(t.max_abs_entry())[1]
-    a, b, c, d = (math.ldexp(v, -e) for v in t.entries())
-    image = induced_raw(Matrix2.unchecked(a, b, c, d), s)
-    bound = (abs(a) + abs(b)) ** 2 * max(abs(s.d), abs(s.mn), abs(s.hn))
-    if abs(image.d) <= RTOL * bound:
+    e = -math.frexp(t.max_abs_entry())[1]
+    a, b, c, d = [math.ldexp(v, e) for v in t.entries()]
+    mn, hn, dd = _congruence(s, a, b, c, d)
+    bound = ((abs(a) + abs(b)) ** 2 * abs(s.d) + abs(2.0 * a * b * s.mn)
+             + b * b * abs(s.hn))
+    if abs(dd) <= RTOL * bound:
         raise DegenerateImage(
-            f"induced-map denominator {image.d} is zero within tolerance; the "
+            f"induced-map denominator {dd} is zero within tolerance; the "
             "image cloud has no x-spread"
         )
-    return LinearCoefficients(image.m, image.h)
+    return LinearCoefficients(mn / dd, hn / dd)

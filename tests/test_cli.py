@@ -142,7 +142,36 @@ class TestTransform:
         assert got["h"] == pytest.approx(want.h, rel=1e-15)
 
 
+    @pytest.mark.parametrize("coeffs", ["0,1e12", "1e7,100000000000001"])
+    def test_large_h_under_the_identity(self, capsys, coeffs):
+        code, report, _ = run_json(capsys, "transform", "--coeffs", coeffs,
+                                   "--matrix", "1,0;0,1")
+        assert code == 0
+        assert report["after_closed_form"] == report["before"]
+
+    def test_y_spread_far_above_x_spread(self, capsys, tmp_path):
+        # The image of a box under diag(1, 2**20) has H near 1e12; the closed
+        # form must map it under the identity as the direct recomputation does.
+        out = tmp_path / "tall.csv"
+        code, _, _ = run_json(capsys, "transform", "--gen", "uniform-box",
+                              "--n", "1000", "--matrix", "1,0;0,1048576",
+                              "--dump-points", str(out))
+        assert code == 0
+        code, report, _ = run_json(capsys, "transform", "--csv", str(out),
+                                   "--matrix", "1,0;0,1")
+        assert code == 0
+        assert report["before"]["h"] > 1e12
+        assert report["after_closed_form"] == report["after_direct"]
+
+
 class TestInvariant:
+    @pytest.mark.parametrize("family", ["diag", "lower", "upper"])
+    def test_large_h(self, capsys, family):
+        code, _, _ = run_json(capsys, "invariant", "--coeffs",
+                              "1e7,100000000000001", "--family", family,
+                              "--phi", "0.5")
+        assert code == 0
+
     def test_upper_family_drift(self, capsys):
         code, report, _ = run_json(
             capsys, "invariant", "--gen", "two-segment", "--n", "2000",
@@ -292,6 +321,12 @@ class TestSeedEnvVar:
 class TestBadInputExitCodes:
     """Inputs that once escaped as tracebacks: each must give its documented
     exit code and a single error line."""
+
+    def test_overflowing_kernel_denominator(self, capsys):
+        code, out, err = run(capsys, "invariant", "--coeffs", "1.5,3.5",
+                             "--matrix", "1e308,1e308;-1e308,1e308")
+        assert (code, out) == (2, "")
+        assert err == "error: kernel denominator overflows at (1.5, 3.5)\n"
 
     @pytest.mark.parametrize("argv,exit_code", [
         (["invariant", "--coeffs", "1.5,3.5", "--matrix", "2,0;0,2"], 4),

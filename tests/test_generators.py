@@ -44,6 +44,13 @@ class TestFiniteDifferenceAgreement:
     def test_delta_at_unit_point(self):
         assert generator_fd_deviation(Param.DELTA, 1.0, 1.0, step=1e-5) <= 1e-8
 
+    @pytest.mark.parametrize("param", [Param.ALPHA, Param.GAMMA, Param.DELTA])
+    def test_large_h_when_b_stays_zero(self, param):
+        # These perturbations keep b = 0, so no image loses its x-spread.
+        m, h = 1e7, 1e14 + 1
+        size = max(map(abs, generator_value(param, m, h)))
+        assert generator_fd_deviation(param, m, h) <= 1e-6 * size
+
     def test_all_params_random_points(self, rng):
         for _ in range(100):
             m = rng.uniform(-3.0, 3.0)

@@ -322,6 +322,20 @@ class TestInducedCoefficients:
         with pytest.raises(DegenerateCloud):
             linear_coefficients(apply_to_cloud(quarter, horizontal))
 
+    @pytest.mark.parametrize("lc", [LinearCoefficients(0.0, 1e12),
+                                    LinearCoefficients(1e7, 1e14 + 1)])
+    @pytest.mark.parametrize("matrix", [Matrix2.identity(),
+                                        Matrix2.diagonal(3.0, 0.25),
+                                        Matrix2(1.0, 0.0, 5.0, 2.0)])
+    def test_large_h_maps_when_b_is_zero(self, lc, matrix):
+        # With b = 0 the image's D is a**2 D, with nothing cancelled, however
+        # large H is.
+        a, _, c, d = matrix.entries()
+        got = induced_coefficients(matrix, lc)
+        assert got.m == pytest.approx((c + d * lc.m) / a, rel=1e-15)
+        assert got.h == pytest.approx(
+            (c * c + 2 * c * d * lc.m + d * d * lc.h) / (a * a), rel=1e-15)
+
     def test_a_sixteenth_of_the_matrix_has_the_same_image(self):
         lc = LinearCoefficients(0.0, 0.5)
         want = induced_coefficients(Matrix2.diagonal(1e-5, 1.0), lc)
