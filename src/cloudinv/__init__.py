@@ -12,13 +12,13 @@ from .cloudgen import KINDS, CloudGenSpec, generate_cloud
 from .coefficients import (Cloud, LinearCoefficients, Point, Scatter,
                            is_collinear, linear_coefficients, raw_sums,
                            read_cloud_csv, write_cloud_csv)
-from .embedding import Embedding, embed, generator_for_matrix, kernel_for_matrix
 from .errors import (CloudInvError, DegenerateCloud, DegenerateGenerator,
                      DegenerateImage, KernelSingular, NoIdentityParameter,
                      NonInvertibleMatrix)
 from .families import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR,
-                       LinearFamily, OneParamFamily, RotationFamily,
-                       kernel_value, parse_family)
+                       LinearFamily, RotationFamily, embed,
+                       generator_for_matrix, kernel_for_matrix, kernel_value,
+                       parse_family)
 from .generators import (FamilyGenerator, Param, family_pde_residual,
                          full_pde_residuals, generator_fd_deviation,
                          generator_value)
@@ -31,13 +31,12 @@ __all__ = [
     "Cloud", "LinearCoefficients", "Point", "Scatter",
     "is_collinear", "linear_coefficients", "raw_sums",
     "read_cloud_csv", "write_cloud_csv",
-    "Embedding", "embed", "generator_for_matrix", "kernel_for_matrix",
     "CloudInvError", "DegenerateCloud", "DegenerateGenerator",
     "DegenerateImage", "KernelSingular", "NoIdentityParameter",
     "NonInvertibleMatrix",
     "DIAGONAL", "LOWER_TRIANGULAR", "UPPER_TRIANGULAR",
-    "LinearFamily", "OneParamFamily", "RotationFamily",
-    "kernel_value", "parse_family",
+    "LinearFamily", "RotationFamily", "embed", "generator_for_matrix",
+    "kernel_for_matrix", "kernel_value", "parse_family",
     "FamilyGenerator", "Param", "family_pde_residual", "full_pde_residuals",
     "generator_fd_deviation", "generator_value",
     "Matrix2", "apply_to_cloud", "induced_coefficients", "induced_raw",

@@ -29,10 +29,10 @@ from .cloudgen import KINDS, CloudGenSpec, generate_cloud
 from .coefficients import (Cloud, LinearCoefficients, Scatter, is_collinear,
                            linear_coefficients, raw_sums, read_cloud_csv,
                            write_cloud_csv)
-from .embedding import generator_for_matrix
 from .errors import CloudInvError, DegenerateGenerator, DegenerateImage
 from .families import (DIAGONAL, UPPER_TRIANGULAR, LinearFamily,
-                       RotationFamily, kernel_value, parse_family)
+                       RotationFamily, generator_for_matrix, kernel_value,
+                       parse_family)
 from .generators import FamilyGenerator
 from .transform import (Matrix2, apply_to_cloud, induced_coefficients,
                         parse_matrix)
@@ -232,7 +232,7 @@ def _cmd_transform(args: argparse.Namespace) -> dict:
 def _phi_list(text: str) -> list[float]:
     try:
         phis = [float(c) for c in text.split(",") if c.strip() != ""]
-        if all(map(math.isfinite, phis)):
+        if phis and all(map(math.isfinite, phis)):
             return phis
     except ValueError:
         pass
@@ -241,7 +241,7 @@ def _phi_list(text: str) -> list[float]:
 
 def _invariant_family(args: argparse.Namespace, lc: Scatter, echo: dict) -> dict:
     family = parse_family(args.family)
-    phis = _phi_list(args.phi) if args.phi else None
+    phis = _phi_list(args.phi) if args.phi is not None else None
     # Raises NoIdentityParameter even when --phi is given.
     identity = family.identity_parameter()
     if phis is None:

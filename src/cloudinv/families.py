@@ -1,22 +1,29 @@
-"""One-parameter matrix families A(phi) and their invariant kernels.
+"""One-parameter matrix families A(phi), a single matrix as a pencil, and
+their invariant kernels.
 
 Two family types cover every variant: the pencil A(phi) = A0 + phi*B
 (:class:`LinearFamily`) and rotation by phi (:class:`RotationFamily`).  The
 named pencils DIAGONAL = diag(1, phi), UPPER_TRIANGULAR = (1, phi; 0, 1) and
 LOWER_TRIANGULAR = (1, 0; phi, 1) are LinearFamily values.  Each family that
-passes through the identity yields derivative coefficients (b', g', delta)
-and the invariant kernel
+passes through the identity yields derivative coefficients (b', g', delta),
+the trace-free part of its direction at the identity, and the invariant
+kernel
 
     K(M, H) = (M^2 - H) / (H*b' - g' + delta*M)^2,
 
 every function of which takes the same value before and after transforming
 a cloud by any member of the family.
+
+Any invertible matrix T sits on the pencil I + phi*(T - I), through the
+identity at phi = 0 and T at phi = 1.  T - I and T have the same trace-free
+part, so T itself carries the pencil's kernel.  A target proportional to the
+identity changes no (M, H), so it has no kernel: every function of (M, H)
+is invariant.
 """
 from __future__ import annotations
 
 import math
 import sys
-from abc import ABC, abstractmethod
 
 from .coefficients import RTOL, _Value
 from .errors import DegenerateGenerator, KernelSingular, NoIdentityParameter
@@ -28,30 +35,13 @@ Entries = tuple[float, float, float, float]
 _IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
 
-class OneParamFamily(ABC):
-    """A matrix curve A(phi); invertibility is pointwise, not structural."""
-
-    __slots__ = ()
-
-    @abstractmethod
-    def evaluate(self, phi: float) -> Matrix2:
-        """The matrix A(phi).  May be singular for specific phi; operations
-        that need invertibility reject such matrices downstream."""
-
-    @abstractmethod
-    def identity_parameter(self) -> float:
-        """The phi* with A(phi*) = identity, or NoIdentityParameter."""
-
-    @abstractmethod
-    def derivative_coefficients(self) -> FamilyGenerator:
-        """(beta'(phi*), gamma'(phi*), alpha'(phi*) - delta'(phi*))."""
-
-    def kernel(self, m: float, h: float) -> float:
-        """The family's invariant kernel at (m, h)."""
-        return kernel_value(self.derivative_coefficients(), m, h)
+def _trace_free(a: float, b: float, c: float, d: float) -> FamilyGenerator:
+    """The trace-free part (b, c, a - d) of a direction (a b; c d): the
+    identity part only scales a cloud, so it is all a kernel depends on."""
+    return FamilyGenerator(b, c, a - d)
 
 
-class RotationFamily(_Value, OneParamFamily):
+class RotationFamily(_Value):
     """A(phi) = (cos phi, sin phi; -sin phi, cos phi); identity at phi = 0."""
 
     __slots__ = ()
@@ -64,15 +54,17 @@ class RotationFamily(_Value, OneParamFamily):
         return 0.0
 
     def derivative_coefficients(self) -> FamilyGenerator:
-        return FamilyGenerator(1.0, -1.0, 0.0)
+        """Of A'(0) = (0, 1; -1, 0)."""
+        return _trace_free(0.0, 1.0, -1.0, 0.0)
 
 
-class LinearFamily(_Value, OneParamFamily):
+class LinearFamily(_Value):
     """The pencil A(phi) = A0 + phi*B for fixed entry tuples A0 and B.
 
-    Neither A0 nor B needs to be invertible.  An identity parameter exists
-    only when the entries are mutually consistent; see
-    :meth:`identity_parameter`.
+    Neither A0 nor B needs to be invertible, so A(phi) may be singular for
+    some phi; operations that need invertibility reject such matrices
+    downstream.  An identity parameter exists only when the entries are
+    mutually consistent; see :meth:`identity_parameter`.
     """
 
     __slots__ = ("a0", "b")
@@ -112,9 +104,9 @@ class LinearFamily(_Value, OneParamFamily):
             f"no phi makes A0 + phi*B the identity (best candidate {phi})")
 
     def derivative_coefficients(self) -> FamilyGenerator:
+        """Of B; NoIdentityParameter if the pencil misses the identity."""
         self.identity_parameter()
-        b11, b12, b21, b22 = self.b
-        return FamilyGenerator(b12, b21, b11 - b22)
+        return _trace_free(*self.b)
 
 
 def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
@@ -143,6 +135,55 @@ def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
     return value
 
 
+def generator_for_matrix(target: Matrix2) -> FamilyGenerator:
+    """Derivative coefficients of the pencil I + phi*(target - I): the
+    trace-free part of target, with delta = a - d formed from its entries.
+
+    Raises:
+        DegenerateGenerator: target is a multiple of the identity within
+            RTOL relative to its largest entry: b, c and the diagonal
+            difference all vanish at that scale.
+    """
+    fg = _trace_free(*target.entries())
+    # Tested on delta itself, so a target that passes never yields three
+    # zero coefficients.
+    if max(abs(fg.bprime), abs(fg.gprime), abs(fg.delta)) <= \
+            RTOL * target.max_abs_entry():
+        raise DegenerateGenerator(
+            "target - I is a multiple of the identity (uniform scaling); "
+            "every function of (M, H) is invariant")
+    return fg
+
+
+def kernel_for_matrix(target: Matrix2, m: float, h: float) -> float:
+    """Invariant kernel value for an arbitrary invertible matrix.
+
+    Equals (M^2 - H) / (H*t12 - t21 + (t11 - t22)*M)^2 with t = target.
+
+    Raises:
+        DegenerateGenerator: target is a multiple of the identity (uniform
+            scaling), so every function is invariant.
+        KernelSingular: the denominator vanishes at (m, h).
+    """
+    return kernel_value(generator_for_matrix(target), m, h)
+
+
+def embed(target: Matrix2) -> LinearFamily:
+    """The canonical pencil A(phi) = I + phi*(target - I).
+
+    A(0) is the identity; A(1) = I + (target - I) is the target only up to
+    rounding: target - I loses the low bits of an entry far below 1, and so
+    does the pencil's delta = (a - 1) - (d - 1).  :func:`kernel_for_matrix`
+    is the exact route to the target's kernel.
+
+    Raises:
+        DegenerateGenerator: target is a multiple of the identity.
+    """
+    generator_for_matrix(target)
+    a, b, c, d = target.entries()
+    return LinearFamily(_IDENTITY, (a - 1.0, b, c, d - 1.0))
+
+
 # The named pencils: identity at phi = 1 for DIAGONAL, at phi = 0 for the shears.
 DIAGONAL = LinearFamily((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 UPPER_TRIANGULAR = LinearFamily(_IDENTITY, (0.0, 1.0, 0.0, 0.0))
@@ -156,7 +197,7 @@ _NAMED_FAMILIES = {
 }
 
 
-def parse_family(literal: str) -> OneParamFamily:
+def parse_family(literal: str) -> LinearFamily | RotationFamily:
     """Parse a family literal.
 
     Accepted forms: `diag`, `upper`, `lower`, `rot`, or `linear:A0|B` with

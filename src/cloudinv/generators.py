@@ -132,17 +132,17 @@ def family_pde_residual(fg: FamilyGenerator, kernel: Kernel, m: float,
                         h: float, step: float = DEFAULT_STEP) -> float:
     """Residual of the one-parameter invariance PDE for a kernel at (m, h).
 
-    Evaluates
-        [(H - 2M^2) b' - delta*M + g'] dI/dM
-          + 2 [g'*M - b'*H*M - delta*H] dI/dH
-    with the partials approximated by central differences of ``kernel``.
-    Zero (up to discretization error) exactly when the kernel is invariant
-    under the family.
+    Evaluates xi . grad I for the family's field xi = b'*xi_beta +
+    g'*xi_gamma + delta*xi_alpha (:func:`generator_value`; xi_delta is
+    -xi_alpha), with the partials approximated by central differences of
+    ``kernel``.  Zero (up to discretization error) exactly when the kernel
+    is invariant under the family.
     """
     d_dm, d_dh = _kernel_partials(kernel, m, h, step)
-    coef_m = (h - 2.0 * m * m) * fg.bprime - fg.delta * m + fg.gprime
-    coef_h = 2.0 * (fg.gprime * m - fg.bprime * h * m - fg.delta * h)
-    return coef_m * d_dm + coef_h * d_dh
+    fields = [generator_value(p, m, h) for p in (Param.BETA, Param.GAMMA, Param.ALPHA)]
+    xi1, xi2 = (fg.bprime * xb + fg.gprime * xg + fg.delta * xa
+                for xb, xg, xa in zip(*fields))
+    return xi1 * d_dm + xi2 * d_dh
 
 
 def full_pde_residuals(kernel: Kernel, m: float, h: float,

@@ -64,12 +64,6 @@ class Matrix2(_Value):
         a, b, c, d = self.a / s, self.b / s, self.c / s, self.d / s
         return abs(a * d - b * c) > RTOL
 
-    def scaled(self, kappa: float) -> "Matrix2":
-        """The matrix kappa * self (kappa must be nonzero)."""
-        if kappa == 0.0:
-            raise ValueError("kappa must be nonzero")
-        return Matrix2(kappa * self.a, kappa * self.b, kappa * self.c, kappa * self.d)
-
     def __matmul__(self, other: "Matrix2") -> "Matrix2":
         """Matrix product self @ other (apply ``other`` first)."""
         return Matrix2(

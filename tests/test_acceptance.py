@@ -257,7 +257,8 @@ def test_criterion_7_structural_properties():
         kappa = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
         try:
             base = induced_coefficients(matrix, lc)
-            scaled = induced_coefficients(matrix.scaled(kappa), lc)
+            scaled = induced_coefficients(
+                Matrix2(*(kappa * v for v in matrix.entries())), lc)
         except DegenerateImage:
             continue
         gap = max(abs(scaled.m - base.m) / max(1.0, abs(base.m)),

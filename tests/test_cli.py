@@ -345,6 +345,10 @@ class TestBadInputExitCodes:
         (["invariant", "--coeffs", "1.5,3.5", "--family", "rot", "--phi", "0.5,nan"], 2),
         (["invariant", "--coeffs", "1.5,3.5", "--family", "diag", "--phi", "inf"], 2),
         (["invariant", "--coeffs", "1.5,3.5", "--family", "diag", "--phi", "nan"], 2),
+        # A --phi list with no value is refused, not read as the identity.
+        (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", ","], 2),
+        (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", " "], 2),
+        (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", ""], 2),
         # Kernels that overflow to NaN or -inf, in either output form.
         (["invariant", "--coeffs", "1e200,1e300", "--family", "upper", "--json"], 2),
         (["invariant", "--coeffs", "1e-11,1e300", "--family", "diag", "--json"], 2),

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from cloudinv import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR,
                       DegenerateGenerator, FamilyGenerator, KernelSingular,
                       LinearCoefficients, LinearFamily, NoIdentityParameter,
-                      RotationFamily, apply_to_cloud, family_pde_residual,
+                      Param, RotationFamily, apply_to_cloud,
+                      family_pde_residual, generator_value,
                       induced_coefficients, kernel_value, linear_coefficients,
                       parse_family)
 from conftest import REF_H, REF_M, magnitude, random_cloud
@@ -172,6 +173,10 @@ class TestDerivativeCoefficients:
     def test_closed_forms(self, family, _, expected):
         fg = family.derivative_coefficients()
         assert (fg.bprime, fg.gprime, fg.delta) == expected
+        if isinstance(family, RotationFamily):
+            # A'(0) = J = (0, 1; -1, 0): to first order rotation is I + phi*J.
+            pencil = LinearFamily((1, 0, 0, 1), (0, 1, -1, 0))
+            assert fg == pencil.derivative_coefficients() == FamilyGenerator(1, -1, 0)
 
     def test_case_study(self):
         fg = CASE_STUDY.derivative_coefficients()
@@ -224,7 +229,7 @@ class TestKernelValue:
     def test_uniform_scaling_pencil_is_degenerate(self):
         fam = LinearFamily((1.0, 0.0, 0.0, 1.0), (2.0, 0.0, 0.0, 2.0))
         with pytest.raises(DegenerateGenerator):
-            fam.kernel(1.0, 2.0)
+            kernel_value(fam.derivative_coefficients(), 1.0, 2.0)
 
     def test_singular_denominator(self):
         # b'=1, g'=h, delta=0 makes the denominator h - h = 0.
@@ -359,3 +364,44 @@ class TestParseFamily:
         a0, b = (part, good) if side == "a0" else (good, part)
         with pytest.raises(ValueError):
             parse_family(f"linear:{a0}|{b}")
+
+
+class TestSymbolicDerivation:
+    """sympy derives what the family code assumes: the field of a direction B
+    is the field of its trace-free part (b12, b21, b11 - b22), and the kernel
+    -det S / L(S)^2 of T is invariant under the whole commutant
+    {alpha*I + beta*(T - I)}, not only under the pencil I + phi*(T - I)."""
+
+    @pytest.fixture(scope="class")
+    def sp(self):
+        return pytest.importorskip("sympy")
+
+    def test_field_of_a_direction_is_its_trace_free_part(self, sp):
+        m, h, eps = sp.symbols("m h eps", real=True)
+        b11, b12, b21, b22 = sp.symbols("b11 b12 b21 b22", real=True)
+        a = sp.eye(2) + eps * sp.Matrix([[b11, b12], [b21, b22]])
+        image = a * sp.Matrix([[1, m], [m, h]]) * a.T
+        chart = (image[0, 1] / image[0, 0], image[1, 1] / image[0, 0])
+        xi = {p: [sp.nsimplify(v) for v in generator_value(p, m, h)] for p in Param}
+        for i, coordinate in enumerate(chart):
+            derived = sp.diff(coordinate, eps).subs(eps, 0)
+            field = (b12 * xi[Param.BETA][i] + b21 * xi[Param.GAMMA][i]
+                     + (b11 - b22) * xi[Param.ALPHA][i])
+            assert sp.simplify(derived - field) == 0
+            assert sp.simplify(xi[Param.DELTA][i] + xi[Param.ALPHA][i]) == 0
+
+    def test_kernel_is_invariant_under_the_commutant(self, sp):
+        t11, t12, t21, t22, alpha, beta, d, mn, hn = sp.symbols(
+            "t11 t12 t21 t22 alpha beta d mn hn", real=True)
+        t = sp.Matrix([[t11, t12], [t21, t22]])
+        a = alpha * sp.eye(2) + beta * (t - sp.eye(2))
+
+        def lin(s):
+            # L(S) = b'*Hn - g'*D + delta*Mn, (b', g', delta) the trace-free
+            # part of T; on the chart point D = 1 it is H*b' - g' + delta*M.
+            return t12 * s[1, 1] - t21 * s[0, 0] + (t11 - t22) * s[0, 1]
+
+        s = sp.Matrix([[d, mn], [mn, hn]])
+        image = a * s * a.T
+        assert sp.simplify(lin(image) - a.det() * lin(s)) == 0
+        assert sp.simplify(image.det() - a.det() ** 2 * s.det()) == 0

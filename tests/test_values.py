@@ -7,10 +7,9 @@ import pickle
 
 import pytest
 
-from cloudinv import (DIAGONAL, CloudGenSpec, Embedding, FamilyGenerator,
+from cloudinv import (DIAGONAL, CloudGenSpec, FamilyGenerator,
                       LinearCoefficients, LinearFamily, Matrix2,
-                      NonInvertibleMatrix, Point, RotationFamily, Scatter,
-                      embed)
+                      NonInvertibleMatrix, Point, RotationFamily, Scatter)
 
 # constructor name -> (value, an equal value built with keywords, a
 # different value of the same type, repr text, field names).
@@ -38,14 +37,6 @@ VALUES = {
         CloudGenSpec("ellipse", 300),
         "CloudGenSpec(kind='ellipse', n=300, noise=0.05, seed=3)",
         ("kind", "n", "noise", "seed")),
-    "Embedding": (
-        embed(Matrix2(2, 1, 0, 3)),
-        Embedding(family=LinearFamily((1, 0, 0, 1), (1, 1, 0, 2)),
-                  target=Matrix2(2, 1, 0, 3)),
-        embed(Matrix2(2, 1, 0, 4)),
-        "Embedding(family=LinearFamily(a0=(1.0, 0.0, 0.0, 1.0), "
-        "b=(1.0, 1.0, 0.0, 2.0)), target=Matrix2(a=2.0, b=1.0, c=0.0, d=3.0))",
-        ("family", "target")),
     # A fieldless type has no other value of its own; DIAGONAL is a pencil.
     "RotationFamily": (RotationFamily(), RotationFamily(), DIAGONAL,
                        "RotationFamily()", ()),
