@@ -231,8 +231,8 @@ def _cmd_transform(args: argparse.Namespace) -> dict:
 
 def _phi_list(text: str) -> list[float]:
     try:
-        phis = [float(c) for c in text.split(",") if c.strip() != ""]
-        if phis and all(map(math.isfinite, phis)):
+        phis = [float(c) for c in text.split(",")]
+        if all(map(math.isfinite, phis)):
             return phis
     except ValueError:
         pass

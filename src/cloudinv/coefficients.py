@@ -3,15 +3,14 @@
 A cloud is summarized by its scatter matrix S = [[D, M_n], [M_n, H_n]] of
 centered second-moment sums (:class:`Scatter`).  The slope M of its
 least-squares straight line and a companion ratio H are the chart
-(M, H) = (M_n/D, H_n/D) on S, so the moments (mean x, mean y, Sxx, Sxy,
-Syy) are a sufficient statistic.  A cloud reduces them once, when
-it is built: one pass over fixed-size chunks shifts each chunk by a mean
-before the quadratic sums are formed (no cancellation on offset clouds) and
-merges the chunk results pairwise (Chan, Golub & LeVeque 1979).  The
-same pass copies the coordinates into one 2 x n block (``Cloud.from_arrays``),
-reduces arrays the cloud takes over (generated clouds), or reduces a matrix
-image chunk by chunk without writing it.  Every later query reads the cached
-moments.
+(M, H) = (M_n/D, H_n/D) on S, so the centered sums are a sufficient
+statistic.  A cloud reduces them once, when it is built, in one pass that
+reduces every fixed-size chunk by one rule (Chan, Golub & LeVeque 1979):
+shift by a mean, correct by the residual sum, merge.  So offset clouds lose
+nothing to cancellation, and a column of equal values has exactly zero
+spread.  The same pass copies the coordinates into one 2 x n block
+(``Cloud.from_arrays``), reduces arrays the cloud takes over (generated
+clouds), or reduces a matrix image chunk by chunk without writing it.
 """
 from __future__ import annotations
 
@@ -113,13 +112,12 @@ PointLike = Union[Point, Sequence[float]]
 
 
 class _Moments(NamedTuple):
-    """Means and centered second moments of a cloud's coordinates."""
+    """Centered second moments of a cloud's coordinates, and the bound q."""
 
-    mx: float
-    my: float
     sxx: float
     sxy: float
     syy: float
+    q: float
 
 
 _Entries = tuple[float, float, float, float]
@@ -134,17 +132,19 @@ def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[_Entries] = Non
     One pass over chunks of ``_CHUNK`` points.  Each chunk (read in place,
     copied to ``out``, or an image chunk written to ``out`` or else to a
     reused chunk-sized buffer) is, while still in cache, shifted into two
-    reusable buffers and reduced.  The first chunk is shifted by its own
-    mean, every later one by the running mean of the chunks before it (Chan,
-    Golub & LeVeque 1983), so no later chunk needs a pass for its own mean.
-    The residual sums r of a shifted chunk give its mean, shift + r/k, and
-    its centered sums, q - r*r/k from the shifted products q; each product
-    is one ``vecdot`` over ``_DOT``-point rows, summed in order.  The chunk
-    results are merged pairwise, with means held relative to the first
-    chunk's mean, so the merge keeps full accuracy on offset clouds.  A cloud
-    of one chunk gets exactly the sums of a plain two-pass reduction.  The
-    arithmetic does not depend on ``out``, so the moments are the same bits
-    with or without it.
+    reusable buffers and reduced by one rule (Chan, Golub & LeVeque 1983).
+    The shift is x0, the first chunk's own mean, plus the running mean held
+    relative to x0 (0 before the first chunk), so no later chunk needs a pass
+    for its own mean and offset clouds keep full accuracy.  The residual sums
+    r of the shifted chunk give its mean, shift + r/k, and its centered sums,
+    q - r*r/k from the shifted products q (each one ``vecdot`` over
+    ``_DOT``-point rows, summed in order), clamped to a positive semidefinite
+    2 x 2 matrix; the pairwise update, whose merge term is 0 on the first
+    chunk, then adds them in.  A column of equal values shifts to k copies
+    of one small number, so its centered sums are exactly 0.  The moments' q
+    sums the non-negative terms added into Sxx: each q of x and each
+    dx*dx*f.  The arithmetic does not depend on ``out``, so the moments are
+    the same bits with or without it.
     """
     import numpy as np
 
@@ -152,7 +152,7 @@ def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[_Entries] = Non
     cx, cy = np.empty((2, min(n, _CHUNK)))
     if out is None and t is not None:
         tx, ty = np.empty((2, min(n, _CHUNK)))
-    count = 0
+    mean_x = mean_y = acc_xx = acc_xy = acc_yy = acc_q = 0.0
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         k = hi - lo
@@ -172,12 +172,10 @@ def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[_Entries] = Non
             np.copyto(y, ys[lo:hi])
         else:
             x, y = xs[lo:hi], ys[lo:hi]
-        if count == 0:
+        if lo == 0:
             x0 = float(np.add.reduce(x)) / k
             y0 = float(np.add.reduce(y)) / k
-            sx, sy = x0, y0
-        else:
-            sx, sy = x0 + mean_x, y0 + mean_y
+        sx, sy = x0 + mean_x, y0 + mean_y
         np.subtract(x, sx, out=bx)
         np.subtract(y, sy, out=by)
         rx = float(np.add.reduce(bx))
@@ -195,21 +193,21 @@ def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[_Entries] = Non
                     sxx += pxx
                     sxy += pxy
                     syy += pyy
-        if count == 0:
-            mean_x, mean_y, acc_xx, acc_xy, acc_yy = ux, uy, sxx, sxy, syy
-        else:
-            total = count + k
-            dx = ux - mean_x
-            dy = uy - mean_y
-            w = k / total
-            mean_x += dx * w
-            mean_y += dy * w
-            f = count * w
-            acc_xx += max(sxx - rx * rx / k, 0.0) + dx * dx * f
-            acc_xy += sxy - rx * ry / k + dx * dy * f
-            acc_yy += max(syy - ry * ry / k, 0.0) + dy * dy * f
-        count += k
-    return _Moments(x0 + mean_x, y0 + mean_y, acc_xx, acc_xy, acc_yy)
+        dx = ux - mean_x
+        dy = uy - mean_y
+        w = k / hi
+        mean_x += dx * w
+        mean_y += dy * w
+        f = lo * w
+        cxx = max(sxx - rx * rx / k, 0.0)
+        cyy = max(syy - ry * ry / k, 0.0)
+        bound = math.sqrt(cxx) * math.sqrt(cyy)
+        gxx = dx * dx * f
+        acc_xx += cxx + gxx
+        acc_xy += min(max(sxy - rx * ry / k, -bound), bound) + dx * dy * f
+        acc_yy += cyy + dy * dy * f
+        acc_q += sxx + gxx
+    return _Moments(acc_xx, acc_xy, acc_yy, acc_q)
 
 
 class Cloud:
@@ -280,7 +278,7 @@ class Cloud:
         xs.flags.writeable = False
         ys.flags.writeable = False
         self._xs, self._ys, self._moments, self._t = xs, ys, moments, t
-        # A non-finite coordinate makes its axis mean non-finite; finite
+        # A non-finite coordinate makes the moments non-finite; finite
         # coordinates whose sums overflow are still a valid cloud.  Reading
         # ``self.xs`` writes a pending image first.
         if not all(map(math.isfinite, moments)) and not (
@@ -349,8 +347,7 @@ def LinearCoefficients(m: float, h: float) -> Scatter:
 def raw_sums(cloud: Cloud) -> Scatter:
     """The scatter S = (M_n, H_n, D) of a cloud: n times its co-moments.
 
-    Reads the moments the cloud reduced when it was built (chunk by chunk,
-    each chunk shifted by a mean, then merged), so this costs O(1).
+    Reads the moments the cloud reduced when it was built, so this costs O(1).
     Equal to N*sum(xy) - sum(x)*sum(y) etc. in exact arithmetic but without
     the catastrophic cancellation the raw formulas suffer on offset clouds.
     """
@@ -363,13 +360,13 @@ def linear_coefficients(cloud: Cloud) -> Scatter:
     """The chart point (M, H) = (M_n/D, H_n/D) of a cloud's scatter.
 
     Raises:
-        DegenerateCloud: if D = n*sum(x**2) - sum(x)**2 is at most
-            RTOL * n*sum(x**2), its largest value (all x effectively equal).
+        DegenerateCloud: if |D| is at most RTOL * n*Q, where Q is the sum of
+            the non-negative terms the reduction adds into Sxx (the shifted
+            sums of squares and the merge terms): a bound of D's own degree
+            that no translation of the cloud moves (all x effectively equal).
     """
     rs = raw_sums(cloud)
-    n, mo = len(cloud), cloud._moments
-    # sum(x**2) = Sxx + n * mean_x**2.
-    if abs(rs.d) <= RTOL * n * (mo.sxx + n * mo.mx * mo.mx):
+    if abs(rs.d) <= RTOL * len(cloud) * cloud._moments.q:
         raise DegenerateCloud(
             f"x-spread sum D={rs.d} is zero within tolerance; "
             "least-squares line is vertical"
@@ -383,6 +380,7 @@ def is_collinear(cloud: Cloud, tol: float = COLLINEARITY_RTOL) -> bool:
     Tests the Cauchy-Schwarz gap d - mn**2/hn against tol*d, its largest
     value, in degree 2 so that no product underflows.  True on vertical
     lines (d == 0) and horizontal ones (hn == 0); agrees with h == m**2.
+    A constant y has hn exactly 0, at any offset.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")

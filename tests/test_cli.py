@@ -61,6 +61,25 @@ class TestCoeffs:
         code, _, err = run(capsys, "coeffs", "--csv", str(path))
         assert code == 2
 
+    def test_horizontal_line_has_exactly_zero_spread(self, capsys, tmp_path):
+        # y is 0.1 three times: Hn is 0, not a rounding residue.
+        path = tmp_path / "flat.csv"
+        path.write_text("0,0.1\n1,0.1\n2.5,0.1\n")
+        code, report, _ = run_json(capsys, "coeffs", "--csv", str(path))
+        assert code == 0
+        assert report["collinear"] is True
+        assert report["coefficients"] == {"m": 0.0, "h": 0.0}
+        assert report["raw_sums"]["hn"] == 0.0
+
+    def test_offset_cloud_is_not_vertical(self, capsys, tmp_path):
+        # D = 6 is far from zero; a bound that grew with n*mean**2 called it
+        # vertical at x = 5e6.
+        path = tmp_path / "offset.csv"
+        path.write_text("5000000,0\n5000001,1\n5000002,3\n")
+        code, report, _ = run_json(capsys, "coeffs", "--csv", str(path))
+        assert code == 0
+        assert report["coefficients"]["m"] == 1.5
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "coeffs", "--csv", "/no/such/file.csv")
         assert code == 2
@@ -355,6 +374,10 @@ class TestBadInputExitCodes:
         (["invariant", "--coeffs", "1e200,1e300", "--family", "upper"], 2),
         (["simulate", "--coeffs", "nan,1"], 2),
         (["simulate", "--coeffs", "1,x"], 2),
+        # So is a list with an empty item.
+        (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", "1,,2"], 2),
+        (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", "1,"], 2),
+        (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", ",1"], 2),
     ])
     def test_exit_code_and_one_error_line(self, capsys, argv, exit_code):
         code, out, err = run(capsys, *argv)

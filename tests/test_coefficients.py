@@ -204,6 +204,120 @@ def test_collinear_iff_zero_gap():
     assert rsb.hn * rsb.d - rsb.mn ** 2 > 0.1
 
 
+# A constant column: zero, or any magnitude from 1e-100 to 1e100.
+constant = st.one_of(st.just(0.0), st.floats(1e-100, 1e100),
+                     st.floats(-1e100, -1e-100))
+chunked_sizes = st.sampled_from([2, 3, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 5])
+
+
+@st.composite
+def near_ties(draw):
+    """2 to 64 values, each one of four consecutive floats (one ulp apart)
+    at any magnitude from 1e-100 to 1e100."""
+    v = draw(st.one_of(st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100)))
+    ladder = [v]
+    for _ in range(3):
+        ladder.append(float(np.nextafter(ladder[-1], math.inf)))
+    steps = draw(st.lists(st.integers(0, 3), min_size=2, max_size=64))
+    return [ladder[i] for i in steps]
+
+
+def spread(seed, n):
+    """n distinct values: a shuffled ramp of seeded offset and scale."""
+    rng = np.random.default_rng(seed)
+    ramp = rng.permutation(np.arange(n) + 0.5 * rng.random(n))
+    return rng.choice([0.0, -3.7, 1e3, 1e8]) + 10.0 ** rng.uniform(-3, 3) * ramp
+
+
+class TestVerticalTest:
+    """A column of equal values has exactly zero spread, and D is tested
+    against RTOL * n*q, a bound no translation of the cloud moves: a cloud is
+    vertical exactly when all its x are equal."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(constant, chunked_sizes, st.integers(0, 2**32 - 1))
+    def test_constant_x_has_exactly_zero_spread(self, v, n, seed):
+        cloud = Cloud.from_arrays(np.full(n, v), spread(seed, n))
+        assert raw_sums(cloud).d == 0.0
+        with pytest.raises(DegenerateCloud):
+            linear_coefficients(cloud)
+
+    @settings(max_examples=200, deadline=None)
+    @given(constant, chunked_sizes, st.integers(0, 2**32 - 1))
+    def test_constant_y_has_exactly_zero_spread(self, v, n, seed):
+        cloud = Cloud.from_arrays(spread(seed, n), np.full(n, v))
+        assert raw_sums(cloud).hn == 0.0
+        assert is_collinear(cloud)
+        lc = linear_coefficients(cloud)
+        assert (lc.m, lc.h) == (0.0, 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(near_ties(),
+                     st.lists(magnitude, min_size=2, max_size=64)))
+    def test_vertical_iff_all_x_equal(self, xs):
+        n = len(xs)
+        xs, ys = np.array(xs), np.arange(n, dtype=float)
+        cloud = Cloud.from_arrays(xs, ys)
+        d, q, want = raw_sums(cloud).d, cloud._moments.q, exact_sums(xs, ys)[2]
+        equal = bool(np.all(xs == xs[0]))
+        assert (want == 0) is equal
+        # The rounding of D stays far inside the tolerance RTOL * n*q.
+        assert abs(Fraction(d) - want) <= n * 2.0**-50 * n * Fraction(q)
+        if equal:
+            assert d == 0.0
+            with pytest.raises(DegenerateCloud):
+                linear_coefficients(cloud)
+        else:
+            linear_coefficients(cloud)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                    min_size=2, max_size=64),
+           st.integers(-3, 3), st.integers(0, 40), st.integers(-3, 3),
+           st.integers(0, 40))
+    def test_translation_keeps_the_verdict_and_the_chart(self, pts, jx, kx,
+                                                         jy, ky):
+        # An exact offset j * 2**k on each axis.
+        xs, ys = np.array(pts, dtype=float).T
+        base = Cloud.from_arrays(xs, ys)
+        moved = Cloud.from_arrays(xs + jx * 2.0**kx, ys + jy * 2.0**ky)
+        if len(set(xs.tolist())) == 1:
+            for cloud in (base, moved):
+                with pytest.raises(DegenerateCloud):
+                    linear_coefficients(cloud)
+            return
+        a, b = linear_coefficients(base), linear_coefficients(moved)
+        # M**2 <= H (Cauchy-Schwarz), so sqrt(H) is the scale of M.
+        assert abs(b.m - a.m) <= 1e-12 * math.sqrt(a.h)
+        assert abs(b.h - a.h) <= 1e-12 * a.h
+
+    @pytest.mark.parametrize("v,n", [(0.1, 3), (0.3, 70_000)])
+    def test_equal_values_have_zero_spread(self, v, n):
+        cloud = Cloud.from_arrays(np.full(n, v), np.arange(n, dtype=float))
+        assert raw_sums(cloud).d == 0.0
+
+    def test_horizontal_line_of_tenths(self):
+        cloud = Cloud([(0.0, 0.1), (1.0, 0.1), (2.5, 0.1)])
+        assert raw_sums(cloud).hn == 0.0
+        assert is_collinear(cloud)
+        lc = linear_coefficients(cloud)
+        assert (lc.m, lc.h) == (0.0, 0.0)
+
+    def test_offset_line_is_not_vertical(self):
+        cloud = Cloud([(5e6, 0.0), (5e6 + 1, 1.0), (5e6 + 2, 3.0)])
+        assert linear_coefficients(cloud).m == 1.5
+
+    @pytest.mark.parametrize("xs", [np.tile([1e8, 1e8 + 1e-8], 500),
+                                    np.array([1.0, 1.0 + 2.0**-52, 1.0])],
+                             ids=["1e8-alternating", "one-ulp-above-1"])
+    def test_near_ties_are_kept(self, xs):
+        ys = np.arange(xs.size, dtype=float)
+        cloud = Cloud.from_arrays(xs, ys)
+        want = exact_sums(xs, ys)[2]
+        assert abs(Fraction(raw_sums(cloud).d) - want) <= 1e-12 * want
+        linear_coefficients(cloud)
+
+
 class TestCsv:
     def test_read_with_header(self):
         cloud = read_cloud_csv(io.StringIO("x,y\n0,0\n1,1\n2,0\n"))
@@ -304,22 +418,23 @@ class TestChunkedReduction:
 
     @pytest.mark.parametrize("n", [2, _DOT + 3, 2 * _DOT, _CHUNK])
     def test_one_chunk_is_a_plain_two_pass_reduction(self, rng, n):
-        # To the last bit: the mean, corrected by the residual sum, and the
-        # centered sums as _DOT-point dots added in order.
+        # To the last bit, a corrected two-pass reduction: the shifted
+        # products q as _DOT-point dots added in order, each less r*r/n for
+        # the residual sums r, the cross sum clamped by Cauchy-Schwarz, and
+        # the bound, q of x.
         xs = 1e3 + rng.random(n)
         ys = 0.3 * xs + rng.random(n)
-        want = []
-        for a in (xs, ys):
-            m = float(np.add.reduce(a)) / n
-            want.append((m, a - m))
-        (mx, u), (my, v) = want
-        sums = [0.0, 0.0, 0.0]
+        u, v = (a - float(np.add.reduce(a)) / n for a in (xs, ys))
+        rx, ry = float(np.add.reduce(u)), float(np.add.reduce(v))
+        q = [0.0, 0.0, 0.0]
         for j in range(0, n, _DOT):
-            for i, (p, q) in enumerate(((u, u), (u, v), (v, v))):
-                sums[i] += float(np.dot(p[j:j + _DOT], q[j:j + _DOT]))
-        assert tuple(Cloud.from_arrays(xs, ys)._moments) == (
-            mx + float(np.add.reduce(u)) / n, my + float(np.add.reduce(v)) / n,
-            *sums)
+            for i, (p, w) in enumerate(((u, u), (u, v), (v, v))):
+                q[i] += float(np.dot(p[j:j + _DOT], w[j:j + _DOT]))
+        sxx = max(q[0] - rx * rx / n, 0.0)
+        syy = max(q[2] - ry * ry / n, 0.0)
+        bound = math.sqrt(sxx) * math.sqrt(syy)
+        sxy = min(max(q[1] - rx * ry / n, -bound), bound)
+        assert tuple(Cloud.from_arrays(xs, ys)._moments) == (sxx, sxy, syy, q[0])
 
     @pytest.mark.parametrize("kind", [
         "sorted", "offset-sorted", "jump-after-first-chunk", "step-trend",
