@@ -12,8 +12,8 @@ report's order, with a dotted key (``cases[0].after.m``) and the leaf as
 JSON.  A non-finite number is an error in either form.
 
 Exit codes: 0 success, 2 input/validation error (a cloud too large for
-memory included), 3 degenerate image, 4 degenerate generator (every function
-invariant).
+memory or an unwritable --dump-points file included), 3 degenerate image,
+4 degenerate generator (every function invariant).
 """
 from __future__ import annotations
 
@@ -57,10 +57,6 @@ _SIMULATION_CASES = (
 )
 
 
-class _CliInputError(Exception):
-    """Bad command-line input not covered by a package exception."""
-
-
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
@@ -68,7 +64,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError as exc:
-        raise _CliInputError(f"bad {SEED_ENV_VAR} value {raw!r}") from exc
+        raise ValueError(f"bad {SEED_ENV_VAR} value {raw!r}") from exc
 
 
 def _add_cloud_source(parser: argparse.ArgumentParser, with_coeffs: bool) -> None:
@@ -89,32 +85,28 @@ def _add_cloud_source(parser: argparse.ArgumentParser, with_coeffs: bool) -> Non
 def _parse_coeffs(text: str) -> Scatter:
     cells = text.split(",")
     if len(cells) != 2:
-        raise _CliInputError(f"expected --coeffs M,H, got {text!r}")
+        raise ValueError(f"expected --coeffs M,H, got {text!r}")
     try:
         return LinearCoefficients(float(cells[0]), float(cells[1]))
     except ValueError as exc:
-        raise _CliInputError(f"expected finite --coeffs M,H, got {text!r}") from exc
+        raise ValueError(f"expected finite --coeffs M,H, got {text!r}") from exc
 
 
 def _resolve_cloud(args: argparse.Namespace) -> tuple[Optional[Cloud], dict]:
     """Load or generate the cloud named by the args; returns (cloud, echo)."""
     if args.csv is not None and args.gen is not None:
-        raise _CliInputError("give either --csv or --gen, not both")
+        raise ValueError("give either --csv or --gen, not both")
     if args.csv is not None:
         try:
             cloud = read_cloud_csv(args.csv)
         except OSError as exc:
-            raise _CliInputError(f"cannot read {args.csv}: {exc}") from exc
+            raise ValueError(f"cannot read {args.csv}: {exc}") from exc
         except ValueError as exc:
-            raise _CliInputError(f"bad CSV {args.csv}: {exc}") from exc
+            raise ValueError(f"bad CSV {args.csv}: {exc}") from exc
         return cloud, {"source": "csv", "path": args.csv, "n": len(cloud)}
     if args.gen is not None:
         seed = args.seed if args.seed is not None else _default_seed()
-        try:
-            spec = CloudGenSpec(kind=args.gen, n=args.n, noise=args.noise,
-                                seed=seed)
-        except ValueError as exc:
-            raise _CliInputError(str(exc)) from exc
+        spec = CloudGenSpec(kind=args.gen, n=args.n, noise=args.noise, seed=seed)
         return generate_cloud(spec), {"source": "generated", "kind": spec.kind,
                                       "n": spec.n, "noise": spec.noise,
                                       "seed": spec.seed}
@@ -127,11 +119,11 @@ def _resolve_coefficients(
     cloud, echo = _resolve_cloud(args)
     if coeffs_text is not None:
         if cloud is not None:
-            raise _CliInputError("--coeffs cannot be combined with a cloud source")
+            raise ValueError("--coeffs cannot be combined with a cloud source")
         lc = _parse_coeffs(coeffs_text)
         return lc, None, {"source": "coeffs", "m": lc.m, "h": lc.h}
     if cloud is None:
-        raise _CliInputError("no input: give --csv, --gen or --coeffs")
+        raise ValueError("no input: give --csv, --gen or --coeffs")
     return linear_coefficients(cloud), cloud, echo
 
 
@@ -191,7 +183,7 @@ def _emit(report: dict, as_json: bool) -> None:
 def _cmd_coeffs(args: argparse.Namespace) -> dict:
     cloud, echo = _resolve_cloud(args)
     if cloud is None:
-        raise _CliInputError("no input: give --csv or --gen")
+        raise ValueError("no input: give --csv or --gen")
     rs = raw_sums(cloud)
     lc = linear_coefficients(cloud)
     return {
@@ -222,10 +214,13 @@ def _cmd_transform(args: argparse.Namespace) -> dict:
         report["discrepancy"] = max(abs(after_direct.m - after_closed.m),
                                     abs(after_direct.h - after_closed.h))
         if args.dump_points:
-            write_cloud_csv(image, args.dump_points)
+            try:
+                write_cloud_csv(image, args.dump_points)
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.dump_points}: {exc}") from exc
             report["dumped_points"] = args.dump_points
     elif args.dump_points:
-        raise _CliInputError("--dump-points needs a cloud source, not --coeffs")
+        raise ValueError("--dump-points needs a cloud source, not --coeffs")
     return report
 
 
@@ -236,7 +231,7 @@ def _phi_list(text: str) -> list[float]:
             return phis
     except ValueError:
         pass
-    raise _CliInputError(f"bad --phi list {text!r}")
+    raise ValueError(f"bad --phi list {text!r}")
 
 
 def _invariant_family(args: argparse.Namespace, lc: Scatter, echo: dict) -> dict:
@@ -294,7 +289,7 @@ def _invariant_matrix(args: argparse.Namespace, lc: Scatter, echo: dict) -> dict
 
 def _cmd_invariant(args: argparse.Namespace) -> dict:
     if (args.family is None) == (args.matrix is None):
-        raise _CliInputError("give exactly one of --family or --matrix")
+        raise ValueError("give exactly one of --family or --matrix")
     lc, _, echo = _resolve_coefficients(args)
     if args.family is not None:
         return _invariant_family(args, lc, echo)
@@ -379,7 +374,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DegenerateImage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE_IMAGE
-    except (_CliInputError, CloudInvError, ValueError) as exc:
+    except (CloudInvError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:

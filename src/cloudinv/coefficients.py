@@ -53,7 +53,7 @@ class _Value:
     types and fields are, hash by their fields and repr as
     ``Name(field=value, ...)``; assigning or deleting a field raises
     AttributeError.  Pickling and copying restore the fields without calling
-    ``__init__``, so a singular ``Matrix2.unchecked`` round-trips too.
+    ``__init__``.
     """
 
     __slots__ = ()
@@ -414,13 +414,12 @@ def read_cloud_csv(source: Union[str, IO[str]]) -> Cloud:
     return Cloud(pts)
 
 
-def write_cloud_csv(cloud: Cloud, dest: Union[str, IO[str]], header: bool = True) -> None:
-    """Write a cloud in the CSV format accepted by :func:`read_cloud_csv`."""
+def write_cloud_csv(cloud: Cloud, dest: Union[str, IO[str]]) -> None:
+    """Write a cloud, header line first, in the CSV form read_cloud_csv reads."""
     if isinstance(dest, str):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_cloud_csv(cloud, fh, header=header)
+            write_cloud_csv(cloud, fh)
         return
-    if header:
-        dest.write("x,y\n")
+    dest.write("x,y\n")
     for x, y in zip(cloud.xs, cloud.ys):
         dest.write(f"{float(x)!r},{float(y)!r}\n")

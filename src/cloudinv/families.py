@@ -47,8 +47,7 @@ class RotationFamily(_Value):
     __slots__ = ()
 
     def evaluate(self, phi: float) -> Matrix2:
-        c, s = math.cos(phi), math.sin(phi)
-        return Matrix2.unchecked(c, s, -s, c)
+        return Matrix2.rotation(phi)
 
     def identity_parameter(self) -> float:
         return 0.0
@@ -62,9 +61,9 @@ class LinearFamily(_Value):
     """The pencil A(phi) = A0 + phi*B for fixed entry tuples A0 and B.
 
     Neither A0 nor B needs to be invertible, so A(phi) may be singular for
-    some phi; operations that need invertibility reject such matrices
-    downstream.  An identity parameter exists only when the entries are
-    mutually consistent; see :meth:`identity_parameter`.
+    some phi; there :meth:`evaluate` raises NonInvertibleMatrix.  An identity
+    parameter exists only when the entries are mutually consistent; see
+    :meth:`identity_parameter`.
     """
 
     __slots__ = ("a0", "b")
@@ -83,8 +82,7 @@ class LinearFamily(_Value):
 
     def evaluate(self, phi: float) -> Matrix2:
         phi = float(phi)
-        e = tuple(a + phi * b for a, b in zip(self.a0, self.b))
-        return Matrix2.unchecked(*e)
+        return Matrix2(*[a + phi * b for a, b in zip(self.a0, self.b)])
 
     def identity_parameter(self) -> float:
         """Per-entry consistency solve for A(phi*) = identity.

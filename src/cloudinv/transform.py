@@ -16,26 +16,28 @@ from .errors import DegenerateImage, NonInvertibleMatrix
 
 
 class Matrix2(_Value):
-    """A real 2x2 matrix (a b; c d), row-major.
+    """A real, finite, invertible 2x2 matrix (a b; c d), row-major.
 
-    The default constructor rejects singular matrices; use
-    :meth:`unchecked` to carry possibly-singular matrices (one-parameter
-    families can pass through singular points; operations that need
-    invertibility re-check it).
+    Invertibility holds by construction: every operation that takes a
+    Matrix2 may rely on it and tests no determinant of its own.
+
+    Raises:
+        ValueError: an entry is not finite.
+        NonInvertibleMatrix: |det| <= RTOL * max|entry|**2, tested on the
+            entries divided by max|entry| (not for the zero matrix) so that
+            no product overflows.
     """
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: float, b: float, c: float, d: float) -> None:
         self._set_floats("matrix entry ", a, b, c, d)
-        _require_invertible(self)
-
-    @classmethod
-    def unchecked(cls, a: float, b: float, c: float, d: float) -> "Matrix2":
-        """Construct without the invertibility check (finiteness still holds)."""
-        m = object.__new__(cls)
-        m._set_floats("matrix entry ", a, b, c, d)
-        return m
+        s = self.max_abs_entry() or 1.0
+        a, b, c, d = self.a / s, self.b / s, self.c / s, self.d / s
+        if abs(a * d - b * c) <= RTOL:
+            raise NonInvertibleMatrix(
+                f"matrix ({self.a}, {self.b}; {self.c}, {self.d}) has "
+                f"determinant {self.det} within tolerance of zero")
 
     @classmethod
     def identity(cls) -> "Matrix2":
@@ -56,13 +58,6 @@ class Matrix2(_Value):
 
     def max_abs_entry(self) -> float:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
-    def is_invertible(self) -> bool:
-        """|det| > RTOL * max|entry|**2, on the entries divided by max|entry|
-        (not for the zero matrix) so that no product overflows."""
-        s = self.max_abs_entry() or 1.0
-        a, b, c, d = self.a / s, self.b / s, self.c / s, self.d / s
-        return abs(a * d - b * c) > RTOL
 
     def __matmul__(self, other: "Matrix2") -> "Matrix2":
         """Matrix product self @ other (apply ``other`` first)."""
@@ -102,13 +97,6 @@ def parse_matrix(literal: str) -> Matrix2:
     return Matrix2(*parse_entries(literal))
 
 
-def _require_invertible(m: Matrix2) -> None:
-    if not m.is_invertible():
-        raise NonInvertibleMatrix(
-            f"matrix ({m.a}, {m.b}; {m.c}, {m.d}) has determinant {m.det} "
-            "within tolerance of zero")
-
-
 def apply_to_cloud(m: Matrix2, cloud: Cloud) -> Cloud:
     """Pointwise image of a cloud under an invertible matrix.
 
@@ -121,7 +109,6 @@ def apply_to_cloud(m: Matrix2, cloud: Cloud) -> Cloud:
     Raises:
         ValueError: an image coordinate overflows to infinity.
     """
-    _require_invertible(m)
     return Cloud._own(cloud.xs, cloud.ys, m.entries())
 
 
@@ -132,7 +119,6 @@ def induced_raw(t: Matrix2, s: Scatter) -> Scatter:
     Raises:
         ValueError: an entry of T S T^T overflows.
     """
-    _require_invertible(t)
     return Scatter(*_congruence(s, *t.entries()))
 
 
@@ -157,7 +143,6 @@ def induced_coefficients(t: Matrix2, s: Scatter) -> Scatter:
             scaled T: D is charged at the row's size, so a = cos(pi/2) is 0.
         ValueError: the induced map overflows.
     """
-    _require_invertible(t)
     e = -math.frexp(t.max_abs_entry())[1]
     a, b, c, d = [math.ldexp(v, e) for v in t.entries()]
     mn, hn, dd = _congruence(s, a, b, c, d)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,10 @@ from cloudinv.coefficients import _CHUNK
 from conftest import REF_H, REF_M, traced_peak
 
 REF_COEFFS = f"--coeffs={REF_M},{REF_H}"
+
+# A --phi list that parses, with a singular family member at phi = 0.
+SINGULAR_MEMBER = ["invariant", "--coeffs", "1.5,3.5", "--family", "diag",
+                   "--phi", "0.5,0"]
 
 
 def run(capsys, *argv):
@@ -137,6 +142,21 @@ class TestTransform:
         assert code == 0
         image = read_cloud_csv(str(out))
         assert image.points[1].y == 2.0
+
+    @pytest.mark.parametrize("dest", ["directory", "missing-parent", "/dev/full"])
+    def test_dump_points_unwritable(self, capsys, tmp_path, dest):
+        path = {"directory": tmp_path,
+                "missing-parent": tmp_path / "missing" / "x.csv"}.get(dest, dest)
+        if dest == "/dev/full" and not os.path.exists(dest):
+            pytest.skip("no /dev/full on this system")
+        code, out, err = run(capsys, "transform", "--gen", "uniform-box",
+                             "--n", "10", "--matrix", "1,0;0,2",
+                             "--dump-points", str(path))
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot write {path}: ")
 
     def test_dump_points_needs_cloud(self, capsys, tmp_path):
         code, _, err = run(capsys, "transform", REF_COEFFS,
@@ -378,6 +398,7 @@ class TestBadInputExitCodes:
         (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", "1,,2"], 2),
         (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", "1,"], 2),
         (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", ",1"], 2),
+        (SINGULAR_MEMBER, 2),
     ])
     def test_exit_code_and_one_error_line(self, capsys, argv, exit_code):
         code, out, err = run(capsys, *argv)
@@ -386,8 +407,14 @@ class TestBadInputExitCodes:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        if "--phi" in argv:
+        if "--phi" in argv and argv != SINGULAR_MEMBER:
             assert lines[0].startswith("error: bad --phi list")
+
+    def test_singular_family_member_names_the_matrix(self, capsys):
+        code, out, err = run(capsys, *SINGULAR_MEMBER)
+        assert (code, out) == (2, "")
+        assert err == ("error: matrix (1.0, 0.0; 0.0, 0.0) has determinant 0.0 "
+                       "within tolerance of zero\n")
 
     @pytest.mark.parametrize("as_json", [True, False])
     def test_non_finite_report_prints_nothing(self, capsys, as_json):

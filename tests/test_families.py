@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from cloudinv import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR,
                       DegenerateGenerator, FamilyGenerator, KernelSingular,
                       LinearCoefficients, LinearFamily, NoIdentityParameter,
-                      Param, RotationFamily, apply_to_cloud,
+                      NonInvertibleMatrix, Param, RotationFamily, apply_to_cloud,
                       family_pde_residual, generator_value,
                       induced_coefficients, kernel_value, linear_coefficients,
                       parse_family)
@@ -44,19 +44,24 @@ class TestEvaluate:
     def test_diagonal(self):
         assert DIAGONAL.evaluate(2.0).entries() == (1.0, 0.0, 0.0, 2.0)
 
-    def test_diagonal_allows_singular_point(self):
-        # phi = 0 gives a singular matrix; construction is allowed.
-        m = DIAGONAL.evaluate(0.0)
-        assert not m.is_invertible()
+    def test_diagonal_raises_at_singular_point(self):
+        # phi = 0 gives a singular member; evaluate is where it is built.
+        with pytest.raises(NonInvertibleMatrix, match="determinant 0.0"):
+            DIAGONAL.evaluate(0.0)
 
-    @pytest.mark.parametrize("family,entries", [
-        (DIAGONAL, lambda p: (1.0, 0.0, 0.0, p)),
-        (UPPER_TRIANGULAR, lambda p: (1.0, p, 0.0, 1.0)),
-        (LOWER_TRIANGULAR, lambda p: (1.0, 0.0, p, 1.0)),
+    @pytest.mark.parametrize("family,entries,singular", [
+        (DIAGONAL, lambda p: (1.0, 0.0, 0.0, p), {0.0, 5e-324, -1e-300, 1e300}),
+        (UPPER_TRIANGULAR, lambda p: (1.0, p, 0.0, 1.0), {1e300}),
+        (LOWER_TRIANGULAR, lambda p: (1.0, 0.0, p, 1.0), {1e300}),
     ], ids=["diag", "upper", "lower"])
-    def test_named_pencils_are_exact(self, rng, family, entries):
+    def test_named_pencils_are_exact(self, rng, family, entries, singular):
+        # Singular within tolerance: det is 0 or below 1e-12 * max|entry|**2.
         for phi in [*rng.uniform(-3.0, 3.0, 50), 0.0, 5e-324, -1e-300, 1e300]:
-            assert family.evaluate(phi).entries() == entries(phi)
+            if phi in singular:
+                with pytest.raises(NonInvertibleMatrix):
+                    family.evaluate(phi)
+            else:
+                assert family.evaluate(phi).entries() == entries(phi)
 
     def test_case_study_member(self):
         m = CASE_STUDY.evaluate(0.2)
@@ -275,8 +280,9 @@ class TestKernelInvariance:
         fg = family.derivative_coefficients()
         clouds = [random_cloud(rng) for _ in range(10)]
         for phi in _family_phis(family, rng, 10):
-            matrix = family.evaluate(phi)
-            if not matrix.is_invertible():
+            try:
+                matrix = family.evaluate(phi)
+            except NonInvertibleMatrix:
                 continue
             for cloud in clouds:
                 before = linear_coefficients(cloud)

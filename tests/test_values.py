@@ -101,18 +101,8 @@ def test_pickle_and_copy_round_trip(name):
             setattr(back, "not_a_field", 0.0)
 
 
-def test_unchecked_singular_matrix_round_trips():
-    singular = Matrix2.unchecked(1, 2, 2, 4)
-    assert singular.det == 0.0
-    for back in round_trips(singular):
-        assert type(back) is Matrix2
-        assert back.entries() == (1.0, 2.0, 2.0, 4.0)
-        assert not back.is_invertible()
-
-
 def test_fields_are_converted():
     assert all(type(v) is float for v in Matrix2(1, 0, 0, 1).entries())
-    assert all(type(v) is float for v in Matrix2.unchecked(1, 2, 2, 4).entries())
     assert type(Point(1, 2).x) is float
     assert type(Scatter(1, 2, 3).d) is float
     assert type(LinearCoefficients(1, 2).h) is float
@@ -138,10 +128,8 @@ INVALID = [
     (lambda: Matrix2(1, 0, 0, INF), ValueError, r"matrix entry d must be finite"),
     (lambda: Matrix2(1, 2, 2, 4), NonInvertibleMatrix, r"determinant 0\.0"),
     (lambda: Matrix2(0, 0, 0, 0), NonInvertibleMatrix, r"within tolerance of zero"),
-    (lambda: Matrix2.unchecked(1, INF, 0, 1), ValueError,
-     r"matrix entry b must be finite"),
-    (lambda: Matrix2.unchecked(1, 0, NAN, 1), ValueError,
-     r"matrix entry c must be finite"),
+    (lambda: Matrix2(1, INF, 0, 1), ValueError, r"matrix entry b must be finite"),
+    (lambda: Matrix2(1, 0, NAN, 1), ValueError, r"matrix entry c must be finite"),
     (lambda: FamilyGenerator(NAN, 0, 0), ValueError, r"bprime must be finite"),
     (lambda: FamilyGenerator(0, INF, 0), ValueError, r"gprime must be finite"),
     (lambda: FamilyGenerator(0, 0, -INF), ValueError, r"delta must be finite"),
@@ -180,6 +168,5 @@ def test_linear_coefficients_is_the_chart_point():
 
 
 def test_limits_are_accepted():
-    assert Matrix2.unchecked(0, 0, 0, 0).det == 0.0
     assert CloudGenSpec("two-segment", 2, 0.0, 2 ** 64 - 1).seed == 2 ** 64 - 1
     assert Point(-1e308, 1e308).y == 1e308
