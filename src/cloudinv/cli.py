@@ -11,9 +11,9 @@ indented JSON; the text form prints one ``key  value`` line per leaf, in the
 report's order, with a dotted key (``cases[0].after.m``) and the leaf as
 JSON.  A non-finite number is an error in either form.
 
-Exit codes: 0 success, 2 input/validation error (a cloud too large for
-memory or an unwritable --dump-points file included), 3 degenerate image,
-4 degenerate generator (every function invariant).
+Exit codes: 0 success, 2 input/validation error (a usage error, a cloud too
+large for memory or an unwritable --dump-points file included), 3 degenerate
+image, 4 degenerate generator (every function invariant).
 """
 from __future__ import annotations
 
@@ -34,8 +34,8 @@ from .families import (DIAGONAL, UPPER_TRIANGULAR, LinearFamily,
                        RotationFamily, generator_for_matrix, kernel_value,
                        parse_family)
 from .generators import FamilyGenerator
-from .transform import (Matrix2, apply_to_cloud, induced_coefficients,
-                        parse_matrix)
+from .transform import (Matrix2, _parse_floats, apply_to_cloud,
+                        induced_coefficients, parse_matrix)
 
 SCHEMA = "cloud-invariants/1"
 
@@ -69,8 +69,9 @@ def _default_seed() -> int:
 
 def _add_cloud_source(parser: argparse.ArgumentParser, with_coeffs: bool) -> None:
     src = parser.add_argument_group("cloud source")
-    src.add_argument("--csv", metavar="FILE", help="read cloud from CSV file")
-    src.add_argument("--gen", metavar="KIND", choices=KINDS,
+    one = src.add_mutually_exclusive_group(required=True)
+    one.add_argument("--csv", metavar="FILE", help="read cloud from CSV file")
+    one.add_argument("--gen", metavar="KIND", choices=KINDS,
                      help=f"generate a cloud; one of {', '.join(KINDS)}")
     src.add_argument("--n", type=int, default=1000, help="generated point count")
     src.add_argument("--noise", type=float, default=0.05,
@@ -78,24 +79,12 @@ def _add_cloud_source(parser: argparse.ArgumentParser, with_coeffs: bool) -> Non
     src.add_argument("--seed", type=int, default=None,
                      help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
     if with_coeffs:
-        src.add_argument("--coeffs", metavar="M,H",
+        one.add_argument("--coeffs", metavar="M,H",
                          help="bypass the cloud: supply raw coefficients")
 
 
-def _parse_coeffs(text: str) -> Scatter:
-    cells = text.split(",")
-    if len(cells) != 2:
-        raise ValueError(f"expected --coeffs M,H, got {text!r}")
-    try:
-        return LinearCoefficients(float(cells[0]), float(cells[1]))
-    except ValueError as exc:
-        raise ValueError(f"expected finite --coeffs M,H, got {text!r}") from exc
-
-
-def _resolve_cloud(args: argparse.Namespace) -> tuple[Optional[Cloud], dict]:
+def _resolve_cloud(args: argparse.Namespace) -> tuple[Cloud, dict]:
     """Load or generate the cloud named by the args; returns (cloud, echo)."""
-    if args.csv is not None and args.gen is not None:
-        raise ValueError("give either --csv or --gen, not both")
     if args.csv is not None:
         try:
             cloud = read_cloud_csv(args.csv)
@@ -104,26 +93,20 @@ def _resolve_cloud(args: argparse.Namespace) -> tuple[Optional[Cloud], dict]:
         except ValueError as exc:
             raise ValueError(f"bad CSV {args.csv}: {exc}") from exc
         return cloud, {"source": "csv", "path": args.csv, "n": len(cloud)}
-    if args.gen is not None:
-        seed = args.seed if args.seed is not None else _default_seed()
-        spec = CloudGenSpec(kind=args.gen, n=args.n, noise=args.noise, seed=seed)
-        return generate_cloud(spec), {"source": "generated", "kind": spec.kind,
-                                      "n": spec.n, "noise": spec.noise,
-                                      "seed": spec.seed}
-    return None, {}
+    seed = args.seed if args.seed is not None else _default_seed()
+    spec = CloudGenSpec(kind=args.gen, n=args.n, noise=args.noise, seed=seed)
+    return generate_cloud(spec), {"source": "generated", "kind": spec.kind,
+                                  "n": spec.n, "noise": spec.noise,
+                                  "seed": spec.seed}
 
 
 def _resolve_coefficients(
         args: argparse.Namespace) -> tuple[Scatter, Optional[Cloud], dict]:
-    coeffs_text = getattr(args, "coeffs", None)
-    cloud, echo = _resolve_cloud(args)
-    if coeffs_text is not None:
-        if cloud is not None:
-            raise ValueError("--coeffs cannot be combined with a cloud source")
-        lc = _parse_coeffs(coeffs_text)
+    if args.coeffs is not None:
+        lc = LinearCoefficients(*_parse_floats(
+            args.coeffs, 2, "expected finite --coeffs M,H: "))
         return lc, None, {"source": "coeffs", "m": lc.m, "h": lc.h}
-    if cloud is None:
-        raise ValueError("no input: give --csv, --gen or --coeffs")
+    cloud, echo = _resolve_cloud(args)
     return linear_coefficients(cloud), cloud, echo
 
 
@@ -182,8 +165,6 @@ def _emit(report: dict, as_json: bool) -> None:
 
 def _cmd_coeffs(args: argparse.Namespace) -> dict:
     cloud, echo = _resolve_cloud(args)
-    if cloud is None:
-        raise ValueError("no input: give --csv or --gen")
     rs = raw_sums(cloud)
     lc = linear_coefficients(cloud)
     return {
@@ -224,19 +205,10 @@ def _cmd_transform(args: argparse.Namespace) -> dict:
     return report
 
 
-def _phi_list(text: str) -> list[float]:
-    try:
-        phis = [float(c) for c in text.split(",")]
-        if all(map(math.isfinite, phis)):
-            return phis
-    except ValueError:
-        pass
-    raise ValueError(f"bad --phi list {text!r}")
-
-
 def _invariant_family(args: argparse.Namespace, lc: Scatter, echo: dict) -> dict:
     family = parse_family(args.family)
-    phis = _phi_list(args.phi) if args.phi is not None else None
+    phis = None if args.phi is None else _parse_floats(args.phi, None,
+                                                       "bad --phi list: ")
     # Raises NoIdentityParameter even when --phi is given.
     identity = family.identity_parameter()
     if phis is None:
@@ -288,8 +260,6 @@ def _invariant_matrix(args: argparse.Namespace, lc: Scatter, echo: dict) -> dict
 
 
 def _cmd_invariant(args: argparse.Namespace) -> dict:
-    if (args.family is None) == (args.matrix is None):
-        raise ValueError("give exactly one of --family or --matrix")
     lc, _, echo = _resolve_coefficients(args)
     if args.family is not None:
         return _invariant_family(args, lc, echo)
@@ -322,8 +292,13 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
 # ------------------------------------------------------------------ driver
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # main() reports it as one error line
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cloudinv",
         description="Linear-transformation invariants of planar point clouds.")
     parser.add_argument("--version", action="version", version=__version__)
@@ -345,12 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariant", help="evaluate an invariant kernel")
     _add_cloud_source(p, with_coeffs=True)
-    p.add_argument("--family", metavar="LIT",
-                   help="family literal: diag|upper|lower|rot|linear:A0|B")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--family", metavar="LIT",
+                        help="family literal: diag|upper|lower|rot|linear:A0|B")
     p.add_argument("--phi", metavar="LIST",
                    help="comma-separated parameter values")
-    p.add_argument("--matrix", metavar="a,b;c,d",
-                   help="arbitrary invertible matrix instead of a family")
+    target.add_argument("--matrix", metavar="a,b;c,d",
+                        help="arbitrary invertible matrix instead of a family")
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.set_defaults(func=_cmd_invariant)
 
@@ -363,9 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _emit(args.func(args), args.json)
         return EXIT_OK
     except DegenerateGenerator as exc:

@@ -216,6 +216,8 @@ class Cloud:
     Point order is preserved, but every derived quantity is a symmetric sum
     and therefore order-independent.  Coordinates are read-only float64
     arrays; their moments are reduced once, when the cloud is built.
+    ``Cloud(points)`` reads the points once, into two growing buffers that
+    the cloud then holds without a copy.
 
     The image of a cloud under a matrix (see ``transform.apply_to_cloud``)
     starts out pending: it holds its source's arrays and the matrix entries
@@ -227,14 +229,19 @@ class Cloud:
     __slots__ = ("_xs", "_ys", "_moments", "_t")
 
     def __init__(self, points: Iterable[PointLike]):
+        from array import array
+
         import numpy as np
 
-        pts = [(p.x, p.y) if isinstance(p, Point) else (float(p[0]), float(p[1]))
-               for p in points]
-        if len(pts) < 2:
-            raise ValueError(f"a cloud needs at least 2 points, got {len(pts)}")
-        self._fill(np.array([p[0] for p in pts], dtype=np.float64),
-                   np.array([p[1] for p in pts], dtype=np.float64))
+        xs, ys = array("d"), array("d")
+        for p in points:
+            if isinstance(p, Point):
+                p = p.x, p.y
+            xs.append(float(p[0]))
+            ys.append(float(p[1]))
+        if len(xs) < 2:
+            raise ValueError(f"a cloud needs at least 2 points, got {len(xs)}")
+        self._fill(np.frombuffer(xs), np.frombuffer(ys))
 
     @classmethod
     def from_arrays(cls, xs: np.ndarray, ys: np.ndarray) -> "Cloud":
@@ -389,29 +396,30 @@ def is_collinear(cloud: Cloud, tol: float = COLLINEARITY_RTOL) -> bool:
 
 
 def read_cloud_csv(source: Union[str, IO[str]]) -> Cloud:
-    """Read a cloud from CSV: one `x,y` pair per line.
+    """Read a cloud from CSV: one `x,y` pair per line, under the one rule
+    for number lists (``transform._parse_floats``), into the cloud's buffers.
 
     An optional header line `x,y` is skipped; blank lines are ignored;
-    LF and CRLF line endings are both accepted.
+    LF and CRLF line endings are both accepted, and so is a leading UTF-8
+    byte-order mark.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return read_cloud_csv(fh)
-    pts: list[tuple[float, float]] = []
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != 2:
-            raise ValueError(f"line {lineno}: expected 'x,y', got {line!r}")
-        if lineno == 1 and cells[0].lower() == "x" and cells[1].lower() == "y":
+    return Cloud(_csv_rows(source))
+
+
+def _csv_rows(lines: Iterable[str]) -> Iterator[list[float]]:
+    from .transform import _parse_floats
+
+    for lineno, raw in enumerate(lines, start=1):
+        line = (raw.removeprefix("\ufeff") if lineno == 1 else raw).strip()
+        if not line or lineno == 1 and "".join(line.split()).lower() == "x,y":
             continue
         try:
-            pts.append((float(cells[0]), float(cells[1])))
+            yield _parse_floats(line, 2)
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad number in {line!r}") from exc
-    return Cloud(pts)
+            raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def write_cloud_csv(cloud: Cloud, dest: Union[str, IO[str]]) -> None:

@@ -4,7 +4,7 @@ Transforming every cloud point by an invertible matrix (a b; c d) induces a
 rational transformation of the linear coefficients.  This module provides
 the pointwise cloud action, the closed-form induced map as the congruence
 S -> T S T^T of a cloud's scatter matrix and as the chart point of that
-image, and matrix literal parsing.
+image, and the parsing of matrix literals and of number lists.
 """
 from __future__ import annotations
 
@@ -72,19 +72,35 @@ class Matrix2(_Value):
         return (self.a, self.b, self.c, self.d)
 
 
+def _parse_floats(text: str, count: int | None = None,
+                 what: str = "") -> list[float]:
+    """The finite floats of a comma-separated list from outside (an argv
+    value, a CSV row, a matrix row), each item read by ``float``, and
+    ``count`` of them if given; else ValueError, ``what`` + the text."""
+    try:
+        values = [*map(float, text.split(","))]
+    except ValueError:
+        values = [math.nan]
+    if count in (None, len(values)) and all(map(math.isfinite, values)):
+        return values
+    size = f"{count} " if count else ""
+    raise ValueError(f"{what}{text!r} is not a list of {size}finite numbers")
+
+
 def parse_entries(literal: str) -> tuple[float, float, float, float]:
-    """The entries (a, b, c, d) of a matrix literal `a,b;c,d` or the JSON
-    form `[[a,b],[c,d]]`, row-major."""
+    """The entries (a, b, c, d) of a matrix literal `a,b;c,d`, each row read
+    by :func:`_parse_floats`, or of the JSON form `[[a,b],[c,d]]`, row-major."""
     text = literal.strip()
-    as_json = text.startswith("[")
-    rows = json.loads(text) if as_json else [r.split(",") for r in text.split(";")]
+    if not text.startswith("["):
+        what = f"expected 'a,b;c,d', got {literal!r}: "
+        top, _, bottom = text.partition(";")
+        return tuple(_parse_floats(top, 2, what) + _parse_floats(bottom, 2, what))
+    rows = json.loads(text)
     if (not isinstance(rows, list) or len(rows) != 2
             or any(not isinstance(r, list) or len(r) != 2 for r in rows)):
-        form = "[[a,b],[c,d]]" if as_json else "'a,b;c,d'"
-        raise ValueError(f"expected {form}, got {literal!r}")
+        raise ValueError(f"expected [[a,b],[c,d]], got {literal!r}")
     cells = [v for row in rows for v in row]
-    if as_json and any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in cells):
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in cells):
         raise ValueError(f"matrix entries must be numbers, got {literal!r}")
     try:
         return tuple(float(v) for v in cells)

@@ -17,6 +17,20 @@ REF_COEFFS = f"--coeffs={REF_M},{REF_H}"
 SINGULAR_MEMBER = ["invariant", "--coeffs", "1.5,3.5", "--family", "diag",
                    "--phi", "0.5,0"]
 
+# Number lists from outside under the one rule: `1,2` is read, and each of
+# these is refused (an empty item, a non-number, a non-finite value).
+REFUSED_LISTS = ["", " ", ",", "1,,2", "x", "inf", "nan", "1e309"]
+
+# Where a number list given on the command line goes: --coeffs, --phi and
+# the first row of a text --matrix.  CSV rows have their own tests.
+LIST_FORMS = {
+    "coeffs": lambda item: ["simulate", "--coeffs", item],
+    "phi": lambda item: ["invariant", "--coeffs", "1.5,3.5", "--family", "upper",
+                         "--phi", item],
+    "matrix": lambda item: ["transform", "--coeffs", "1.5,3.5",
+                            "--matrix", f"{item};3,4"],
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -84,6 +98,19 @@ class TestCoeffs:
         code, report, _ = run_json(capsys, "coeffs", "--csv", str(path))
         assert code == 0
         assert report["coefficients"]["m"] == 1.5
+
+    @pytest.mark.parametrize("header", ["x,y\n", ""])
+    def test_csv_with_byte_order_mark(self, capsys, tmp_path, header):
+        body = (header + "0,0\n1,1\n2,3\n").encode()
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(body)
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        code, want, _ = run_json(capsys, "coeffs", "--csv", str(plain))
+        assert code == 0
+        code, got, err = run_json(capsys, "coeffs", "--csv", str(marked))
+        assert (code, err) == (0, "")
+        assert got["coefficients"] == want["coefficients"] == {"m": 1.5, "h": 7 / 3}
+        assert got["raw_sums"] == want["raw_sums"]
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "coeffs", "--csv", "/no/such/file.csv")
@@ -399,6 +426,16 @@ class TestBadInputExitCodes:
         (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", "1,"], 2),
         (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", ",1"], 2),
         (SINGULAR_MEMBER, 2),
+        # Usage errors: one error line through main(), not a usage block.
+        (["transform", "--coeffs", "1,2"], 2),
+        (["coeffs", "--gen", "ellipse", "--n", "abc"], 2),
+        (["coeffs", "--gen", "ellipse", "--no-such-option"], 2),
+        ([], 2),
+        (["coeffs"], 2),
+        (["coeffs", "--gen", "ellipse", "--csv", "cloud.csv"], 2),
+        (["transform", "--coeffs", "1,2", "--gen", "ellipse", "--matrix", "1,0;0,2"], 2),
+        (["invariant", "--coeffs", "1,2"], 2),
+        *[(form(item), 2) for form in LIST_FORMS.values() for item in REFUSED_LISTS],
     ])
     def test_exit_code_and_one_error_line(self, capsys, argv, exit_code):
         code, out, err = run(capsys, *argv)
@@ -409,6 +446,58 @@ class TestBadInputExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         if "--phi" in argv and argv != SINGULAR_MEMBER:
             assert lines[0].startswith("error: bad --phi list")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["transform", "--coeffs", "1,2"],
+         "the following arguments are required: --matrix"),
+        (["coeffs", "--gen", "ellipse", "--n", "abc"],
+         "argument --n: invalid int value: 'abc'"),
+        (["coeffs", "--gen", "ellipse", "--no-such-option"],
+         "unrecognized arguments: --no-such-option"),
+        (["invariant", "--coeffs", "1,2", "--family", "diag", "--matrix", "1,0;0,2"],
+         "argument --matrix: not allowed with argument --family"),
+    ])
+    def test_usage_error_is_returned_as_one_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["coeffs", "--help"], ["--version"]])
+    def test_help_and_version_still_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
+
+    @pytest.mark.parametrize("form", [*LIST_FORMS, "csv"])
+    def test_number_list_rule_accepts(self, capsys, tmp_path, form):
+        if form == "csv":
+            path = tmp_path / "cloud.csv"
+            path.write_text("0,0\n1,2\n5,1\n")
+            argv = ["coeffs", "--csv", str(path)]
+        else:
+            argv = LIST_FORMS[form]("1,2")
+        code, report, err = run_json(capsys, *argv)
+        assert (code, err) == (0, "")
+        inputs = report["inputs"]
+        if form == "csv":
+            assert inputs["n"] == 3
+        elif form == "coeffs":
+            assert [inputs["m"], inputs["h"]] == [1.0, 2.0]
+        else:
+            assert inputs[form][:2] == [1.0, 2.0]
+
+    @pytest.mark.parametrize("row", REFUSED_LISTS)
+    def test_number_list_rule_on_a_csv_row(self, capsys, tmp_path, row):
+        path = tmp_path / "cloud.csv"
+        path.write_text(f"0,0\n{row}\n5,1\n")
+        code, out, err = run(capsys, "coeffs", "--csv", str(path), "--json")
+        if not row.strip():
+            # A blank or all-space row is a blank line, which CSV input skips.
+            assert (code, json.loads(out)["inputs"]["n"]) == (0, 2)
+            return
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad CSV {path}: line 2: {row!r} is not a list of "
+                       "2 finite numbers\n")
 
     def test_singular_family_member_names_the_matrix(self, capsys):
         code, out, err = run(capsys, *SINGULAR_MEMBER)

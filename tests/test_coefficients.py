@@ -348,6 +348,92 @@ class TestCsv:
         assert np.array_equal(back.xs, cloud.xs)
         assert np.array_equal(back.ys, cloud.ys)
 
+    @pytest.mark.parametrize("header", ["x,y\n", ""])
+    def test_byte_order_mark_of_a_text_stream(self, header):
+        body = header + "0,0\n1,1\n2,3\n"
+        marked = read_cloud_csv(io.StringIO("\ufeff" + body))
+        plain = read_cloud_csv(io.StringIO(body))
+        assert marked.points == plain.points
+        assert marked._moments == plain._moments
+
+    def test_byte_order_mark_only_at_the_start(self):
+        with pytest.raises(ValueError, match="^line 2: "):
+            read_cloud_csv(io.StringIO("0,0\n\ufeff1,1\n2,3\n"))
+
+    @pytest.mark.parametrize("row,message", [
+        ("1,2,3", "line 2: '1,2,3' is not a list of 2 finite numbers"),
+        ("1", "line 2: '1' is not a list of 2 finite numbers"),
+        ("1,zzz", "line 2: '1,zzz' is not a list of 2 finite numbers"),
+        ("inf,1", "line 2: 'inf,1' is not a list of 2 finite numbers"),
+        ("1, nan", "line 2: '1, nan' is not a list of 2 finite numbers"),
+        ("1e309,0", "line 2: '1e309,0' is not a list of 2 finite numbers"),
+        (",", "line 2: ',' is not a list of 2 finite numbers"),
+    ])
+    def test_bad_row_names_its_line(self, row, message):
+        with pytest.raises(ValueError) as info:
+            read_cloud_csv(io.StringIO(f"x,y\n{row}\n0,0\n1,1\n"))
+        assert str(info.value) == message
+
+
+# Finite doubles, with the extremes always drawn: signed zero, the smallest
+# subnormal and the largest finite values.
+EDGES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def bits(values) -> list:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(finite, max_size=30), st.lists(finite, max_size=30),
+       st.randoms(use_true_random=False))
+def test_csv_round_trip_is_bit_exact(xs, ys, pyrandom):
+    xs, ys = EDGES + xs, EDGES[::-1] + ys
+    n = min(len(xs), len(ys))
+    pyrandom.shuffle(xs)
+    cloud = Cloud.from_arrays(np.array(xs[:n]), np.array(ys[:n]))
+    buf = io.StringIO()
+    write_cloud_csv(cloud, buf)
+    back = read_cloud_csv(io.StringIO(buf.getvalue()))
+    assert bits(back.xs) == bits(cloud.xs)
+    assert bits(back.ys) == bits(cloud.ys)
+
+
+def point_sources(xs, ys):
+    """The same points as each kind of input Cloud(points) reads."""
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    return {
+        "points": [Point(x, y) for x, y in pairs],
+        "tuples": pairs,
+        "generator": ((x, y) for x, y in pairs),
+        "numpy rows": np.column_stack([xs, ys]),
+        "strings": [(repr(x), repr(y)) for x, y in pairs],
+    }
+
+
+def assert_same_cloud(got, want):
+    assert bits(got.xs) == bits(want.xs)
+    assert bits(got.ys) == bits(want.ys)
+    assert bits(got._moments) == bits(want._moments)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150)),
+                min_size=2, max_size=40))
+def test_cloud_of_points_is_the_cloud_of_arrays(pts):
+    xs, ys = np.array(pts).T.copy()
+    want = Cloud.from_arrays(xs, ys)
+    for points in point_sources(xs, ys).values():
+        assert_same_cloud(Cloud(points), want)
+
+
+def test_cloud_of_points_over_several_chunks(rng):
+    xs, ys = rng.random(3 * _CHUNK + 5) + 1e3, rng.random(3 * _CHUNK + 5)
+    want = Cloud.from_arrays(xs, ys)
+    for points in point_sources(xs, ys).values():
+        assert_same_cloud(Cloud(points), want)
+
 
 def exact_sums(xs, ys):
     """The exact (M_n, H_n, D) of float arrays, as Fractions: every value is
@@ -536,3 +622,11 @@ class TestAllocation:
         cloud = Cloud.from_arrays(*arrays)
         m = Matrix2(0.4, -0.4, -0.05, 0.9)
         assert traced_peak(lambda: apply_to_cloud(m, cloud)) <= self.IMAGE_LIMIT
+
+    def test_read_cloud_csv(self, arrays, tmp_path):
+        # Rows go straight into two growing coordinate buffers that the cloud
+        # keeps: no list of rows, no list per axis, no copy.
+        n = 100_000
+        path = str(tmp_path / "cloud.csv")
+        write_cloud_csv(Cloud.from_arrays(arrays[0][:n], arrays[1][:n]), path)
+        assert traced_peak(lambda: read_cloud_csv(path)) <= 48 * n

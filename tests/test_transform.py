@@ -12,6 +12,7 @@ from cloudinv import (Cloud, CloudInvError, DegenerateImage, LinearCoefficients,
                       induced_coefficients, induced_raw, linear_coefficients,
                       parse_matrix, raw_sums, write_cloud_csv)
 from cloudinv.coefficients import _CHUNK
+from cloudinv.transform import _parse_floats
 from conftest import (REF_H, REF_M, assert_sums_close, random_cloud,
                       random_invertible, traced_peak, two_pass_sums)
 
@@ -74,14 +75,50 @@ class TestParseMatrix:
         m = parse_matrix("[[0.4,-0.4],[-0.05,0.9]]")
         assert m.entries() == (0.4, -0.4, -0.05, 0.9)
 
-    @pytest.mark.parametrize("bad", ["1,2;3", "1;2;3", "[[1,2]]", "a,b;c,d"])
+    @pytest.mark.parametrize("bad", ["1,2;3", "1;2;3", "[[1,2]]", "a,b;c,d",
+                                     "1,2", "1,2;3,4;5,6", "1,2;3,4;", "1,2;3,nan"])
     def test_bad_literals(self, bad):
         with pytest.raises(ValueError):
             parse_matrix(bad)
 
+    def test_bad_row_is_named(self):
+        with pytest.raises(ValueError) as info:
+            parse_matrix("1,2;3,x")
+        assert str(info.value) == ("expected 'a,b;c,d', got '1,2;3,x': '3,x' is "
+                                   "not a list of 2 finite numbers")
+
     def test_singular_literal(self):
         with pytest.raises(NonInvertibleMatrix):
             parse_matrix("1,1;1,1")
+
+
+class TestParseFloats:
+    """The one rule for a comma-separated list of numbers from outside."""
+
+    @pytest.mark.parametrize("text,want", [
+        ("1,2", [1.0, 2.0]),
+        (" 1 , -2.5e3\t", [1.0, -2500.0]),
+        ("7", [7.0]),
+        ("-0.0,5e-324,1.7976931348623157e308", [-0.0, 5e-324, 1.7976931348623157e308]),
+    ])
+    def test_accepted(self, text, want):
+        got = _parse_floats(text)
+        assert got == want
+        assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+
+    @pytest.mark.parametrize("text", ["", " ", ",", "1,,2", "1,", ",1", "x", "1,x",
+                                      "inf", "-inf", "1,nan", "1e309", "-1e309"])
+    def test_refused_with_the_text_named(self, text):
+        with pytest.raises(ValueError) as info:
+            _parse_floats(text)
+        assert str(info.value) == f"{text!r} is not a list of finite numbers"
+
+    @pytest.mark.parametrize("text", ["1", "1,2,3"])
+    def test_count_fixes_the_length(self, text):
+        assert _parse_floats("1,2", 2) == [1.0, 2.0]
+        with pytest.raises(ValueError) as info:
+            _parse_floats(text, 2, "line 3: ")
+        assert str(info.value) == f"line 3: {text!r} is not a list of 2 finite numbers"
 
 
 class TestApplyToCloud:
