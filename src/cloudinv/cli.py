@@ -31,8 +31,8 @@ from .coefficients import (Cloud, LinearCoefficients, Scatter, is_collinear,
                            write_cloud_csv)
 from .errors import CloudInvError, DegenerateGenerator, DegenerateImage
 from .families import (DIAGONAL, UPPER_TRIANGULAR, LinearFamily,
-                       RotationFamily, generator_for_matrix, kernel_value,
-                       parse_family)
+                       RotationFamily, _over_square, generator_for_matrix,
+                       kernel_value, parse_family)
 from .generators import FamilyGenerator
 from .transform import (Matrix2, _parse_floats, apply_to_cloud,
                         induced_coefficients, parse_matrix)
@@ -110,11 +110,6 @@ def _resolve_coefficients(
     return linear_coefficients(cloud), cloud, echo
 
 
-def _drift(before: float, after: float) -> dict:
-    absolute = abs(after - before)
-    return {"abs": absolute, "rel": absolute / max(1.0, abs(before))}
-
-
 def _evaluation(matrix: Matrix2, spec: FamilyGenerator, lc: Scatter,
                 diagonal: bool) -> dict:
     """The image of lc under matrix and the kernel of spec before and after;
@@ -126,11 +121,11 @@ def _evaluation(matrix: Matrix2, spec: FamilyGenerator, lc: Scatter,
         "after": {"m": after.m, "h": after.h},
         "kernel_before": before_kernel,
         "kernel_after": after_kernel,
-        "drift": _drift(before_kernel, after_kernel),
+        "drift": {"abs": abs(after_kernel - before_kernel)},
     }
     if diagonal:
-        entry["h_over_m2_before"] = lc.h / (lc.m * lc.m)
-        entry["h_over_m2_after"] = after.h / (after.m * after.m)
+        entry["h_over_m2_before"] = _over_square(lc.h, lc.m)
+        entry["h_over_m2_after"] = _over_square(after.h, after.m)
     return entry
 
 
@@ -205,65 +200,37 @@ def _cmd_transform(args: argparse.Namespace) -> dict:
     return report
 
 
-def _invariant_family(args: argparse.Namespace, lc: Scatter, echo: dict) -> dict:
-    family = parse_family(args.family)
-    phis = None if args.phi is None else _parse_floats(args.phi, None,
-                                                       "bad --phi list: ")
-    # Raises NoIdentityParameter even when --phi is given.
-    identity = family.identity_parameter()
-    if phis is None:
-        phis = [identity]
-    spec = family.derivative_coefficients()
-    before_kernel = kernel_value(spec, lc.m, lc.h)
-    evaluations = [{"phi": phi, **_evaluation(family.evaluate(phi), spec, lc,
-                                              family == DIAGONAL)}
-                   for phi in phis]
-    return {
-        "schema": SCHEMA,
-        "command": "invariant",
-        "inputs": {**echo, "family": args.family, "phi": phis},
-        "spec": {"bprime": spec.bprime, "gprime": spec.gprime,
-                 "delta": spec.delta},
-        "before": {"m": lc.m, "h": lc.h},
-        "kernel_before": before_kernel,
-        "evaluations": evaluations,
-    }
-
-
-def _invariant_matrix(args: argparse.Namespace, lc: Scatter, echo: dict) -> dict:
-    matrix = parse_matrix(args.matrix)
-    spec = generator_for_matrix(matrix)
-    # Normalized variant: coefficient vector scaled to unit max-norm, to ease
-    # cross-run comparison of kernels from different embeddings.
-    norm = max(abs(spec.bprime), abs(spec.gprime), abs(spec.delta))
-    normalized = spec.scaled(1.0 / norm)
-    after = induced_coefficients(matrix, lc)
-    before_kernel = kernel_value(spec, lc.m, lc.h)
-    after_kernel = kernel_value(spec, after.m, after.h)
-    return {
-        "schema": SCHEMA,
-        "command": "invariant",
-        "inputs": {**echo, "matrix": list(matrix.entries())},
-        "spec": {"bprime": spec.bprime, "gprime": spec.gprime,
-                 "delta": spec.delta},
-        "normalized_spec": {"bprime": normalized.bprime,
-                            "gprime": normalized.gprime,
-                            "delta": normalized.delta},
-        "before": {"m": lc.m, "h": lc.h},
-        "after": {"m": after.m, "h": after.h},
-        "kernel_before": before_kernel,
-        "kernel_after": after_kernel,
-        "kernel_drift": _drift(before_kernel, after_kernel),
-        "normalized_kernel_before": kernel_value(normalized, lc.m, lc.h),
-        "normalized_kernel_after": kernel_value(normalized, after.m, after.h),
-    }
-
-
 def _cmd_invariant(args: argparse.Namespace) -> dict:
     lc, _, echo = _resolve_coefficients(args)
-    if args.family is not None:
-        return _invariant_family(args, lc, echo)
-    return _invariant_matrix(args, lc, echo)
+    if args.family is None:
+        matrix = parse_matrix(args.matrix)
+        spec = generator_for_matrix(matrix)
+        inputs = {**echo, "matrix": list(matrix.entries())}
+        kernels = _evaluation(matrix, spec, lc, False)
+    else:
+        family = parse_family(args.family)
+        phis = None if args.phi is None else _parse_floats(args.phi, None,
+                                                           "bad --phi list: ")
+        # Raises NoIdentityParameter even when --phi is given.
+        identity = family.identity_parameter()
+        if phis is None:
+            phis = [identity]
+        spec = family.derivative_coefficients()
+        inputs = {**echo, "family": args.family, "phi": phis}
+        kernels = {"kernel_before": kernel_value(spec, lc.m, lc.h)}
+        kernels["evaluations"] = [
+            {"phi": phi, **_evaluation(family.evaluate(phi), spec, lc,
+                                       family == DIAGONAL)}
+            for phi in phis]
+    return {
+        "schema": SCHEMA,
+        "command": "invariant",
+        "inputs": inputs,
+        "spec": {"bprime": spec.bprime, "gprime": spec.gprime,
+                 "delta": spec.delta},
+        "before": {"m": lc.m, "h": lc.h},
+        **kernels,
+    }
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:

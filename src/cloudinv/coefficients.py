@@ -217,7 +217,8 @@ class Cloud:
     and therefore order-independent.  Coordinates are read-only float64
     arrays; their moments are reduced once, when the cloud is built.
     ``Cloud(points)`` reads the points once, into two growing buffers that
-    the cloud then holds without a copy.
+    the cloud then holds without a copy; a point is a :class:`Point` or a
+    sequence of exactly two numbers, and a string is refused.
 
     The image of a cloud under a matrix (see ``transform.apply_to_cloud``)
     starts out pending: it holds its source's arrays and the matrix entries
@@ -237,6 +238,8 @@ class Cloud:
         for p in points:
             if isinstance(p, Point):
                 p = p.x, p.y
+            elif isinstance(p, (str, bytes, bytearray)) or len(p) != 2:
+                raise ValueError(f"a point must be 2 coordinates, got {p!r}")
             xs.append(float(p[0]))
             ys.append(float(p[1]))
         if len(xs) < 2:
@@ -404,8 +407,18 @@ def read_cloud_csv(source: Union[str, IO[str]]) -> Cloud:
     byte-order mark.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            return read_cloud_csv(fh)
+        try:
+            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+                return read_cloud_csv(fh)
+        except UnicodeDecodeError:
+            # The decoder's position is inside its read buffer; name the line.
+            with open(source, "rb") as fh:
+                for lineno, raw in enumerate(fh, start=1):
+                    try:
+                        raw.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise ValueError(f"line {lineno}: {exc}") from None
+            raise
     return Cloud(_csv_rows(source))
 
 

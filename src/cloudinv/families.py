@@ -107,6 +107,18 @@ class LinearFamily(_Value):
         return _trace_free(*self.b)
 
 
+def _over_square(num: float, den: float) -> float:
+    """num / den**2 for a nonzero den, on the mantissas of num and den, so
+    that no product or quotient on the way under- or overflows where the
+    result does not: the same bits as num / (den*den) where that is a normal
+    float, and copysign(inf, num) where the result overflows."""
+    (n, e), (d, f) = math.frexp(num), math.frexp(den)
+    try:
+        return math.ldexp(n / (d * d), e - 2 * f)
+    except OverflowError:
+        return math.copysign(math.inf, num)
+
+
 def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
     """The invariant kernel (M^2 - H) / (H*b' - g' + delta*M)^2.
 
@@ -127,7 +139,7 @@ def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
     if abs(den) <= RTOL * scale:
         raise KernelSingular(
             f"kernel denominator {den} is zero within tolerance at ({m}, {h})")
-    value = (m * m - h) / (den * den)
+    value = _over_square(m * m - h, den)
     if not math.isfinite(value):
         raise KernelSingular(f"kernel non-finite at ({m}, {h}): {value}")
     return value

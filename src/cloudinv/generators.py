@@ -1,15 +1,18 @@
 """Infinitesimal generator fields of the induced (M, H) map.
 
-Differentiating the induced coefficient map with respect to one matrix entry
-at the identity yields a vector field on the (M, H) plane.  A function of
-(M, H) is invariant under all invertible matrices exactly when all four
-fields annihilate it; for a one-parameter family the four conditions reduce
-to a single first-order PDE whose coefficients come from the family's
-derivative data at its identity parameter.
+A matrix T acts on a cloud's scatter matrix S = [[D, M_n], [M_n, H_n]] by
+the congruence T S T^T.  Its tangent at the identity in the direction
+E = (a b; c d) is E S + S E^T, and read through the chart
+(M, H) = (M_n/D, H_n/D) it is a vector field on the (M, H) plane.  The four
+entry directions E_11, E_12, E_21, E_22 (:class:`Param`) give the four
+generator fields; a function of (M, H) is invariant under all invertible
+matrices exactly when all four annihilate it.  A one-parameter family's
+field is that of its trace-free direction (delta b'; g' 0), as the identity
+direction has zero field, so its invariance is one first-order PDE.
 
-This module evaluates the four closed-form fields, cross-checks them against
-central finite differences of the induced map, and computes numerical PDE
-residuals for caller-supplied kernel functions.
+This module evaluates the fields, cross-checks them against central finite
+differences of the induced map, and computes numerical PDE residuals for
+caller-supplied kernel functions.
 """
 from __future__ import annotations
 
@@ -21,19 +24,22 @@ from .coefficients import LinearCoefficients, _Value
 from .errors import KernelSingular
 from .transform import Matrix2, induced_coefficients
 
-# Default finite-difference step before scaling by max(1, |M|, |H|).
+# Default finite-difference step, relative to the point's size: the M step is
+# DEFAULT_STEP*r and the H step DEFAULT_STEP*r**2, r = max(|M|, sqrt|H|), as
+# M has degree 1 and H degree 2 in the cloud's coordinates (r = 1 at r = 0).
 DEFAULT_STEP = 1e-5
 
 Kernel = Callable[[float, float], float]
 
 
 class Param(Enum):
-    """The four matrix-entry directions at the identity."""
+    """The four matrix-entry directions E_ij at the identity, each valued by
+    its entries (a, b, c, d)."""
 
-    ALPHA = "alpha"
-    BETA = "beta"
-    GAMMA = "gamma"
-    DELTA = "delta"
+    ALPHA = (1.0, 0.0, 0.0, 0.0)
+    BETA = (0.0, 1.0, 0.0, 0.0)
+    GAMMA = (0.0, 0.0, 1.0, 0.0)
+    DELTA = (0.0, 0.0, 0.0, 1.0)
 
 
 class FamilyGenerator(_Value):
@@ -52,9 +58,17 @@ class FamilyGenerator(_Value):
     def is_degenerate(self) -> bool:
         return self.bprime == 0.0 and self.gprime == 0.0 and self.delta == 0.0
 
-    def scaled(self, kappa: float) -> "FamilyGenerator":
-        return FamilyGenerator(kappa * self.bprime, kappa * self.gprime,
-                               kappa * self.delta)
+
+def _field(e: tuple[float, float, float, float], m: float,
+           h: float) -> tuple[float, float]:
+    """The tangent E S + S E^T of the congruence at S = [[1, M], [M, H]] in
+    the direction E = (a b; c d), read through the chart: with dD, dM_n and
+    dH_n its entries, the field is (dM_n - M dD, dH_n - H dD)."""
+    a, b, c, d = e
+    d_d = 2.0 * (a + b * m)
+    d_mn = c + (a + d) * m + b * h
+    d_hn = 2.0 * (c * m + d * h)
+    return (d_mn - m * d_d, d_hn - h * d_d)
 
 
 def generator_value(param: Param, m: float, h: float) -> tuple[float, float]:
@@ -64,25 +78,12 @@ def generator_value(param: Param, m: float, h: float) -> tuple[float, float]:
     sends (M, H) to (M + phi, H + 2*phi*M + phi^2), whose phi-derivative at
     zero is (1, 2M).
     """
-    if param is Param.ALPHA:
-        return (-m, -2.0 * h)
-    if param is Param.BETA:
-        return (h - 2.0 * m * m, -2.0 * h * m)
-    if param is Param.GAMMA:
-        return (1.0, 2.0 * m)
-    if param is Param.DELTA:
-        return (m, 2.0 * h)
-    raise ValueError(f"unknown parameter {param!r}")
+    return _field(param.value, m, h)
 
 
 def _perturbed_matrix(param: Param, s: float) -> Matrix2:
-    if param is Param.ALPHA:
-        return Matrix2(1.0 + s, 0.0, 0.0, 1.0)
-    if param is Param.BETA:
-        return Matrix2(1.0, s, 0.0, 1.0)
-    if param is Param.GAMMA:
-        return Matrix2(1.0, 0.0, s, 1.0)
-    return Matrix2(1.0, 0.0, 0.0, 1.0 + s)
+    """I + s*E for the direction E of ``param``."""
+    return Matrix2(*[i + s * e for i, e in zip((1.0, 0.0, 0.0, 1.0), param.value)])
 
 
 def generator_fd_deviation(param: Param, m: float, h: float,
@@ -106,10 +107,13 @@ def generator_fd_deviation(param: Param, m: float, h: float,
 
 def _kernel_partials(kernel: Kernel, m: float, h: float,
                      step: float) -> tuple[float, float]:
-    """Central-difference partials of a kernel, step scaled by coordinate size."""
+    """Central-difference partials of a kernel, each coordinate stepped at
+    its own degree: step*r for M and step*r**2 for H, r = max(|M|, sqrt|H|)."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    hs = step * max(1.0, abs(m), abs(h))
+    r = max(abs(m), math.sqrt(abs(h))) or 1.0
+    step_m = step * r
+    step_h = step_m * r
 
     def ev(mm: float, hh: float) -> float:
         try:
@@ -123,8 +127,8 @@ def _kernel_partials(kernel: Kernel, m: float, h: float,
             raise KernelSingular(f"kernel non-finite at ({mm}, {hh}): {v}")
         return v
 
-    d_dm = (ev(m + hs, h) - ev(m - hs, h)) / (2.0 * hs)
-    d_dh = (ev(m, h + hs) - ev(m, h - hs)) / (2.0 * hs)
+    d_dm = (ev(m + step_m, h) - ev(m - step_m, h)) / (2.0 * step_m)
+    d_dh = (ev(m, h + step_h) - ev(m, h - step_h)) / (2.0 * step_h)
     return d_dm, d_dh
 
 
@@ -132,16 +136,13 @@ def family_pde_residual(fg: FamilyGenerator, kernel: Kernel, m: float,
                         h: float, step: float = DEFAULT_STEP) -> float:
     """Residual of the one-parameter invariance PDE for a kernel at (m, h).
 
-    Evaluates xi . grad I for the family's field xi = b'*xi_beta +
-    g'*xi_gamma + delta*xi_alpha (:func:`generator_value`; xi_delta is
-    -xi_alpha), with the partials approximated by central differences of
-    ``kernel``.  Zero (up to discretization error) exactly when the kernel
-    is invariant under the family.
+    Evaluates xi . grad I for the family's field xi, the field of its
+    trace-free direction (delta b'; g' 0), with the partials approximated by
+    central differences of ``kernel``.  Zero (up to discretization error)
+    exactly when the kernel is invariant under the family.
     """
     d_dm, d_dh = _kernel_partials(kernel, m, h, step)
-    fields = [generator_value(p, m, h) for p in (Param.BETA, Param.GAMMA, Param.ALPHA)]
-    xi1, xi2 = (fg.bprime * xb + fg.gprime * xg + fg.delta * xa
-                for xb, xg, xa in zip(*fields))
+    xi1, xi2 = _field((fg.delta, fg.bprime, fg.gprime, 0.0), m, h)
     return xi1 * d_dm + xi2 * d_dh
 
 

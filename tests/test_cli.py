@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudinv import (LinearCoefficients, Matrix2, cli, induced_coefficients,
                       read_cloud_csv)
@@ -30,6 +34,38 @@ LIST_FORMS = {
     "matrix": lambda item: ["transform", "--coeffs", "1.5,3.5",
                             "--matrix", f"{item};3,4"],
 }
+
+
+# +-j * 2**k from the smallest subnormal to past the largest double (an
+# overflow reads as inf, which is refused).
+POWERS_OF_TWO = st.builds(lambda sign, j, k: sign * j * 2.0 ** k,
+                          st.sampled_from([1.0, -1.0]), st.integers(0, 7),
+                          st.integers(-1074, 1023))
+JUNK = ["--bogus", "--n", "abc", "x", "--json", "--phi", "nan", "--coeffs",
+        "1,2,3", "--matrix=1,2;3", "--matrix=[[1,2],[3]]", "--family=linear:1",
+        "--family", "--seed", "1.5", ""]
+
+
+@st.composite
+def fuzz_argv(draw):
+    def num():
+        return repr(draw(POWERS_OF_TWO))
+
+    coeffs = f"--coeffs={num()},{num()}"
+    matrix = f"--matrix={num()},{num()};{num()},{num()}"
+    argv = draw(st.sampled_from([
+        ["transform", coeffs, matrix],
+        ["invariant", coeffs, matrix],
+        ["invariant", coeffs, "--family", draw(st.sampled_from(
+            ["diag", "upper", "lower", "rot", "linear:-2,-2;-0.25,0.5|12,8;1,2"]))],
+        ["invariant", coeffs, "--family", "diag", f"--phi={num()},{num()}"],
+        ["simulate", coeffs],
+    ]))
+    if draw(st.booleans()):
+        argv.append("--json")
+    for token in draw(st.lists(st.sampled_from(JUNK), max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
 
 
 def run(capsys, *argv):
@@ -266,14 +302,6 @@ class TestInvariant:
                            "--phi", "0.5")
         assert code == 2
 
-    def test_matrix_mode_reports_normalized_kernel(self, capsys):
-        code, report, _ = run_json(capsys, "invariant", REF_COEFFS,
-                                   "--matrix", "1,0.7;0,1")
-        assert code == 0
-        assert report["normalized_kernel_before"] == \
-            pytest.approx(-0.0249396, abs=1e-6)
-        assert report["kernel_drift"]["abs"] <= 1e-12
-
     def test_identity_matrix_exit_code(self, capsys):
         code, _, err = run(capsys, "invariant", REF_COEFFS,
                            "--matrix", "1,0;0,1")
@@ -498,6 +526,42 @@ class TestBadInputExitCodes:
         assert (code, out) == (2, "")
         assert err == (f"error: bad CSV {path}: line 2: {row!r} is not a list of "
                        "2 finite numbers\n")
+
+    @pytest.mark.parametrize("argv,exit_code", [
+        (["invariant", "--coeffs", "1.5e-100,3.5e-200", "--family", "upper"], 0),
+        (["invariant", "--coeffs", "1.5e-100,3.5e-200", "--matrix", "1,0.7;0,1"], 0),
+        (["invariant", "--coeffs", "1e-300,0", "--family", "diag", "--phi", "2"], 0),
+        (["simulate", "--coeffs", "1e-300,0"], 2),
+        (["invariant", "--coeffs", "1e-11,1e300", "--family", "diag"], 2),
+        (["invariant", "--coeffs", "0,1.5e308", "--family", "upper"], 0),
+    ])
+    def test_squared_denominator_out_of_range(self, capsys, argv, exit_code):
+        # den**2 underflows to 0 (or overflows) where the quotient does not.
+        code, report, err = run_json(capsys, *argv)
+        assert code == exit_code
+        if code:
+            assert err.startswith("error: kernel ")
+        elif "upper" in argv:
+            m, h = map(float, argv[2].split(","))
+            want = -1.0204081632653e199 if m else -1.0 / h
+            assert report["kernel_before"] == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_argv_fuzz_exits_by_the_documented_codes(self, data):
+        # M, H and the matrix entries anywhere in the float range, from the
+        # smallest subnormal up, with unknown options and bad values mixed in.
+        argv = data.draw(fuzz_argv())
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4)
+        lines = err.getvalue().splitlines()
+        if code:
+            assert out.getvalue() == ""
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            assert lines == []
 
     def test_singular_family_member_names_the_matrix(self, capsys):
         code, out, err = run(capsys, *SINGULAR_MEMBER)

@@ -38,6 +38,16 @@ class TestPointAndCloud:
         assert len(c) == 2
         assert c.points == (Point(0, 0), Point(1, 1))
 
+    @pytest.mark.parametrize("points", [
+        ["12", "34"], [b"12", b"34"], [(0, 0), bytearray(b"12")],
+        [(0, 0, 9), (1, 1, 9)], [(0, 0), (1,)], [(0, 0), (1, 1), ()],
+    ])
+    def test_cloud_refuses_a_point_that_is_not_two_coordinates(self, points):
+        # A string is not a pair of characters, and a longer row does not
+        # lose its tail.
+        with pytest.raises(ValueError, match="a point must be 2 coordinates"):
+            Cloud(points)
+
     def test_from_arrays_checks_shape(self):
         with pytest.raises(ValueError):
             Cloud.from_arrays(np.zeros(3), np.zeros(4))
@@ -373,6 +383,19 @@ class TestCsv:
         with pytest.raises(ValueError) as info:
             read_cloud_csv(io.StringIO(f"x,y\n{row}\n0,0\n1,1\n"))
         assert str(info.value) == message
+
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        # The decoder reads the file in buffers; the error names the line.
+        path = tmp_path / "latin.csv"
+        lines = [f"{i},{i % 7}" for i in range(5000)]
+        lines[4000] = "4000,caf\xe9"
+        path.write_bytes("\n".join(["x,y", *lines, ""]).encode("latin-1"))
+        with pytest.raises(ValueError) as info:
+            read_cloud_csv(str(path))
+        assert str(info.value) == (
+            "line 4002: 'utf-8' codec can't decode byte 0xe9 in position 8: "
+            "invalid continuation byte")
 
 
 # Finite doubles, with the extremes always drawn: signed zero, the smallest

@@ -174,7 +174,8 @@ class TestKernelForMatrix:
             target = random_invertible(rng)
             base = generator_for_matrix(target)
             kappa = rng.uniform(0.2, 5.0) * rng.choice([-1.0, 1.0])
-            scaled = base.scaled(kappa)
+            scaled = FamilyGenerator(kappa * base.bprime, kappa * base.gprime,
+                                     kappa * base.delta)
             m = rng.uniform(-2.0, 2.0)
             h = m * m + rng.uniform(0.1, 4.0)
             try:

@@ -5,7 +5,9 @@ import pytest
 
 from cloudinv import (FamilyGenerator, KernelSingular, Param,
                       family_pde_residual, full_pde_residuals,
-                      generator_fd_deviation, generator_value, kernel_value)
+                      generator_fd_deviation, generator_value, kernel_value,
+                      parse_family)
+from cloudinv.generators import DEFAULT_STEP, _kernel_partials
 from conftest import REF_H, REF_M
 
 
@@ -166,3 +168,26 @@ def test_central_difference_convergence_order():
                  for s in steps]
     slope = np.polyfit(np.log(steps), np.log(residuals), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.3)
+
+
+@pytest.mark.parametrize("literal", ["diag", "upper", "lower", "rot",
+                                     "linear:-2,-2;-0.25,0.5|12,8;1,2"])
+def test_residual_of_the_own_kernel_at_every_scale(literal):
+    # M has degree 1 and H degree 2 in the coordinates, so (1.5s, 3.5s^2) is
+    # one cloud shape at every scale s = 2**k.  The residual is measured
+    # against its own scale |xi1*dK/dM| + |xi2*dK/dH|, which is 1e-6 at most
+    # only if each partial is stepped at its coordinate's size.  From
+    # k = 262 on, dK/dH (of order 1/H**2) is subnormal for most families.
+    fg = parse_family(literal).derivative_coefficients()
+    kernel = lambda m, h: kernel_value(fg, m, h)
+    fields = [(fg.bprime, Param.BETA), (fg.gprime, Param.GAMMA),
+              (fg.delta, Param.ALPHA)]
+    for k in range(-250, 251):
+        s = 2.0 ** k
+        m, h = 1.5 * s, 3.5 * s * s
+        d_dm, d_dh = _kernel_partials(kernel, m, h, DEFAULT_STEP)
+        xi1, xi2 = (sum(w * generator_value(p, m, h)[i] for w, p in fields)
+                    for i in (0, 1))
+        scale = abs(xi1 * d_dm) + abs(xi2 * d_dh)
+        assert abs(family_pde_residual(fg, kernel, m, h)) <= 1e-6 * scale, k
+
