@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -44,8 +43,6 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE_IMAGE = 3
 EXIT_DEGENERATE_GENERATOR = 4
 
-SEED_ENV_VAR = "CLOUD_INV_SEED"
-
 # The four standard demonstration transformations: matrix and the
 # one-parameter family it belongs to.  The diagonal case also reports H/M^2.
 _SIMULATION_CASES = (
@@ -57,16 +54,6 @@ _SIMULATION_CASES = (
 )
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"bad {SEED_ENV_VAR} value {raw!r}") from exc
-
-
 def _add_cloud_source(parser: argparse.ArgumentParser, with_coeffs: bool) -> None:
     src = parser.add_argument_group("cloud source")
     one = src.add_mutually_exclusive_group(required=True)
@@ -76,8 +63,7 @@ def _add_cloud_source(parser: argparse.ArgumentParser, with_coeffs: bool) -> Non
     src.add_argument("--n", type=int, default=1000, help="generated point count")
     src.add_argument("--noise", type=float, default=0.05,
                      help="generator noise amplitude")
-    src.add_argument("--seed", type=int, default=None,
-                     help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
+    src.add_argument("--seed", type=int, default=0, help="RNG seed")
     if with_coeffs:
         one.add_argument("--coeffs", metavar="M,H",
                          help="bypass the cloud: supply raw coefficients")
@@ -93,8 +79,8 @@ def _resolve_cloud(args: argparse.Namespace) -> tuple[Cloud, dict]:
         except ValueError as exc:
             raise ValueError(f"bad CSV {args.csv}: {exc}") from exc
         return cloud, {"source": "csv", "path": args.csv, "n": len(cloud)}
-    seed = args.seed if args.seed is not None else _default_seed()
-    spec = CloudGenSpec(kind=args.gen, n=args.n, noise=args.noise, seed=seed)
+    spec = CloudGenSpec(kind=args.gen, n=args.n, noise=args.noise,
+                        seed=args.seed)
     return generate_cloud(spec), {"source": "generated", "kind": spec.kind,
                                   "n": spec.n, "noise": spec.noise,
                                   "seed": spec.seed}

@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 # for inputs of their magnitudes: a bound of its own degree, no unit floor.
 RTOL = 1e-12
 
-# Default tolerance for the collinearity test.
+# The tolerance of the collinearity test.
 COLLINEARITY_RTOL = 1e-9
 
 # Points per chunk of the fused copy-and-reduce pass.  A chunk of both output
@@ -101,11 +101,7 @@ class Point(_Value):
     __slots__ = ("x", "y")
 
     def __init__(self, x: float, y: float) -> None:
-        x, y = float(x), float(y)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        self._set_floats("point ", x, y)
 
 
 PointLike = Union[Point, Sequence[float]]
@@ -384,18 +380,17 @@ def linear_coefficients(cloud: Cloud) -> Scatter:
     return LinearCoefficients(rs.mn / rs.d, rs.hn / rs.d)
 
 
-def is_collinear(cloud: Cloud, tol: float = COLLINEARITY_RTOL) -> bool:
+def is_collinear(cloud: Cloud) -> bool:
     """True iff the cloud lies on a straight line (any orientation).
 
-    Tests the Cauchy-Schwarz gap d - mn**2/hn against tol*d, its largest
-    value, in degree 2 so that no product underflows.  True on vertical
-    lines (d == 0) and horizontal ones (hn == 0); agrees with h == m**2.
-    A constant y has hn exactly 0, at any offset.
+    Tests the Cauchy-Schwarz gap d - mn**2/hn against COLLINEARITY_RTOL*d,
+    its largest value, in degree 2 so that no product underflows.  True on
+    vertical lines (d == 0) and horizontal ones (hn == 0); agrees with
+    h == m**2.  A constant y has hn exactly 0, at any offset.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
     rs = raw_sums(cloud)
-    return rs.hn == 0.0 or rs.mn * (rs.mn / rs.hn) >= (1.0 - tol) * rs.d
+    return (rs.hn == 0.0 or
+            rs.mn * (rs.mn / rs.hn) >= (1.0 - COLLINEARITY_RTOL) * rs.d)
 
 
 def read_cloud_csv(source: Union[str, IO[str]]) -> Cloud:

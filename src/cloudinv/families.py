@@ -34,6 +34,9 @@ Entries = tuple[float, float, float, float]
 
 _IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
+# Below this |M|, M*M is below the smallest normal float and loses bits.
+_TINY_M = 2.0 ** -511
+
 
 def _trace_free(a: float, b: float, c: float, d: float) -> FamilyGenerator:
     """The trace-free part (b, c, a - d) of a direction (a b; c d): the
@@ -107,14 +110,14 @@ class LinearFamily(_Value):
         return _trace_free(*self.b)
 
 
-def _over_square(num: float, den: float) -> float:
-    """num / den**2 for a nonzero den, on the mantissas of num and den, so
-    that no product or quotient on the way under- or overflows where the
-    result does not: the same bits as num / (den*den) where that is a normal
-    float, and copysign(inf, num) where the result overflows."""
+def _over_square(num: float, den: float, shift: int = 0) -> float:
+    """2**shift * num / den**2 for a nonzero den, on the mantissas of num and
+    den, so that no product or quotient on the way under- or overflows where
+    the result does not: the same bits as num / (den*den) where that is a
+    normal float, and copysign(inf, num) where the result overflows."""
     (n, e), (d, f) = math.frexp(num), math.frexp(den)
     try:
-        return math.ldexp(n / (d * d), e - 2 * f)
+        return math.ldexp(n / (d * d), e - 2 * f + shift)
     except OverflowError:
         return math.copysign(math.inf, num)
 
@@ -139,7 +142,14 @@ def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
     if abs(den) <= RTOL * scale:
         raise KernelSingular(
             f"kernel denominator {den} is zero within tolerance at ({m}, {h})")
-    value = _over_square(m * m - h, den)
+    if abs(m) < _TINY_M:
+        # M^2 - H at the scale 2**(2e) of its larger term, where no term
+        # that matters underflows; 2e goes back in with the division.
+        e = math.frexp(max(abs(m), math.sqrt(abs(h))))[1]
+        value = _over_square(math.ldexp(m, -e) ** 2 - math.ldexp(h, -2 * e),
+                             den, 2 * e)
+    else:
+        value = _over_square(m * m - h, den)
     if not math.isfinite(value):
         raise KernelSingular(f"kernel non-finite at ({m}, {h}): {value}")
     return value

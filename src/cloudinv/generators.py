@@ -12,7 +12,8 @@ direction has zero field, so its invariance is one first-order PDE.
 
 This module evaluates the fields, cross-checks them against central finite
 differences of the induced map, and computes numerical PDE residuals for
-caller-supplied kernel functions.
+caller-supplied kernel functions.  Every difference steps by the one
+constant FD_STEP, scaled to the point's size.
 """
 from __future__ import annotations
 
@@ -24,10 +25,10 @@ from .coefficients import LinearCoefficients, _Value
 from .errors import KernelSingular
 from .transform import Matrix2, induced_coefficients
 
-# Default finite-difference step, relative to the point's size: the M step is
-# DEFAULT_STEP*r and the H step DEFAULT_STEP*r**2, r = max(|M|, sqrt|H|), as
-# M has degree 1 and H degree 2 in the cloud's coordinates (r = 1 at r = 0).
-DEFAULT_STEP = 1e-5
+# The finite-difference step, relative to the point's size: the M step is
+# FD_STEP*r and the H step FD_STEP*r**2, r = max(|M|, sqrt|H|), as M has
+# degree 1 and H degree 2 in the cloud's coordinates (r = 1 at r = 0).
+FD_STEP = 1e-5
 
 Kernel = Callable[[float, float], float]
 
@@ -86,33 +87,29 @@ def _perturbed_matrix(param: Param, s: float) -> Matrix2:
     return Matrix2(*[i + s * e for i, e in zip((1.0, 0.0, 0.0, 1.0), param.value)])
 
 
-def generator_fd_deviation(param: Param, m: float, h: float,
-                           step: float = DEFAULT_STEP) -> float:
+def generator_fd_deviation(param: Param, m: float, h: float) -> float:
     """Max deviation between the closed-form field and a central finite
     difference of the induced coefficient map at the identity.
 
-    O(step^2) at smooth points.  Propagates DegenerateImage if a perturbed
+    O(FD_STEP^2) at smooth points.  Propagates DegenerateImage if a perturbed
     matrix hits a singular denominator.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
     lc = LinearCoefficients(m, h)
-    plus = induced_coefficients(_perturbed_matrix(param, step), lc)
-    minus = induced_coefficients(_perturbed_matrix(param, -step), lc)
-    fd1 = (plus.m - minus.m) / (2.0 * step)
-    fd2 = (plus.h - minus.h) / (2.0 * step)
+    plus = induced_coefficients(_perturbed_matrix(param, FD_STEP), lc)
+    minus = induced_coefficients(_perturbed_matrix(param, -FD_STEP), lc)
+    fd1 = (plus.m - minus.m) / (2.0 * FD_STEP)
+    fd2 = (plus.h - minus.h) / (2.0 * FD_STEP)
     xi1, xi2 = generator_value(param, m, h)
     return max(abs(fd1 - xi1), abs(fd2 - xi2))
 
 
-def _kernel_partials(kernel: Kernel, m: float, h: float,
-                     step: float) -> tuple[float, float]:
+def _kernel_partials(kernel: Kernel, m: float,
+                     h: float) -> tuple[float, float]:
     """Central-difference partials of a kernel, each coordinate stepped at
-    its own degree: step*r for M and step*r**2 for H, r = max(|M|, sqrt|H|)."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    its own degree: FD_STEP*r for M and FD_STEP*r**2 for H,
+    r = max(|M|, sqrt|H|)."""
     r = max(abs(m), math.sqrt(abs(h))) or 1.0
-    step_m = step * r
+    step_m = FD_STEP * r
     step_h = step_m * r
 
     def ev(mm: float, hh: float) -> float:
@@ -133,7 +130,7 @@ def _kernel_partials(kernel: Kernel, m: float, h: float,
 
 
 def family_pde_residual(fg: FamilyGenerator, kernel: Kernel, m: float,
-                        h: float, step: float = DEFAULT_STEP) -> float:
+                        h: float) -> float:
     """Residual of the one-parameter invariance PDE for a kernel at (m, h).
 
     Evaluates xi . grad I for the family's field xi, the field of its
@@ -141,19 +138,19 @@ def family_pde_residual(fg: FamilyGenerator, kernel: Kernel, m: float,
     central differences of ``kernel``.  Zero (up to discretization error)
     exactly when the kernel is invariant under the family.
     """
-    d_dm, d_dh = _kernel_partials(kernel, m, h, step)
+    d_dm, d_dh = _kernel_partials(kernel, m, h)
     xi1, xi2 = _field((fg.delta, fg.bprime, fg.gprime, 0.0), m, h)
     return xi1 * d_dm + xi2 * d_dh
 
 
-def full_pde_residuals(kernel: Kernel, m: float, h: float,
-                       step: float = DEFAULT_STEP) -> dict[Param, float]:
+def full_pde_residuals(kernel: Kernel, m: float,
+                       h: float) -> dict[Param, float]:
     """Residuals of all four entry-direction PDEs for a kernel at (m, h).
 
     A function invariant under arbitrary invertible matrices must annihilate
     all four simultaneously.
     """
-    d_dm, d_dh = _kernel_partials(kernel, m, h, step)
+    d_dm, d_dh = _kernel_partials(kernel, m, h)
     out: dict[Param, float] = {}
     for param in Param:
         xi1, xi2 = generator_value(param, m, h)

@@ -191,7 +191,7 @@ def test_criterion_5_pde_residuals():
         kernel = lambda m, h: kernel_value(spec, m, h)
         for _ in range(100):
             m, h = _generic_point(rng, [spec])
-            res = abs(family_pde_residual(spec, kernel, m, h, step=1e-5))
+            res = abs(family_pde_residual(spec, kernel, m, h))
             worst = max(worst, res)
             assert res <= 1e-6, spec
     exceeded_counts = []
@@ -204,7 +204,7 @@ def test_criterion_5_pde_residuals():
         exceeded = 0
         for _ in range(100):
             m, h = _generic_point(rng, [spec, control], min_den=0.3)
-            if abs(family_pde_residual(spec, kernel, m, h, step=1e-5)) > 1e-3:
+            if abs(family_pde_residual(spec, kernel, m, h)) > 1e-3:
                 exceeded += 1
         assert exceeded >= 95, (spec, control, exceeded)
         exceeded_counts.append(exceeded)
@@ -222,7 +222,7 @@ def test_criterion_6_generator_fields():
         m = rng.uniform(-3.0, 3.0)
         h = rng.uniform(m * m + 1e-3, 10.0)
         for param in Param:
-            dev = generator_fd_deviation(param, m, h, step=1e-5)
+            dev = generator_fd_deviation(param, m, h)
             worst = max(worst, dev)
             assert dev <= 1e-7, (param, m, h)
     print(f"PASS criterion 6: finite differences match the closed fields "

@@ -65,7 +65,7 @@ def test_point_counts():
 def test_noiseless_line_exactly_collinear():
     cloud = generate_cloud(CloudGenSpec(kind="line-with-noise", n=50,
                                         noise=0.0, seed=99))
-    assert is_collinear(cloud, 0.0)
+    assert is_collinear(cloud)
     lc = linear_coefficients(cloud)
     assert lc.h - lc.m ** 2 == 0.0
 
@@ -73,7 +73,7 @@ def test_noiseless_line_exactly_collinear():
 def test_noisy_line_not_collinear():
     cloud = generate_cloud(CloudGenSpec(kind="line-with-noise", n=200,
                                         noise=0.1, seed=99))
-    assert not is_collinear(cloud, 1e-9)
+    assert not is_collinear(cloud)
 
 
 def test_two_segment_shape_is_generic():

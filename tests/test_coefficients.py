@@ -113,21 +113,13 @@ class TestLinearCoefficients:
 
 class TestIsCollinear:
     def test_exact_line(self):
-        assert is_collinear(Cloud([(0, 0), (1, 1), (2, 2)]), 1e-9)
+        assert is_collinear(Cloud([(0, 0), (1, 1), (2, 2)]))
 
     def test_triangle_not_collinear(self):
-        assert not is_collinear(Cloud(TRIANGLE), 1e-9)
+        assert not is_collinear(Cloud(TRIANGLE))
 
     def test_vertical_line(self):
-        assert is_collinear(Cloud([(0, 0), (0, 1), (0, 2)]), 1e-9)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError, match="tol must be nonnegative"):
-            is_collinear(Cloud(TRIANGLE), -1.0)
-
-    def test_nan_tol_rejected(self):
-        with pytest.raises(ValueError, match="tol must be nonnegative"):
-            is_collinear(Cloud(TRIANGLE), float("nan"))
+        assert is_collinear(Cloud([(0, 0), (0, 1), (0, 2)]))
 
     def test_small_box_is_not_collinear(self, rng):
         xs, ys = rng.uniform(0.0, 1e-4, (2, 100))
@@ -208,7 +200,7 @@ def test_collinear_iff_zero_gap():
     line = Cloud([(0.0, 0.0), (1.0, 0.5), (2.0, 1.0), (4.0, 2.0)])
     rs = raw_sums(line)
     assert rs.hn * rs.d - rs.mn ** 2 == pytest.approx(0.0, abs=1e-12)
-    assert is_collinear(line, 1e-12)
+    assert is_collinear(line)
     bent = Cloud([(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)])
     rsb = raw_sums(bent)
     assert rsb.hn * rsb.d - rsb.mn ** 2 > 0.1

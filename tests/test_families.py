@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from cloudinv import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR,
                       DegenerateGenerator, FamilyGenerator, KernelSingular,
-                      LinearCoefficients, LinearFamily, NoIdentityParameter,
-                      NonInvertibleMatrix, Param, RotationFamily, apply_to_cloud,
-                      family_pde_residual, generator_value,
+                      LinearCoefficients, LinearFamily, Matrix2,
+                      NoIdentityParameter, NonInvertibleMatrix, Param,
+                      RotationFamily, apply_to_cloud, family_pde_residual,
+                      generator_for_matrix, generator_value,
                       induced_coefficients, kernel_value, linear_coefficients,
                       parse_family)
 from conftest import REF_H, REF_M, magnitude, random_cloud
@@ -241,6 +242,16 @@ class TestKernelValue:
         with pytest.raises(KernelSingular):
             kernel_value(FamilyGenerator(1.0, 2.0, 0.0), 1.0, 2.0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_tiny_m_keeps_its_square(self, sign):
+        # Below |M| = 2**-511, M*M underflows, yet K = (M^2 - 0)/M^2 is 1.
+        fg = FamilyGenerator(0.0, 0.0, -1.0)
+        for k in range(-1074, -511):
+            assert kernel_value(fg, sign * 2.0 ** k, 0.0) == 1.0, k
+        # H far above M^2: its term alone sets the numerator, K = -1/H.
+        assert kernel_value(FamilyGenerator(1.0, 0.0, 0.0), sign * 1e-300,
+                            1e-10) == pytest.approx(-1e10, rel=1e-12)
+
 
 @settings(max_examples=300, deadline=None)
 @given(magnitude, magnitude, magnitude, magnitude, magnitude,
@@ -259,6 +270,26 @@ def test_power_of_two_scaling_of_the_generator_is_exact(bprime, gprime, delta,
             kernel_value(scaled, m, h)
         return
     assert kernel_value(scaled, m, h) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, -511),
+       st.sampled_from([1.0, -1.0]), st.floats(-1e6, 1e6),
+       st.sampled_from([DIAGONAL.derivative_coefficients(),
+                        generator_for_matrix(Matrix2(2.0, 0.0, 0.0, 1.0))]))
+def test_kernel_at_tiny_m_matches_mpmath(frac, k, sign, t, fg):
+    # |M| < 2**-511, where M*M underflows, and H = t*M^2 (rounded, perhaps
+    # to a subnormal or 0).  The error is measured against the kernel's own
+    # scale (M^2 + |H|)/den^2, its size when M^2 and H do not cancel.
+    mpmath = pytest.importorskip("mpmath")
+    m = sign * math.ldexp(frac, k)
+    with mpmath.workdps(40):
+        mm = mpmath.mpf(m)
+        h = float(mm * mm * t)
+        den = h * fg.bprime - fg.gprime + fg.delta * m
+        want = (mm * mm - h) / mpmath.mpf(den) ** 2
+        scale = (mm * mm + abs(h)) / mpmath.mpf(den) ** 2
+        assert abs(kernel_value(fg, m, h) - want) <= 1e-12 * scale
 
 
 ALL_FAMILIES = [v[0] for v in CLOSED_VARIANTS] + [CASE_STUDY]
@@ -308,7 +339,7 @@ class TestKernelInvariance:
             den = h * fg.bprime - fg.gprime + fg.delta * m
             if abs(den) < 0.5:
                 continue
-            assert abs(family_pde_residual(fg, kernel, m, h, step=1e-5)) <= 1e-6
+            assert abs(family_pde_residual(fg, kernel, m, h)) <= 1e-6
             count += 1
 
 

@@ -7,7 +7,8 @@ from cloudinv import (FamilyGenerator, KernelSingular, Param,
                       family_pde_residual, full_pde_residuals,
                       generator_fd_deviation, generator_value, kernel_value,
                       parse_family)
-from cloudinv.generators import DEFAULT_STEP, _kernel_partials
+from cloudinv import generators
+from cloudinv.generators import _kernel_partials
 from conftest import REF_H, REF_M
 
 
@@ -37,14 +38,14 @@ class TestGeneratorValue:
 
 class TestFiniteDifferenceAgreement:
     def test_gamma_at_reference_point(self):
-        dev = generator_fd_deviation(Param.GAMMA, REF_M, REF_H, step=1e-5)
+        dev = generator_fd_deviation(Param.GAMMA, REF_M, REF_H)
         assert dev <= 1e-8
 
     def test_alpha_at_origin(self):
-        assert generator_fd_deviation(Param.ALPHA, 0.0, 0.0, step=1e-5) <= 1e-12
+        assert generator_fd_deviation(Param.ALPHA, 0.0, 0.0) <= 1e-12
 
     def test_delta_at_unit_point(self):
-        assert generator_fd_deviation(Param.DELTA, 1.0, 1.0, step=1e-5) <= 1e-8
+        assert generator_fd_deviation(Param.DELTA, 1.0, 1.0) <= 1e-8
 
     @pytest.mark.parametrize("param", [Param.ALPHA, Param.GAMMA, Param.DELTA])
     def test_large_h_when_b_stays_zero(self, param):
@@ -58,7 +59,7 @@ class TestFiniteDifferenceAgreement:
             m = rng.uniform(-3.0, 3.0)
             h = m * m + rng.uniform(0.01, 10.0 - m * m if m * m < 10 else 0.02)
             for param in Param:
-                assert generator_fd_deviation(param, m, h, step=1e-5) <= 1e-7
+                assert generator_fd_deviation(param, m, h) <= 1e-7
 
     def test_sign_flipped_gamma_field_disagrees(self):
         # Regression guard: the y-shear field is (1, +2M), not (1, -2M).
@@ -71,10 +72,6 @@ class TestFiniteDifferenceAgreement:
         fd2 = (plus.h - minus.h) / (2 * s)
         assert abs(fd2 - 2 * REF_M) <= 1e-8
         assert abs(fd2 - (-2 * REF_M)) > 1.0
-
-    def test_bad_step_rejected(self):
-        with pytest.raises(ValueError):
-            generator_fd_deviation(Param.ALPHA, 1.0, 2.0, step=0.0)
 
 
 LOWER_FG = FamilyGenerator(0.0, 1.0, 0.0)
@@ -89,12 +86,12 @@ class TestFamilyPdeResidual:
 
     def test_lower_family_annihilates_gap_kernel(self):
         res = family_pde_residual(LOWER_FG, lambda m, h: h - m * m,
-                                  REF_M, REF_H, step=1e-5)
+                                  REF_M, REF_H)
         assert abs(res) <= 1e-6
 
     def test_wrong_kernel_negative_control(self):
         res = family_pde_residual(UPPER_FG, lambda m, h: h / (m * m),
-                                  REF_M, REF_H, step=1e-5)
+                                  REF_M, REF_H)
         assert abs(res) > 1e-3
 
     def test_kernel_exception_becomes_kernel_singular(self):
@@ -160,12 +157,14 @@ class TestReductionConsistency:
             assert single == pytest.approx(combined, rel=1e-10, abs=1e-12)
 
 
-def test_central_difference_convergence_order():
+def test_central_difference_convergence_order(monkeypatch):
     fg = FamilyGenerator(1.0, -1.0, 0.0)
     kernel = lambda m, h: kernel_value(fg, m, h)
     steps = [1e-3, 1e-4, 1e-5]
-    residuals = [abs(family_pde_residual(fg, kernel, REF_M, REF_H, step=s))
-                 for s in steps]
+    residuals = []
+    for s in steps:
+        monkeypatch.setattr(generators, "FD_STEP", s)
+        residuals.append(abs(family_pde_residual(fg, kernel, REF_M, REF_H)))
     slope = np.polyfit(np.log(steps), np.log(residuals), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.3)
 
@@ -185,7 +184,7 @@ def test_residual_of_the_own_kernel_at_every_scale(literal):
     for k in range(-250, 251):
         s = 2.0 ** k
         m, h = 1.5 * s, 3.5 * s * s
-        d_dm, d_dh = _kernel_partials(kernel, m, h, DEFAULT_STEP)
+        d_dm, d_dh = _kernel_partials(kernel, m, h)
         xi1, xi2 = (sum(w * generator_value(p, m, h)[i] for w, p in fields)
                     for i in (0, 1))
         scale = abs(xi1 * d_dm) + abs(xi2 * d_dh)

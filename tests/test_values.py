@@ -115,8 +115,8 @@ def test_fields_are_converted():
 INF, NAN = math.inf, math.nan
 
 INVALID = [
-    (lambda: Point(NAN, 0), ValueError, r"point coordinates must be finite"),
-    (lambda: Point(0, -INF), ValueError, r"point coordinates must be finite"),
+    (lambda: Point(NAN, 0), ValueError, r"point x must be finite, got nan"),
+    (lambda: Point(0, -INF), ValueError, r"point y must be finite, got -inf"),
     (lambda: Scatter(INF, 0, 0), ValueError, r"scatter mn must be finite, got inf"),
     (lambda: Scatter(0, NAN, 0), ValueError, r"scatter hn must be finite"),
     (lambda: Scatter(0, 0, -INF), ValueError, r"scatter d must be finite, got -inf"),
