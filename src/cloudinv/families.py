@@ -34,9 +34,6 @@ Entries = tuple[float, float, float, float]
 
 _IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
-# Below this |M|, M*M is below the smallest normal float and loses bits.
-_TINY_M = 2.0 ** -511
-
 
 def _trace_free(a: float, b: float, c: float, d: float) -> FamilyGenerator:
     """The trace-free part (b, c, a - d) of a direction (a b; c d): the
@@ -142,14 +139,12 @@ def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
     if abs(den) <= RTOL * scale:
         raise KernelSingular(
             f"kernel denominator {den} is zero within tolerance at ({m}, {h})")
-    if abs(m) < _TINY_M:
-        # M^2 - H at the scale 2**(2e) of its larger term, where no term
-        # that matters underflows; 2e goes back in with the division.
-        e = math.frexp(max(abs(m), math.sqrt(abs(h))))[1]
-        value = _over_square(math.ldexp(m, -e) ** 2 - math.ldexp(h, -2 * e),
-                             den, 2 * e)
-    else:
-        value = _over_square(m * m - h, den)
+    # M^2 - H at the scale 2**(2e) of its larger term, so M*M can neither
+    # overflow nor underflow where it counts; 2e goes back in with the
+    # division.  Exact scaling: the same bits wherever M*M - H is normal.
+    e = math.frexp(max(abs(m), math.sqrt(abs(h))))[1]
+    mm = math.ldexp(m, -e)
+    value = _over_square(mm * mm - math.ldexp(h, -2 * e), den, 2 * e)
     if not math.isfinite(value):
         raise KernelSingular(f"kernel non-finite at ({m}, {h}): {value}")
     return value

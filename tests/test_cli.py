@@ -392,6 +392,8 @@ class TestSimulate:
 
 
 class TestSeedEnvVar:
+    """CLOUD_INV_SEED, once the default of --seed, is no longer read."""
+
     @pytest.mark.parametrize("value", ["31337", "not-a-number"])
     def test_env_is_ignored(self, capsys, monkeypatch, value):
         # argv alone decides a run: --seed defaults to 0 whatever the
@@ -403,9 +405,12 @@ class TestSeedEnvVar:
         assert report["inputs"]["seed"] == 0
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
+        # The same argv gives the same report with and without the variable.
+        argv = ["coeffs", "--gen", "uniform-box", "--n", "50", "--seed", "1"]
+        want = run_json(capsys, *argv)
         monkeypatch.setenv("CLOUD_INV_SEED", "31337")
-        code, report, _ = run_json(capsys, "coeffs", "--gen", "uniform-box",
-                                   "--n", "50", "--seed", "1")
+        assert run_json(capsys, *argv) == want
+        code, report, _ = want
         assert code == 0
         assert report["inputs"]["seed"] == 1
 
@@ -441,10 +446,11 @@ class TestBadInputExitCodes:
         (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", ","], 2),
         (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", " "], 2),
         (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", ""], 2),
-        # Kernels that overflow to NaN or -inf, in either output form.
-        (["invariant", "--coeffs", "1e200,1e300", "--family", "upper", "--json"], 2),
+        # Kernels that overflow to inf or -inf, in either output form:
+        # K = (M^2 - H)/H^2 is about 1e800 here, and about -1e578 below.
+        (["invariant", "--coeffs", "1e200,1e-200", "--family", "upper", "--json"], 2),
         (["invariant", "--coeffs", "1e-11,1e300", "--family", "diag", "--json"], 2),
-        (["invariant", "--coeffs", "1e200,1e300", "--family", "upper"], 2),
+        (["invariant", "--coeffs", "1e200,1e-200", "--family", "upper"], 2),
         (["simulate", "--coeffs", "nan,1"], 2),
         (["simulate", "--coeffs", "1,x"], 2),
         # So is a list with an empty item.
@@ -544,13 +550,24 @@ class TestBadInputExitCodes:
             want = -1.0204081632653e199 if m else -1.0 / h
             assert report["kernel_before"] == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("coeffs", ["1e-300,0", "1e-200,2e-400"])
-    def test_tiny_m_kernel_keeps_its_square(self, capsys, coeffs):
-        # M*M underflows to 0 here, yet K = (M^2 - H)/M^2 is 1 at H = 0.
+    @pytest.mark.parametrize("coeffs", ["1e-300,0", "1e-200,2e-400", "1e200,0",
+                                        "1e200,1e300", "1.7e308,0"])
+    @pytest.mark.parametrize("target", [["--family", "diag"],
+                                        ["--matrix", "2,0;0,1"]])
+    def test_degree_zero_kernel_keeps_its_square(self, capsys, coeffs, target):
+        # M*M under- or overflows here, yet K = (M^2 - H)/M^2 is 1 (H is
+        # at most 1e-100 of M^2).
         code, report, _ = run_json(capsys, "invariant", "--coeffs", coeffs,
-                                   "--family", "diag")
+                                   *target)
         assert code == 0
         assert report["kernel_before"] == 1.0
+
+    def test_huge_m_kernel_is_finite(self, capsys):
+        # M*M overflows, yet K = (M^2 - H)/H^2 is about 1e-200.
+        code, report, _ = run_json(capsys, "invariant", "--coeffs",
+                                   "1e200,1e300", "--family", "upper")
+        assert code == 0
+        assert report["kernel_before"] == pytest.approx(1e-200, rel=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

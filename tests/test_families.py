@@ -243,14 +243,19 @@ class TestKernelValue:
             kernel_value(FamilyGenerator(1.0, 2.0, 0.0), 1.0, 2.0)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_tiny_m_keeps_its_square(self, sign):
-        # Below |M| = 2**-511, M*M underflows, yet K = (M^2 - 0)/M^2 is 1.
+    def test_degree_zero_kernel_keeps_its_square(self, sign):
+        # Below |M| = 2**-511 M*M underflows, and from 2**512 on it
+        # overflows, yet K = (M^2 - 0)/M^2 is 1.
         fg = FamilyGenerator(0.0, 0.0, -1.0)
-        for k in range(-1074, -511):
+        for k in [*range(-1074, -511), *range(512, 1024)]:
             assert kernel_value(fg, sign * 2.0 ** k, 0.0) == 1.0, k
-        # H far above M^2: its term alone sets the numerator, K = -1/H.
-        assert kernel_value(FamilyGenerator(1.0, 0.0, 0.0), sign * 1e-300,
-                            1e-10) == pytest.approx(-1e10, rel=1e-12)
+        # H far above M^2: its term alone sets the numerator, K = -1/H;
+        # M^2 far above H: K = M^2/H^2.
+        upper = FamilyGenerator(1.0, 0.0, 0.0)
+        assert kernel_value(upper, sign * 1e-300, 1e-10) == \
+            pytest.approx(-1e10, rel=1e-12)
+        assert kernel_value(upper, sign * 1e200, 1e300) == \
+            pytest.approx(1e-200, rel=1e-12)
 
 
 @settings(max_examples=300, deadline=None)
@@ -273,19 +278,22 @@ def test_power_of_two_scaling_of_the_generator_is_exact(bprime, gprime, delta,
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(0.5, 1.0, exclude_max=True), st.integers(-1073, -511),
+@given(st.floats(0.5, 1.0, exclude_max=True),
+       st.integers(-1073, -511) | st.integers(513, 1024),
        st.sampled_from([1.0, -1.0]), st.floats(-1e6, 1e6),
        st.sampled_from([DIAGONAL.derivative_coefficients(),
                         generator_for_matrix(Matrix2(2.0, 0.0, 0.0, 1.0))]))
-def test_kernel_at_tiny_m_matches_mpmath(frac, k, sign, t, fg):
+def test_kernel_where_m_squared_is_out_of_range_matches_mpmath(frac, k, sign,
+                                                                t, fg):
     # |M| < 2**-511, where M*M underflows, and H = t*M^2 (rounded, perhaps
-    # to a subnormal or 0).  The error is measured against the kernel's own
-    # scale (M^2 + |H|)/den^2, its size when M^2 and H do not cancel.
+    # to a subnormal or 0); or |M| >= 2**512, where M*M overflows, and
+    # H = t*1e302.  The error is measured against the kernel's own scale
+    # (M^2 + |H|)/den^2, its size when M^2 and H do not cancel.
     mpmath = pytest.importorskip("mpmath")
     m = sign * math.ldexp(frac, k)
     with mpmath.workdps(40):
         mm = mpmath.mpf(m)
-        h = float(mm * mm * t)
+        h = float(mm * mm * t) if k < 0 else t * 1e302
         den = h * fg.bprime - fg.gprime + fg.delta * m
         want = (mm * mm - h) / mpmath.mpf(den) ** 2
         scale = (mm * mm + abs(h)) / mpmath.mpf(den) ** 2
