@@ -6,10 +6,11 @@ Subcommands:
     invariant  kernel values before/after a family member or a matrix
     simulate   the four standard transformations on a generated cloud
 
-Each command builds one report dict.  ``--json`` prints it as sorted,
-indented JSON; the text form prints one ``key  value`` line per leaf, in the
-report's order, with a dotted key (``cases[0].after.m``) and the leaf as
-JSON.  A non-finite number is an error in either form.
+Each command builds one report dict, which ``main`` heads with the schema and
+the command name.  ``--json`` prints it as sorted, indented JSON; the text
+form prints one ``key  value`` line per leaf, in the report's order, with a
+dotted key (``cases[0].after.m``) and the leaf as JSON.  A non-finite number
+is an error in either form.
 
 Exit codes: 0 success, 2 input/validation error (a usage error, a cloud too
 large for memory or an unwritable --dump-points file included), 3 degenerate
@@ -149,8 +150,6 @@ def _cmd_coeffs(args: argparse.Namespace) -> dict:
     rs = raw_sums(cloud)
     lc = linear_coefficients(cloud)
     return {
-        "schema": SCHEMA,
-        "command": "coeffs",
         "inputs": echo,
         "raw_sums": {"mn": rs.mn, "hn": rs.hn, "d": rs.d},
         "coefficients": {"m": lc.m, "h": lc.h},
@@ -163,8 +162,6 @@ def _cmd_transform(args: argparse.Namespace) -> dict:
     lc, cloud, echo = _resolve_coefficients(args)
     after_closed = induced_coefficients(matrix, lc)
     report = {
-        "schema": SCHEMA,
-        "command": "transform",
         "inputs": {**echo, "matrix": list(matrix.entries())},
         "before": {"m": lc.m, "h": lc.h},
         "after_closed_form": {"m": after_closed.m, "h": after_closed.h},
@@ -209,8 +206,6 @@ def _cmd_invariant(args: argparse.Namespace) -> dict:
                                        family == DIAGONAL)}
             for phi in phis]
     return {
-        "schema": SCHEMA,
-        "command": "invariant",
         "inputs": inputs,
         "spec": {"bprime": spec.bprime, "gprime": spec.gprime,
                  "delta": spec.delta},
@@ -234,8 +229,6 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
                                            abs(direct.h - after["h"]))
         cases.append(case)
     return {
-        "schema": SCHEMA,
-        "command": "simulate",
         "inputs": echo,
         "before": {"m": lc.m, "h": lc.h},
         "cases": cases,
@@ -294,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _emit(args.func(args), args.json)
+        _emit({"schema": SCHEMA, "command": args.command, **args.func(args)},
+              args.json)
         return EXIT_OK
     except DegenerateGenerator as exc:
         print(f"error: {exc}", file=sys.stderr)

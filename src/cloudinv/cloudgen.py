@@ -5,10 +5,9 @@ seed reproduces the same cloud bit-for-bit on any platform.
 """
 from __future__ import annotations
 
-import sys
 from typing import TYPE_CHECKING
 
-from .coefficients import _CHUNK, Cloud, _Value
+from .coefficients import _CHUNK, Cloud, _real, _Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,17 +29,12 @@ class CloudGenSpec(_Value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if n < 2:
             raise ValueError(f"point count must be >= 2, got {n}")
-        if isinstance(noise, bool) or not isinstance(noise, (int, float)):
-            raise ValueError(f"noise must be a real number, got {noise!r}")
-        # A range test, so an int too large for a float is not converted.
-        if not 0 <= noise <= sys.float_info.max:
+        noise = _real(noise, "noise")
+        if noise < 0:
             raise ValueError(f"noise amplitude must be >= 0, got {noise}")
         if not (0 <= seed < 2 ** 64):
             raise ValueError(f"seed must be a 64-bit unsigned value, got {seed}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "noise", noise)
-        object.__setattr__(self, "seed", seed)
+        self.__setstate__((kind, n, noise, seed))
 
 
 def generate_cloud(spec: CloudGenSpec) -> Cloud:

@@ -86,13 +86,25 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _set_floats(self, prefix: str, *values: float) -> None:
-        """Set the fields, in slot order, to the values as floats; the first
-        value that is not finite raises ValueError, naming its field."""
+        """Set the fields, in slot order, to the values read by :func:`_real`,
+        each named ``prefix + name``; a finite float is taken as it is."""
         for name, v in zip(self.__slots__, values):
-            v = float(v)
-            if not math.isfinite(v):
-                raise ValueError(f"{prefix}{name} must be finite, got {v}")
+            if type(v) is not float or not math.isfinite(v):
+                v = _real(v, prefix + name)
             object.__setattr__(self, name, v)
+
+
+def _real(value: object, name: str) -> float:
+    """A number from a caller as a float: what ``float()`` converts, except
+    bool, str, bytes and bytearray, if finite; else ValueError naming it."""
+    if not isinstance(value, (bool, str, bytes, bytearray)):
+        try:
+            v = float(value)
+        except (TypeError, ValueError, OverflowError):
+            v = math.nan
+        if math.isfinite(v):
+            return v
+    raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class Point(_Value):
@@ -116,10 +128,10 @@ class _Moments(NamedTuple):
     q: float
 
 
-_Entries = tuple[float, float, float, float]
+Entries = tuple[float, float, float, float]
 
 
-def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[_Entries] = None,
+def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[Entries] = None,
                      out: Optional[np.ndarray] = None) -> _Moments:
     """The moments of (xs, ys), or of their image (a*x + b*y, c*x + d*y)
     under the matrix entries t = (a, b, c, d); given ``out``, that cloud is
@@ -214,7 +226,7 @@ class Cloud:
     arrays; their moments are reduced once, when the cloud is built.
     ``Cloud(points)`` reads the points once, into two growing buffers that
     the cloud then holds without a copy; a point is a :class:`Point` or a
-    sequence of exactly two numbers, and a string is refused.
+    sequence of exactly two numbers (:func:`_real`), and a string is refused.
 
     The image of a cloud under a matrix (see ``transform.apply_to_cloud``)
     starts out pending: it holds its source's arrays and the matrix entries
@@ -234,23 +246,26 @@ class Cloud:
         for p in points:
             if isinstance(p, Point):
                 p = p.x, p.y
-            elif isinstance(p, (str, bytes, bytearray)) or len(p) != 2:
-                raise ValueError(f"a point must be 2 coordinates, got {p!r}")
-            xs.append(float(p[0]))
-            ys.append(float(p[1]))
+            try:  # a string is not a pair of characters (or of ints)
+                x, y = () if isinstance(p, (str, bytes, bytearray)) else p
+            except (TypeError, ValueError):
+                raise ValueError(f"a point must be 2 coordinates, got {p!r}") from None
+            xs.append(x if type(x) is float and math.isfinite(x) else _real(x, "point x"))
+            ys.append(y if type(y) is float and math.isfinite(y) else _real(y, "point y"))
         if len(xs) < 2:
             raise ValueError(f"a cloud needs at least 2 points, got {len(xs)}")
         self._fill(np.frombuffer(xs), np.frombuffer(ys))
 
     @classmethod
     def from_arrays(cls, xs: np.ndarray, ys: np.ndarray) -> "Cloud":
-        """Build a cloud from equal-length coordinate arrays (copied)."""
+        """Build a cloud from equal-length integer or float arrays (copied)."""
         import numpy as np
 
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        if xs.shape != ys.shape or xs.ndim != 1:
-            raise ValueError("coordinate arrays must be 1-D and equal length")
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        if (xs.shape != ys.shape or xs.ndim != 1
+                or xs.dtype.kind not in "iuf" or ys.dtype.kind not in "iuf"):
+            raise ValueError("coordinate arrays must be 1-D, equal-length and real, "
+                             f"got {xs.dtype} {xs.shape} and {ys.dtype} {ys.shape}")
         if xs.size < 2:
             raise ValueError(f"a cloud needs at least 2 points, got {xs.size}")
         cloud = object.__new__(cls)
@@ -259,7 +274,7 @@ class Cloud:
 
     @classmethod
     def _own(cls, xs: np.ndarray, ys: np.ndarray,
-             t: Optional[_Entries] = None) -> "Cloud":
+             t: Optional[Entries] = None) -> "Cloud":
         """A cloud over (xs, ys) themselves, which it marks read-only, or the
         pending image of them under the matrix entries t.  The arrays must be
         1-D float64 of one length >= 2 that no one else writes to."""
@@ -268,7 +283,7 @@ class Cloud:
         return cloud
 
     def _fill(self, xs: np.ndarray, ys: np.ndarray,
-              t: Optional[_Entries] = None, copy: bool = False) -> None:
+              t: Optional[Entries] = None, copy: bool = False) -> None:
         """Hold (xs, ys), a fresh copy of them (``copy``), or their image
         under the matrix entries t (pending unless ``copy``), and cache the
         moments of the cloud held.  A copy is one 2 x n block, its rows the

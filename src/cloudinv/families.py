@@ -23,14 +23,11 @@ is invariant.
 from __future__ import annotations
 
 import math
-import sys
 
-from .coefficients import RTOL, _Value
+from .coefficients import RTOL, Entries, _real, _Value
 from .errors import DegenerateGenerator, KernelSingular, NoIdentityParameter
 from .generators import FamilyGenerator
 from .transform import Matrix2, parse_entries
-
-Entries = tuple[float, float, float, float]
 
 _IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
@@ -70,18 +67,15 @@ class LinearFamily(_Value):
 
     def __init__(self, a0: Entries, b: Entries) -> None:
         for name, raw in (("a0", a0), ("b", b)):
-            # A string of four digits is not four entries; bools are not
-            # numbers.  The range test also rejects an int too large for a
-            # float, without converting it.
-            vals = () if isinstance(raw, (str, bytes, bytearray)) else tuple(raw)
-            if len(vals) != 4 or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and abs(v) <= sys.float_info.max for v in vals):
-                raise ValueError(f"{name} must be 4 finite entries, got {raw!r}")
-            object.__setattr__(self, name, tuple(map(float, vals)))
+            try:  # a string of four digits is not four entries
+                e0, e1, e2, e3 = () if isinstance(raw, (str, bytes, bytearray)) else raw
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be 4 finite entries, got {raw!r}") from None
+            object.__setattr__(self, name, tuple(
+                [_real(v, f"{name}[{i}]") for i, v in enumerate((e0, e1, e2, e3))]))
 
     def evaluate(self, phi: float) -> Matrix2:
-        phi = float(phi)
+        phi = _real(phi, "phi")
         return Matrix2(*[a + phi * b for a, b in zip(self.a0, self.b)])
 
     def identity_parameter(self) -> float:

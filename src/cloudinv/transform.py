@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 
-from .coefficients import RTOL, Cloud, LinearCoefficients, Scatter, _Value
+from .coefficients import (RTOL, Cloud, Entries, LinearCoefficients, Scatter,
+                           _real, _Value)
 from .errors import DegenerateImage, NonInvertibleMatrix
 
 
@@ -49,6 +50,7 @@ class Matrix2(_Value):
 
     @classmethod
     def rotation(cls, angle: float) -> "Matrix2":
+        angle = _real(angle, "angle")
         c, s = math.cos(angle), math.sin(angle)
         return cls(c, s, -s, c)
 
@@ -68,7 +70,7 @@ class Matrix2(_Value):
             self.c * other.b + self.d * other.d,
         )
 
-    def entries(self) -> tuple[float, float, float, float]:
+    def entries(self) -> Entries:
         return (self.a, self.b, self.c, self.d)
 
 
@@ -87,7 +89,7 @@ def _parse_floats(text: str, count: int | None = None,
     raise ValueError(f"{what}{text!r} is not a list of {size}finite numbers")
 
 
-def parse_entries(literal: str) -> tuple[float, float, float, float]:
+def parse_entries(literal: str) -> Entries:
     """The entries (a, b, c, d) of a matrix literal `a,b;c,d`, each row read
     by :func:`_parse_floats`, or of the JSON form `[[a,b],[c,d]]`, row-major."""
     text = literal.strip()
@@ -99,13 +101,8 @@ def parse_entries(literal: str) -> tuple[float, float, float, float]:
     if (not isinstance(rows, list) or len(rows) != 2
             or any(not isinstance(r, list) or len(r) != 2 for r in rows)):
         raise ValueError(f"expected [[a,b],[c,d]], got {literal!r}")
-    cells = [v for row in rows for v in row]
-    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in cells):
-        raise ValueError(f"matrix entries must be numbers, got {literal!r}")
-    try:
-        return tuple(float(v) for v in cells)
-    except OverflowError as exc:
-        raise ValueError(f"matrix entry out of range in {literal!r}") from exc
+    return tuple(_real(v, f"matrix entry {name}")
+                 for name, v in zip("abcd", rows[0] + rows[1]))
 
 
 def parse_matrix(literal: str) -> Matrix2:

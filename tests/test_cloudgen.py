@@ -36,7 +36,7 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("noise", ["0.1", True, False, None, [0.1]])
     def test_non_real_noise(self, noise):
-        with pytest.raises(ValueError, match="^noise must be a real number"):
+        with pytest.raises(ValueError, match="^noise must be finite, got "):
             CloudGenSpec("ellipse", 10, noise)
 
 

@@ -423,7 +423,6 @@ def point_sources(xs, ys):
         "tuples": pairs,
         "generator": ((x, y) for x, y in pairs),
         "numpy rows": np.column_stack([xs, ys]),
-        "strings": [(repr(x), repr(y)) for x, y in pairs],
     }
 
 

@@ -33,7 +33,9 @@ CLOSED_VARIANTS = [
     ((1, 0, 0, 2 ** 1100), (0, 1, 0, 0), "a0"),
 ])
 def test_linear_family_rejects_non_numeric_entries(a0, b, bad):
-    with pytest.raises(ValueError, match=f"^{bad} must be 4 finite entries"):
+    # Text is not 4 entries; any other bad entry is named by its index.
+    with pytest.raises(ValueError, match=rf"^{bad}( must be 4 finite entries|"
+                                         r"\[\d\] must be finite), got "):
         LinearFamily(a0, b)
 
 
