@@ -26,16 +26,16 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .cloudgen import KINDS, CloudGenSpec, generate_cloud
-from .coefficients import (Cloud, LinearCoefficients, Scatter, is_collinear,
-                           linear_coefficients, raw_sums, read_cloud_csv,
-                           write_cloud_csv)
+from .coefficients import (Cloud, LinearCoefficients, Scatter, _parse_floats,
+                           is_collinear, linear_coefficients, raw_sums,
+                           read_cloud_csv, write_cloud_csv)
 from .errors import CloudInvError, DegenerateGenerator, DegenerateImage
 from .families import (DIAGONAL, UPPER_TRIANGULAR, LinearFamily,
                        RotationFamily, _over_square, generator_for_matrix,
                        kernel_value, parse_family)
 from .generators import FamilyGenerator
-from .transform import (Matrix2, _parse_floats, apply_to_cloud,
-                        induced_coefficients, parse_matrix)
+from .transform import (Matrix2, apply_to_cloud, induced_coefficients,
+                        parse_matrix)
 
 SCHEMA = "cloud-invariants/1"
 
@@ -194,11 +194,9 @@ def _cmd_invariant(args: argparse.Namespace) -> dict:
         family = parse_family(args.family)
         phis = None if args.phi is None else _parse_floats(args.phi, None,
                                                            "bad --phi list: ")
-        # Raises NoIdentityParameter even when --phi is given.
-        identity = family.identity_parameter()
-        if phis is None:
-            phis = [identity]
         spec = family.derivative_coefficients()
+        if phis is None:
+            phis = [family.identity_parameter()]
         inputs = {**echo, "family": args.family, "phi": phis}
         kernels = {"kernel_before": kernel_value(spec, lc.m, lc.h)}
         kernels["evaluations"] = [

@@ -96,15 +96,35 @@ class _Value:
 
 def _real(value: object, name: str) -> float:
     """A number from a caller as a float: what ``float()`` converts, except
-    bool, str, bytes and bytearray, if finite; else ValueError naming it."""
-    if not isinstance(value, (bool, str, bytes, bytearray)):
+    bool (numpy's too), str, bytes and bytearray, if finite; else ValueError naming it."""
+    if (not isinstance(value, (bool, str, bytes, bytearray))
+            and getattr(getattr(value, "dtype", None), "kind", "") != "b"):
         try:
             v = float(value)
         except (TypeError, ValueError, OverflowError):
             v = math.nan
         if math.isfinite(v):
             return v
-    raise ValueError(f"{name} must be finite, got {value!r}")
+    try:
+        got = repr(value)
+    except ValueError:  # an int too long for a decimal string
+        got = f"an int of {value.bit_length()} bits"
+    raise ValueError(f"{name} must be finite, got {got}")
+
+
+def _parse_floats(text: str, count: int | None = None,
+                 what: str = "") -> list[float]:
+    """The finite floats of a comma-separated list from outside (an argv
+    value, a CSV row, a matrix row), each item read by ``float``, and
+    ``count`` of them if given; else ValueError, ``what`` + the text."""
+    try:
+        values = [*map(float, text.split(","))]
+    except ValueError:
+        values = [math.nan]
+    if count in (None, len(values)) and all(map(math.isfinite, values)):
+        return values
+    size = f"{count} " if count else ""
+    raise ValueError(f"{what}{text!r} is not a list of {size}finite numbers")
 
 
 class Point(_Value):
@@ -351,13 +371,18 @@ class Scatter(_Value):
 
     @property
     def m(self) -> float:
-        """The slope M = mn / d (ZeroDivisionError at d = 0)."""
-        return self.mn / self.d
+        """The slope M = mn / d (DegenerateCloud at d = 0)."""
+        return self._over_d(self.mn)
 
     @property
     def h(self) -> float:
-        """The constant term H = hn / d (ZeroDivisionError at d = 0)."""
-        return self.hn / self.d
+        """The constant term H = hn / d (DegenerateCloud at d = 0)."""
+        return self._over_d(self.hn)
+
+    def _over_d(self, value: float) -> float:
+        if self.d == 0.0:
+            raise DegenerateCloud("scatter d is 0: (M, H) is undefined")
+        return value / self.d
 
 
 def LinearCoefficients(m: float, h: float) -> Scatter:
@@ -410,7 +435,7 @@ def is_collinear(cloud: Cloud) -> bool:
 
 def read_cloud_csv(source: Union[str, IO[str]]) -> Cloud:
     """Read a cloud from CSV: one `x,y` pair per line, under the one rule
-    for number lists (``transform._parse_floats``), into the cloud's buffers.
+    for number lists (:func:`_parse_floats`), into the cloud's buffers.
 
     An optional header line `x,y` is skipped; blank lines are ignored;
     LF and CRLF line endings are both accepted, and so is a leading UTF-8
@@ -433,8 +458,6 @@ def read_cloud_csv(source: Union[str, IO[str]]) -> Cloud:
 
 
 def _csv_rows(lines: Iterable[str]) -> Iterator[list[float]]:
-    from .transform import _parse_floats
-
     for lineno, raw in enumerate(lines, start=1):
         line = (raw.removeprefix("\ufeff") if lineno == 1 else raw).strip()
         if not line or lineno == 1 and "".join(line.split()).lower() == "x,y":

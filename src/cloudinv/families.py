@@ -96,7 +96,7 @@ class LinearFamily(_Value):
             f"no phi makes A0 + phi*B the identity (best candidate {phi})")
 
     def derivative_coefficients(self) -> FamilyGenerator:
-        """Of B; NoIdentityParameter if the pencil misses the identity."""
+        """Of B; NoIdentityParameter, or DegenerateGenerator if B = c*I."""
         self.identity_parameter()
         return _trace_free(*self.b)
 
@@ -117,15 +117,9 @@ def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
     """The invariant kernel (M^2 - H) / (H*b' - g' + delta*M)^2.
 
     Raises:
-        DegenerateGenerator: all three coefficients are zero (every function
-            is trivially invariant, e.g. uniform-scaling families).
         KernelSingular: the denominator is at most RTOL * (|H*b'| + |g'| +
             |delta*M|), its largest value, or it or the value overflows.
     """
-    if ks.is_degenerate():
-        raise DegenerateGenerator(
-            "all derivative coefficients are zero; every function of (M, H) "
-            "is invariant")
     den = h * ks.bprime - ks.gprime + ks.delta * m
     scale = abs(h * ks.bprime) + abs(ks.gprime) + abs(ks.delta * m)
     if not math.isfinite(scale):
@@ -153,15 +147,12 @@ def generator_for_matrix(target: Matrix2) -> FamilyGenerator:
             RTOL relative to its largest entry: b, c and the diagonal
             difference all vanish at that scale.
     """
-    fg = _trace_free(*target.entries())
-    # Tested on delta itself, so a target that passes never yields three
-    # zero coefficients.
-    if max(abs(fg.bprime), abs(fg.gprime), abs(fg.delta)) <= \
-            RTOL * target.max_abs_entry():
+    a, b, c, d = target.entries()
+    if max(abs(b), abs(c), abs(a - d)) <= RTOL * target.max_abs_entry():
         raise DegenerateGenerator(
             "target - I is a multiple of the identity (uniform scaling); "
             "every function of (M, H) is invariant")
-    return fg
+    return _trace_free(a, b, c, d)
 
 
 def kernel_for_matrix(target: Matrix2, m: float, h: float) -> float:

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable
 
 from .coefficients import LinearCoefficients, _Value
-from .errors import KernelSingular
+from .errors import DegenerateGenerator, KernelSingular
 from .transform import Matrix2, induced_coefficients
 
 # The finite-difference step, relative to the point's size: the M step is
@@ -47,17 +47,17 @@ class FamilyGenerator(_Value):
     """Derivative data of a one-parameter family at its identity parameter.
 
     Fields are the entry derivatives beta'(phi*), gamma'(phi*) and the
-    difference delta = alpha'(phi*) - delta'(phi*); together they determine
-    the family's invariance PDE and its invariant kernel.
+    difference delta = alpha'(phi*) - delta'(phi*), not all zero (else
+    DegenerateGenerator); they determine the invariance PDE and the kernel.
     """
 
     __slots__ = ("bprime", "gprime", "delta")
 
     def __init__(self, bprime: float, gprime: float, delta: float) -> None:
         self._set_floats("", bprime, gprime, delta)
-
-    def is_degenerate(self) -> bool:
-        return self.bprime == 0.0 and self.gprime == 0.0 and self.delta == 0.0
+        if not (self.bprime or self.gprime or self.delta):
+            raise DegenerateGenerator("all derivative coefficients are zero; "
+                                      "every function of (M, H) is invariant")
 
 
 def _field(e: tuple[float, float, float, float], m: float,

@@ -4,15 +4,14 @@ Transforming every cloud point by an invertible matrix (a b; c d) induces a
 rational transformation of the linear coefficients.  This module provides
 the pointwise cloud action, the closed-form induced map as the congruence
 S -> T S T^T of a cloud's scatter matrix and as the chart point of that
-image, and the parsing of matrix literals and of number lists.
+image, and the parsing of matrix literals.
 """
 from __future__ import annotations
 
-import json
 import math
 
 from .coefficients import (RTOL, Cloud, Entries, LinearCoefficients, Scatter,
-                           _real, _Value)
+                           _parse_floats, _real, _Value)
 from .errors import DegenerateImage, NonInvertibleMatrix
 
 
@@ -74,35 +73,20 @@ class Matrix2(_Value):
         return (self.a, self.b, self.c, self.d)
 
 
-def _parse_floats(text: str, count: int | None = None,
-                 what: str = "") -> list[float]:
-    """The finite floats of a comma-separated list from outside (an argv
-    value, a CSV row, a matrix row), each item read by ``float``, and
-    ``count`` of them if given; else ValueError, ``what`` + the text."""
-    try:
-        values = [*map(float, text.split(","))]
-    except ValueError:
-        values = [math.nan]
-    if count in (None, len(values)) and all(map(math.isfinite, values)):
-        return values
-    size = f"{count} " if count else ""
-    raise ValueError(f"{what}{text!r} is not a list of {size}finite numbers")
-
-
 def parse_entries(literal: str) -> Entries:
-    """The entries (a, b, c, d) of a matrix literal `a,b;c,d`, each row read
-    by :func:`_parse_floats`, or of the JSON form `[[a,b],[c,d]]`, row-major."""
+    """The entries (a, b, c, d), row-major, of a matrix literal `a,b;c,d` or
+    `[[a,b],[c,d]]`, each row read by :func:`_parse_floats`."""
     text = literal.strip()
-    if not text.startswith("["):
+    if text.startswith("["):  # '[' '[' row ']' ',' '[' row ']' ']', spaced
+        what = f"expected [[a,b],[c,d]], got {literal!r}: "
+        heads = [p.partition("[") for p in ("," + text[1:]).split("]")]
+        if [h.strip() + b for h, b, _ in heads] != [",[", ",[", "", ""]:
+            raise ValueError(f"{what}not two bracketed rows")
+        top, bottom = heads[0][2], heads[1][2]
+    else:
         what = f"expected 'a,b;c,d', got {literal!r}: "
         top, _, bottom = text.partition(";")
-        return tuple(_parse_floats(top, 2, what) + _parse_floats(bottom, 2, what))
-    rows = json.loads(text)
-    if (not isinstance(rows, list) or len(rows) != 2
-            or any(not isinstance(r, list) or len(r) != 2 for r in rows)):
-        raise ValueError(f"expected [[a,b],[c,d]], got {literal!r}")
-    return tuple(_real(v, f"matrix entry {name}")
-                 for name, v in zip("abcd", rows[0] + rows[1]))
+    return tuple(_parse_floats(top, 2, what) + _parse_floats(bottom, 2, what))
 
 
 def parse_matrix(literal: str) -> Matrix2:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +19,21 @@ REF_H = 2.46998
 # Floats of magnitude 1e-3 to 1e3, or zero, for the power-of-two scaling
 # properties: scaled by 2**k, |k| <= 200, they stay far from underflow.
 magnitude = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+# Values that are not a finite number: every entry point refuses each one,
+# naming the field (test_numbers.py), and so does a matrix literal with one
+# written into it (test_transform.py).  10**5000 has too many digits for repr.
+NOT_NUMBERS = [None, True, False, "1.5", b"1", bytearray(b"2"), 10 ** 400,
+               -10 ** 400, math.nan, math.inf, -math.inf, [1.0], object(),
+               1j, Fraction(10 ** 400), Decimal("nan"), Decimal("snan"),
+               np.float64(math.inf), np.True_, np.False_, np.array(True),
+               10 ** 5000]
+not_a_number = st.one_of(
+    st.sampled_from(NOT_NUMBERS), st.booleans(), st.text(max_size=4),
+    st.binary(max_size=4),
+    st.integers(min_value=2 ** 1024) | st.integers(max_value=-2 ** 1024),
+    st.lists(st.floats(-1.0, 1.0), max_size=2),
+    st.complex_numbers(allow_nan=False, allow_infinity=False))
 
 
 def random_cloud(rng: np.random.Generator, n: int = 30,

@@ -52,7 +52,12 @@ def fuzz_argv(draw):
         return repr(draw(POWERS_OF_TWO))
 
     coeffs = f"--coeffs={num()},{num()}"
-    matrix = f"--matrix={num()},{num()};{num()},{num()}"
+    # Either literal form, or brackets nested past any recursion limit and
+    # not always balanced.
+    matrix = "--matrix=" + draw(st.sampled_from([
+        f"{num()},{num()};{num()},{num()}",
+        f"[[{num()},{num()}],[{num()},{num()}]]",
+        "[" * draw(st.integers(0, 30_000)) + "]" * draw(st.integers(0, 30_000))]))
     argv = draw(st.sampled_from([
         ["transform", coeffs, matrix],
         ["invariant", coeffs, matrix],
@@ -391,7 +396,7 @@ class TestSimulate:
             assert abs(case["kernel_after"]) <= 1e-12
 
 
-class TestSeedEnvVar:
+class TestSeed:
     """CLOUD_INV_SEED, once the default of --seed, is no longer read."""
 
     @pytest.mark.parametrize("value", ["31337", "not-a-number"])
@@ -468,6 +473,12 @@ class TestBadInputExitCodes:
         (["transform", "--coeffs", "1,2", "--gen", "ellipse", "--matrix", "1,0;0,2"], 2),
         (["invariant", "--coeffs", "1,2"], 2),
         *[(form(item), 2) for form in LIST_FORMS.values() for item in REFUSED_LISTS],
+        # A bracketed literal is two rows under the number-list rule, and
+        # nothing else: no space inside a number, no third level, no
+        # missing or extra row, no recursion however deep the brackets.
+        *[(["transform", "--coeffs", "1.5,3.5", "--matrix", literal], 2)
+          for literal in ["[[1 2,3],[4,5]]", "[[1,2],[3]]", "[[1,2]],[[3,4]]",
+                          "[1,2],[3,4]", "[" * 20_000 + "]" * 20_000]],
     ])
     def test_exit_code_and_one_error_line(self, capsys, argv, exit_code):
         code, out, err = run(capsys, *argv)

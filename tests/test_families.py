@@ -267,16 +267,16 @@ def test_power_of_two_scaling_of_the_generator_is_exact(bprime, gprime, delta,
                                                         m, h, k):
     # The denominator has degree 1 in (b', g', delta), so the kernel of the
     # generator times 2**k is 4**-k times the kernel, or the same error.
-    fg = FamilyGenerator(bprime, gprime, delta)
-    kappa = 2.0 ** k
-    scaled = FamilyGenerator(kappa * bprime, kappa * gprime, kappa * delta)
+    # A generator of three zeros is refused when built, at either scale.
+    scaled = [2.0 ** k * v for v in (bprime, gprime, delta)]
     try:
+        fg = FamilyGenerator(bprime, gprime, delta)
         want = math.ldexp(kernel_value(fg, m, h), -2 * k)
     except (DegenerateGenerator, KernelSingular) as exc:
         with pytest.raises(type(exc)):
-            kernel_value(scaled, m, h)
+            kernel_value(FamilyGenerator(*scaled), m, h)
         return
-    assert kernel_value(scaled, m, h) == want
+    assert kernel_value(FamilyGenerator(*scaled), m, h) == want
 
 
 @settings(max_examples=300, deadline=None)

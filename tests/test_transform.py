@@ -1,6 +1,8 @@
 import gc
 import io
+import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,10 +13,11 @@ from cloudinv import (Cloud, CloudInvError, DegenerateImage, LinearCoefficients,
                       Matrix2, NonInvertibleMatrix, Scatter, apply_to_cloud,
                       induced_coefficients, induced_raw, linear_coefficients,
                       parse_matrix, raw_sums, write_cloud_csv)
-from cloudinv.coefficients import _CHUNK
-from cloudinv.transform import _parse_floats
-from conftest import (REF_H, REF_M, assert_sums_close, random_cloud,
-                      random_invertible, traced_peak, two_pass_sums)
+from cloudinv.coefficients import _CHUNK, _parse_floats
+from cloudinv.transform import parse_entries
+from conftest import (REF_H, REF_M, assert_sums_close, not_a_number,
+                      random_cloud, random_invertible, traced_peak,
+                      two_pass_sums)
 
 REF = LinearCoefficients(REF_M, REF_H)
 
@@ -66,6 +69,17 @@ class TestMatrix2:
         assert prod.entries() == pytest.approx(tuple(expected.ravel()))
 
 
+def _written(value: object) -> str:
+    """A value as text: as JSON writes it, else its repr; an int in decimal
+    digits, however many."""
+    if type(value) is int:
+        return format(Decimal(value), "f")
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 class TestParseMatrix:
     def test_semicolon_form(self):
         m = parse_matrix("1,0.7;0,1")
@@ -76,7 +90,10 @@ class TestParseMatrix:
         assert m.entries() == (0.4, -0.4, -0.05, 0.9)
 
     @pytest.mark.parametrize("bad", ["1,2;3", "1;2;3", "[[1,2]]", "a,b;c,d",
-                                     "1,2", "1,2;3,4;5,6", "1,2;3,4;", "1,2;3,nan"])
+                                     "1,2", "1,2;3,4;5,6", "1,2;3,4;", "1,2;3,nan",
+                                     "[[1 2,3],[4,5]]", "[[1,2],[3]]", "[[1,[2]],[2,3]]",
+                                     "[[1,2]],[[3,4]]", "[1,2],[3,4]", "[[1,2],[3,4]",
+                                     "[[1,2],[3,4]]]", "[[1,2][3,4]]", "[[[1,2],[3,4]]]"])
     def test_bad_literals(self, bad):
         with pytest.raises(ValueError):
             parse_matrix(bad)
@@ -86,6 +103,38 @@ class TestParseMatrix:
             parse_matrix("1,2;3,x")
         assert str(info.value) == ("expected 'a,b;c,d', got '1,2;3,x': '3,x' is "
                                    "not a list of 2 finite numbers")
+        with pytest.raises(ValueError) as info:
+            parse_matrix("[[null,1],[2,3]]")
+        assert str(info.value) == ("expected [[a,b],[c,d]], got '[[null,1],[2,3]]': "
+                                   "'null,1' is not a list of 2 finite numbers")
+
+    def test_bracketed_rows_take_what_the_row_form_takes(self):
+        # -0 is -0.0, and float's spellings that JSON lacks are numbers.
+        got = parse_entries("[[-0,.5],[+1,1_0]]")
+        assert got == parse_entries("-0,.5;+1,1_0") == (0.0, 0.5, 1.0, 10.0)
+        assert math.copysign(1.0, got[0]) == -1.0
+
+    def test_nesting_depth_is_fixed_by_the_grammar(self):
+        with pytest.raises(ValueError, match=r"^expected \[\[a,b\],\[c,d\]\]"):
+            parse_entries("[" * 20_000 + "]" * 20_000)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),
+           st.sampled_from([None, 0, 2]), st.sampled_from([(",", ":"), (", ", ": ")]))
+    def test_bracketed_form_reads_what_json_writes(self, entries, indent, separators):
+        a, b, c, d = entries
+        text = json.dumps([[a, b], [c, d]], indent=indent, separators=separators)
+        want = [*map(float.hex, entries)]  # bit for bit, signs of zero included
+        assert [*map(float.hex, parse_entries(text))] == want
+        assert [*map(float.hex, parse_entries(f"{a!r},{b!r};{c!r},{d!r}"))] == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(not_a_number)
+    def test_bracketed_literal_refuses_what_is_not_a_finite_number(self, value):
+        literal = f"[[1,0],[{_written(value)},1]]"
+        with pytest.raises(ValueError) as info:
+            parse_entries(literal)
+        assert str(info.value).startswith(f"expected [[a,b],[c,d]], got {literal!r}: ")
 
     def test_singular_literal(self):
         with pytest.raises(NonInvertibleMatrix):

@@ -6,10 +6,13 @@ import math
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cloudinv import (DIAGONAL, CloudGenSpec, FamilyGenerator,
-                      LinearCoefficients, LinearFamily, Matrix2,
-                      NonInvertibleMatrix, Point, RotationFamily, Scatter)
+from cloudinv import (DIAGONAL, Cloud, CloudGenSpec, DegenerateCloud,
+                      FamilyGenerator, LinearCoefficients, LinearFamily,
+                      Matrix2, NonInvertibleMatrix, Point, RotationFamily,
+                      Scatter, raw_sums)
 
 # constructor name -> (value, an equal value built with keywords, a
 # different value of the same type, repr text, field names).
@@ -165,6 +168,25 @@ def test_linear_coefficients_is_the_chart_point():
     assert lc == Scatter(1.52244, 2.46998, 1.0)
     assert (lc.m, lc.h) == (1.52244, 2.46998)
     assert Scatter(3.0, 6.0, 2.0).m == 1.5 and Scatter(3.0, 6.0, 2.0).h == 3.0
+
+
+@pytest.mark.parametrize("s", [raw_sums(Cloud([(1, 1), (1, 2)])), Scatter(1.0, 2.0, 0.0)])
+def test_chart_of_a_vertical_scatter_is_degenerate(s):
+    assert s.d == 0.0
+    with pytest.raises(DegenerateCloud):
+        s.m
+    with pytest.raises(DegenerateCloud):
+        s.h
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite, finite, finite.filter(bool))
+def test_chart_divides_by_d(mn, hn, d):
+    s = Scatter(mn, hn, d)  # bit for bit, signs of zero included
+    assert (s.m.hex(), s.h.hex()) == ((mn / d).hex(), (hn / d).hex())
 
 
 def test_limits_are_accepted():
