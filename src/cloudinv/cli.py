@@ -14,7 +14,8 @@ is an error in either form.
 
 Exit codes: 0 success, 2 input/validation error (a usage error, a cloud too
 large for memory or an unwritable --dump-points file included), 3 degenerate
-image, 4 degenerate generator (every function invariant).
+image, 4 degenerate generator (every function invariant).  A table in ``main``
+decides the code of each error it reports, 2 where no row matches.
 """
 from __future__ import annotations
 
@@ -39,11 +40,6 @@ from .transform import (Matrix2, apply_to_cloud, induced_coefficients,
 
 SCHEMA = "cloud-invariants/1"
 
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_DEGENERATE_IMAGE = 3
-EXIT_DEGENERATE_GENERATOR = 4
-
 # The four standard demonstration transformations: matrix and the
 # one-parameter family it belongs to.  The diagonal case also reports H/M^2.
 _SIMULATION_CASES = (
@@ -55,23 +51,13 @@ _SIMULATION_CASES = (
 )
 
 
-def _add_cloud_source(parser: argparse.ArgumentParser, with_coeffs: bool) -> None:
-    src = parser.add_argument_group("cloud source")
-    one = src.add_mutually_exclusive_group(required=True)
-    one.add_argument("--csv", metavar="FILE", help="read cloud from CSV file")
-    one.add_argument("--gen", metavar="KIND", choices=KINDS,
-                     help=f"generate a cloud; one of {', '.join(KINDS)}")
-    src.add_argument("--n", type=int, default=1000, help="generated point count")
-    src.add_argument("--noise", type=float, default=0.05,
-                     help="generator noise amplitude")
-    src.add_argument("--seed", type=int, default=0, help="RNG seed")
-    if with_coeffs:
-        one.add_argument("--coeffs", metavar="M,H",
-                         help="bypass the cloud: supply raw coefficients")
-
-
-def _resolve_cloud(args: argparse.Namespace) -> tuple[Cloud, dict]:
-    """Load or generate the cloud named by the args; returns (cloud, echo)."""
+def _resolve_coefficients(
+        args: argparse.Namespace) -> tuple[Scatter, Optional[Cloud], dict]:
+    """(coefficients, cloud or None, inputs echo) of --coeffs, --csv or --gen."""
+    if args.coeffs is not None:
+        lc = LinearCoefficients(*_parse_floats(
+            args.coeffs, 2, "expected finite --coeffs M,H: "))
+        return lc, None, {"source": "coeffs", "m": lc.m, "h": lc.h}
     if args.csv is not None:
         try:
             cloud = read_cloud_csv(args.csv)
@@ -79,21 +65,12 @@ def _resolve_cloud(args: argparse.Namespace) -> tuple[Cloud, dict]:
             raise ValueError(f"cannot read {args.csv}: {exc}") from exc
         except ValueError as exc:
             raise ValueError(f"bad CSV {args.csv}: {exc}") from exc
-        return cloud, {"source": "csv", "path": args.csv, "n": len(cloud)}
-    spec = CloudGenSpec(kind=args.gen, n=args.n, noise=args.noise,
-                        seed=args.seed)
-    return generate_cloud(spec), {"source": "generated", "kind": spec.kind,
-                                  "n": spec.n, "noise": spec.noise,
-                                  "seed": spec.seed}
-
-
-def _resolve_coefficients(
-        args: argparse.Namespace) -> tuple[Scatter, Optional[Cloud], dict]:
-    if args.coeffs is not None:
-        lc = LinearCoefficients(*_parse_floats(
-            args.coeffs, 2, "expected finite --coeffs M,H: "))
-        return lc, None, {"source": "coeffs", "m": lc.m, "h": lc.h}
-    cloud, echo = _resolve_cloud(args)
+        echo = {"source": "csv", "path": args.csv, "n": len(cloud)}
+    else:
+        spec = CloudGenSpec(args.gen, args.n, args.noise, args.seed)
+        cloud = generate_cloud(spec)
+        echo = {"source": "generated", "kind": spec.kind, "n": spec.n,
+                "noise": spec.noise, "seed": spec.seed}
     return linear_coefficients(cloud), cloud, echo
 
 
@@ -146,9 +123,8 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> dict:
-    cloud, echo = _resolve_cloud(args)
+    lc, cloud, echo = _resolve_coefficients(args)
     rs = raw_sums(cloud)
-    lc = linear_coefficients(cloud)
     return {
         "inputs": echo,
         "raw_sums": {"mn": rs.mn, "hn": rs.hn, "d": rs.d},
@@ -241,44 +217,52 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+# Name, handler and help of each subcommand; all but coeffs take --coeffs.
+_COMMANDS = (
+    ("coeffs", _cmd_coeffs, "linear coefficients of a cloud"),
+    ("transform", _cmd_transform, "apply a 2x2 matrix to a cloud"),
+    ("invariant", _cmd_invariant, "evaluate an invariant kernel"),
+    ("simulate", _cmd_simulate, "run the four standard transformations"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cloudinv",
         description="Linear-transformation invariants of planar point clouds.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, func, help_line in _COMMANDS:
+        p = commands[name] = sub.add_parser(name, help=help_line)
+        src = p.add_argument_group("cloud source")
+        one = src.add_mutually_exclusive_group(required=True)
+        one.add_argument("--csv", metavar="FILE", help="read cloud from CSV file")
+        one.add_argument("--gen", metavar="KIND", choices=KINDS,
+                         help=f"generate a cloud; one of {', '.join(KINDS)}")
+        src.add_argument("--n", type=int, default=1000, help="generated point count")
+        src.add_argument("--noise", type=float, default=0.05,
+                         help="generator noise amplitude")
+        src.add_argument("--seed", type=int, default=0, help="RNG seed")
+        if name != "coeffs":
+            one.add_argument("--coeffs", metavar="M,H",
+                             help="bypass the cloud: supply raw coefficients")
+        p.add_argument("--json", action="store_true", help="emit JSON")
+        p.set_defaults(func=func, coeffs=None)
 
-    p = sub.add_parser("coeffs", help="linear coefficients of a cloud")
-    _add_cloud_source(p, with_coeffs=False)
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.set_defaults(func=_cmd_coeffs)
-
-    p = sub.add_parser("transform", help="apply a 2x2 matrix to a cloud")
-    _add_cloud_source(p, with_coeffs=True)
+    p = commands["transform"]
     p.add_argument("--matrix", required=True, metavar="a,b;c,d",
                    help="matrix literal (rows separated by ';')")
     p.add_argument("--dump-points", metavar="FILE",
                    help="write the transformed cloud as CSV")
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("invariant", help="evaluate an invariant kernel")
-    _add_cloud_source(p, with_coeffs=True)
+    p = commands["invariant"]
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--family", metavar="LIT",
                         help="family literal: diag|upper|lower|rot|linear:A0|B")
-    p.add_argument("--phi", metavar="LIST",
-                   help="comma-separated parameter values")
+    p.add_argument("--phi", metavar="LIST", help="comma-separated parameter values")
     target.add_argument("--matrix", metavar="a,b;c,d",
                         help="arbitrary invertible matrix instead of a family")
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.set_defaults(func=_cmd_invariant)
-
-    p = sub.add_parser("simulate",
-                       help="run the four standard transformations")
-    _add_cloud_source(p, with_coeffs=True)
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    p.set_defaults(func=_cmd_simulate)
     return parser
 
 
@@ -287,20 +271,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         _emit({"schema": SCHEMA, "command": args.command, **args.func(args)},
               args.json)
-        return EXIT_OK
-    except DegenerateGenerator as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE_GENERATOR
-    except DegenerateImage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE_IMAGE
-    except (CloudInvError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except MemoryError as exc:
-        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
-              file=sys.stderr)
-        return EXIT_INPUT
+        return 0
+    except (CloudInvError, ValueError, MemoryError) as exc:
+        message = str(exc)
+        if isinstance(exc, MemoryError):
+            message = f"out of memory: {message or 'allocation failed'}"
+        print(f"error: {message}", file=sys.stderr)
+        codes = ((DegenerateImage, 3), (DegenerateGenerator, 4))
+        return next((code for kind, code in codes if isinstance(exc, kind)), 2)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ clouds), or reduces a matrix image chunk by chunk without writing it.
 from __future__ import annotations
 
 import math
+import reprlib
 from typing import (IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional,
                     Sequence, Union)
 
@@ -43,6 +44,12 @@ _CHUNK = 1 << 15
 # across its threads, which changes the rounding with the thread count; a
 # block of 8192 runs on one thread, so the moments do not depend on it.
 _DOT = 1 << 13
+
+# An error quotes a value through this repr: a string, an int or another
+# object of more than 400 characters as head ... tail, a container by its
+# first items.  (The constructor takes no keywords before Python 3.12.)
+_QUOTE = reprlib.Repr()
+_QUOTE.maxstring = _QUOTE.maxlong = _QUOTE.maxother = 400
 
 
 class _Value:
@@ -106,7 +113,7 @@ def _real(value: object, name: str) -> float:
         if math.isfinite(v):
             return v
     try:
-        got = repr(value)
+        got = _QUOTE.repr(value)
     except ValueError:  # an int too long for a decimal string
         got = f"an int of {value.bit_length()} bits"
     raise ValueError(f"{name} must be finite, got {got}")
@@ -124,7 +131,7 @@ def _parse_floats(text: str, count: int | None = None,
     if count in (None, len(values)) and all(map(math.isfinite, values)):
         return values
     size = f"{count} " if count else ""
-    raise ValueError(f"{what}{text!r} is not a list of {size}finite numbers")
+    raise ValueError(f"{what}{_QUOTE.repr(text)} is not a list of {size}finite numbers")
 
 
 class Point(_Value):
@@ -269,7 +276,8 @@ class Cloud:
             try:  # a string is not a pair of characters (or of ints)
                 x, y = () if isinstance(p, (str, bytes, bytearray)) else p
             except (TypeError, ValueError):
-                raise ValueError(f"a point must be 2 coordinates, got {p!r}") from None
+                raise ValueError("a point must be 2 coordinates, got "
+                                 f"{_QUOTE.repr(p)}") from None
             xs.append(x if type(x) is float and math.isfinite(x) else _real(x, "point x"))
             ys.append(y if type(y) is float and math.isfinite(y) else _real(y, "point y"))
         if len(xs) < 2:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .coefficients import RTOL, Entries, _real, _Value
+from .coefficients import _QUOTE, RTOL, Entries, _real, _Value
 from .errors import DegenerateGenerator, KernelSingular, NoIdentityParameter
 from .generators import FamilyGenerator
 from .transform import Matrix2, parse_entries
@@ -70,7 +70,8 @@ class LinearFamily(_Value):
             try:  # a string of four digits is not four entries
                 e0, e1, e2, e3 = () if isinstance(raw, (str, bytes, bytearray)) else raw
             except (TypeError, ValueError):
-                raise ValueError(f"{name} must be 4 finite entries, got {raw!r}") from None
+                raise ValueError(f"{name} must be 4 finite entries, "
+                                 f"got {_QUOTE.repr(raw)}") from None
             object.__setattr__(self, name, tuple(
                 [_real(v, f"{name}[{i}]") for i, v in enumerate((e0, e1, e2, e3))]))
 
@@ -209,8 +210,8 @@ def parse_family(literal: str) -> LinearFamily | RotationFamily:
     if text.startswith("linear:"):
         parts = text[len("linear:"):].split("|")
         if len(parts) != 2:
-            raise ValueError(f"expected linear:A0|B, got {literal!r}")
+            raise ValueError(f"expected linear:A0|B, got {_QUOTE.repr(literal)}")
         return LinearFamily(*map(parse_entries, parts))
     raise ValueError(
-        f"unknown family literal {literal!r}; expected one of "
+        f"unknown family literal {_QUOTE.repr(literal)}; expected one of "
         f"{sorted(_NAMED_FAMILIES)} or linear:...")

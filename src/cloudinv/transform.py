@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .coefficients import (RTOL, Cloud, Entries, LinearCoefficients, Scatter,
-                           _parse_floats, _real, _Value)
+                           _QUOTE, _parse_floats, _real, _Value)
 from .errors import DegenerateImage, NonInvertibleMatrix
 
 
@@ -78,13 +78,13 @@ def parse_entries(literal: str) -> Entries:
     `[[a,b],[c,d]]`, each row read by :func:`_parse_floats`."""
     text = literal.strip()
     if text.startswith("["):  # '[' '[' row ']' ',' '[' row ']' ']', spaced
-        what = f"expected [[a,b],[c,d]], got {literal!r}: "
+        what = f"expected [[a,b],[c,d]], got {_QUOTE.repr(literal)}: "
         heads = [p.partition("[") for p in ("," + text[1:]).split("]")]
         if [h.strip() + b for h, b, _ in heads] != [",[", ",[", "", ""]:
             raise ValueError(f"{what}not two bracketed rows")
         top, bottom = heads[0][2], heads[1][2]
     else:
-        what = f"expected 'a,b;c,d', got {literal!r}: "
+        what = f"expected 'a,b;c,d', got {_QUOTE.repr(literal)}: "
         top, _, bottom = text.partition(";")
     return tuple(_parse_floats(top, 2, what) + _parse_floats(bottom, 2, what))
 

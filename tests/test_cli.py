@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ SINGULAR_MEMBER = ["invariant", "--coeffs", "1.5,3.5", "--family", "diag",
 # Number lists from outside under the one rule: `1,2` is read, and each of
 # these is refused (an empty item, a non-number, a non-finite value).
 REFUSED_LISTS = ["", " ", ",", "1,,2", "x", "inf", "nan", "1e309"]
+
+# A value far longer than an error line quotes.
+LONG = "x" * 40_000
 
 # Where a number list given on the command line goes: --coeffs, --phi and
 # the first row of a text --matrix.  CSV rows have their own tests.
@@ -510,6 +514,45 @@ class TestBadInputExitCodes:
         assert info.value.code == 0
         captured = capsys.readouterr()
         assert captured.out and captured.err == ""
+
+    @pytest.mark.parametrize("command,own", [
+        ("coeffs", []),
+        ("transform", ["--coeffs", "--matrix", "--dump-points"]),
+        ("invariant", ["--coeffs", "--family", "--matrix", "--phi"]),
+        ("simulate", ["--coeffs"]),
+    ])
+    def test_each_command_lists_its_own_options(self, capsys, command, own):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        # An option's help line is indented by two spaces; usage lines by more.
+        listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.M)
+        shared = ["--help", "--csv", "--gen", "--n", "--noise", "--seed", "--json"]
+        assert sorted(listed) == sorted(shared + own)
+
+    @pytest.mark.parametrize("argv,start", [
+        (["simulate", "--coeffs", LONG], "expected finite --coeffs M,H: 'xxx"),
+        ([*SINGULAR_MEMBER[:-1], LONG], "bad --phi list: 'xxx"),
+        (["transform", "--coeffs", "1.5,3.5", "--matrix", LONG],
+         "expected 'a,b;c,d', got 'xxx"),
+        (["transform", "--coeffs", "1.5,3.5", "--matrix", "[" * 20_000 + "]" * 20_000],
+         "expected [[a,b],[c,d]], got '[[["),
+        (["invariant", "--coeffs", "1.5,3.5", "--family", LONG],
+         "unknown family literal 'xxx"),
+        (["invariant", "--coeffs", "1.5,3.5", "--family", f"linear:{LONG}|1,0;0,1"],
+         "expected 'a,b;c,d', got 'xxx"),
+        (["coeffs", "--csv", "{csv}"], "bad CSV {csv}: line 2: 'xxx"),
+    ])
+    def test_a_long_value_is_quoted_by_head_and_tail(self, capsys, tmp_path, argv,
+                                                     start):
+        # At most 400 characters of each quoted value, and at most two quotes.
+        path = tmp_path / "cloud.csv"
+        path.write_text(f"0,0\n{LONG}\n5,1\n")
+        argv = [str(path) if arg == "{csv}" else arg for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: " + start.replace("{csv}", str(path)))
+        assert err.count("\n") == 1 and "..." in err and len(err) < 1000
 
     @pytest.mark.parametrize("form", [*LIST_FORMS, "csv"])
     def test_number_list_rule_accepts(self, capsys, tmp_path, form):

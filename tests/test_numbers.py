@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from cloudinv import (DIAGONAL, Cloud, CloudGenSpec, FamilyGenerator,
                       LinearCoefficients, LinearFamily, Matrix2, Point,
-                      Scatter)
+                      Scatter, parse_family)
+from cloudinv.coefficients import _parse_floats
 from cloudinv.transform import parse_entries
 from conftest import not_a_number
 
@@ -89,6 +90,39 @@ def test_numpy_bools_and_unprintable_ints_are_refused_by_name(value):
         Matrix2(value, 0, 0, 1)
     with pytest.raises(ValueError, match="^point x must be finite, got "):
         Cloud([(value, 2), (3, 4)])
+
+
+LONG = "x" * 40_000
+
+# Each place a message quotes a value, given one of 40 000 characters or
+# items, and how the message starts: the field, then the head of the value.
+LONG_VALUES = [
+    (lambda: Matrix2(LONG, 0, 0, 1), "matrix entry a must be finite, got 'xxx"),
+    (lambda: Matrix2([0] * 40_000, 0, 0, 1),
+     "matrix entry a must be finite, got [0, 0, 0"),
+    (lambda: Matrix2(10 ** 1000, 0, 0, 1), "matrix entry a must be finite, got 1000"),
+    (lambda: Cloud([(0, 0), LONG]), "a point must be 2 coordinates, got 'xxx"),
+    (lambda: LinearFamily(LONG, (1, 0, 0, 1)), "a0 must be 4 finite entries, got 'xxx"),
+    (lambda: LinearFamily((1, 0, 0, 1), [*range(40_000)]),
+     "b must be 4 finite entries, got [0, 1, 2"),
+    (lambda: _parse_floats(LONG), "'xxx"),
+    (lambda: parse_entries(LONG), "expected 'a,b;c,d', got 'xxx"),
+    (lambda: parse_entries("[" * 20_000 + "]" * 20_000),
+     "expected [[a,b],[c,d]], got '[[["),
+    (lambda: parse_family(LONG), "unknown family literal 'xxx"),
+    (lambda: parse_family("linear:" + "|" * 40_000),
+     "expected linear:A0|B, got 'linear:|||"),
+]
+
+
+@pytest.mark.parametrize("make,start", LONG_VALUES)
+def test_a_long_value_is_quoted_by_head_and_tail(make, start):
+    # At most 400 characters of each quoted value, and at most two quotes.
+    with pytest.raises(ValueError) as info:
+        make()
+    message = str(info.value)
+    assert message.startswith(start)
+    assert "..." in message and len(message) < 1000
 
 
 @pytest.mark.parametrize("value", [0.5, 2, np.float32(0.25), np.int64(3),

@@ -13,7 +13,7 @@ from cloudinv import (Cloud, CloudInvError, DegenerateImage, LinearCoefficients,
                       Matrix2, NonInvertibleMatrix, Scatter, apply_to_cloud,
                       induced_coefficients, induced_raw, linear_coefficients,
                       parse_matrix, raw_sums, write_cloud_csv)
-from cloudinv.coefficients import _CHUNK, _parse_floats
+from cloudinv.coefficients import _CHUNK, _QUOTE, _parse_floats
 from cloudinv.transform import parse_entries
 from conftest import (REF_H, REF_M, assert_sums_close, not_a_number,
                       random_cloud, random_invertible, traced_peak,
@@ -134,7 +134,8 @@ class TestParseMatrix:
         literal = f"[[1,0],[{_written(value)},1]]"
         with pytest.raises(ValueError) as info:
             parse_entries(literal)
-        assert str(info.value).startswith(f"expected [[a,b],[c,d]], got {literal!r}: ")
+        assert str(info.value).startswith(
+            f"expected [[a,b],[c,d]], got {_QUOTE.repr(literal)}: ")
 
     def test_singular_literal(self):
         with pytest.raises(NonInvertibleMatrix):
