@@ -16,12 +16,10 @@ from .errors import (CloudInvError, DegenerateCloud, DegenerateGenerator,
                      DegenerateImage, KernelSingular, NoIdentityParameter,
                      NonInvertibleMatrix)
 from .families import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR,
-                       LinearFamily, RotationFamily, embed,
-                       generator_for_matrix, kernel_for_matrix, kernel_value,
-                       parse_family)
+                       LinearFamily, RotationFamily, generator_for_matrix,
+                       kernel_for_matrix, kernel_value, parse_family)
 from .generators import (FamilyGenerator, Param, family_pde_residual,
-                         full_pde_residuals, generator_fd_deviation,
-                         generator_value)
+                         full_pde_residuals, generator_value)
 from .transform import (Matrix2, apply_to_cloud, induced_coefficients,
                         induced_raw, parse_matrix)
 
@@ -35,10 +33,10 @@ __all__ = [
     "DegenerateImage", "KernelSingular", "NoIdentityParameter",
     "NonInvertibleMatrix",
     "DIAGONAL", "LOWER_TRIANGULAR", "UPPER_TRIANGULAR",
-    "LinearFamily", "RotationFamily", "embed", "generator_for_matrix",
+    "LinearFamily", "RotationFamily", "generator_for_matrix",
     "kernel_for_matrix", "kernel_value", "parse_family",
     "FamilyGenerator", "Param", "family_pde_residual", "full_pde_residuals",
-    "generator_fd_deviation", "generator_value",
+    "generator_value",
     "Matrix2", "apply_to_cloud", "induced_coefficients", "induced_raw",
     "parse_matrix",
 ]

@@ -27,9 +27,9 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .cloudgen import KINDS, CloudGenSpec, generate_cloud
-from .coefficients import (Cloud, LinearCoefficients, Scatter, _parse_floats,
-                           is_collinear, linear_coefficients, raw_sums,
-                           read_cloud_csv, write_cloud_csv)
+from .coefficients import (_QUOTE, Cloud, LinearCoefficients, Scatter,
+                           _parse_floats, is_collinear, linear_coefficients,
+                           raw_sums, read_cloud_csv, write_cloud_csv)
 from .errors import CloudInvError, DegenerateGenerator, DegenerateImage
 from .families import (DIAGONAL, UPPER_TRIANGULAR, LinearFamily,
                        RotationFamily, _over_square, generator_for_matrix,
@@ -74,10 +74,9 @@ def _resolve_coefficients(
     return linear_coefficients(cloud), cloud, echo
 
 
-def _evaluation(matrix: Matrix2, spec: FamilyGenerator, lc: Scatter,
-                diagonal: bool) -> dict:
+def _evaluation(matrix: Matrix2, spec: FamilyGenerator, lc: Scatter) -> dict:
     """The image of lc under matrix and the kernel of spec before and after;
-    for the diagonal family also H/M^2 before and after."""
+    for a diagonal direction (b' = g' = 0) also H/M^2 before and after."""
     after = induced_coefficients(matrix, lc)
     before_kernel = kernel_value(spec, lc.m, lc.h)
     after_kernel = kernel_value(spec, after.m, after.h)
@@ -87,7 +86,7 @@ def _evaluation(matrix: Matrix2, spec: FamilyGenerator, lc: Scatter,
         "kernel_after": after_kernel,
         "drift": {"abs": abs(after_kernel - before_kernel)},
     }
-    if diagonal:
+    if spec.bprime == spec.gprime == 0.0:
         entry["h_over_m2_before"] = _over_square(lc.h, lc.m)
         entry["h_over_m2_after"] = _over_square(after.h, after.m)
     return entry
@@ -165,7 +164,7 @@ def _cmd_invariant(args: argparse.Namespace) -> dict:
         matrix = parse_matrix(args.matrix)
         spec = generator_for_matrix(matrix)
         inputs = {**echo, "matrix": list(matrix.entries())}
-        kernels = _evaluation(matrix, spec, lc, False)
+        kernels = _evaluation(matrix, spec, lc)
     else:
         family = parse_family(args.family)
         phis = None if args.phi is None else _parse_floats(args.phi, None,
@@ -176,8 +175,7 @@ def _cmd_invariant(args: argparse.Namespace) -> dict:
         inputs = {**echo, "family": args.family, "phi": phis}
         kernels = {"kernel_before": kernel_value(spec, lc.m, lc.h)}
         kernels["evaluations"] = [
-            {"phi": phi, **_evaluation(family.evaluate(phi), spec, lc,
-                                       family == DIAGONAL)}
+            {"phi": phi, **_evaluation(family.evaluate(phi), spec, lc)}
             for phi in phis]
     return {
         "inputs": inputs,
@@ -194,7 +192,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
     for name, matrix, family in _SIMULATION_CASES:
         spec = family.derivative_coefficients()
         case = {"name": name, "matrix": list(matrix.entries()),
-                **_evaluation(matrix, spec, lc, family == DIAGONAL)}
+                **_evaluation(matrix, spec, lc)}
         if cloud is not None:
             direct = linear_coefficients(apply_to_cloud(matrix, cloud))
             after = case["after"]
@@ -214,6 +212,10 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # main() reports it as one error line
+        # argparse writes a bad value back whole: a long message is cut to
+        # head ... tail as a quoted value is, without the repr's quotes.
+        if len(message) > _QUOTE.maxstring:
+            message = _QUOTE.repr(message)[1:-1]
         raise ValueError(message)
 
 

@@ -258,8 +258,8 @@ class Cloud:
     The image of a cloud under a matrix (see ``transform.apply_to_cloud``)
     starts out pending: it holds its source's arrays and the matrix entries
     ``_t``, and only its moments are reduced.  Its coordinates are written,
-    once, when ``xs``, ``ys``, the points or an iteration first asks for
-    them; ``len`` and the moment queries never do.
+    once, when ``xs`` or ``ys`` first asks for them; ``len`` and the moment
+    queries never do.
     """
 
     __slots__ = ("_xs", "_ys", "_moments", "_t")
@@ -350,14 +350,6 @@ class Cloud:
 
     def __len__(self) -> int:
         return int(self._xs.size)
-
-    def __iter__(self) -> Iterator[Point]:
-        for x, y in zip(self.xs, self.ys):
-            yield Point(float(x), float(y))
-
-    @property
-    def points(self) -> tuple[Point, ...]:
-        return tuple(self)
 
     def __repr__(self) -> str:
         return f"Cloud(n={len(self)})"

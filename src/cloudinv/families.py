@@ -169,22 +169,6 @@ def kernel_for_matrix(target: Matrix2, m: float, h: float) -> float:
     return kernel_value(generator_for_matrix(target), m, h)
 
 
-def embed(target: Matrix2) -> LinearFamily:
-    """The canonical pencil A(phi) = I + phi*(target - I).
-
-    A(0) is the identity; A(1) = I + (target - I) is the target only up to
-    rounding: target - I loses the low bits of an entry far below 1, and so
-    does the pencil's delta = (a - 1) - (d - 1).  :func:`kernel_for_matrix`
-    is the exact route to the target's kernel.
-
-    Raises:
-        DegenerateGenerator: target is a multiple of the identity.
-    """
-    generator_for_matrix(target)
-    a, b, c, d = target.entries()
-    return LinearFamily(_IDENTITY, (a - 1.0, b, c, d - 1.0))
-
-
 # The named pencils: identity at phi = 1 for DIAGONAL, at phi = 0 for the shears.
 DIAGONAL = LinearFamily((1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 UPPER_TRIANGULAR = LinearFamily(_IDENTITY, (0.0, 1.0, 0.0, 0.0))

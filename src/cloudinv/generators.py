@@ -10,8 +10,7 @@ matrices exactly when all four annihilate it.  A one-parameter family's
 field is that of its trace-free direction (delta b'; g' 0), as the identity
 direction has zero field, so its invariance is one first-order PDE.
 
-This module evaluates the fields, cross-checks them against central finite
-differences of the induced map, and computes numerical PDE residuals for
+This module evaluates the fields and computes numerical PDE residuals for
 caller-supplied kernel functions.  Every difference steps by the one
 constant FD_STEP, scaled to the point's size.
 """
@@ -21,9 +20,8 @@ import math
 from enum import Enum
 from typing import Callable
 
-from .coefficients import LinearCoefficients, _Value
+from .coefficients import _Value
 from .errors import DegenerateGenerator, KernelSingular
-from .transform import Matrix2, induced_coefficients
 
 # The finite-difference step, relative to the point's size: the M step is
 # FD_STEP*r and the H step FD_STEP*r**2, r = max(|M|, sqrt|H|), as M has
@@ -82,27 +80,6 @@ def generator_value(param: Param, m: float, h: float) -> tuple[float, float]:
     return _field(param.value, m, h)
 
 
-def _perturbed_matrix(param: Param, s: float) -> Matrix2:
-    """I + s*E for the direction E of ``param``."""
-    return Matrix2(*[i + s * e for i, e in zip((1.0, 0.0, 0.0, 1.0), param.value)])
-
-
-def generator_fd_deviation(param: Param, m: float, h: float) -> float:
-    """Max deviation between the closed-form field and a central finite
-    difference of the induced coefficient map at the identity.
-
-    O(FD_STEP^2) at smooth points.  Propagates DegenerateImage if a perturbed
-    matrix hits a singular denominator.
-    """
-    lc = LinearCoefficients(m, h)
-    plus = induced_coefficients(_perturbed_matrix(param, FD_STEP), lc)
-    minus = induced_coefficients(_perturbed_matrix(param, -FD_STEP), lc)
-    fd1 = (plus.m - minus.m) / (2.0 * FD_STEP)
-    fd2 = (plus.h - minus.h) / (2.0 * FD_STEP)
-    xi1, xi2 = generator_value(param, m, h)
-    return max(abs(fd1 - xi1), abs(fd2 - xi2))
-
-
 def _kernel_partials(kernel: Kernel, m: float,
                      h: float) -> tuple[float, float]:
     """Central-difference partials of a kernel, each coordinate stepped at
@@ -148,7 +125,11 @@ def full_pde_residuals(kernel: Kernel, m: float,
     """Residuals of all four entry-direction PDEs for a kernel at (m, h).
 
     A function invariant under arbitrary invertible matrices must annihilate
-    all four simultaneously.
+    all four simultaneously.  Each 2x2 minor of two fields is a polynomial
+    multiple of H - M^2, and each field maps H - M^2 to a multiple of
+    itself, so off the collinear curve H = M^2 the four fields span the
+    plane and such a function is locally constant: whether a cloud is
+    collinear (:func:`is_collinear`) is the general case's only invariant.
     """
     d_dm, d_dh = _kernel_partials(kernel, m, h)
     out: dict[Param, float] = {}

@@ -40,10 +40,6 @@ class Matrix2(_Value):
                 f"determinant {self.det} within tolerance of zero")
 
     @classmethod
-    def identity(cls) -> "Matrix2":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
     def diagonal(cls, d1: float, d2: float) -> "Matrix2":
         return cls(d1, 0.0, 0.0, d2)
 
@@ -59,15 +55,6 @@ class Matrix2(_Value):
 
     def max_abs_entry(self) -> float:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
-    def __matmul__(self, other: "Matrix2") -> "Matrix2":
-        """Matrix product self @ other (apply ``other`` first)."""
-        return Matrix2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
     def entries(self) -> Entries:
         return (self.a, self.b, self.c, self.d)

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cloudinv import Cloud, Matrix2
+from cloudinv import (Cloud, LinearCoefficients, Matrix2, Param,
+                      generator_value, induced_coefficients)
+from cloudinv import generators
 
 # The reference coefficient pair used throughout the worked examples.
 REF_M = 1.52244
@@ -51,6 +53,35 @@ def random_invertible(rng: np.random.Generator,
         a, b, c, d = rng.uniform(-2.0, 2.0, size=4)
         if abs(a * d - b * c) >= min_det:
             return Matrix2(a, b, c, d)
+
+
+def matmul(p: Matrix2, q: Matrix2) -> Matrix2:
+    """The product p q (q applied first)."""
+    return Matrix2(p.a * q.a + p.b * q.c, p.a * q.b + p.b * q.d,
+                   p.c * q.a + p.d * q.c, p.c * q.b + p.d * q.d)
+
+
+def perturbed_matrix(param: Param, s: float) -> Matrix2:
+    """I + s*E for the direction E of ``param``."""
+    return Matrix2(*[i + s * e for i, e in zip((1.0, 0.0, 0.0, 1.0), param.value)])
+
+
+def generator_fd_deviation(param: Param, m: float, h: float) -> float:
+    """Max deviation between the closed-form field and a central finite
+    difference of the induced coefficient map at the identity, stepped by
+    ``generators.FD_STEP``.
+
+    O(FD_STEP^2) at smooth points.  Propagates DegenerateImage if a perturbed
+    matrix hits a singular denominator.
+    """
+    step = generators.FD_STEP
+    lc = LinearCoefficients(m, h)
+    plus = induced_coefficients(perturbed_matrix(param, step), lc)
+    minus = induced_coefficients(perturbed_matrix(param, -step), lc)
+    fd1 = (plus.m - minus.m) / (2.0 * step)
+    fd2 = (plus.h - minus.h) / (2.0 * step)
+    xi1, xi2 = generator_value(param, m, h)
+    return max(abs(fd1 - xi1), abs(fd2 - xi2))
 
 
 def two_pass_sums(xs, ys):

@@ -12,11 +12,11 @@ from cloudinv import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR, Cloud,
                       DegenerateCloud, DegenerateImage, FamilyGenerator,
                       KernelSingular, LinearCoefficients, Matrix2,
                       NoIdentityParameter, NonInvertibleMatrix, Param,
-                      RotationFamily, apply_to_cloud,
-                      family_pde_residual, generator_fd_deviation,
+                      RotationFamily, apply_to_cloud, family_pde_residual,
                       induced_coefficients, kernel_for_matrix, kernel_value,
                       linear_coefficients)
-from conftest import REF_H, REF_M, random_cloud, random_invertible
+from conftest import (REF_H, REF_M, generator_fd_deviation, matmul,
+                      perturbed_matrix, random_cloud, random_invertible)
 from test_families import ACCEPTED_FAMILIES, CASE_STUDY, REJECTED_FAMILIES
 
 REF = LinearCoefficients(REF_M, REF_H)
@@ -234,10 +234,9 @@ def test_criterion_6_generator_fields():
                           "is +2M; a sign-flipped reference (1, -2M) cannot "
                           "match the finite-difference derivative")
 def test_criterion_6_sign_flipped_shear_variant():
-    from cloudinv.generators import _perturbed_matrix
     s = 1e-5
-    plus = induced_coefficients(_perturbed_matrix(Param.GAMMA, s), REF)
-    minus = induced_coefficients(_perturbed_matrix(Param.GAMMA, -s), REF)
+    plus = induced_coefficients(perturbed_matrix(Param.GAMMA, s), REF)
+    minus = induced_coefficients(perturbed_matrix(Param.GAMMA, -s), REF)
     fd = (plus.h - minus.h) / (2.0 * s)
     assert abs(fd - (-2.0 * REF_M)) <= 1e-7
 
@@ -276,7 +275,7 @@ def test_criterion_7_structural_properties():
         h = m * m + rng.uniform(0.1, 4.0)
         lc = LinearCoefficients(m, h)
         try:
-            one_step = induced_coefficients(a @ b, lc)
+            one_step = induced_coefficients(matmul(a, b), lc)
             inner = induced_coefficients(b, lc)
             if abs(2 * a.a * a.b * inner.m + a.b ** 2 * inner.h
                    + a.a ** 2) < 1e-3:

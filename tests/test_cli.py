@@ -213,7 +213,7 @@ class TestTransform:
                                    "--dump-points", str(out))
         assert code == 0
         image = read_cloud_csv(str(out))
-        assert image.points[1].y == 2.0
+        assert image.ys[1] == 2.0
 
     @pytest.mark.parametrize("dest", ["directory", "missing-parent", "/dev/full"])
     def test_dump_points_unwritable(self, capsys, tmp_path, dest):
@@ -336,6 +336,24 @@ class TestInvariant:
         assert "h_over_m2_after" in pencil["evaluations"][0]
         pencil["inputs"]["family"] = "diag"
         assert pencil == diag
+
+    @pytest.mark.parametrize("target", [["--matrix", "2,0;0,3"],
+                                        ["--family", "linear:1,0;0,1|0,0;0,1"]])
+    def test_every_diagonal_direction_reports_ratio(self, capsys, target):
+        # b' = g' = 0: every member is diagonal, and H/M^2 is invariant.
+        code, report, _ = run_json(capsys, "invariant", "--coeffs", "1.5,3.5",
+                                   *target)
+        assert code == 0
+        ev = report["evaluations"][0] if "--family" in target else report
+        assert ev["h_over_m2_before"] == pytest.approx(3.5 / 1.5 ** 2, rel=1e-15)
+        assert ev["h_over_m2_after"] == pytest.approx(ev["h_over_m2_before"],
+                                                      rel=1e-15)
+
+    def test_no_ratio_off_the_diagonal_directions(self, capsys):
+        code, report, _ = run_json(capsys, "invariant", "--coeffs", "1.5,3.5",
+                                   "--matrix", "2,1e-3;0,3")
+        assert code == 0
+        assert "h_over_m2_before" not in report
 
     def test_singular_family_member_exit_code(self, capsys):
         code, out, err = run(capsys, "invariant", REF_COEFFS,
@@ -554,6 +572,19 @@ class TestBadInputExitCodes:
         assert err.startswith("error: " + start.replace("{csv}", str(path)))
         assert err.count("\n") == 1 and "..." in err and len(err) < 1000
 
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--gen", "ellipse", "--n", "9" * 40_000],
+        ["coeffs", "--gen", LONG],
+        ["coeffs", "--gen", "ellipse", "--noise", LONG],
+        [LONG, "--coeffs", "1,2"],
+    ])
+    def test_a_long_usage_error_is_cut_by_head_and_tail(self, capsys, argv):
+        # argparse writes the value back whole; the line keeps 400 characters.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: argument ") and "..." in err
+        assert err.count("\n") == 1 and len(err.encode()) < 1000
+
     @pytest.mark.parametrize("form", [*LIST_FORMS, "csv"])
     def test_number_list_rule_accepts(self, capsys, tmp_path, form):
         if form == "csv":
@@ -615,6 +646,21 @@ class TestBadInputExitCodes:
                                    *target)
         assert code == 0
         assert report["kernel_before"] == 1.0
+
+    def test_diagonal_ratio_out_of_range(self, capsys):
+        # A diagonal --matrix reports H/M^2, here 1e390: past the float range.
+        code, out, err = run(capsys, "invariant", "--coeffs", "1e-200,1e-10",
+                             "--matrix", "1e200,0;0,2e200")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Out of range float values are not JSON compliant")
+
+    def test_diagonal_ratio_at_zero_slope_is_a_singular_kernel(self, capsys):
+        # At M = 0 the kernel denominator delta*M is 0 before H/M^2 is formed.
+        code, out, err = run(capsys, "invariant", "--coeffs", "0,3.5",
+                             "--matrix", "2,0;0,3")
+        assert (code, out) == (2, "")
+        assert err == ("error: kernel denominator 0.0 is zero within tolerance "
+                       "at (0.0, 3.5)\n")
 
     def test_huge_m_kernel_is_finite(self, capsys):
         # M*M overflows, yet K = (M^2 - H)/H^2 is about 1e-200.

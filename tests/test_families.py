@@ -454,3 +454,28 @@ class TestSymbolicDerivation:
         image = a * s * a.T
         assert sp.simplify(lin(image) - a.det() * lin(s)) == 0
         assert sp.simplify(image.det() - a.det() ** 2 * s.det()) == 0
+
+    def test_the_four_fields_span_the_plane_off_the_collinear_curve(self, sp):
+        # Every 2x2 minor of two fields is a polynomial multiple of H - M^2,
+        # and each field maps H - M^2 to lambda_p * (H - M^2): off H = M^2 the
+        # fields span the plane, so a function all four annihilate is locally
+        # constant, and "collinear or not" is the only general invariant.
+        m, h = sp.symbols("m h", real=True)
+        gap = h - m ** 2
+        xi = {p: [sp.nsimplify(v) for v in generator_value(p, m, h)] for p in Param}
+        minors = {}
+        for i, p in enumerate(Param):
+            for q in list(Param)[i + 1:]:
+                minor = xi[p][0] * xi[q][1] - xi[p][1] * xi[q][0]
+                quotient, remainder = sp.div(sp.expand(minor), gap, h)
+                assert remainder == 0, (p, q)
+                minors[p, q] = sp.factor(quotient)
+        assert minors[Param.GAMMA, Param.DELTA] == 2
+        assert minors[Param.BETA, Param.GAMMA] == 4 * m
+        assert minors[Param.BETA, Param.DELTA] == 2 * h
+        eigen = {Param.ALPHA: -2, Param.BETA: -4 * m, Param.GAMMA: 0,
+                 Param.DELTA: 2}
+        for p, (xi1, xi2) in xi.items():
+            # X_p(H - M^2) = xi1 * d/dM (H - M^2) + xi2 * d/dH (H - M^2)
+            derivative = xi1 * sp.diff(gap, m) + xi2 * sp.diff(gap, h)
+            assert sp.expand(derivative - eigen[p] * gap) == 0, p

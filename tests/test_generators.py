@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cloudinv import (FamilyGenerator, KernelSingular, Param,
-                      family_pde_residual, full_pde_residuals,
-                      generator_fd_deviation, generator_value, kernel_value,
+from cloudinv import (FamilyGenerator, KernelSingular, LinearCoefficients,
+                      Param, family_pde_residual, full_pde_residuals,
+                      generator_value, induced_coefficients, kernel_value,
                       parse_family)
 from cloudinv import generators
 from cloudinv.generators import _kernel_partials
-from conftest import REF_H, REF_M
+from conftest import REF_H, REF_M, generator_fd_deviation, perturbed_matrix
 
 
 class TestGeneratorValue:
@@ -63,12 +63,10 @@ class TestFiniteDifferenceAgreement:
 
     def test_sign_flipped_gamma_field_disagrees(self):
         # Regression guard: the y-shear field is (1, +2M), not (1, -2M).
-        from cloudinv.generators import _perturbed_matrix
-        from cloudinv import LinearCoefficients, induced_coefficients
         s = 1e-5
         lc = LinearCoefficients(REF_M, REF_H)
-        plus = induced_coefficients(_perturbed_matrix(Param.GAMMA, s), lc)
-        minus = induced_coefficients(_perturbed_matrix(Param.GAMMA, -s), lc)
+        plus = induced_coefficients(perturbed_matrix(Param.GAMMA, s), lc)
+        minus = induced_coefficients(perturbed_matrix(Param.GAMMA, -s), lc)
         fd2 = (plus.h - minus.h) / (2 * s)
         assert abs(fd2 - 2 * REF_M) <= 1e-8
         assert abs(fd2 - (-2 * REF_M)) > 1.0

@@ -141,5 +141,5 @@ def test_every_entry_point_takes_a_number(entry, value):
 def test_fields_hold_the_float():
     assert Matrix2(Fraction(1, 4), 0, 0, np.int64(3)).entries() == (0.25, 0.0, 0.0, 3.0)
     assert type(CloudGenSpec("ellipse", 10, 1).noise) is float
-    assert Cloud([(Decimal("0.5"), 1), (2, np.float32(0.25))]).points == (
-        Point(0.5, 1.0), Point(2.0, 0.25))
+    cloud = Cloud([(Decimal("0.5"), 1), (2, np.float32(0.25))])
+    assert (cloud.xs.tolist(), cloud.ys.tolist()) == ([0.5, 2.0], [1.0, 0.25])

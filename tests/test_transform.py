@@ -3,6 +3,7 @@ import io
 import json
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cloudinv import (Cloud, CloudInvError, DegenerateImage, LinearCoefficients,
                       parse_matrix, raw_sums, write_cloud_csv)
 from cloudinv.coefficients import _CHUNK, _QUOTE, _parse_floats
 from cloudinv.transform import parse_entries
-from conftest import (REF_H, REF_M, assert_sums_close, not_a_number,
+from conftest import (REF_H, REF_M, assert_sums_close, matmul, not_a_number,
                       random_cloud, random_invertible, traced_peak,
                       two_pass_sums)
 
@@ -60,13 +61,6 @@ class TestMatrix2:
             Matrix2(float("nan"), 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             Matrix2(float("inf"), 0.0, 0.0, 1.0)
-
-    def test_compose_matches_matmul(self):
-        m1 = Matrix2(1, 2, 3, 4)
-        m2 = Matrix2(0, 1, -1, 0)
-        prod = m1 @ m2
-        expected = np.array([[1, 2], [3, 4]]) @ np.array([[0, 1], [-1, 0]])
-        assert prod.entries() == pytest.approx(tuple(expected.ravel()))
 
 
 def _written(value: object) -> str:
@@ -174,20 +168,20 @@ class TestParseFloats:
 class TestApplyToCloud:
     def test_identity(self):
         cloud = Cloud([(1, 1), (2, 0), (0.5, -3)])
-        image = apply_to_cloud(Matrix2.identity(), cloud)
+        image = apply_to_cloud(Matrix2(1, 0, 0, 1), cloud)
         assert np.array_equal(image.xs, cloud.xs)
         assert np.array_equal(image.ys, cloud.ys)
 
     def test_diagonal_scaling(self):
         image = apply_to_cloud(Matrix2.diagonal(1, 2), Cloud([(1, 1), (2, 0)]))
-        assert image.points[0].x == 1.0 and image.points[0].y == 2.0
-        assert image.points[1].x == 2.0 and image.points[1].y == 0.0
+        assert image.xs.tolist() == [1.0, 2.0]
+        assert image.ys.tolist() == [2.0, 0.0]
 
     def test_quarter_rotation(self):
         image = apply_to_cloud(Matrix2.rotation(math.pi / 2),
                                Cloud([(1.0, 0.0), (3.0, 4.0)]))
-        assert image.points[0].x == pytest.approx(0.0, abs=1e-15)
-        assert image.points[0].y == pytest.approx(-1.0)
+        assert image.xs[0] == pytest.approx(0.0, abs=1e-15)
+        assert image.ys[0] == pytest.approx(-1.0)
 
 
 class TestApplyToCloudChunked:
@@ -264,8 +258,9 @@ class TestPendingImage:
         source = Cloud.from_arrays(rng.random(50), rng.random(50))
         eager = Cloud.from_arrays(*self.image_arrays(self.M, source.xs,
                                                      source.ys))
-        assert apply_to_cloud(self.M, source).points == eager.points
-        assert list(apply_to_cloud(self.M, source)) == list(eager)
+        # Either coordinate, read first, writes the whole pending image.
+        assert apply_to_cloud(self.M, source).xs.tolist() == eager.xs.tolist()
+        assert apply_to_cloud(self.M, source).ys.tolist() == eager.ys.tolist()
         got, want = io.StringIO(), io.StringIO()
         write_cloud_csv(apply_to_cloud(self.M, source), got)
         write_cloud_csv(eager, want)
@@ -303,7 +298,7 @@ class TestPendingImage:
 class TestInducedRaw:
     def test_identity(self):
         rs = Scatter(0.3, 2.0, 6.0)
-        out = induced_raw(Matrix2.identity(), rs)
+        out = induced_raw(Matrix2(1, 0, 0, 1), rs)
         assert (out.mn, out.hn, out.d) == (0.3, 2.0, 6.0)
 
     def test_diagonal(self):
@@ -372,7 +367,7 @@ class TestCongruenceOracle:
 
 class TestInducedCoefficients:
     def test_identity(self):
-        out = induced_coefficients(Matrix2.identity(), REF)
+        out = induced_coefficients(Matrix2(1, 0, 0, 1), REF)
         assert (out.m, out.h) == (REF.m, REF.h)
 
     @pytest.mark.parametrize("matrix,expected,ulp", [
@@ -403,7 +398,7 @@ class TestInducedCoefficients:
 
     @pytest.mark.parametrize("lc", [LinearCoefficients(0.0, 1e12),
                                     LinearCoefficients(1e7, 1e14 + 1)])
-    @pytest.mark.parametrize("matrix", [Matrix2.identity(),
+    @pytest.mark.parametrize("matrix", [Matrix2(1, 0, 0, 1),
                                         Matrix2.diagonal(3.0, 0.25),
                                         Matrix2(1.0, 0.0, 5.0, 2.0)])
     def test_large_h_maps_when_b_is_zero(self, lc, matrix):
@@ -483,8 +478,12 @@ def _try_matrix(a, b, c, d):
         return None
 
 
+# The pinned examples have a subnormal b, so kappa * b is rounded at
+# subnormal precision, 8.9e-12 relative: the scaled matrix is not kappa*T.
 @settings(max_examples=200, deadline=None)
 @given(entry, entry, entry, entry, coeff_m, kappa_s)
+@example(0.0, 2.2250738585e-313, 2.879e-303, 0.0, 1.0, 1.25)
+@example(0.0, 2.2250738585e-313, 2.879e-303, 0.0, 0.0, 1.25)
 def test_kappa_scaling(a, b, c, d, m, kappa):
     mat = _try_matrix(a, b, c, d)
     scaled_mat = _try_matrix(kappa * a, kappa * b, kappa * c, kappa * d)
@@ -496,8 +495,14 @@ def test_kappa_scaling(a, b, c, d, m, kappa):
         scaled = induced_coefficients(scaled_mat, lc)
     except DegenerateImage:
         return
-    assert abs(scaled.m - base.m) <= 1e-12 * max(1.0, abs(base.m))
-    assert abs(scaled.h - base.h) <= 1e-12 * max(1.0, abs(base.h))
+    # delta: the largest exact relative error of kappa * x against kappa*x,
+    # the input rounding that the image may carry on.
+    delta = float(max((abs(Fraction(kappa * x) / (Fraction(kappa) * Fraction(x)) - 1)
+                       for x in (a, b, c, d) if x), default=0))
+    assert abs(scaled.m - base.m) <= (1e-12 * max(1.0, abs(base.m))
+                                      + 4 * delta * abs(base.m))
+    assert abs(scaled.h - base.h) <= (1e-12 * max(1.0, abs(base.h))
+                                      + 4 * delta * abs(base.h))
 
 
 def _outcome(f, *args):
@@ -539,7 +544,7 @@ def test_composition(rng):
         try:
             step1 = induced_coefficients(m1, lc)
             two_step = induced_coefficients(m2, step1)
-            one_step = induced_coefficients(m2 @ m1, lc)
+            one_step = induced_coefficients(matmul(m2, m1), lc)
         except DegenerateImage:
             continue
         assert abs(two_step.m - one_step.m) <= 1e-9 * max(1.0, abs(one_step.m))
