@@ -9,7 +9,7 @@ and of arbitrary invertible matrices.
 __version__ = "0.1.0"
 
 from .cloudgen import KINDS, CloudGenSpec, generate_cloud
-from .coefficients import (Cloud, LinearCoefficients, Point, Scatter,
+from .coefficients import (Cloud, LinearCoefficients, Scatter,
                            is_collinear, linear_coefficients, raw_sums,
                            read_cloud_csv, write_cloud_csv)
 from .errors import (CloudInvError, DegenerateCloud, DegenerateGenerator,
@@ -26,7 +26,7 @@ from .transform import (Matrix2, apply_to_cloud, induced_coefficients,
 __all__ = [
     "__version__",
     "KINDS", "CloudGenSpec", "generate_cloud",
-    "Cloud", "LinearCoefficients", "Point", "Scatter",
+    "Cloud", "LinearCoefficients", "Scatter",
     "is_collinear", "linear_coefficients", "raw_sums",
     "read_cloud_csv", "write_cloud_csv",
     "CloudInvError", "DegenerateCloud", "DegenerateGenerator",

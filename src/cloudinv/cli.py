@@ -43,9 +43,9 @@ SCHEMA = "cloud-invariants/1"
 # The four standard demonstration transformations: matrix and the
 # one-parameter family it belongs to.  The diagonal case also reports H/M^2.
 _SIMULATION_CASES = (
-    ("diagonal", Matrix2.diagonal(1.0, 2.0), DIAGONAL),
+    ("diagonal", DIAGONAL.evaluate(2.0), DIAGONAL),
     ("upper-triangular", Matrix2(1.0, 0.7, 0.0, 1.0), UPPER_TRIANGULAR),
-    ("rotation-pi/3", Matrix2.rotation(math.pi / 3.0), RotationFamily()),
+    ("rotation-pi/3", RotationFamily().evaluate(math.pi / 3.0), RotationFamily()),
     ("general", Matrix2(0.4, -0.4, -0.05, 0.9),
      LinearFamily((-2.0, -2.0, -0.25, 0.5), (12.0, 8.0, 1.0, 2.0))),
 )
@@ -107,12 +107,15 @@ def _flatten(node: object, key: str = ""):
 
 def _emit(report: dict, as_json: bool) -> None:
     """Print a report as JSON or as text; nothing is printed if a number in
-    it is not finite (ValueError)."""
+    it is not finite (ValueError naming the first such key)."""
+    leaves = [*_flatten(report)]
+    for key, leaf in leaves:
+        if isinstance(leaf, float) and not math.isfinite(leaf):
+            raise ValueError(f"report value {key} is not finite: {leaf}")
     if as_json:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     else:
-        rows = [(key, json.dumps(leaf, allow_nan=False))
-                for key, leaf in _flatten(report)]
+        rows = [(key, json.dumps(leaf, allow_nan=False)) for key, leaf in leaves]
         width = max(len(key) for key, _ in rows)
         text = "\n".join(f"{key:{width}}  {value}" for key, value in rows)
     print(text)

@@ -42,7 +42,10 @@ _CHUNK = 1 << 15
 
 # Points per dot product.  OpenBLAS splits a dot of more than 10000 points
 # across its threads, which changes the rounding with the thread count; a
-# block of 8192 runs on one thread, so the moments do not depend on it.
+# block of 8192 runs on one thread, so the moments do not depend on the
+# thread count.  The order of the sum inside a block is that of the ddot
+# kernel OpenBLAS picks for the CPU, so the moments' last bits may differ
+# from one CPU to another.
 _DOT = 1 << 13
 
 # An error quotes a value through this repr: a string, an int or another
@@ -132,18 +135,6 @@ def _parse_floats(text: str, count: int | None = None,
         return values
     size = f"{count} " if count else ""
     raise ValueError(f"{what}{_QUOTE.repr(text)} is not a list of {size}finite numbers")
-
-
-class Point(_Value):
-    """A planar point with finite coordinates."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: float, y: float) -> None:
-        self._set_floats("point ", x, y)
-
-
-PointLike = Union[Point, Sequence[float]]
 
 
 class _Moments(NamedTuple):
@@ -252,8 +243,8 @@ class Cloud:
     and therefore order-independent.  Coordinates are read-only float64
     arrays; their moments are reduced once, when the cloud is built.
     ``Cloud(points)`` reads the points once, into two growing buffers that
-    the cloud then holds without a copy; a point is a :class:`Point` or a
-    sequence of exactly two numbers (:func:`_real`), and a string is refused.
+    the cloud then holds without a copy; a point is a sequence of exactly
+    two numbers (:func:`_real`), and a string is refused.
 
     The image of a cloud under a matrix (see ``transform.apply_to_cloud``)
     starts out pending: it holds its source's arrays and the matrix entries
@@ -264,15 +255,13 @@ class Cloud:
 
     __slots__ = ("_xs", "_ys", "_moments", "_t")
 
-    def __init__(self, points: Iterable[PointLike]):
+    def __init__(self, points: Iterable[Sequence[float]]):
         from array import array
 
         import numpy as np
 
         xs, ys = array("d"), array("d")
         for p in points:
-            if isinstance(p, Point):
-                p = p.x, p.y
             try:  # a string is not a pair of characters (or of ints)
                 x, y = () if isinstance(p, (str, bytes, bytearray)) else p
             except (TypeError, ValueError):

@@ -44,7 +44,9 @@ class RotationFamily(_Value):
     __slots__ = ()
 
     def evaluate(self, phi: float) -> Matrix2:
-        return Matrix2.rotation(phi)
+        phi = _real(phi, "phi")
+        c, s = math.cos(phi), math.sin(phi)
+        return Matrix2(c, s, -s, c)
 
     def identity_parameter(self) -> float:
         return 0.0

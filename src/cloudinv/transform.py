@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .coefficients import (RTOL, Cloud, Entries, LinearCoefficients, Scatter,
-                           _QUOTE, _parse_floats, _real, _Value)
+                           _QUOTE, _parse_floats, _Value)
 from .errors import DegenerateImage, NonInvertibleMatrix
 
 
@@ -38,16 +38,6 @@ class Matrix2(_Value):
             raise NonInvertibleMatrix(
                 f"matrix ({self.a}, {self.b}; {self.c}, {self.d}) has "
                 f"determinant {self.det} within tolerance of zero")
-
-    @classmethod
-    def diagonal(cls, d1: float, d2: float) -> "Matrix2":
-        return cls(d1, 0.0, 0.0, d2)
-
-    @classmethod
-    def rotation(cls, angle: float) -> "Matrix2":
-        angle = _real(angle, "angle")
-        c, s = math.cos(angle), math.sin(angle)
-        return cls(c, s, -s, c)
 
     @property
     def det(self) -> float:

@@ -21,9 +21,9 @@ from test_families import ACCEPTED_FAMILIES, CASE_STUDY, REJECTED_FAMILIES
 
 REF = LinearCoefficients(REF_M, REF_H)
 
-DIAG_MATRIX = Matrix2.diagonal(1.0, 2.0)
+DIAG_MATRIX = Matrix2(1.0, 0.0, 0.0, 2.0)
 UPPER_MATRIX = Matrix2(1.0, 0.7, 0.0, 1.0)
-ROT_MATRIX = Matrix2.rotation(math.pi / 3.0)
+ROT_MATRIX = RotationFamily().evaluate(math.pi / 3.0)
 GENERAL_MATRIX = Matrix2(0.4, -0.4, -0.05, 0.9)
 
 

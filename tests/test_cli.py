@@ -649,10 +649,11 @@ class TestBadInputExitCodes:
 
     def test_diagonal_ratio_out_of_range(self, capsys):
         # A diagonal --matrix reports H/M^2, here 1e390: past the float range.
-        code, out, err = run(capsys, "invariant", "--coeffs", "1e-200,1e-10",
-                             "--matrix", "1e200,0;0,2e200")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: Out of range float values are not JSON compliant")
+        for form in [], ["--json"]:
+            code, out, err = run(capsys, "invariant", "--coeffs", "1e-200,1e-10",
+                                 "--matrix", "1e200,0;0,2e200", *form)
+            assert (code, out) == (2, "")
+            assert err == "error: report value h_over_m2_before is not finite: inf\n"
 
     def test_diagonal_ratio_at_zero_slope_is_a_singular_kernel(self, capsys):
         # At M = 0 the kernel denominator delta*M is 0 before H/M^2 is formed.
@@ -694,7 +695,8 @@ class TestBadInputExitCodes:
 
     @pytest.mark.parametrize("as_json", [True, False])
     def test_non_finite_report_prints_nothing(self, capsys, as_json):
-        with pytest.raises(ValueError, match="not JSON compliant"):
+        with pytest.raises(ValueError,
+                           match=r"^report value b\[0\]\.c is not finite: nan$"):
             cli._emit({"a": 1.0, "b": [{"c": math.nan}]}, as_json)
         assert capsys.readouterr().out == ""
 

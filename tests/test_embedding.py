@@ -79,7 +79,7 @@ def test_delta_is_the_diagonal_difference_below_unit_scale():
     # (a - 1) - (d - 1) rounds each a - d = -1.5e-17 ... -5e-17 to -1.1e-16:
     # the generator is exact, the embedded pencil only within its bound.
     for eps in (1.5e-12, 2e-12, 3e-12, 5e-12):
-        target = Matrix2.diagonal(1e-5, 1e-5 * (1 + eps))
+        target = Matrix2(1e-5, 0, 0, 1e-5 * (1 + eps))
         fg = generator_for_matrix(target)
         assert fg.delta == target.a - target.d
         assert (fg.bprime, fg.gprime) == (0.0, 0.0)
@@ -90,11 +90,11 @@ class TestEmbed:
     """A matrix T carries the kernel of the pencil I + phi*(T - I)."""
 
     def test_diagonal_target(self):
-        family = _pencil(Matrix2.diagonal(1, 2))
+        family = _pencil(Matrix2(1, 0, 0, 2))
         assert family == LinearFamily((1, 0, 0, 1), (0, 0, 0, 1))
         fg = family.derivative_coefficients()
         assert (fg.bprime, fg.gprime, fg.delta) == (0.0, 0.0, -1.0)
-        assert generator_for_matrix(Matrix2.diagonal(1, 2)) == fg
+        assert generator_for_matrix(Matrix2(1, 0, 0, 2)) == fg
 
     def test_case_study_target_coefficients(self):
         fg = generator_for_matrix(CASE_STUDY_TARGET)
@@ -154,7 +154,7 @@ class TestKernelForMatrix:
 
     def test_uniform_scaling_target_degenerate_generator(self):
         with pytest.raises(DegenerateGenerator):
-            kernel_for_matrix(Matrix2.diagonal(2, 2), REF_M, REF_H)
+            kernel_for_matrix(Matrix2(2, 0, 0, 2), REF_M, REF_H)
 
     def test_case_study_is_400x_unit_spec(self, rng):
         # (target - I) = -0.05 * (8, 1, 10), so the canonical kernel is

@@ -13,19 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cloudinv import (DIAGONAL, Cloud, CloudGenSpec, FamilyGenerator,
-                      LinearCoefficients, LinearFamily, Matrix2, Point,
-                      Scatter, parse_family)
+                      LinearCoefficients, LinearFamily, Matrix2,
+                      RotationFamily, Scatter, parse_family)
 from cloudinv.coefficients import _parse_floats
 from cloudinv.transform import parse_entries
 from conftest import not_a_number
 
 # entry point name -> (call with the value in one field, the field's name).
 ENTRY_POINTS = {
-    "Point": (lambda v: Point(v, 0.0), "point x"),
     "Scatter": (lambda v: Scatter(0.0, 1.0, v), "scatter d"),
     "LinearCoefficients": (lambda v: LinearCoefficients(0.0, v), "scatter hn"),
     "Matrix2": (lambda v: Matrix2(v, 0.0, 0.0, 1.0), "matrix entry a"),
-    "Matrix2.rotation": (Matrix2.rotation, "angle"),
+    "RotationFamily.evaluate": (RotationFamily().evaluate, "phi"),
     "FamilyGenerator": (lambda v: FamilyGenerator(0.0, v, 0.0), "gprime"),
     "LinearFamily": (lambda v: LinearFamily((1.0, 0.0, 0.0, v), (0, 1, 0, 0)),
                      r"a0\[3\]"),
@@ -67,7 +66,7 @@ PROBES = [
     lambda: Cloud.from_arrays([True, False, True], [1, 2, 3]),
     lambda: Matrix2(None, 0, 0, 1),
     lambda: Cloud([(None, 2), (3, 4)]),
-    lambda: Matrix2.rotation("1"),
+    lambda: RotationFamily().evaluate("1"),
     lambda: LinearFamily(1.0, (0, 0, 0, 1)),
     lambda: Cloud([1, 2]),
     lambda: Matrix2(10 ** 400, 0, 0, 1),

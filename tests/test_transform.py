@@ -11,9 +11,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cloudinv import (Cloud, CloudInvError, DegenerateImage, LinearCoefficients,
-                      Matrix2, NonInvertibleMatrix, Scatter, apply_to_cloud,
-                      induced_coefficients, induced_raw, linear_coefficients,
-                      parse_matrix, raw_sums, write_cloud_csv)
+                      Matrix2, NonInvertibleMatrix, RotationFamily, Scatter,
+                      apply_to_cloud, induced_coefficients, induced_raw,
+                      linear_coefficients, parse_matrix, raw_sums,
+                      write_cloud_csv)
 from cloudinv.coefficients import _CHUNK, _QUOTE, _parse_floats
 from cloudinv.transform import parse_entries
 from conftest import (REF_H, REF_M, assert_sums_close, matmul, not_a_number,
@@ -173,12 +174,12 @@ class TestApplyToCloud:
         assert np.array_equal(image.ys, cloud.ys)
 
     def test_diagonal_scaling(self):
-        image = apply_to_cloud(Matrix2.diagonal(1, 2), Cloud([(1, 1), (2, 0)]))
+        image = apply_to_cloud(Matrix2(1, 0, 0, 2), Cloud([(1, 1), (2, 0)]))
         assert image.xs.tolist() == [1.0, 2.0]
         assert image.ys.tolist() == [2.0, 0.0]
 
     def test_quarter_rotation(self):
-        image = apply_to_cloud(Matrix2.rotation(math.pi / 2),
+        image = apply_to_cloud(RotationFamily().evaluate(math.pi / 2),
                                Cloud([(1.0, 0.0), (3.0, 4.0)]))
         assert image.xs[0] == pytest.approx(0.0, abs=1e-15)
         assert image.ys[0] == pytest.approx(-1.0)
@@ -210,7 +211,7 @@ class TestApplyToCloudChunked:
         xs = rng.random(n)
         xs[-1] = 1e300
         with pytest.raises(ValueError, match="must all be finite"):
-            apply_to_cloud(Matrix2.diagonal(1e10, 1.0),
+            apply_to_cloud(Matrix2(1e10, 0.0, 0.0, 1.0),
                            Cloud.from_arrays(xs, rng.random(n)))
 
     @pytest.mark.parametrize("n", [2, 3 * _CHUNK + 5])
@@ -302,7 +303,7 @@ class TestInducedRaw:
         assert (out.mn, out.hn, out.d) == (0.3, 2.0, 6.0)
 
     def test_diagonal(self):
-        out = induced_raw(Matrix2.diagonal(1, 2), Scatter(0.5, 2.0, 6.0))
+        out = induced_raw(Matrix2(1, 0, 0, 2), Scatter(0.5, 2.0, 6.0))
         assert (out.mn, out.hn, out.d) == pytest.approx((1.0, 8.0, 6.0))
 
     def test_shear(self):
@@ -371,9 +372,9 @@ class TestInducedCoefficients:
         assert (out.m, out.h) == (REF.m, REF.h)
 
     @pytest.mark.parametrize("matrix,expected,ulp", [
-        (Matrix2.diagonal(1, 2), (3.04488, 9.87991), (1e-5, 1e-5)),
+        (Matrix2(1, 0, 0, 2), (3.04488, 9.87991), (1e-5, 1e-5)),
         (Matrix2(1, 0.7, 0, 1), (0.748882, 0.568896), (1e-6, 1e-6)),
-        (Matrix2.rotation(math.pi / 3), (-0.0364518, 0.0143303), (1e-7, 1e-7)),
+        (RotationFamily().evaluate(math.pi / 3), (-0.0364518, 0.0143303), (1e-7, 1e-7)),
         (Matrix2(0.4, -0.4, -0.05, 0.9), (-4.86159, 27.4371), (1e-5, 1e-4)),
     ])
     def test_reference_values(self, matrix, expected, ulp):
@@ -389,7 +390,7 @@ class TestInducedCoefficients:
 
     def test_closed_form_and_direct_fail_together(self):
         horizontal = Cloud([(0.0, 2.0), (1.0, 2.0), (2.0, 2.0)])
-        quarter = Matrix2.rotation(math.pi / 2)
+        quarter = RotationFamily().evaluate(math.pi / 2)
         with pytest.raises(DegenerateImage):
             induced_coefficients(quarter, linear_coefficients(horizontal))
         from cloudinv import DegenerateCloud
@@ -399,7 +400,7 @@ class TestInducedCoefficients:
     @pytest.mark.parametrize("lc", [LinearCoefficients(0.0, 1e12),
                                     LinearCoefficients(1e7, 1e14 + 1)])
     @pytest.mark.parametrize("matrix", [Matrix2(1, 0, 0, 1),
-                                        Matrix2.diagonal(3.0, 0.25),
+                                        Matrix2(3.0, 0.0, 0.0, 0.25),
                                         Matrix2(1.0, 0.0, 5.0, 2.0)])
     def test_large_h_maps_when_b_is_zero(self, lc, matrix):
         # With b = 0 the image's D is a**2 D, with nothing cancelled, however
@@ -412,8 +413,8 @@ class TestInducedCoefficients:
 
     def test_a_sixteenth_of_the_matrix_has_the_same_image(self):
         lc = LinearCoefficients(0.0, 0.5)
-        want = induced_coefficients(Matrix2.diagonal(1e-5, 1.0), lc)
-        assert induced_coefficients(Matrix2.diagonal(1e-5 / 16, 1 / 16), lc) == want
+        want = induced_coefficients(Matrix2(1e-5, 0.0, 0.0, 1.0), lc)
+        assert induced_coefficients(Matrix2(1e-5 / 16, 0, 0, 1 / 16), lc) == want
 
     def test_huge_entries_do_not_overflow(self):
         # The image is that of the matrix divided by 1e200.
@@ -450,7 +451,7 @@ class TestInducedCoefficients:
         out = induced_coefficients(Matrix2(1, 1, 0, 1), vertical)
         assert (out.m, out.h) == (1.0, 1.0)
         with pytest.raises(DegenerateImage):
-            induced_coefficients(Matrix2.diagonal(1, 2), vertical)
+            induced_coefficients(Matrix2(1, 0, 0, 2), vertical)
 
     def test_oracle_equivalence_sample(self, rng):
         for _ in range(100):

@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 
 from cloudinv import (DIAGONAL, Cloud, CloudGenSpec, DegenerateCloud,
                       FamilyGenerator, LinearCoefficients, LinearFamily,
-                      Matrix2, NonInvertibleMatrix, Point, RotationFamily,
+                      Matrix2, NonInvertibleMatrix, RotationFamily,
                       Scatter, raw_sums)
 
 # constructor name -> (value, an equal value built with keywords, a
 # different value of the same type, repr text, field names).
 VALUES = {
-    "Point": (Point(1, 2.5), Point(x=1.0, y=2.5), Point(1, 3), "Point(x=1.0, y=2.5)",
-              ("x", "y")),
     "Scatter": (Scatter(1, 2, 3), Scatter(mn=1.0, hn=2.0, d=3.0), Scatter(1, 2, 4),
                 "Scatter(mn=1.0, hn=2.0, d=3.0)", ("mn", "hn", "d")),
     # The chart point (M, H) is the scatter with d = 1.
@@ -106,7 +104,6 @@ def test_pickle_and_copy_round_trip(name):
 
 def test_fields_are_converted():
     assert all(type(v) is float for v in Matrix2(1, 0, 0, 1).entries())
-    assert type(Point(1, 2).x) is float
     assert type(Scatter(1, 2, 3).d) is float
     assert type(LinearCoefficients(1, 2).h) is float
     assert type(FamilyGenerator(1, 0, 0).bprime) is float
@@ -118,8 +115,8 @@ def test_fields_are_converted():
 INF, NAN = math.inf, math.nan
 
 INVALID = [
-    (lambda: Point(NAN, 0), ValueError, r"point x must be finite, got nan"),
-    (lambda: Point(0, -INF), ValueError, r"point y must be finite, got -inf"),
+    (lambda: Cloud([(NAN, 0), (1, 1)]), ValueError, r"point x must be finite, got nan"),
+    (lambda: Cloud([(0, -INF), (1, 1)]), ValueError, r"point y must be finite, got -inf"),
     (lambda: Scatter(INF, 0, 0), ValueError, r"scatter mn must be finite, got inf"),
     (lambda: Scatter(0, NAN, 0), ValueError, r"scatter hn must be finite"),
     (lambda: Scatter(0, 0, -INF), ValueError, r"scatter d must be finite, got -inf"),
@@ -191,4 +188,4 @@ def test_chart_divides_by_d(mn, hn, d):
 
 def test_limits_are_accepted():
     assert CloudGenSpec("two-segment", 2, 0.0, 2 ** 64 - 1).seed == 2 ** 64 - 1
-    assert Point(-1e308, 1e308).y == 1e308
+    assert Cloud([(-1e308, 1e308), (0, 0)]).ys[0] == 1e308
