@@ -162,6 +162,8 @@ def _cmd_transform(args: argparse.Namespace) -> dict:
 
 
 def _cmd_invariant(args: argparse.Namespace) -> dict:
+    if args.family is None and args.phi is not None:
+        raise ValueError("--phi needs --family")
     lc, _, echo = _resolve_coefficients(args)
     if args.family is None:
         matrix = parse_matrix(args.matrix)

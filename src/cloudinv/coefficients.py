@@ -427,22 +427,14 @@ def read_cloud_csv(source: Union[str, IO[str]]) -> Cloud:
     for number lists (:func:`_parse_floats`), into the cloud's buffers.
 
     An optional header line `x,y` is skipped; blank lines are ignored;
-    LF and CRLF line endings are both accepted, and so is a leading UTF-8
-    byte-order mark.
+    LF, CRLF and CR line endings are all accepted, and so is one leading
+    byte-order mark.  A path is opened once, as UTF-8 with each byte that
+    does not decode kept as a lone surrogate, so the first line that is
+    refused is the one named: by the codec's error if it is not UTF-8.
     """
     if isinstance(source, str):
-        try:
-            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-                return read_cloud_csv(fh)
-        except UnicodeDecodeError:
-            # The decoder's position is inside its read buffer; name the line.
-            with open(source, "rb") as fh:
-                for lineno, raw in enumerate(fh, start=1):
-                    try:
-                        raw.decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        raise ValueError(f"line {lineno}: {exc}") from None
-            raise
+        with open(source, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            return Cloud(_csv_rows(fh))
     return Cloud(_csv_rows(source))
 
 
@@ -454,6 +446,10 @@ def _csv_rows(lines: Iterable[str]) -> Iterator[list[float]]:
         try:
             yield _parse_floats(line, 2)
         except ValueError as exc:
+            try:
+                raw.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeError as bad:
+                exc = bad
             raise ValueError(f"line {lineno}: {exc}") from None
 
 

@@ -687,6 +687,14 @@ class TestBadInputExitCodes:
         else:
             assert lines == []
 
+    @pytest.mark.parametrize("phi", ["1,2", "1,2,nonsense"])
+    @pytest.mark.parametrize("form", [[], ["--json"]])
+    def test_phi_needs_a_family(self, capsys, phi, form):
+        # With --matrix, a --phi list (well formed or not) is refused, not ignored.
+        argv = ["invariant", "--coeffs", "1.5,3.5", "--matrix", "1,0.7;0,1",
+                "--phi", phi, *form]
+        assert run(capsys, *argv) == (2, "", "error: --phi needs --family\n")
+
     def test_singular_family_member_names_the_matrix(self, capsys):
         code, out, err = run(capsys, *SINGULAR_MEMBER)
         assert (code, out) == (2, "")

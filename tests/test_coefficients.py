@@ -17,6 +17,7 @@ from cloudinv import (KINDS, Cloud, CloudGenSpec, DegenerateCloud, Matrix2,
                       apply_to_cloud, generate_cloud, is_collinear,
                       linear_coefficients, raw_sums, read_cloud_csv,
                       write_cloud_csv)
+from cloudinv import coefficients
 from cloudinv.coefficients import _CHUNK, _DOT
 from conftest import assert_sums_close, magnitude, traced_peak, two_pass_sums
 
@@ -52,6 +53,17 @@ class TestPointAndCloud:
     def test_from_arrays_checks_shape(self):
         with pytest.raises(ValueError):
             Cloud.from_arrays(np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_from_arrays_needs_two_points(self, n):
+        with pytest.raises(ValueError,
+                           match=f"^a cloud needs at least 2 points, got {n}$"):
+            Cloud.from_arrays(np.zeros(n), np.zeros(n))
+
+    def test_repr_does_not_write_a_pending_image(self):
+        image = apply_to_cloud(Matrix2(2.0, 0.0, 0.0, 1.0), Cloud(TRIANGLE[:2]))
+        assert repr(Cloud(TRIANGLE[:2])) == repr(image) == "Cloud(n=2)"
+        assert image._t is not None
 
     def test_cloud_arrays_read_only(self):
         c = Cloud(TRIANGLE)
@@ -405,6 +417,48 @@ class TestCsv:
         assert str(info.value) == (
             "line 4002: 'utf-8' codec can't decode byte 0xe9 in position 8: "
             "invalid continuation byte")
+
+    def test_a_file_that_is_not_utf8_is_opened_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"x,y\n0,0\n1,caf\xe9\n")
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(coefficients, "open", counting_open, raising=False)
+        with pytest.raises(ValueError, match="^line 3: 'utf-8' codec can't decode"):
+            read_cloud_csv(str(path))
+        assert opened == [str(path)]
+
+    @pytest.mark.parametrize("row,error", [
+        ("1,\udce9", "'utf-8' codec can't decode byte 0xe9 in position 2: "
+                     "invalid continuation byte"),
+        ("1,\ud800", "'utf-8' codec can't encode character '\\ud800' in "
+                     "position 2: surrogates not allowed"),
+    ], ids=["escaped-byte", "lone-surrogate"])
+    def test_a_stream_line_that_is_not_utf8_is_named_by_the_codec(self, row, error):
+        # A byte kept by surrogateescape, or a lone surrogate from the caller.
+        with pytest.raises(ValueError) as info:
+            read_cloud_csv(io.StringIO(f"x,y\n{row}\n0,0\n1,1\n"))
+        assert str(info.value) == f"line 2: {error}"
+
+    def test_the_first_bad_line_is_named(self, tmp_path):
+        # The decoder reads ahead of the parser; an earlier line that does not
+        # parse is still the one named.
+        path = tmp_path / "mixed.csv"
+        lines = ["0,0", "1,x", *[f"{i},{i}" for i in range(3, 11)], "11,caf\xe9", ""]
+        path.write_bytes("\n".join(lines).encode("latin-1"))
+        with pytest.raises(ValueError) as info:
+            read_cloud_csv(str(path))
+        assert str(info.value) == "line 2: '1,x' is not a list of 2 finite numbers"
+
+    def test_one_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "marks.csv"
+        path.write_text("\ufeff\ufeffx,y\n0,0\n1,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^line 1: '\\ufeffx,y' is not"):
+            read_cloud_csv(str(path))
 
 
 # Finite doubles, with the extremes always drawn: signed zero, the smallest

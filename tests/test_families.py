@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from cloudinv import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR,
                       DegenerateGenerator, FamilyGenerator, KernelSingular,
-                      LinearCoefficients, LinearFamily, Matrix2,
-                      NoIdentityParameter, NonInvertibleMatrix, Param,
-                      RotationFamily, apply_to_cloud, family_pde_residual,
-                      generator_for_matrix, generator_value,
-                      induced_coefficients, kernel_value, linear_coefficients,
-                      parse_family)
+                      LinearFamily, Matrix2, NoIdentityParameter,
+                      NonInvertibleMatrix, Param, RotationFamily,
+                      apply_to_cloud, family_pde_residual,
+                      generator_for_matrix, generator_value, kernel_value,
+                      linear_coefficients, parse_family)
 from conftest import REF_H, REF_M, magnitude, random_cloud
 
 CASE_STUDY = LinearFamily((-2.0, -2.0, -0.25, 0.5), (12.0, 8.0, 1.0, 2.0))

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -96,6 +94,18 @@ class TestFamilyPdeResidual:
         def bad(m, h):
             raise ZeroDivisionError("pole")
         with pytest.raises(KernelSingular):
+            family_pde_residual(LOWER_FG, bad, 1.0, 2.0)
+
+    @pytest.mark.parametrize("error,message", [
+        (KernelSingular("the kernel's own pole"), "^the kernel's own pole$"),
+        (ValueError("math domain error"),
+         r"^kernel evaluation failed at \(1\.0+\d+, 2\.0\): math domain error$"),
+    ])
+    def test_kernel_singular_passes_through_and_others_are_wrapped(self, error,
+                                                                   message):
+        def bad(m, h):
+            raise error
+        with pytest.raises(KernelSingular, match=message):
             family_pde_residual(LOWER_FG, bad, 1.0, 2.0)
 
     def test_non_finite_kernel_becomes_kernel_singular(self):

@@ -1,13 +1,16 @@
 """The scalar layer and the CLI's --coeffs paths run without numpy; numpy is
 loaded when a point array is first built.  The package's value types need
-neither ``dataclasses`` nor the ``inspect`` machinery it loads."""
+neither ``dataclasses`` nor the ``inspect`` machinery it loads.  No module
+of the package or of the tests imports a name it does not use."""
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 # Prints which of numpy, dataclasses and inspect were loaded after importing
 # the package and running each argv given as JSON on the command line (exit
@@ -58,3 +61,26 @@ def test_generated_cloud_loads_numpy():
     code, out, _ = result["runs"][0]
     assert code == 0 and json.loads(out)["inputs"]["n"] == 300
     assert "numpy" in result["loaded"]
+
+
+def test_no_unused_imports():
+    # A name an import binds must be read somewhere in its module (as a
+    # name, so ``np`` in ``np.array`` counts) or be exported by ``__all__``.
+    unused = []
+    for path in sorted([*(ROOT / "src" / "cloudinv").glob("*.py"),
+                        *(ROOT / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+            elif (isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
+                   for name, line in bound.items() if name not in used]
+    assert unused == []
