@@ -54,6 +54,10 @@ _SIMULATION_CASES = (
 def _resolve_coefficients(
         args: argparse.Namespace) -> tuple[Scatter, Optional[Cloud], dict]:
     """(coefficients, cloud or None, inputs echo) of --coeffs, --csv or --gen."""
+    given = {k: getattr(args, k) for k in ("n", "noise", "seed")
+             if getattr(args, k) is not None}
+    if given and args.gen is None:
+        raise ValueError(f"--{next(iter(given))} needs --gen")
     if args.coeffs is not None:
         lc = LinearCoefficients(*_parse_floats(
             args.coeffs, 2, "expected finite --coeffs M,H: "))
@@ -67,7 +71,7 @@ def _resolve_coefficients(
             raise ValueError(f"bad CSV {args.csv}: {exc}") from exc
         echo = {"source": "csv", "path": args.csv, "n": len(cloud)}
     else:
-        spec = CloudGenSpec(args.gen, args.n, args.noise, args.seed)
+        spec = CloudGenSpec(args.gen, **{"n": 1000, "noise": 0.05, "seed": 0, **given})
         cloud = generate_cloud(spec)
         echo = {"source": "generated", "kind": spec.kind, "n": spec.n,
                 "noise": spec.noise, "seed": spec.seed}
@@ -247,10 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
         one.add_argument("--csv", metavar="FILE", help="read cloud from CSV file")
         one.add_argument("--gen", metavar="KIND", choices=KINDS,
                          help=f"generate a cloud; one of {', '.join(KINDS)}")
-        src.add_argument("--n", type=int, default=1000, help="generated point count")
-        src.add_argument("--noise", type=float, default=0.05,
-                         help="generator noise amplitude")
-        src.add_argument("--seed", type=int, default=0, help="RNG seed")
+        src.add_argument("--n", type=int, help="generated point count (default 1000)")
+        src.add_argument("--noise", type=float,
+                         help="generator noise amplitude (default 0.05)")
+        src.add_argument("--seed", type=int, help="RNG seed (default 0)")
         if name != "coeffs":
             one.add_argument("--coeffs", metavar="M,H",
                              help="bypass the cloud: supply raw coefficients")

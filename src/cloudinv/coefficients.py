@@ -26,14 +26,11 @@ from .errors import DegenerateCloud
 if TYPE_CHECKING:
     import numpy as np
 
-# The package's one tolerance.  A guarded quantity (D, the determinant, the
+# The package's one tolerance.  A guarded quantity (D, det T, det S, the
 # identity and uniform-scaling tests, the induced-map and kernel denominators)
 # is zero when at most RTOL times the largest value its expression can take
 # for inputs of their magnitudes: a bound of its own degree, no unit floor.
 RTOL = 1e-12
-
-# The tolerance of the collinearity test.
-COLLINEARITY_RTOL = 1e-9
 
 # Points per chunk of the fused copy-and-reduce pass.  A chunk of both output
 # coordinates and the two shift buffers (1 MiB together) stays in a
@@ -412,14 +409,13 @@ def linear_coefficients(cloud: Cloud) -> Scatter:
 def is_collinear(cloud: Cloud) -> bool:
     """True iff the cloud lies on a straight line (any orientation).
 
-    Tests the Cauchy-Schwarz gap d - mn**2/hn against COLLINEARITY_RTOL*d,
-    its largest value, in degree 2 so that no product underflows.  True on
-    vertical lines (d == 0) and horizontal ones (hn == 0); agrees with
-    h == m**2.  A constant y has hn exactly 0, at any offset.
+    det S = D*H_n - M_n**2 is zero when at most RTOL times D*H_n, its largest
+    value (Cauchy-Schwarz), tested in degree 2, D - M_n**2/H_n <= RTOL*D, so
+    that no product underflows.  True on vertical (D == 0) and horizontal
+    (H_n == 0) lines; a constant y has H_n exactly 0, at any offset.
     """
     rs = raw_sums(cloud)
-    return (rs.hn == 0.0 or
-            rs.mn * (rs.mn / rs.hn) >= (1.0 - COLLINEARITY_RTOL) * rs.d)
+    return rs.hn == 0.0 or rs.d - rs.mn * (rs.mn / rs.hn) <= RTOL * rs.d
 
 
 def read_cloud_csv(source: Union[str, IO[str]]) -> Cloud:

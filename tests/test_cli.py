@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cloudinv import (LinearCoefficients, Matrix2, cli, induced_coefficients,
                       read_cloud_csv)
 from cloudinv.cli import main
-from cloudinv.coefficients import _CHUNK
+from cloudinv.coefficients import _CHUNK, _QUOTE
 from conftest import REF_H, REF_M, traced_peak
 
 REF_COEFFS = f"--coeffs={REF_M},{REF_H}"
@@ -585,6 +585,21 @@ class TestBadInputExitCodes:
         assert err.startswith("error: argument ") and "..." in err
         assert err.count("\n") == 1 and len(err.encode()) < 1000
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_a_usage_error_is_cut_past_400_characters(self, capsys, extra):
+        # argparse's message for --n <value>, at exactly 400 characters and
+        # at 401.
+        frame = run(capsys, "coeffs", "--gen", "ellipse", "--n", "")[2]
+        value = "x" * (400 + extra - (len(frame) - len("error: \n")))
+        message = frame[len("error: "):-1].replace("''", repr(value))
+        assert len(message) == 400 + extra
+        code, out, err = run(capsys, "coeffs", "--gen", "ellipse", "--n", value)
+        assert (code, out) == (2, "")
+        if extra:
+            assert err == f"error: {_QUOTE.repr(message)[1:-1]}\n" and "..." in err
+        else:
+            assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("form", [*LIST_FORMS, "csv"])
     def test_number_list_rule_accepts(self, capsys, tmp_path, form):
         if form == "csv":
@@ -694,6 +709,24 @@ class TestBadInputExitCodes:
         argv = ["invariant", "--coeffs", "1.5,3.5", "--matrix", "1,0.7;0,1",
                 "--phi", phi, *form]
         assert run(capsys, *argv) == (2, "", "error: --phi needs --family\n")
+
+    @pytest.mark.parametrize("argv,option", [
+        (["simulate", "--coeffs", "1.5,3.5", "--n", "-5"], "--n"),
+        (["transform", "--coeffs", "1,2", "--matrix", "1,1;0,1", "--seed", "9",
+          "--n", "7"], "--n"),
+        (["invariant", "--coeffs", "1.5,3.5", "--family", "diag", "--seed", "0"],
+         "--seed"),
+        (["coeffs", "--csv", "cloud.csv", "--noise", "0.05"], "--noise"),
+    ])
+    def test_generator_options_need_gen(self, capsys, argv, option):
+        # Without --gen they are refused, not ignored, even at their defaults.
+        assert run(capsys, *argv) == (2, "", f"error: {option} needs --gen\n")
+
+    def test_generator_options_default_under_gen(self, capsys):
+        code, report, _ = run_json(capsys, "coeffs", "--gen", "uniform-box")
+        assert code == 0
+        assert report["inputs"] == {"source": "generated", "kind": "uniform-box",
+                                    "n": 1000, "noise": 0.05, "seed": 0}
 
     def test_singular_family_member_names_the_matrix(self, capsys):
         code, out, err = run(capsys, *SINGULAR_MEMBER)

@@ -18,8 +18,9 @@ from cloudinv import (KINDS, Cloud, CloudGenSpec, DegenerateCloud, Matrix2,
                       linear_coefficients, raw_sums, read_cloud_csv,
                       write_cloud_csv)
 from cloudinv import coefficients
-from cloudinv.coefficients import _CHUNK, _DOT
-from conftest import assert_sums_close, magnitude, traced_peak, two_pass_sums
+from cloudinv.coefficients import _CHUNK, _DOT, RTOL
+from conftest import (assert_sums_close, magnitude, random_invertible,
+                      traced_peak, two_pass_sums)
 
 TRIANGLE = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
 
@@ -146,6 +147,39 @@ class TestIsCollinear:
         # The degree-4 products hn*d and mn**2 underflow here.
         xs, ys = 1e-100 * np.array(pts, dtype=float).T
         assert is_collinear(Cloud.from_arrays(xs, ys)) is collinear
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    @pytest.mark.parametrize("factor,collinear", [(0.25, True), (4.0, False)])
+    def test_threshold_on_both_sides(self, rng, offset, factor, collinear):
+        # y = 0.5x + t*w on 1000 points has det S = t**2 times the scatter
+        # determinant of (x, w), so scaling t puts the exact relative gap
+        # det S / (D*H_n) of the float coordinates at factor * RTOL.
+        xs = offset + np.linspace(-1.0, 1.0, 1000)
+        w = rng.standard_normal(1000)
+        target, t = factor * Fraction(RTOL), 1e-6
+        for _ in range(3):
+            ys = 0.5 * xs + t * w
+            mn, hn, d = exact_sums(xs, ys)
+            gap = 1 - mn * mn / (d * hn)
+            t *= math.sqrt(target / gap)
+        assert abs(gap / target - 1) < 1e-3
+        assert is_collinear(Cloud.from_arrays(xs, ys)) is collinear
+
+    @pytest.mark.parametrize("n", [10, 1000, 100_000, 1_000_000])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    @pytest.mark.parametrize("slope", [1e-3, -1.0, 1e3])
+    def test_a_float_line_and_its_images_are_collinear(self, n, offset, slope):
+        # y = slope*x + 0.3 for x in offset + [-1, 1]: the rounding of y is
+        # its only deviation from the line.  Its images under random
+        # matrices, and under power-of-two axis scales, stay collinear too.
+        rng = np.random.default_rng(n)
+        xs = offset + rng.uniform(-1.0, 1.0, n)
+        ys = slope * xs + 0.3
+        line = Cloud.from_arrays(xs, ys)
+        scaled = Cloud.from_arrays(np.ldexp(xs, -300), np.ldexp(ys, 200))
+        images = [apply_to_cloud(random_invertible(rng), line) for _ in range(3)]
+        for cloud in (line, scaled, *images):
+            assert is_collinear(cloud)
 
 
 @settings(max_examples=200, deadline=None)
@@ -533,8 +567,39 @@ def exact_sums(xs, ys):
             Fraction(n * sum(v * v for v in xi) - sx * sx, den * den))
 
 
+def exact_q(xs):
+    """The exact q of x: over the chunks, the sum of squares about the mean
+    of the points before the chunk (the first chunk's own mean) plus the
+    merge term k*lo/hi * (chunk mean - that mean)**2."""
+    ratios = [v.as_integer_ratio() for v in xs.tolist()]
+    den = max(q for _, q in ratios)
+    ints = [p * (den // q) for p, q in ratios]
+    q = before = Fraction(0)
+    for lo in range(0, len(ints), _CHUNK):
+        chunk = ints[lo:lo + _CHUNK]
+        k, s1 = len(chunk), sum(chunk)
+        c = Fraction(before, lo) if lo else Fraction(s1, k)
+        q += (sum(v * v for v in chunk) - 2 * c * s1 + k * c * c
+              + Fraction(k * lo, lo + k) * (Fraction(s1, k) - c) ** 2)
+        before += s1
+    return q / (den * den)
+
+
 class TestChunkedReduction:
     """Clouds are reduced in chunks of _CHUNK points, merged pairwise."""
+
+    @pytest.mark.parametrize("step", [0.0, 1e3])
+    def test_q_holds_the_squares_and_the_merge_terms(self, rng, step):
+        # q, the bound of D in the vertical test: with equal chunk means
+        # the squares make it up; with means step apart the merge terms hold
+        # over a third of it.  Exactly, q <= 3D, so only a rounding residue
+        # of D can fall under RTOL * n*q.
+        n = 3 * _CHUNK + 5
+        xs = rng.standard_normal(n) + step * (np.arange(n) // _CHUNK)
+        cloud = Cloud.from_arrays(xs, rng.standard_normal(n))
+        want = exact_q(xs)
+        assert cloud._moments.q == pytest.approx(float(want), rel=1e-12)
+        assert want <= 3 * exact_sums(xs, cloud.ys)[2]
 
     @pytest.mark.parametrize("n", [2, _CHUNK - 1, _CHUNK, _CHUNK + 1,
                                    3 * _CHUNK + 5])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from cloudinv import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR,
                       apply_to_cloud, family_pde_residual,
                       generator_for_matrix, generator_value, kernel_value,
                       linear_coefficients, parse_family)
+from cloudinv.coefficients import RTOL
 from conftest import REF_H, REF_M, magnitude, random_cloud
 
 CASE_STUDY = LinearFamily((-2.0, -2.0, -0.25, 0.5), (12.0, 8.0, 1.0, 2.0))
@@ -242,6 +244,27 @@ class TestKernelValue:
         # b'=1, g'=h, delta=0 makes the denominator h - h = 0.
         with pytest.raises(KernelSingular):
             kernel_value(FamilyGenerator(1.0, 2.0, 0.0), 1.0, 2.0)
+
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    @pytest.mark.parametrize("cancelling", ["h*b', g'", "g', delta*M",
+                                            "h*b', delta*M"])
+    def test_denominator_guard_on_both_sides(self, cancelling, ratio):
+        # Two of the terms h*b', -g' and delta*M, 1 and -v, cancel to
+        # ratio * RTOL times the bound |h*b'| + |g'| + |delta*M|, and the
+        # third is 0: each term is a dominant one in two of the cases.
+        v = float(1 - Fraction(2 * ratio) * Fraction(RTOL))
+        spec, m, h = {"h*b', g'": (FamilyGenerator(1.0, v, 0.0), 0.5, 1.0),
+                      "g', delta*M": (FamilyGenerator(0.0, 1.0, 1.0), v, 0.5),
+                      "h*b', delta*M": (FamilyGenerator(1.0, 0.0, 1.0), -v, 1.0),
+                      }[cancelling]
+        b, g, dl, m, h = map(Fraction, (spec.bprime, spec.gprime, spec.delta, m, h))
+        exact = abs(h * b - g + dl * m) / (abs(h * b) + abs(g) + abs(dl * m))
+        assert abs(exact / Fraction(RTOL) / ratio - 1) < 1e-3
+        if ratio < 1:
+            with pytest.raises(KernelSingular):
+                kernel_value(spec, float(m), float(h))
+        else:
+            assert math.isfinite(kernel_value(spec, float(m), float(h)))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_degree_zero_kernel_keeps_its_square(self, sign):

@@ -15,7 +15,7 @@ from cloudinv import (Cloud, CloudInvError, DegenerateImage, LinearCoefficients,
                       apply_to_cloud, induced_coefficients, induced_raw,
                       linear_coefficients, parse_matrix, raw_sums,
                       write_cloud_csv)
-from cloudinv.coefficients import _CHUNK, _QUOTE, _parse_floats
+from cloudinv.coefficients import _CHUNK, _QUOTE, RTOL, _parse_floats
 from cloudinv.transform import parse_entries
 from conftest import (REF_H, REF_M, assert_sums_close, matmul, not_a_number,
                       random_cloud, random_invertible, traced_peak,
@@ -387,6 +387,38 @@ class TestInducedCoefficients:
         with pytest.raises(DegenerateImage):
             induced_coefficients(Matrix2(0, 1, -1, 0),
                                  LinearCoefficients(0.0, 0.0))
+
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    @pytest.mark.parametrize("row,d,hn", [
+        # a = b with H_n = 0: (|a| + |b|)**2 D is the bound's largest term.
+        ((0.5, 0.5), 1.0, 0.0),
+        # a = b with H_n = 7 D: |2ab M_n| is.
+        ((0.5, 0.5), 1.0, 7.0),
+        # b = a/4 with H_n = -32 D: b**2 |H_n| is.
+        ((1.0, 0.25), 1.0, -32.0),
+    ])
+    def test_image_d_guard_on_both_sides(self, row, d, hn, ratio):
+        # M_n is set so that the image's D = a^2 D + 2ab M_n + b^2 H_n is
+        # ratio * RTOL times its bound (|a| + |b|)^2 |D| + |2ab M_n| + b^2 |H_n|.
+        a, b, d, hn = map(Fraction, (*row, d, hn))
+
+        def image_d_and_bound(mn):
+            return (a * a * d + 2 * a * b * mn + b * b * hn,
+                    (abs(a) + abs(b)) ** 2 * abs(d) + abs(2 * a * b * mn)
+                    + b * b * abs(hn))
+
+        mn = -(a * a * d + b * b * hn) / (2 * a * b)  # the image's D is 0
+        bound = image_d_and_bound(mn)[1]
+        mn = Fraction(float(mn + ratio * Fraction(RTOL) * bound / (2 * a * b)))
+        image_d, bound = image_d_and_bound(mn)
+        assert abs(image_d / bound / Fraction(RTOL) / ratio - 1) < 1e-3
+        t = Matrix2(float(a), float(b), 0.0, 1.0)
+        s = Scatter(float(mn), float(hn), float(d))
+        if ratio < 1:
+            with pytest.raises(DegenerateImage):
+                induced_coefficients(t, s)
+        else:
+            induced_coefficients(t, s)
 
     def test_closed_form_and_direct_fail_together(self):
         horizontal = Cloud([(0.0, 2.0), (1.0, 2.0), (2.0, 2.0)])
