@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 import reprlib
-from typing import (IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional,
-                    Sequence, Union)
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DegenerateCloud
 
@@ -26,10 +25,11 @@ from .errors import DegenerateCloud
 if TYPE_CHECKING:
     import numpy as np
 
-# The package's one tolerance.  A guarded quantity (D, det T, det S, the
+# The package's one tolerance.  A guarded quantity (det T, det S, the
 # identity and uniform-scaling tests, the induced-map and kernel denominators)
 # is zero when at most RTOL times the largest value its expression can take
 # for inputs of their magnitudes: a bound of its own degree, no unit floor.
+# A cloud's D needs none: its terms cannot cancel, so it is tested for 0.
 RTOL = 1e-12
 
 # Points per chunk of the fused copy-and-reduce pass.  A chunk of both output
@@ -134,23 +134,14 @@ def _parse_floats(text: str, count: int | None = None,
     raise ValueError(f"{what}{_QUOTE.repr(text)} is not a list of {size}finite numbers")
 
 
-class _Moments(NamedTuple):
-    """Centered second moments of a cloud's coordinates, and the bound q."""
-
-    sxx: float
-    sxy: float
-    syy: float
-    q: float
-
-
 Entries = tuple[float, float, float, float]
 
 
 def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[Entries] = None,
-                     out: Optional[np.ndarray] = None) -> _Moments:
-    """The moments of (xs, ys), or of their image (a*x + b*y, c*x + d*y)
-    under the matrix entries t = (a, b, c, d); given ``out``, that cloud is
-    also written to the two rows of ``out``.
+                     out: Optional[np.ndarray] = None) -> tuple[float, float, float]:
+    """The centered moments (Sxx, Sxy, Syy) of (xs, ys), or of their image
+    (a*x + b*y, c*x + d*y) under the matrix entries t = (a, b, c, d); given
+    ``out``, that cloud is also written to the two rows of ``out``.
 
     One pass over chunks of ``_CHUNK`` points.  Each chunk (read in place,
     copied to ``out``, or an image chunk written to ``out`` or else to a
@@ -164,10 +155,9 @@ def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[Entries] = None
     ``_DOT``-point rows, summed in order), clamped to a positive semidefinite
     2 x 2 matrix; the pairwise update, whose merge term is 0 on the first
     chunk, then adds them in.  A column of equal values shifts to k copies
-    of one small number, so its centered sums are exactly 0.  The moments' q
-    sums the non-negative terms added into Sxx: each q of x and each
-    dx*dx*f.  The arithmetic does not depend on ``out``, so the moments are
-    the same bits with or without it.
+    of one small number, so its centered sums are exactly 0.  The arithmetic
+    does not depend on ``out``, so the moments are the same bits with or
+    without it.
     """
     import numpy as np
 
@@ -175,7 +165,7 @@ def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[Entries] = None
     cx, cy = np.empty((2, min(n, _CHUNK)))
     if out is None and t is not None:
         tx, ty = np.empty((2, min(n, _CHUNK)))
-    mean_x = mean_y = acc_xx = acc_xy = acc_yy = acc_q = 0.0
+    mean_x = mean_y = acc_xx = acc_xy = acc_yy = 0.0
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         k = hi - lo
@@ -225,12 +215,10 @@ def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[Entries] = None
         cxx = max(sxx - rx * rx / k, 0.0)
         cyy = max(syy - ry * ry / k, 0.0)
         bound = math.sqrt(cxx) * math.sqrt(cyy)
-        gxx = dx * dx * f
-        acc_xx += cxx + gxx
+        acc_xx += cxx + dx * dx * f
         acc_xy += min(max(sxy - rx * ry / k, -bound), bound) + dx * dy * f
         acc_yy += cyy + dy * dy * f
-        acc_q += sxx + gxx
-    return _Moments(acc_xx, acc_xy, acc_yy, acc_q)
+    return acc_xx, acc_xy, acc_yy
 
 
 class Cloud:
@@ -367,7 +355,8 @@ class Scatter(_Value):
 
     def _over_d(self, value: float) -> float:
         if self.d == 0.0:
-            raise DegenerateCloud("scatter d is 0: (M, H) is undefined")
+            raise DegenerateCloud("x-spread sum D is 0: the least-squares line is "
+                                  "vertical, so (M, H) is undefined")
         return value / self.d
 
 
@@ -384,26 +373,20 @@ def raw_sums(cloud: Cloud) -> Scatter:
     the catastrophic cancellation the raw formulas suffer on offset clouds.
     """
     n = len(cloud)
-    mo = cloud._moments
-    return Scatter(n * mo.sxy, n * mo.syy, n * mo.sxx)
+    sxx, sxy, syy = cloud._moments
+    return Scatter(n * sxy, n * syy, n * sxx)
 
 
 def linear_coefficients(cloud: Cloud) -> Scatter:
     """The chart point (M, H) = (M_n/D, H_n/D) of a cloud's scatter.
 
     Raises:
-        DegenerateCloud: if |D| is at most RTOL * n*Q, where Q is the sum of
-            the non-negative terms the reduction adds into Sxx (the shifted
-            sums of squares and the merge terms): a bound of D's own degree
-            that no translation of the cloud moves (all x effectively equal).
+        DegenerateCloud: if D = 0 (all x equal).  D is a sum of terms that
+            cannot cancel, so it bounds its own rounding and needs no
+            tolerance.
     """
     rs = raw_sums(cloud)
-    if abs(rs.d) <= RTOL * len(cloud) * cloud._moments.q:
-        raise DegenerateCloud(
-            f"x-spread sum D={rs.d} is zero within tolerance; "
-            "least-squares line is vertical"
-        )
-    return LinearCoefficients(rs.mn / rs.d, rs.hn / rs.d)
+    return LinearCoefficients(rs.m, rs.h)
 
 
 def is_collinear(cloud: Cloud) -> bool:

@@ -6,10 +6,10 @@ class CloudInvError(Exception):
 
 
 class DegenerateCloud(CloudInvError):
-    """The cloud's x-spread sum D is zero within tolerance.
+    """The cloud's x-spread sum D is zero (all x equal).
 
-    All x-coordinates are effectively equal, so the least-squares line is
-    vertical and the linear coefficients are undefined.
+    The least-squares line is vertical, so the linear coefficients are
+    undefined.
     """
 
 

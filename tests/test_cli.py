@@ -122,8 +122,11 @@ class TestCoeffs:
     def test_vertical_line_degenerate(self, capsys, tmp_path):
         path = tmp_path / "vert.csv"
         path.write_text("0,0\n0,1\n0,2\n")
-        code, _, err = run(capsys, "coeffs", "--csv", str(path))
+        code, out, err = run(capsys, "coeffs", "--csv", str(path))
         assert code == 2
+        assert out == ""
+        assert err == ("error: x-spread sum D is 0: the least-squares line is "
+                       "vertical, so (M, H) is undefined\n")
 
     def test_horizontal_line_has_exactly_zero_spread(self, capsys, tmp_path):
         # y is 0.1 three times: Hn is 0, not a rounding residue.

@@ -112,6 +112,27 @@ class TestIdentityParameter:
                            match=r"no phi makes A0 \+ phi\*B the identity"):
             fam.identity_parameter()
 
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    @pytest.mark.parametrize("dominant", ["a0", "phi*b"])
+    def test_identity_guard_on_both_sides(self, dominant, ratio):
+        # A12 = -2X + 2X*phi gives phi = 1 exactly.  A11 = a + phi*b with
+        # phi*b = -X (a = 1 + X + r, |a0| the largest term) or +X
+        # (a = 1 - X + r, |phi*b| the largest), so a + phi*b - 1 = r, exactly,
+        # is ratio * RTOL times the bound |a| + |phi*b| + 1.
+        x = Fraction(2**30)
+        sign = 1 if dominant == "a0" else -1
+        r = Fraction(ratio) * Fraction(RTOL) * (2 * x + 2)
+        a = float(1 + sign * x + r)
+        fam = LinearFamily((a, float(-2 * x), 0.0, 1.0),
+                           (float(-sign * x), float(2 * x), 0.0, 0.0))
+        exact = (Fraction(a) - sign * x - 1) / (abs(Fraction(a)) + x + 1)
+        assert abs(exact / Fraction(RTOL) / ratio - 1) < 1e-3
+        if ratio < 1:
+            assert fam.identity_parameter() == 1.0
+        else:
+            with pytest.raises(NoIdentityParameter):
+                fam.identity_parameter()
+
 
 def _branch1(b11, b12, b21, b22, a22):
     # b22 != 0; remaining base entries forced by consistency.
