@@ -40,22 +40,22 @@ class CloudGenSpec(_Value):
 def generate_cloud(spec: CloudGenSpec) -> Cloud:
     """Generate a cloud deterministically from a spec.
 
-    Each draw goes straight into the output arrays, which are then updated in
-    place and become the cloud's own, so a cloud costs its two coordinate
-    arrays plus one chunk-sized noise buffer (freed before the cloud is
-    reduced).  The draws and the arithmetic are those of the plain formulas
-    in the comments, value for value.
+    Each draw goes straight into the rows of one 2 x n block, which is then
+    updated in place and becomes the cloud's own, so a cloud costs its
+    coordinate block plus one chunk-sized noise buffer (freed before the
+    cloud is reduced).  The draws and the arithmetic are those of the plain
+    formulas in the comments, value for value.
     """
     import numpy as np
 
     rng = np.random.default_rng(spec.seed)
     n = spec.n
-    xs = np.empty(n)
-    ys = np.empty(n)
+    xy = np.empty((2, n))
+    xs, ys = xy
     if spec.kind == "uniform-box":
         rng.random(out=xs)
         rng.random(out=ys)
-        return Cloud._own(xs, ys)
+        return Cloud._own(xy)
     if spec.kind == "line-with-noise":
         # xs = 2*U, ys = 0.5*xs (+ noise*N).  Slope 0.5 and zero intercept
         # keep y = 0.5*x exact in binary, so a zero-noise draw is exactly
@@ -64,7 +64,7 @@ def generate_cloud(spec: CloudGenSpec) -> Cloud:
         xs *= 2.0
         np.multiply(xs, 0.5, out=ys)
         _add_noise(rng, spec.noise, ys)
-        return Cloud._own(xs, ys)
+        return Cloud._own(xy)
     if spec.kind == "ellipse":
         # theta = 2*pi*U (held in ys), xs = 0.5 + cos(theta),
         # ys = 0.5 + 0.5*sin(theta).
@@ -86,7 +86,7 @@ def generate_cloud(spec: CloudGenSpec) -> Cloud:
         np.subtract(2.0, xs[k:], out=ys[k:])
         xs[k:] += 1.0
     _add_noise(rng, spec.noise, xs, ys)
-    return Cloud._own(xs, ys)
+    return Cloud._own(xy)
 
 
 def _add_noise(rng: np.random.Generator, noise: float, *axes: np.ndarray) -> None:

@@ -4,13 +4,13 @@ A cloud is summarized by its scatter matrix S = [[D, M_n], [M_n, H_n]] of
 centered second-moment sums (:class:`Scatter`).  The slope M of its
 least-squares straight line and a companion ratio H are the chart
 (M, H) = (M_n/D, H_n/D) on S, so the centered sums are a sufficient
-statistic.  A cloud reduces them once, when it is built, in one pass that
-reduces every fixed-size chunk by one rule (Chan, Golub & LeVeque 1979):
-shift by a mean, correct by the residual sum, merge.  So offset clouds lose
-nothing to cancellation, and a column of equal values has exactly zero
-spread.  The same pass copies the coordinates into one 2 x n block
-(``Cloud.from_arrays``), reduces arrays the cloud takes over (generated
-clouds), or reduces a matrix image chunk by chunk without writing it.
+statistic.  A cloud's coordinates are the rows of one 2 x n block.  It
+reduces the sums once, when it is built, in one pass over 2 x k chunks
+that reduces each by one rule (Chan, Golub & LeVeque 1979): shift by a
+mean, correct by the residual sum, merge.  So offset clouds lose nothing to
+cancellation, and a column of equal values has exactly zero spread.  The
+same pass copies given arrays into a block, reduces a block the cloud
+takes over, or reduces a matrix image chunk by chunk without writing it.
 """
 from __future__ import annotations
 
@@ -32,9 +32,9 @@ if TYPE_CHECKING:
 # A cloud's D needs none: its terms cannot cancel, so it is tested for 0.
 RTOL = 1e-12
 
-# Points per chunk of the fused copy-and-reduce pass.  A chunk of both output
-# coordinates and the two shift buffers (1 MiB together) stays in a
-# core's L2 cache, so each value comes from main memory once.
+# Points per chunk of the fused copy-and-reduce pass.  A 2 x k chunk of the
+# output block and the 2 x k shift buffer (1 MiB together) stay in a core's
+# L2 cache, so each value comes from main memory once.
 _CHUNK = 1 << 15
 
 # Points per dot product.  OpenBLAS splits a dot of more than 10000 points
@@ -137,70 +137,66 @@ def _parse_floats(text: str, count: int | None = None,
 Entries = tuple[float, float, float, float]
 
 
-def _copy_and_reduce(xs: np.ndarray, ys: np.ndarray, t: Optional[Entries] = None,
+def _copy_and_reduce(src: Union[np.ndarray, tuple], t: Optional[Entries] = None,
                      out: Optional[np.ndarray] = None) -> tuple[float, float, float]:
-    """The centered moments (Sxx, Sxy, Syy) of (xs, ys), or of their image
+    """The centered moments (Sxx, Sxy, Syy) of the cloud with rows src, a
+    2 x n block or (for a copy or an image) an (xs, ys) pair, or of its image
     (a*x + b*y, c*x + d*y) under the matrix entries t = (a, b, c, d); given
-    ``out``, that cloud is also written to the two rows of ``out``.
+    the 2 x n block ``out``, that cloud is also written to it.
 
-    One pass over chunks of ``_CHUNK`` points.  Each chunk (read in place,
-    copied to ``out``, or an image chunk written to ``out`` or else to a
-    reused chunk-sized buffer) is, while still in cache, shifted into two
-    reusable buffers and reduced by one rule (Chan, Golub & LeVeque 1983).
-    The shift is x0, the first chunk's own mean, plus the running mean held
-    relative to x0 (0 before the first chunk), so no later chunk needs a pass
-    for its own mean and offset clouds keep full accuracy.  The residual sums
-    r of the shifted chunk give its mean, shift + r/k, and its centered sums,
-    q - r*r/k from the shifted products q (each one ``vecdot`` over
-    ``_DOT``-point rows, summed in order), clamped to a positive semidefinite
-    2 x 2 matrix; the pairwise update, whose merge term is 0 on the first
-    chunk, then adds them in.  A column of equal values shifts to k copies
-    of one small number, so its centered sums are exactly 0.  The arithmetic
-    does not depend on ``out``, so the moments are the same bits with or
-    without it.
+    One pass over 2 x k chunks of ``_CHUNK`` points, each step after the
+    copy one call for both rows.  Each chunk (read in place, copied to
+    ``out``, or the image x*(a, c) + y*(b, d) written to ``out`` or else to
+    a reused buffer) is, while in cache, shifted into a reused 2 x k buffer
+    and reduced by one rule (Chan, Golub & LeVeque 1979).  The shift is x0, the first chunk's
+    mean, plus the running mean held relative to x0 (0 before the first
+    chunk), so no later chunk needs a pass for its own mean and offset clouds
+    keep full accuracy.  The residual sums r of the shifted chunk give its
+    mean, shift + r/k, and its centered sums, q - r*r/k from the shifted
+    products q (each one ``vecdot`` over ``_DOT``-point rows, summed in
+    order), clamped to a positive semidefinite 2 x 2 matrix; the pairwise
+    update, whose merge term is 0 on the first chunk, then adds them in.
+    Equal values shift to k copies of one small number, so their centered
+    sums are exactly 0.  The moments do not depend on ``out``.
     """
     import numpy as np
 
+    xs, ys = src
     n = xs.size
-    cx, cy = np.empty((2, min(n, _CHUNK)))
-    if out is None and t is not None:
-        tx, ty = np.empty((2, min(n, _CHUNK)))
+    shifted = np.empty((2, min(n, _CHUNK)))
+    if t is not None:
+        a, b, c, d = t
+        ac, bd = np.array([[[a], [c]], [[b], [d]]])
+        if out is None:
+            image = np.empty_like(shifted)
     mean_x = mean_y = acc_xx = acc_xy = acc_yy = 0.0
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         k = hi - lo
-        bx, by = cx[:k], cy[:k]
+        s = shifted[:, :k]
         if t is not None:
-            x, y = (tx[:k], ty[:k]) if out is None else out[:, lo:hi]
-            a, b, c, d = t
-            np.multiply(xs[lo:hi], a, out=x)
-            np.multiply(ys[lo:hi], b, out=bx)
-            np.add(x, bx, out=x)
-            np.multiply(xs[lo:hi], c, out=y)
-            np.multiply(ys[lo:hi], d, out=by)
-            np.add(y, by, out=y)
+            chunk = image[:, :k] if out is None else out[:, lo:hi]
+            np.multiply(xs[lo:hi], ac, out=chunk)
+            np.multiply(ys[lo:hi], bd, out=s)
+            np.add(chunk, s, out=chunk)
         elif out is not None:
-            x, y = out[:, lo:hi]
-            np.copyto(x, xs[lo:hi])
-            np.copyto(y, ys[lo:hi])
+            chunk = out[:, lo:hi]
+            np.copyto(chunk[0], xs[lo:hi])
+            np.copyto(chunk[1], ys[lo:hi])
         else:
-            x, y = xs[lo:hi], ys[lo:hi]
+            chunk = src[:, lo:hi]
         if lo == 0:
-            x0 = float(np.add.reduce(x)) / k
-            y0 = float(np.add.reduce(y)) / k
+            x0, y0 = (np.add.reduce(chunk, 1) / k).tolist()
         sx, sy = x0 + mean_x, y0 + mean_y
-        np.subtract(x, sx, out=bx)
-        np.subtract(y, sy, out=by)
-        rx = float(np.add.reduce(bx))
-        ry = float(np.add.reduce(by))
+        np.subtract(chunk, [[sx], [sy]], out=s)
+        rx, ry = np.add.reduce(s, 1).tolist()
         ux = (sx - x0) + rx / k
         uy = (sy - y0) + ry / k
         sxx = sxy = syy = 0.0
         m = k - k % _DOT
-        for u, v in ((bx[:m], by[:m]), (bx[m:k], by[m:k])):
-            if u.size:
-                u = u.reshape(-1, min(u.size, _DOT))
-                v = v.reshape(u.shape)
+        for part in (s[:, :m], s[:, m:]):
+            if part.size:
+                u, v = part.reshape(2, -1, min(part.shape[1], _DOT))
                 for pxx, pxy, pyy in zip(np.vecdot(u, u).tolist(), np.vecdot(u, v).tolist(),
                                          np.vecdot(v, v).tolist()):
                     sxx += pxx
@@ -225,14 +221,15 @@ class Cloud:
     """An ordered sequence of at least two planar points.
 
     Point order is preserved, but every derived quantity is a symmetric sum
-    and therefore order-independent.  Coordinates are read-only float64
-    arrays; their moments are reduced once, when the cloud is built.
-    ``Cloud(points)`` reads the points once, into two growing buffers that
-    the cloud then holds without a copy; a point is a sequence of exactly
-    two numbers (:func:`_real`), and a string is refused.
+    and therefore order-independent.  The coordinates are the two read-only
+    rows of one 2 x n float64 block; their moments are reduced once, when
+    the cloud is built.  ``Cloud(points)`` reads the points once, into two
+    growing buffers, then appends the y buffer to the x buffer and holds
+    that as the block; a point is a sequence of exactly two numbers
+    (:func:`_real`), and a string is refused.
 
     The image of a cloud under a matrix (see ``transform.apply_to_cloud``)
-    starts out pending: it holds its source's arrays and the matrix entries
+    starts out pending: it holds its source's rows and the matrix entries
     ``_t``, and only its moments are reduced.  Its coordinates are written,
     once, when ``xs`` or ``ys`` first asks for them; ``len`` and the moment
     queries never do.
@@ -256,7 +253,8 @@ class Cloud:
             ys.append(y if type(y) is float and math.isfinite(y) else _real(y, "point y"))
         if len(xs) < 2:
             raise ValueError(f"a cloud needs at least 2 points, got {len(xs)}")
-        self._fill(np.frombuffer(xs), np.frombuffer(ys))
+        xs.extend(ys)
+        self._fill(np.frombuffer(xs).reshape(2, -1))
 
     @classmethod
     def from_arrays(cls, xs: np.ndarray, ys: np.ndarray) -> "Cloud":
@@ -271,33 +269,32 @@ class Cloud:
         if xs.size < 2:
             raise ValueError(f"a cloud needs at least 2 points, got {xs.size}")
         cloud = object.__new__(cls)
-        cloud._fill(xs, ys, copy=True)
+        cloud._fill((xs, ys), copy=True)
         return cloud
 
     @classmethod
-    def _own(cls, xs: np.ndarray, ys: np.ndarray,
-             t: Optional[Entries] = None) -> "Cloud":
-        """A cloud over (xs, ys) themselves, which it marks read-only, or the
-        pending image of them under the matrix entries t.  The arrays must be
-        1-D float64 of one length >= 2 that no one else writes to."""
+    def _own(cls, src: Union[np.ndarray, tuple], t: Optional[Entries] = None) -> "Cloud":
+        """A cloud over the rows, marked read-only, of src, a 2 x n float64
+        block (n >= 2) that no one else writes to; or the pending image of
+        src, a block or an (xs, ys) pair, under the matrix entries t."""
         cloud = object.__new__(cls)
-        cloud._fill(xs, ys, t)
+        cloud._fill(src, t)
         return cloud
 
-    def _fill(self, xs: np.ndarray, ys: np.ndarray,
-              t: Optional[Entries] = None, copy: bool = False) -> None:
-        """Hold (xs, ys), a fresh copy of them (``copy``), or their image
-        under the matrix entries t (pending unless ``copy``), and cache the
-        moments of the cloud held.  A copy is one 2 x n block, its rows the
-        coordinates."""
+    def _fill(self, src: Union[np.ndarray, tuple], t: Optional[Entries] = None,
+              copy: bool = False) -> None:
+        """Hold the rows of src (see :func:`_copy_and_reduce`), a 2 x n block
+        copied from them (``copy``) or their image under the matrix entries t
+        (pending unless ``copy``), and cache the moments of the cloud held."""
         import numpy as np
 
-        out = np.empty((2, xs.size)) if copy else None
+        out = np.empty((2, src[0].size)) if copy else None
         # Non-finite values are expected here and judged just below.
         with np.errstate(over="ignore", invalid="ignore"):
-            moments = _copy_and_reduce(xs, ys, t, out)
+            moments = _copy_and_reduce(src, t, out)
         if out is not None:
-            (xs, ys), t = out, None
+            src, t = out, None
+        xs, ys = src
         xs.flags.writeable = False
         ys.flags.writeable = False
         self._xs, self._ys, self._moments, self._t = xs, ys, moments, t
@@ -312,14 +309,14 @@ class Cloud:
     def xs(self) -> np.ndarray:
         """The x coordinates, a read-only float64 array."""
         if self._t is not None:
-            self._fill(self._xs, self._ys, self._t, copy=True)
+            self._fill((self._xs, self._ys), self._t, copy=True)
         return self._xs
 
     @property
     def ys(self) -> np.ndarray:
         """The y coordinates, a read-only float64 array."""
         if self._t is not None:
-            self._fill(self._xs, self._ys, self._t, copy=True)
+            self._fill((self._xs, self._ys), self._t, copy=True)
         return self._ys
 
     def __len__(self) -> int:

@@ -83,7 +83,7 @@ def apply_to_cloud(m: Matrix2, cloud: Cloud) -> Cloud:
     Raises:
         ValueError: an image coordinate overflows to infinity.
     """
-    return Cloud._own(cloud.xs, cloud.ys, m.entries())
+    return Cloud._own((cloud.xs, cloud.ys), m.entries())
 
 
 def induced_raw(t: Matrix2, s: Scatter) -> Scatter:

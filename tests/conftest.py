@@ -1,6 +1,7 @@
 """Shared fixtures and random-input helpers."""
 from __future__ import annotations
 
+import io
 import math
 import tracemalloc
 from decimal import Decimal
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cloudinv import (Cloud, LinearCoefficients, Matrix2, Param,
-                      generator_value, induced_coefficients)
+from cloudinv import (Cloud, CloudGenSpec, LinearCoefficients, Matrix2, Param,
+                      generate_cloud, generator_value, induced_coefficients,
+                      read_cloud_csv, write_cloud_csv)
 from cloudinv import generators
 
 # The reference coefficient pair used throughout the worked examples.
@@ -44,6 +46,24 @@ def random_cloud(rng: np.random.Generator, n: int = 30,
     xs = rng.random(n) + offset
     ys = rng.random(n) + offset
     return Cloud.from_arrays(xs, ys)
+
+
+# The ways a test builds a source cloud, each ending in its own 2 x n block.
+BUILDS = ("from_arrays", "generated", "csv")
+
+
+def build_cloud(how: str, xs: np.ndarray, ys: np.ndarray) -> Cloud:
+    """The cloud of (xs, ys) by ``Cloud.from_arrays``, or read back from its
+    CSV form (``Cloud(points)``); "generated" gives a noisy ellipse of as
+    many points instead."""
+    if how == "generated":
+        return generate_cloud(CloudGenSpec("ellipse", xs.size, 0.05, xs.size))
+    cloud = Cloud.from_arrays(xs, ys)
+    if how == "csv":
+        text = io.StringIO()
+        write_cloud_csv(cloud, text)
+        return read_cloud_csv(io.StringIO(text.getvalue()))
+    return cloud
 
 
 def random_invertible(rng: np.random.Generator,

@@ -19,8 +19,8 @@ from cloudinv import (KINDS, Cloud, CloudGenSpec, DegenerateCloud, Matrix2,
                       write_cloud_csv)
 from cloudinv import coefficients
 from cloudinv.coefficients import _CHUNK, _DOT, RTOL
-from conftest import (assert_sums_close, magnitude, random_invertible,
-                      traced_peak, two_pass_sums)
+from conftest import (assert_sums_close, build_cloud, magnitude,
+                      random_invertible, traced_peak, two_pass_sums)
 
 TRIANGLE = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
 
@@ -570,6 +570,26 @@ def test_cloud_of_points_over_several_chunks(rng):
     want = Cloud.from_arrays(xs, ys)
     for points in point_sources(xs, ys).values():
         assert_same_cloud(Cloud(points), want)
+
+
+@pytest.mark.parametrize("how", ["points", "csv", "from_arrays", *KINDS, "written image"])
+def test_every_cloud_is_one_read_only_block(rng, how):
+    # Whatever built it, a cloud's coordinates are the two rows of one block,
+    # reduced to the moments of a copy of them.
+    n = 2 * _CHUNK + 3
+    xs, ys = 1e3 + rng.random(n), rng.random(n)
+    if how == "points":
+        cloud = Cloud(zip(xs.tolist(), ys.tolist()))
+    elif how in KINDS:
+        cloud = generate_cloud(CloudGenSpec(how, n, 0.05, 11))
+    elif how == "written image":
+        cloud = apply_to_cloud(Matrix2(0.4, -0.4, -0.05, 0.9), Cloud.from_arrays(xs, ys))
+        cloud.xs  # reading a coordinate writes the pending image
+    else:
+        cloud = build_cloud(how, xs, ys)
+    assert cloud.xs.base is cloud.ys.base is not None
+    assert not (cloud.xs.flags.writeable or cloud.ys.flags.writeable)
+    assert bits(cloud._moments) == bits(Cloud.from_arrays(cloud.xs, cloud.ys)._moments)
 
 
 def exact_sums(xs, ys):

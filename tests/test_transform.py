@@ -17,9 +17,9 @@ from cloudinv import (Cloud, CloudInvError, DegenerateImage, LinearCoefficients,
                       write_cloud_csv)
 from cloudinv.coefficients import _CHUNK, _QUOTE, RTOL, _parse_floats
 from cloudinv.transform import parse_entries
-from conftest import (REF_H, REF_M, assert_sums_close, matmul, not_a_number,
-                      random_cloud, random_invertible, traced_peak,
-                      two_pass_sums)
+from conftest import (BUILDS, REF_H, REF_M, assert_sums_close, build_cloud,
+                      matmul, not_a_number, random_cloud, random_invertible,
+                      traced_peak, two_pass_sums)
 
 REF = LinearCoefficients(REF_M, REF_H)
 
@@ -246,7 +246,10 @@ class TestPendingImage:
         assert traced_peak(lambda: len(image)) < 64 * 1024
         assert len(image) == len(source)
 
-    def test_first_read_writes_the_image_once(self, source):
+    @pytest.mark.parametrize("how", BUILDS)
+    def test_first_read_writes_the_image_once(self, rng, how):
+        n = 3 * _CHUNK + 5
+        source = build_cloud(how, 1e6 + rng.standard_normal(n), rng.standard_normal(n))
         image = apply_to_cloud(self.M, source)
         xs, ys = image.xs, image.ys
         want_x, want_y = self.image_arrays(self.M, source.xs, source.ys)
@@ -288,9 +291,10 @@ class TestPendingImage:
         assert image.ys.tobytes() == want_y.tobytes()
 
     @pytest.mark.parametrize("n", [2, _CHUNK, 3 * _CHUNK + 5])
-    def test_cached_moments_equal_those_of_the_written_image(self, rng, n):
-        image = apply_to_cloud(self.M, Cloud.from_arrays(
-            1e6 + rng.standard_normal(n), rng.standard_normal(n)))
+    @pytest.mark.parametrize("how", BUILDS)
+    def test_cached_moments_equal_those_of_the_written_image(self, rng, how, n):
+        image = apply_to_cloud(self.M, build_cloud(
+            how, 1e6 + rng.standard_normal(n), rng.standard_normal(n)))
         pending = image._moments
         assert pending == Cloud.from_arrays(image.xs, image.ys)._moments
         assert image._moments == pending
