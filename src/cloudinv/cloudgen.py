@@ -78,10 +78,9 @@ def generate_cloud(spec: CloudGenSpec) -> Cloud:
         ys += 0.5
     else:
         # two-segment, a bent polyline with half the points per leg:
-        # t1 = U(k), t2 = U(n - k), xs = [t1, 1 + t2], ys = [2*t1, 2 - t2].
+        # t = U(n), split at k: xs = [t[:k], 1 + t[k:]], ys = [2*t[:k], 2 - t[k:]].
         k = n // 2
-        rng.random(out=xs[:k])
-        rng.random(out=xs[k:])
+        rng.random(out=xs)
         np.multiply(xs[:k], 2.0, out=ys[:k])
         np.subtract(2.0, xs[k:], out=ys[k:])
         xs[k:] += 1.0

@@ -221,12 +221,12 @@ class Cloud:
     """An ordered sequence of at least two planar points.
 
     Point order is preserved, but every derived quantity is a symmetric sum
-    and therefore order-independent.  The coordinates are the two read-only
-    rows of one 2 x n float64 block; their moments are reduced once, when
-    the cloud is built.  ``Cloud(points)`` reads the points once, into two
-    growing buffers, then appends the y buffer to the x buffer and holds
-    that as the block; a point is a sequence of exactly two numbers
-    (:func:`_real`), and a string is refused.
+    and therefore order-independent.  The coordinates are the two rows of
+    one 2 x n float64 block that the cloud owns and that is itself read-only;
+    their moments are reduced once, when the cloud is built.
+    ``Cloud(points)`` reads the points once, into two growing buffers, which
+    the pass of ``from_arrays`` copies into the block; a point is a sequence
+    of exactly two numbers (:func:`_real`), and a string is refused.
 
     The image of a cloud under a matrix (see ``transform.apply_to_cloud``)
     starts out pending: it holds its source's rows and the matrix entries
@@ -253,8 +253,7 @@ class Cloud:
             ys.append(y if type(y) is float and math.isfinite(y) else _real(y, "point y"))
         if len(xs) < 2:
             raise ValueError(f"a cloud needs at least 2 points, got {len(xs)}")
-        xs.extend(ys)
-        self._fill(np.frombuffer(xs).reshape(2, -1))
+        self._fill((np.frombuffer(xs), np.frombuffer(ys)), copy=True)
 
     @classmethod
     def from_arrays(cls, xs: np.ndarray, ys: np.ndarray) -> "Cloud":
@@ -274,9 +273,9 @@ class Cloud:
 
     @classmethod
     def _own(cls, src: Union[np.ndarray, tuple], t: Optional[Entries] = None) -> "Cloud":
-        """A cloud over the rows, marked read-only, of src, a 2 x n float64
-        block (n >= 2) that no one else writes to; or the pending image of
-        src, a block or an (xs, ys) pair, under the matrix entries t."""
+        """A cloud over src, a 2 x n float64 block (n >= 2) that no one
+        else writes to, marked read-only; or the pending image of src, a
+        block or an (xs, ys) pair, under the matrix entries t."""
         cloud = object.__new__(cls)
         cloud._fill(src, t)
         return cloud
@@ -285,7 +284,8 @@ class Cloud:
               copy: bool = False) -> None:
         """Hold the rows of src (see :func:`_copy_and_reduce`), a 2 x n block
         copied from them (``copy``) or their image under the matrix entries t
-        (pending unless ``copy``), and cache the moments of the cloud held."""
+        (pending unless ``copy``), and cache the moments of the cloud held.
+        A block held is made read-only whole, not only in its rows."""
         import numpy as np
 
         out = np.empty((2, src[0].size)) if copy else None
@@ -294,9 +294,9 @@ class Cloud:
             moments = _copy_and_reduce(src, t, out)
         if out is not None:
             src, t = out, None
+        if t is None:  # a pending image holds its source's read-only rows
+            src.flags.writeable = False
         xs, ys = src
-        xs.flags.writeable = False
-        ys.flags.writeable = False
         self._xs, self._ys, self._moments, self._t = xs, ys, moments, t
         # A non-finite coordinate makes the moments non-finite; finite
         # coordinates whose sums overflow are still a valid cloud.  Reading

@@ -574,8 +574,9 @@ def test_cloud_of_points_over_several_chunks(rng):
 
 @pytest.mark.parametrize("how", ["points", "csv", "from_arrays", *KINDS, "written image"])
 def test_every_cloud_is_one_read_only_block(rng, how):
-    # Whatever built it, a cloud's coordinates are the two rows of one block,
-    # reduced to the moments of a copy of them.
+    # Whatever built it, a cloud's coordinates are the two rows of one block
+    # that it owns and that is read-only as a whole, reduced to the moments
+    # of a copy of them.
     n = 2 * _CHUNK + 3
     xs, ys = 1e3 + rng.random(n), rng.random(n)
     if how == "points":
@@ -588,7 +589,14 @@ def test_every_cloud_is_one_read_only_block(rng, how):
     else:
         cloud = build_cloud(how, xs, ys)
     assert cloud.xs.base is cloud.ys.base is not None
+    assert cloud.xs.base.flags.owndata
     assert not (cloud.xs.flags.writeable or cloud.ys.flags.writeable)
+    before = raw_sums(cloud)
+    with pytest.raises(ValueError):
+        cloud.xs.flags.writeable = True
+    with pytest.raises(ValueError):
+        cloud.xs.base[...] = 7.0
+    assert raw_sums(cloud) == before
     assert bits(cloud._moments) == bits(Cloud.from_arrays(cloud.xs, cloud.ys)._moments)
 
 
@@ -780,8 +788,9 @@ class TestAllocation:
         assert traced_peak(lambda: apply_to_cloud(m, cloud)) <= self.IMAGE_LIMIT
 
     def test_read_cloud_csv(self, arrays, tmp_path):
-        # Rows go straight into two growing coordinate buffers that the cloud
-        # keeps: no list of rows, no list per axis, no copy.
+        # Rows go straight into two growing coordinate buffers, which one
+        # fused copy-and-reduce pass copies into the cloud's block: no list of
+        # rows, no list per axis, no other copy.
         n = 100_000
         path = str(tmp_path / "cloud.csv")
         write_cloud_csv(Cloud.from_arrays(arrays[0][:n], arrays[1][:n]), path)
