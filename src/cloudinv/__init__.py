@@ -18,8 +18,7 @@ from .errors import (CloudInvError, DegenerateCloud, DegenerateGenerator,
 from .families import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR,
                        LinearFamily, RotationFamily, generator_for_matrix,
                        kernel_for_matrix, kernel_value, parse_family)
-from .generators import (FamilyGenerator, Param, family_pde_residual,
-                         full_pde_residuals, generator_value)
+from .generators import FamilyGenerator, family_pde_residual
 from .transform import (Matrix2, apply_to_cloud, induced_coefficients,
                         induced_raw, parse_matrix)
 
@@ -35,8 +34,7 @@ __all__ = [
     "DIAGONAL", "LOWER_TRIANGULAR", "UPPER_TRIANGULAR",
     "LinearFamily", "RotationFamily", "generator_for_matrix",
     "kernel_for_matrix", "kernel_value", "parse_family",
-    "FamilyGenerator", "Param", "family_pde_residual", "full_pde_residuals",
-    "generator_value",
+    "FamilyGenerator", "family_pde_residual",
     "Matrix2", "apply_to_cloud", "induced_coefficients", "induced_raw",
     "parse_matrix",
 ]

@@ -3,12 +3,12 @@
 A matrix T acts on a cloud's scatter matrix S = [[D, M_n], [M_n, H_n]] by
 the congruence T S T^T.  Its tangent at the identity in the direction
 E = (a b; c d) is E S + S E^T, and read through the chart
-(M, H) = (M_n/D, H_n/D) it is a vector field on the (M, H) plane.  The four
-entry directions E_11, E_12, E_21, E_22 (:class:`Param`) give the four
-generator fields; a function of (M, H) is invariant under all invertible
-matrices exactly when all four annihilate it.  A one-parameter family's
-field is that of its trace-free direction (delta b'; g' 0), as the identity
-direction has zero field, so its invariance is one first-order PDE.
+(M, H) = (M_n/D, H_n/D) it is a vector field on the (M, H) plane.  The
+identity direction has zero field, so a direction's field is that of its
+trace-free part (a - d, b; c, 0), held as a :class:`FamilyGenerator`
+(b, c, a - d), and invariance under it is one first-order PDE.  The four
+entry directions E_11, E_12, E_21, E_22 are the generators (0, 0, 1),
+(1, 0, 0), (0, 1, 0) and (0, 0, -1).
 
 This module evaluates the fields and computes numerical PDE residuals for
 caller-supplied kernel functions.  Every difference steps by the one
@@ -17,7 +17,6 @@ constant FD_STEP, scaled to the point's size.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Callable
 
 from .coefficients import _Value
@@ -29,16 +28,6 @@ from .errors import DegenerateGenerator, KernelSingular
 FD_STEP = 1e-5
 
 Kernel = Callable[[float, float], float]
-
-
-class Param(Enum):
-    """The four matrix-entry directions E_ij at the identity, each valued by
-    its entries (a, b, c, d)."""
-
-    ALPHA = (1.0, 0.0, 0.0, 0.0)
-    BETA = (0.0, 1.0, 0.0, 0.0)
-    GAMMA = (0.0, 0.0, 1.0, 0.0)
-    DELTA = (0.0, 0.0, 0.0, 1.0)
 
 
 class FamilyGenerator(_Value):
@@ -62,22 +51,13 @@ def _field(e: tuple[float, float, float, float], m: float,
            h: float) -> tuple[float, float]:
     """The tangent E S + S E^T of the congruence at S = [[1, M], [M, H]] in
     the direction E = (a b; c d), read through the chart: with dD, dM_n and
-    dH_n its entries, the field is (dM_n - M dD, dH_n - H dD)."""
+    dH_n its entries, the field is (dM_n - M dD, dH_n - H dD).  The y-shear
+    E_21 gives (1, +2M): (M, H) goes to (M + phi, H + 2*phi*M + phi^2)."""
     a, b, c, d = e
     d_d = 2.0 * (a + b * m)
     d_mn = c + (a + d) * m + b * h
     d_hn = 2.0 * (c * m + d * h)
     return (d_mn - m * d_d, d_hn - h * d_d)
-
-
-def generator_value(param: Param, m: float, h: float) -> tuple[float, float]:
-    """Closed-form generator field (xi1, xi2) for one matrix-entry direction.
-
-    Note the gamma field is (1, +2M): the y-shear x -> x, y -> y + phi*x
-    sends (M, H) to (M + phi, H + 2*phi*M + phi^2), whose phi-derivative at
-    zero is (1, 2M).
-    """
-    return _field(param.value, m, h)
 
 
 def _kernel_partials(kernel: Kernel, m: float,
@@ -114,26 +94,15 @@ def family_pde_residual(fg: FamilyGenerator, kernel: Kernel, m: float,
     trace-free direction (delta b'; g' 0), with the partials approximated by
     central differences of ``kernel``.  Zero (up to discretization error)
     exactly when the kernel is invariant under the family.
+
+    A function invariant under all invertible matrices has zero residual for
+    the four entry directions at once.  Each 2x2 minor of two of their
+    fields is a polynomial multiple of H - M^2, and each field maps H - M^2
+    to a multiple of itself, so off the collinear curve H = M^2 the four
+    fields span the plane and such a function is locally constant: whether
+    a cloud is collinear (:func:`is_collinear`) is the general case's only
+    invariant.
     """
     d_dm, d_dh = _kernel_partials(kernel, m, h)
     xi1, xi2 = _field((fg.delta, fg.bprime, fg.gprime, 0.0), m, h)
     return xi1 * d_dm + xi2 * d_dh
-
-
-def full_pde_residuals(kernel: Kernel, m: float,
-                       h: float) -> dict[Param, float]:
-    """Residuals of all four entry-direction PDEs for a kernel at (m, h).
-
-    A function invariant under arbitrary invertible matrices must annihilate
-    all four simultaneously.  Each 2x2 minor of two fields is a polynomial
-    multiple of H - M^2, and each field maps H - M^2 to a multiple of
-    itself, so off the collinear curve H = M^2 the four fields span the
-    plane and such a function is locally constant: whether a cloud is
-    collinear (:func:`is_collinear`) is the general case's only invariant.
-    """
-    d_dm, d_dh = _kernel_partials(kernel, m, h)
-    out: dict[Param, float] = {}
-    for param in Param:
-        xi1, xi2 = generator_value(param, m, h)
-        out[param] = xi1 * d_dm + xi2 * d_dh
-    return out

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from cloudinv import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR,
                       DegenerateGenerator, FamilyGenerator, KernelSingular,
                       LinearFamily, Matrix2, NoIdentityParameter,
-                      NonInvertibleMatrix, Param, RotationFamily,
-                      apply_to_cloud, family_pde_residual,
-                      generator_for_matrix, generator_value, kernel_value,
+                      NonInvertibleMatrix, RotationFamily, apply_to_cloud,
+                      family_pde_residual, generator_for_matrix, kernel_value,
                       linear_coefficients, parse_family)
 from cloudinv.coefficients import RTOL
-from conftest import REF_H, REF_M, magnitude, random_cloud
+from cloudinv.generators import _field
+from conftest import REF_H, REF_M, UNIT_DIRECTIONS, magnitude, random_cloud
 
 CASE_STUDY = LinearFamily((-2.0, -2.0, -0.25, 0.5), (12.0, 8.0, 1.0, 2.0))
 
@@ -474,13 +474,14 @@ class TestSymbolicDerivation:
         a = sp.eye(2) + eps * sp.Matrix([[b11, b12], [b21, b22]])
         image = a * sp.Matrix([[1, m], [m, h]]) * a.T
         chart = (image[0, 1] / image[0, 0], image[1, 1] / image[0, 0])
-        xi = {p: [sp.nsimplify(v) for v in generator_value(p, m, h)] for p in Param}
+        xi = {p: [sp.nsimplify(v) for v in _field(e, m, h)]
+              for p, e in UNIT_DIRECTIONS.items()}
         for i, coordinate in enumerate(chart):
             derived = sp.diff(coordinate, eps).subs(eps, 0)
-            field = (b12 * xi[Param.BETA][i] + b21 * xi[Param.GAMMA][i]
-                     + (b11 - b22) * xi[Param.ALPHA][i])
+            field = (b12 * xi["E12"][i] + b21 * xi["E21"][i]
+                     + (b11 - b22) * xi["E11"][i])
             assert sp.simplify(derived - field) == 0
-            assert sp.simplify(xi[Param.DELTA][i] + xi[Param.ALPHA][i]) == 0
+            assert sp.simplify(xi["E22"][i] + xi["E11"][i]) == 0
 
     def test_kernel_is_invariant_under_the_commutant(self, sp):
         t11, t12, t21, t22, alpha, beta, d, mn, hn = sp.symbols(
@@ -505,19 +506,19 @@ class TestSymbolicDerivation:
         # constant, and "collinear or not" is the only general invariant.
         m, h = sp.symbols("m h", real=True)
         gap = h - m ** 2
-        xi = {p: [sp.nsimplify(v) for v in generator_value(p, m, h)] for p in Param}
+        xi = {p: [sp.nsimplify(v) for v in _field(e, m, h)]
+              for p, e in UNIT_DIRECTIONS.items()}
         minors = {}
-        for i, p in enumerate(Param):
-            for q in list(Param)[i + 1:]:
+        for i, p in enumerate(xi):
+            for q in list(xi)[i + 1:]:
                 minor = xi[p][0] * xi[q][1] - xi[p][1] * xi[q][0]
                 quotient, remainder = sp.div(sp.expand(minor), gap, h)
                 assert remainder == 0, (p, q)
                 minors[p, q] = sp.factor(quotient)
-        assert minors[Param.GAMMA, Param.DELTA] == 2
-        assert minors[Param.BETA, Param.GAMMA] == 4 * m
-        assert minors[Param.BETA, Param.DELTA] == 2 * h
-        eigen = {Param.ALPHA: -2, Param.BETA: -4 * m, Param.GAMMA: 0,
-                 Param.DELTA: 2}
+        assert minors["E21", "E22"] == 2
+        assert minors["E12", "E21"] == 4 * m
+        assert minors["E12", "E22"] == 2 * h
+        eigen = {"E11": -2, "E12": -4 * m, "E21": 0, "E22": 2}
         for p, (xi1, xi2) in xi.items():
             # X_p(H - M^2) = xi1 * d/dM (H - M^2) + xi2 * d/dH (H - M^2)
             derivative = xi1 * sp.diff(gap, m) + xi2 * sp.diff(gap, h)
