@@ -31,6 +31,6 @@ class KernelSingular(CloudInvError):
 
 
 class DegenerateGenerator(CloudInvError):
-    """Every function of (M, H) is trivially invariant: a target matrix or a
-    pencil's direction B is a multiple of the identity within RTOL (uniform
-    scaling), or a FamilyGenerator is built from three zeros."""
+    """Every function of (M, H) is trivially invariant: a family's derivative
+    coefficients all vanish (e.g. a uniform-scaling pencil), or a target
+    matrix is a multiple of the identity (the identity included)."""

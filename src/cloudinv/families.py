@@ -32,24 +32,6 @@ from .transform import Matrix2, parse_entries
 _IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
 
-def _trace_free(entries: Entries, name: str) -> FamilyGenerator:
-    """The trace-free part (b, c, a - d) of the direction ``name`` =
-    (a b; c d): the identity part only scales a cloud, so it is all a kernel
-    depends on.
-
-    Raises:
-        DegenerateGenerator: the direction is uniform scaling, a multiple of
-            the identity within RTOL relative to its largest entry: b, c and
-            the diagonal difference all vanish at that scale.
-    """
-    a, b, c, d = entries
-    if max(abs(b), abs(c), abs(a - d)) <= RTOL * max(map(abs, entries)):
-        raise DegenerateGenerator(
-            f"{name} is a multiple of the identity (uniform scaling); "
-            "every function of (M, H) is invariant")
-    return FamilyGenerator(b, c, a - d)
-
-
 class RotationFamily(_Value):
     """A(phi) = (cos phi, sin phi; -sin phi, cos phi); identity at phi = 0."""
 
@@ -65,7 +47,7 @@ class RotationFamily(_Value):
 
     def derivative_coefficients(self) -> FamilyGenerator:
         """Of A'(0) = (0, 1; -1, 0)."""
-        return _trace_free((0.0, 1.0, -1.0, 0.0), "A'(0)")
+        return FamilyGenerator(1.0, -1.0, 0.0)
 
 
 class LinearFamily(_Value):
@@ -111,10 +93,14 @@ class LinearFamily(_Value):
             f"no phi makes A0 + phi*B the identity (best candidate {phi})")
 
     def derivative_coefficients(self) -> FamilyGenerator:
-        """Of B; NoIdentityParameter, or DegenerateGenerator if B is
-        uniform scaling (:func:`_trace_free`)."""
+        """Of B; NoIdentityParameter, or DegenerateGenerator if B = c*I.
+
+        The test is exact, with no tolerance: I + phi*(c*I + N) is, up to
+        scale, the group generated by N however small N is next to c.
+        """
         self.identity_parameter()
-        return _trace_free(self.b, "B")
+        b11, b12, b21, b22 = self.b
+        return FamilyGenerator(b12, b21, b11 - b22)
 
 
 def _over_square(num: float, den: float, shift: int = 0) -> float:
@@ -159,10 +145,16 @@ def generator_for_matrix(target: Matrix2) -> FamilyGenerator:
     trace-free part of target, with delta = a - d formed from its entries.
 
     Raises:
-        DegenerateGenerator: target is uniform scaling by the rule of
-            :func:`_trace_free`, the one a pencil's B is held to.
+        DegenerateGenerator: target is a multiple of the identity within
+            RTOL relative to its largest entry: b, c and the diagonal
+            difference all vanish at that scale, so T barely moves (M, H).
     """
-    return _trace_free(target.entries(), "target - I")
+    a, b, c, d = target.entries()
+    if max(abs(b), abs(c), abs(a - d)) <= RTOL * target.max_abs_entry():
+        raise DegenerateGenerator(
+            "target - I is a multiple of the identity (uniform scaling); "
+            "every function of (M, H) is invariant")
+    return FamilyGenerator(b, c, a - d)
 
 
 def kernel_for_matrix(target: Matrix2, m: float, h: float) -> float:

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from cloudinv import (DegenerateGenerator, FamilyGenerator, KernelSingular,
@@ -7,7 +5,6 @@ from cloudinv import (DegenerateGenerator, FamilyGenerator, KernelSingular,
                       generator_for_matrix, kernel_for_matrix, kernel_value,
                       linear_coefficients)
 from cloudinv.cli import main
-from cloudinv.coefficients import RTOL
 from conftest import REF_H, REF_M, random_cloud, random_invertible
 
 CASE_STUDY_TARGET = Matrix2(0.4, -0.4, -0.05, 0.9)
@@ -23,21 +20,10 @@ def _near_scaling(k, direction, eps):
     return Matrix2(*(kappa * (i + eps * x) for i, x in zip((1, 0, 0, 1), e)))
 
 
-def _invariant_exit(capsys, source, target):
-    """The exit and stderr of ``invariant`` on target as a matrix, or as the
-    direction B of the pencil I + phi*B."""
+def _invariant_exit(capsys, target):
     literal = "{!r},{!r};{!r},{!r}".format(*target.entries())
-    option = {"matrix": f"--matrix={literal}",
-              "pencil": f"--family=linear:1,0;0,1|{literal}"}[source]
-    code = main(["invariant", f"--coeffs={REF_M},{REF_H}", option])
+    code = main(["invariant", f"--coeffs={REF_M},{REF_H}", f"--matrix={literal}"])
     return code, capsys.readouterr().err
-
-
-def _generator(source, target):
-    """The generator of target as a matrix, or as the pencil's direction B."""
-    if source == "matrix":
-        return generator_for_matrix(target)
-    return LinearFamily((1, 0, 0, 1), target.entries()).derivative_coefficients()
 
 
 def _pencil(target):
@@ -50,18 +36,9 @@ def _pencil(target):
 def _assert_pencil_derivative(target):
     """The pencil's derivative is generator_for_matrix(target): b' and g'
     exactly, delta within 2**-50 * max(1, |a|, |d|), since the pencil forms
-    it as (a - 1) - (d - 1) and the generator as a - d.  Where its own
-    direction B = target - I is within RTOL of a multiple of the identity,
-    as for target = 2**-10 * (I + 2e-12 * E), the pencil is uniform scaling
-    and is refused, though target is not."""
+    it as (a - 1) - (d - 1) and the generator as a - d."""
     fg = generator_for_matrix(target)
-    family = _pencil(target)
-    b11, b12, b21, b22 = family.b
-    if max(abs(b12), abs(b21), abs(b11 - b22)) <= RTOL * max(map(abs, family.b)):
-        with pytest.raises(DegenerateGenerator, match="^B is a multiple"):
-            family.derivative_coefficients()
-        return
-    pencil = family.derivative_coefficients()
+    pencil = _pencil(target).derivative_coefficients()
     a, _, _, d = target.entries()
     assert (pencil.bprime, pencil.gprime) == (fg.bprime, fg.gprime)
     assert abs(pencil.delta - fg.delta) <= 2.0 ** -50 * max(1.0, abs(a), abs(d))
@@ -69,34 +46,36 @@ def _assert_pencil_derivative(target):
 
 class TestUniformScalingThreshold:
     """T counts as a multiple of the identity when b, c and the diagonal
-    difference are at most 1e-12 of its largest entry, at every scale, as a
-    target matrix and as a pencil's direction B alike."""
+    difference are at most 1e-12 of its largest entry, at every scale."""
 
-    @pytest.mark.parametrize("source", ["matrix", "pencil"])
     @pytest.mark.parametrize("direction", DIRECTIONS)
     @pytest.mark.parametrize("k", [-10, 0, 10, 100])
-    def test_below_is_degenerate(self, capsys, k, direction, source):
+    def test_below_is_degenerate(self, capsys, k, direction):
         target = _near_scaling(k, direction, 0.5e-12)
         with pytest.raises(DegenerateGenerator, match="uniform scaling"):
-            _generator(source, target)
-        if source == "matrix":
-            with pytest.raises(DegenerateGenerator, match="uniform scaling"):
-                kernel_for_matrix(target, REF_M, REF_H)
-        code, err = _invariant_exit(capsys, source, target)
+            generator_for_matrix(target)
+        with pytest.raises(DegenerateGenerator, match="uniform scaling"):
+            kernel_for_matrix(target, REF_M, REF_H)
+        code, err = _invariant_exit(capsys, target)
         assert code == 4 and "uniform scaling" in err
+        # As the direction B of the pencil I + phi*B, the same entries are
+        # not refused: up to scale, that pencil is the group generated by
+        # B's trace-free part, however small it is next to B's scale.
+        a, b, c, d = target.entries()
+        fg = LinearFamily((1, 0, 0, 1), (a, b, c, d)).derivative_coefficients()
+        assert (fg.bprime, fg.gprime, fg.delta) == (b, c, a - d)
+        literal = "{!r},{!r};{!r},{!r}".format(a, b, c, d)
+        assert main(["invariant", f"--coeffs={REF_M},{REF_H}",
+                     f"--family=linear:1,0;0,1|{literal}"]) == 0
 
-    @pytest.mark.parametrize("source", ["matrix", "pencil"])
     @pytest.mark.parametrize("direction", DIRECTIONS)
     @pytest.mark.parametrize("k", [-10, 0, 10, 100])
-    def test_above_is_not(self, capsys, k, direction, source):
+    def test_above_is_not(self, capsys, k, direction):
         target = _near_scaling(k, direction, 2e-12)
-        fg = _generator(source, target)  # a FamilyGenerator is never all zero
-        if source == "matrix":
-            _assert_pencil_derivative(target)
-            kernel_for_matrix(target, REF_M, REF_H)
-        else:
-            assert math.isfinite(kernel_value(fg, REF_M, REF_H))
-        code, _ = _invariant_exit(capsys, source, target)
+        generator_for_matrix(target)  # a FamilyGenerator is never all zero
+        _assert_pencil_derivative(target)
+        kernel_for_matrix(target, REF_M, REF_H)
+        code, _ = _invariant_exit(capsys, target)
         assert code == 0
 
 
@@ -106,9 +85,8 @@ def test_generator_is_the_embedded_pencils_derivative(rng):
 
 
 def test_delta_is_the_diagonal_difference_below_unit_scale():
-    # (a - 1) - (d - 1) would round each a - d = -1.5e-17 ... -5e-17 to
-    # -1.1e-16: the generator is exact, and the embedded pencil's B, within
-    # RTOL of -(1 - 1e-5) * I, is refused as uniform scaling.
+    # (a - 1) - (d - 1) rounds each a - d = -1.5e-17 ... -5e-17 to -1.1e-16:
+    # the generator is exact, the embedded pencil only within its bound.
     for eps in (1.5e-12, 2e-12, 3e-12, 5e-12):
         target = Matrix2(1e-5, 0, 0, 1e-5 * (1 + eps))
         fg = generator_for_matrix(target)
