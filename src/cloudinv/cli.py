@@ -13,15 +13,17 @@ dotted key (``cases[0].after.m``) and the leaf as JSON.  A non-finite number
 is an error in either form.
 
 Exit codes: 0 success, 2 input/validation error (a usage error, a cloud too
-large for memory or an unwritable --dump-points file included), 3 degenerate
-image, 4 degenerate generator (every function invariant).  A table in ``main``
-decides the code of each error it reports, 2 where no row matches.
+large for memory, a cloud whose spread is lost to rounding, or an unwritable
+--dump-points file or stdout included), 3 degenerate image, 4 degenerate
+generator (every function invariant).  A table in ``main`` decides the code of
+each error it reports, 2 where no row matches.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -111,7 +113,8 @@ def _flatten(node: object, key: str = ""):
 
 def _emit(report: dict, as_json: bool) -> None:
     """Print a report as JSON or as text; nothing is printed if a number in
-    it is not finite (ValueError naming the first such key)."""
+    it is not finite (ValueError naming the first such key).  A stdout that
+    cannot be written (its reader gone, its disk full) is a ValueError too."""
     leaves = [*_flatten(report)]
     for key, leaf in leaves:
         if isinstance(leaf, float) and not math.isfinite(leaf):
@@ -122,7 +125,14 @@ def _emit(report: dict, as_json: bool) -> None:
         rows = [(key, json.dumps(leaf, allow_nan=False)) for key, leaf in leaves]
         width = max(len(key) for key, _ in rows)
         text = "\n".join(f"{key:{width}}  {value}" for key, value in rows)
-    print(text)
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # What is still buffered, and the flush at exit, go to the null
+        # device instead of failing again.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise ValueError(f"cannot write stdout: {exc}") from None
 
 
 # ---------------------------------------------------------------- commands

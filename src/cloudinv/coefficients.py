@@ -25,13 +25,6 @@ from .errors import DegenerateCloud
 if TYPE_CHECKING:
     import numpy as np
 
-# The package's one tolerance.  A guarded quantity (det T, det S, the
-# identity and uniform-scaling tests, the induced-map and kernel denominators)
-# is zero when at most RTOL times the largest value its expression can take
-# for inputs of their magnitudes: a bound of its own degree, no unit floor.
-# A cloud's D needs none: its terms cannot cancel, so it is tested for 0.
-RTOL = 1e-12
-
 # Points per chunk of the fused copy-and-reduce pass.  A 2 x k chunk of the
 # output block and the 2 x k shift buffer (1 MiB together) stay in a core's
 # L2 cache, so each value comes from main memory once.
@@ -50,6 +43,15 @@ _DOT = 1 << 13
 # first items.  (The constructor takes no keywords before Python 3.12.)
 _QUOTE = reprlib.Repr()
 _QUOTE.maxstring = _QUOTE.maxlong = _QUOTE.maxother = 400
+
+RTOL = 1e-12
+
+
+def _near_zero(size: float, bound: float) -> bool:
+    """The one tolerance rule, every guard's: size (|x|, or a gap >= 0 up to rounding)
+    counts as zero when at most RTOL times bound, the largest value x's expression
+    can take for inputs of their magnitudes: a bound of x's degree, no unit floor."""
+    return size <= RTOL * bound
 
 
 class _Value:
@@ -368,9 +370,19 @@ def raw_sums(cloud: Cloud) -> Scatter:
     Reads the moments the cloud reduced when it was built, so this costs O(1).
     Equal to N*sum(xy) - sum(x)*sum(y) etc. in exact arithmetic but without
     the catastrophic cancellation the raw formulas suffer on offset clouds.
+
+    Raises:
+        ValueError: n * 2**-1075, the rounding of n subnormal squares, is
+            more than RTOL times a nonzero Sxx or Syy (tested as n * 2**-1022
+            against the sum times 2**53, where both are floats): such moments
+            have lost their bits, as squares of coordinate gaps under ~1e-154 do.
     """
     n = len(cloud)
     sxx, sxy, syy = cloud._moments
+    for s in (sxx, syy):
+        if 0.0 < s and not _near_zero(n * 2.0 ** -1022, s * 2.0 ** 53):
+            raise ValueError(f"cloud spread too small: a centered sum of squares {s} is "
+                             f"within tolerance of the rounding of {n} subnormal squares")
     return Scatter(n * sxy, n * syy, n * sxx)
 
 
@@ -390,12 +402,12 @@ def is_collinear(cloud: Cloud) -> bool:
     """True iff the cloud lies on a straight line (any orientation).
 
     det S = D*H_n - M_n**2 is zero when at most RTOL times D*H_n, its largest
-    value (Cauchy-Schwarz), tested in degree 2, D - M_n**2/H_n <= RTOL*D, so
+    value (Cauchy-Schwarz), tested in degree 2 as D - M_n**2/H_n against D, so
     that no product underflows.  True on vertical (D == 0) and horizontal
     (H_n == 0) lines; a constant y has H_n exactly 0, at any offset.
     """
     rs = raw_sums(cloud)
-    return rs.hn == 0.0 or rs.d - rs.mn * (rs.mn / rs.hn) <= RTOL * rs.d
+    return rs.hn == 0.0 or _near_zero(rs.d - rs.mn * (rs.mn / rs.hn), rs.d)
 
 
 def read_cloud_csv(source: Union[str, IO[str]]) -> Cloud:

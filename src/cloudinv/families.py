@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .coefficients import _QUOTE, RTOL, Entries, _real, _Value
+from .coefficients import _QUOTE, Entries, _near_zero, _real, _Value
 from .errors import DegenerateGenerator, KernelSingular, NoIdentityParameter
 from .generators import FamilyGenerator
 from .transform import Matrix2, parse_entries
@@ -79,14 +79,14 @@ class LinearFamily(_Value):
         """Per-entry consistency solve for A(phi*) = identity.
 
         Every entry with a nonzero B component proposes phi = (target - a0)/b;
-        the one from the largest |b| (0.0 for a constant family) must satisfy
-        |a0 + phi*b - target| <= RTOL * (|a0| + |phi*b| + 1) at every entry,
+        the one from the largest |b| (0.0 for a constant family) must leave
+        |a0 + phi*b - target| at most RTOL * (|a0| + |phi*b| + 1) at every entry,
         where 1 is the size of the identity's own entries.
         """
         candidates = [(abs(b), (t - a) / b)
                       for a, b, t in zip(self.a0, self.b, _IDENTITY) if b != 0.0]
         phi = max(candidates)[1] if candidates else 0.0
-        if all(abs(a + phi * b - t) <= RTOL * (abs(a) + abs(phi * b) + 1.0)
+        if all(_near_zero(abs(a + phi * b - t), abs(a) + abs(phi * b) + 1.0)
                for a, b, t in zip(self.a0, self.b, _IDENTITY)):
             return phi
         raise NoIdentityParameter(
@@ -126,7 +126,7 @@ def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
     scale = abs(h * ks.bprime) + abs(ks.gprime) + abs(ks.delta * m)
     if not math.isfinite(scale):
         raise KernelSingular(f"kernel denominator overflows at ({m}, {h})")
-    if abs(den) <= RTOL * scale:
+    if _near_zero(abs(den), scale):
         raise KernelSingular(
             f"kernel denominator {den} is zero within tolerance at ({m}, {h})")
     # M^2 - H at the scale 2**(2e) of its larger term, so M*M can neither
@@ -150,7 +150,7 @@ def generator_for_matrix(target: Matrix2) -> FamilyGenerator:
             difference all vanish at that scale, so T barely moves (M, H).
     """
     a, b, c, d = target.entries()
-    if max(abs(b), abs(c), abs(a - d)) <= RTOL * target.max_abs_entry():
+    if _near_zero(max(abs(b), abs(c), abs(a - d)), target.max_abs_entry()):
         raise DegenerateGenerator(
             "target - I is a multiple of the identity (uniform scaling); "
             "every function of (M, H) is invariant")

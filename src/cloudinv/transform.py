@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 
-from .coefficients import (RTOL, Cloud, Entries, LinearCoefficients, Scatter,
-                           _QUOTE, _parse_floats, _Value)
+from .coefficients import (Cloud, Entries, LinearCoefficients, Scatter, _QUOTE,
+                           _near_zero, _parse_floats, _Value)
 from .errors import DegenerateImage, NonInvertibleMatrix
 
 
@@ -23,7 +23,7 @@ class Matrix2(_Value):
 
     Raises:
         ValueError: an entry is not finite.
-        NonInvertibleMatrix: |det| <= RTOL * max|entry|**2, tested on the
+        NonInvertibleMatrix: |det| is at most RTOL * max|entry|**2, tested on the
             entries divided by max|entry| (not for the zero matrix) so that
             no product overflows.
     """
@@ -34,7 +34,7 @@ class Matrix2(_Value):
         self._set_floats("matrix entry ", a, b, c, d)
         s = self.max_abs_entry() or 1.0
         a, b, c, d = self.a / s, self.b / s, self.c / s, self.d / s
-        if abs(a * d - b * c) <= RTOL:
+        if _near_zero(abs(a * d - b * c), 1.0):
             raise NonInvertibleMatrix(
                 f"matrix ({self.a}, {self.b}; {self.c}, {self.d}) has "
                 f"determinant {self.det} within tolerance of zero")
@@ -122,7 +122,7 @@ def induced_coefficients(t: Matrix2, s: Scatter) -> Scatter:
     mn, hn, dd = _congruence(s, a, b, c, d)
     bound = ((abs(a) + abs(b)) ** 2 * abs(s.d) + abs(2.0 * a * b * s.mn)
              + b * b * abs(s.hn))
-    if abs(dd) <= RTOL * bound:
+    if _near_zero(abs(dd), bound):
         raise DegenerateImage(
             f"induced-map denominator {dd} is zero within tolerance; the "
             "image cloud has no x-spread"

@@ -4,6 +4,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +141,16 @@ class TestCoeffs:
         assert report["coefficients"] == {"m": 0.0, "h": 0.0}
         assert report["raw_sums"]["hn"] == 0.0
 
+    def test_tiny_cloud_is_refused(self, capsys, tmp_path):
+        # (1, 1), (2, 3), (4, 2) times 1e-162: the squares of the coordinate
+        # gaps are subnormal, and the moments read M = H = 0, a collinear
+        # cloud, where the exact values are M = 3/14 and H = 3/7.
+        path = tmp_path / "tiny.csv"
+        path.write_text("1e-162,1e-162\n2e-162,3e-162\n4e-162,2e-162\n")
+        code, out, err = run(capsys, "coeffs", "--csv", str(path))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: cloud spread too small: .* 3 subnormal squares\n", err)
+
     def test_offset_cloud_is_not_vertical(self, capsys, tmp_path):
         # D = 6 is far from zero; a bound that grew with n*mean**2 called it
         # vertical at x = 5e6.
@@ -232,6 +245,13 @@ class TestTransform:
         lines = err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: cannot write {path}: ")
+
+    def test_image_under_tiny_entries_is_refused(self, capsys, triangle_csv):
+        # The closed form has degree 0 in T; the image's own moments are lost.
+        code, out, err = run(capsys, "transform", "--csv", triangle_csv,
+                             "--matrix", "1e-160,0;0,1e-160")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cloud spread too small: ")
 
     def test_dump_points_needs_cloud(self, capsys, tmp_path):
         code, _, err = run(capsys, "transform", REF_COEFFS,
@@ -743,6 +763,34 @@ class TestBadInputExitCodes:
                            match=r"^report value b\[0\]\.c is not finite: nan$"):
             cli._emit({"a": 1.0, "b": [{"c": math.nan}]}, as_json)
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize("stdout", ["closed pipe", "/dev/full"])
+    def test_unwritable_stdout_is_one_error_line(self, stdout, unbuffered):
+        # The report's own write fails, or with a buffered stdout its flush:
+        # the reader of a pipe is gone before it, or the device is full.
+        if stdout == "/dev/full" and not os.path.exists(stdout):
+            pytest.skip("no /dev/full on this system")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        if stdout == "closed pipe":
+            read, write = os.pipe()
+            os.close(read)
+        else:
+            write = os.open(stdout, os.O_WRONLY)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cloudinv.cli", "invariant", "--coeffs", "1.5,3.5",
+                 "--matrix", "2,0;0,1"],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(write)
+        reason = {"closed pipe": "[Errno 32] Broken pipe",
+                  "/dev/full": "[Errno 28] No space left on device"}[stdout]
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: cannot write stdout: {reason}\n"
 
     @pytest.mark.parametrize("message", ["Unable to allocate 745. TiB", ""])
     def test_out_of_memory(self, capsys, monkeypatch, message):

@@ -87,6 +87,37 @@ class TestRawSums:
         rs = raw_sums(Cloud([(3.5, -2.0), (3.5, -2.0)]))
         assert (rs.mn, rs.hn, rs.d) == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_subnormal_squares_guard_on_both_sides(self, axis, factor):
+        # (1, 1), (2, 3), (4, 2) times s, with the axis under test given the
+        # gaps (1, 3, 2): its centered sum of squares is 2 s**2, placed at
+        # factor times n * 2**-1075 / RTOL, the rounding of n subnormal
+        # squares over RTOL.  Below, the cloud is refused; above, (M, H) is
+        # within RTOL of the exact values of the float coordinates.
+        bound = Fraction(3, 2 ** 1075) / Fraction(RTOL)
+        s = math.ldexp(math.sqrt(Fraction(factor) * bound / 2 * 2 ** 1100), -550)
+        pts = s * np.array([(1.0, 1.0), (2.0, 3.0), (4.0, 2.0)]).T
+        xs, ys = pts if axis == "y" else pts[::-1]
+        mn, hn, d = exact_sums(xs, ys)
+        assert abs((hn if axis == "y" else d) / 3 / bound / factor - 1) < 1e-3
+        cloud = Cloud.from_arrays(xs, ys)
+        if factor < 1:
+            with pytest.raises(ValueError, match="cloud spread too small"):
+                raw_sums(cloud)
+        else:
+            lc = linear_coefficients(cloud)
+            for got, exact in ((lc.m, mn / d), (lc.h, hn / d)):
+                assert abs(Fraction(got) / exact - 1) <= RTOL
+
+    @pytest.mark.parametrize("tiny", [1e-300, 5e-324])
+    def test_exact_zero_spread_at_any_magnitude_is_kept(self, tiny):
+        # A column of equal tiny values has no subnormal squares to lose.
+        flat = raw_sums(Cloud([(0.0, tiny), (1.0, tiny), (3.0, tiny)]))
+        assert (flat.mn, flat.hn) == (0.0, 0.0) and flat.d > 0
+        vertical = raw_sums(Cloud([(tiny, 0.0), (tiny, 1.0), (tiny, 3.0)]))
+        assert (vertical.mn, vertical.d) == (0.0, 0.0) and vertical.hn > 0
+
 
 @pytest.mark.parametrize("n", [300, 70_000])
 @pytest.mark.parametrize("kind", KINDS)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from cloudinv import (DegenerateGenerator, FamilyGenerator, KernelSingular,
@@ -5,6 +7,7 @@ from cloudinv import (DegenerateGenerator, FamilyGenerator, KernelSingular,
                       generator_for_matrix, kernel_for_matrix, kernel_value,
                       linear_coefficients)
 from cloudinv.cli import main
+from cloudinv.coefficients import RTOL
 from conftest import REF_H, REF_M, random_cloud, random_invertible
 
 CASE_STUDY_TARGET = Matrix2(0.4, -0.4, -0.05, 0.9)
@@ -77,6 +80,27 @@ class TestUniformScalingThreshold:
         kernel_for_matrix(target, REF_M, REF_H)
         code, _ = _invariant_exit(capsys, target)
         assert code == 0
+
+    @pytest.mark.parametrize("scale", [2.0 ** -600, 1.0, 2.0 ** 600])
+    @pytest.mark.parametrize("largest", ["b", "c", "a - d"])
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    def test_guard_on_both_sides(self, scale, largest, ratio):
+        # The largest of b, c and a - d is ratio * RTOL times max|entry| =
+        # scale, and the other two are half and a quarter of it.
+        size = float(Fraction(ratio) * Fraction(RTOL) * Fraction(scale))
+        names = [largest, *[t for t in ("b", "c", "a - d") if t != largest]]
+        terms = dict(zip(names, [size, size / 2, size / 4]))
+        target = Matrix2(scale, terms["b"], terms["c"], scale - terms["a - d"])
+        a, b, c, d = target.entries()
+        exact = Fraction(max(abs(b), abs(c), abs(a - d))) / Fraction(scale)
+        assert abs(exact / Fraction(RTOL) / ratio - 1) < 1e-3
+        assert {"b": b, "c": c, "a - d": a - d}[largest] == max(b, c, a - d)
+        if ratio < 1:
+            with pytest.raises(DegenerateGenerator, match="uniform scaling"):
+                generator_for_matrix(target)
+        else:
+            fg = generator_for_matrix(target)
+            assert (fg.bprime, fg.gprime, fg.delta) == (b, c, a - d)
 
 
 def test_generator_is_the_embedded_pencils_derivative(rng):

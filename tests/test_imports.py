@@ -1,7 +1,8 @@
 """The scalar layer and the CLI's --coeffs paths run without numpy; numpy is
 loaded when a point array is first built.  The package's value types need
 neither ``dataclasses`` nor the ``inspect`` machinery it loads.  No module
-of the package or of the tests imports a name it does not use."""
+of the package or of the tests imports a name it does not use, and the
+package reads its tolerance in one function."""
 import ast
 import json
 import os
@@ -84,3 +85,27 @@ def test_no_unused_imports():
         unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
                    for name, line in bound.items() if name not in used]
     assert unused == []
+
+
+def _rtol_uses(node, func=None):
+    """(enclosing function or None, how) for each mention of RTOL under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        func = getattr(node, "name", "<lambda>")
+    if isinstance(node, ast.Name) and node.id == "RTOL":
+        yield func, type(node.ctx).__name__
+    elif isinstance(node, ast.Attribute) and node.attr == "RTOL":
+        yield func, "Attribute"
+    elif isinstance(node, ast.alias) and node.name == "RTOL":
+        yield func, "import"
+    for child in ast.iter_child_nodes(node):
+        yield from _rtol_uses(child, func)
+
+
+def test_rtol_is_read_only_by_the_guard_function():
+    # The tolerance rule is written once: RTOL is assigned, and read only in
+    # coefficients._near_zero, which every guard calls.
+    uses = [(path.name, *use)
+            for path in sorted((ROOT / "src" / "cloudinv").glob("*.py"))
+            for use in _rtol_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert uses == [("coefficients.py", None, "Store"),
+                    ("coefficients.py", "_near_zero", "Load")]
