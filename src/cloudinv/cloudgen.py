@@ -44,7 +44,10 @@ def generate_cloud(spec: CloudGenSpec) -> Cloud:
     updated in place and becomes the cloud's own, so a cloud costs its
     coordinate block plus one chunk-sized noise buffer (freed before the
     cloud is reduced).  The draws and the arithmetic are those of the plain
-    formulas in the comments, value for value.
+    formulas in the comments, value for value.  The noise is noise * N(0, 1),
+    added to y for line-with-noise and to both axes for ellipse and
+    two-segment; uniform-box draws no noise, so ``spec.noise`` leaves its
+    cloud unchanged.
     """
     import numpy as np
 

@@ -376,11 +376,17 @@ def raw_sums(cloud: Cloud) -> Scatter:
             more than RTOL times a nonzero Sxx or Syy (tested as n * 2**-1022
             against the sum times 2**53, where both are floats): such moments
             have lost their bits, as squares of coordinate gaps under ~1e-154 do.
+            So has a sum of exactly 0 over coordinates that are not all equal.
     """
     n = len(cloud)
     sxx, sxy, syy = cloud._moments
-    for s in (sxx, syy):
-        if 0.0 < s and not _near_zero(n * 2.0 ** -1022, s * 2.0 ** 53):
+    for s, row in ((sxx, "xs"), (syy, "ys")):
+        if s == 0.0:  # only here are the coordinates read (a pending image is written)
+            coords = getattr(cloud, row)
+            lost = coords.min() < coords.max()
+        else:  # a NaN sum is judged by Scatter: "must be finite"
+            lost = 0.0 < s and not _near_zero(n * 2.0 ** -1022, s * 2.0 ** 53)
+        if lost:
             raise ValueError(f"cloud spread too small: a centered sum of squares {s} is "
                              f"within tolerance of the rounding of {n} subnormal squares")
     return Scatter(n * sxy, n * syy, n * sxx)

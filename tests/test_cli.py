@@ -141,12 +141,21 @@ class TestCoeffs:
         assert report["coefficients"] == {"m": 0.0, "h": 0.0}
         assert report["raw_sums"]["hn"] == 0.0
 
-    def test_tiny_cloud_is_refused(self, capsys, tmp_path):
-        # (1, 1), (2, 3), (4, 2) times 1e-162: the squares of the coordinate
-        # gaps are subnormal, and the moments read M = H = 0, a collinear
-        # cloud, where the exact values are M = 3/14 and H = 3/7.
+    @pytest.mark.parametrize("rows", [
+        "1e-162,1e-162\n2e-162,3e-162\n4e-162,2e-162\n",
+        "1e-163,1e-163\n2e-163,3e-163\n4e-163,2e-163\n",
+        "1,1e-163\n2,3e-163\n4,2e-163\n",
+        "1,1e-300\n2,3e-300\n4,2e-300\n",
+    ], ids=["both-1e-162", "both-1e-163", "y-1e-163", "y-1e-300"])
+    def test_tiny_cloud_is_refused(self, capsys, tmp_path, rows):
+        # (1, 1), (2, 3), (4, 2) with x, y or both scaled by s: at 1e-162 the
+        # squares of the coordinate gaps are subnormal, and the moments read
+        # M = H = 0, a collinear cloud, where the exact values are M = 3/14
+        # and H = 3/7; from 1e-163 down they are all 0, a spread sum of
+        # exactly 0 over unequal coordinates, which is neither a vertical
+        # line nor (y alone tiny) a horizontal one.
         path = tmp_path / "tiny.csv"
-        path.write_text("1e-162,1e-162\n2e-162,3e-162\n4e-162,2e-162\n")
+        path.write_text(rows)
         code, out, err = run(capsys, "coeffs", "--csv", str(path))
         assert (code, out) == (2, "")
         assert re.fullmatch(r"error: cloud spread too small: .* 3 subnormal squares\n", err)
@@ -230,6 +239,19 @@ class TestTransform:
         assert code == 0
         image = read_cloud_csv(str(out))
         assert image.ys[1] == 2.0
+
+    def test_dumped_image_reads_back_to_after_direct(self, capsys, tmp_path):
+        # A generated block, a written image and a CSV cloud in turn: the
+        # image read back from --dump-points has the direct recompute's
+        # coefficients to the last bit.
+        out = tmp_path / "image.csv"
+        code, report, _ = run_json(capsys, "transform", "--gen", "two-segment",
+                                   "--n", "70000", "--matrix", "0.4,-0.4;-0.05,0.9",
+                                   "--dump-points", str(out))
+        assert code == 0
+        code, back, _ = run_json(capsys, "coeffs", "--csv", str(out))
+        assert code == 0
+        assert back["coefficients"] == report["after_direct"]
 
     @pytest.mark.parametrize("dest", ["directory", "missing-parent", "/dev/full"])
     def test_dump_points_unwritable(self, capsys, tmp_path, dest):

@@ -2,10 +2,11 @@
 loaded when a point array is first built.  The package's value types need
 neither ``dataclasses`` nor the ``inspect`` machinery it loads.  No module
 of the package or of the tests imports a name it does not use, and the
-package reads its tolerance in one function."""
+package reads its tolerance in one function and no environment variable."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,3 +110,14 @@ def test_rtol_is_read_only_by_the_guard_function():
             for use in _rtol_uses(ast.parse(path.read_text(encoding="utf-8")))]
     assert uses == [("coefficients.py", None, "Store"),
                     ("coefficients.py", "_near_zero", "Load")]
+
+
+def test_no_environment_read_and_no_unit_floor():
+    # Output depends on argv alone, and no comparison is floored at a unit
+    # scale by max(1, ...); neither form appears in src/ or the README.
+    pattern = re.compile(r"os\.environ|getenv|max\(1")
+    hits = [f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+            for path in sorted([*(ROOT / "src").rglob("*.py"), ROOT / "README.md"])
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if pattern.search(line)]
+    assert hits == []
