@@ -93,14 +93,24 @@ class LinearFamily(_Value):
             f"no phi makes A0 + phi*B the identity (best candidate {phi})")
 
     def derivative_coefficients(self) -> FamilyGenerator:
-        """Of B; NoIdentityParameter, or DegenerateGenerator if B = c*I.
+        """Of B (see :func:`_direction`); NoIdentityParameter, or
+        DegenerateGenerator if B = c*I.
 
         The test is exact, with no tolerance: I + phi*(c*I + N) is, up to
         scale, the group generated by N however small N is next to c.
         """
         self.identity_parameter()
-        b11, b12, b21, b22 = self.b
-        return FamilyGenerator(b12, b21, b11 - b22)
+        return _direction(*self.b)
+
+
+def _direction(a: float, b: float, c: float, d: float) -> FamilyGenerator:
+    """The trace-free part (b, c, a - d) of the direction (a b; c d), or of
+    half of it where a - d overflows: halving is exact (unless b or c is
+    subnormal), so the kernel is 4 times as large and invariant under the
+    same matrices."""
+    if math.isinf(a - d):
+        a, b, c, d = a / 2, b / 2, c / 2, d / 2
+    return FamilyGenerator(b, c, a - d)
 
 
 def _over_square(num: float, den: float, shift: int = 0) -> float:
@@ -142,7 +152,8 @@ def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
 
 def generator_for_matrix(target: Matrix2) -> FamilyGenerator:
     """Derivative coefficients of the pencil I + phi*(target - I): the
-    trace-free part of target, with delta = a - d formed from its entries.
+    trace-free part of target (see :func:`_direction`), with delta = a - d
+    formed from its entries.
 
     Raises:
         DegenerateGenerator: target is a multiple of the identity within
@@ -154,7 +165,7 @@ def generator_for_matrix(target: Matrix2) -> FamilyGenerator:
         raise DegenerateGenerator(
             "target - I is a multiple of the identity (uniform scaling); "
             "every function of (M, H) is invariant")
-    return FamilyGenerator(b, c, a - d)
+    return _direction(a, b, c, d)
 
 
 def kernel_for_matrix(target: Matrix2, m: float, h: float) -> float:

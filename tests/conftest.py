@@ -112,24 +112,6 @@ def generator_fd_deviation(e: tuple[float, float, float, float], m: float,
     return max(abs(fd1 - xi1), abs(fd2 - xi2))
 
 
-def two_pass_sums(xs, ys):
-    """Reference (M_n, H_n, D): exactly rounded means, then exactly rounded
-    sums of centered products."""
-    n = len(xs)
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    dx = [x - mx for x in xs]
-    dy = [y - my for y in ys]
-    return (n * math.fsum(a * b for a, b in zip(dx, dy)),
-            n * math.fsum(b * b for b in dy),
-            n * math.fsum(a * a for a in dx))
-
-
-def assert_sums_close(rs, ref, rel=1e-12):
-    for got, want in zip((rs.mn, rs.hn, rs.d), ref):
-        assert abs(got - want) <= rel * abs(want)
-
-
 def traced_peak(call) -> int:
     """Peak bytes allocated while ``call`` runs, its result included."""
     tracemalloc.start()

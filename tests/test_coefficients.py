@@ -19,8 +19,8 @@ from cloudinv import (KINDS, Cloud, CloudGenSpec, DegenerateCloud, Matrix2,
                       write_cloud_csv)
 from cloudinv import coefficients
 from cloudinv.coefficients import _CHUNK, _DOT, RTOL
-from conftest import (assert_sums_close, build_cloud, magnitude,
-                      random_invertible, traced_peak, two_pass_sums)
+from conftest import build_cloud, magnitude, random_invertible, traced_peak
+from exact import MOMENT_ULPS, centered_sums, chart_ulps, scatter_ulps
 
 TRIANGLE = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
 
@@ -74,14 +74,14 @@ class TestPointAndCloud:
 
 class TestRawSums:
     def test_triangle(self):
-        rs = raw_sums(Cloud(TRIANGLE))
-        assert rs.mn == pytest.approx(0.0, abs=1e-12)
-        assert rs.hn == pytest.approx(2.0, abs=1e-12)
-        assert rs.d == pytest.approx(6.0, abs=1e-12)
+        exact = centered_sums(*zip(*TRIANGLE))
+        assert exact == (0, 2, 6)
+        assert scatter_ulps(raw_sums(Cloud(TRIANGLE)), exact) <= MOMENT_ULPS
 
     def test_two_points(self):
         rs = raw_sums(Cloud([(0, 0), (1, 1)]))
-        assert (rs.mn, rs.hn, rs.d) == pytest.approx((1.0, 1.0, 1.0))
+        assert centered_sums([0, 1], [0, 1]) == (1, 1, 1)
+        assert (rs.mn, rs.hn, rs.d) == (1.0, 1.0, 1.0)
 
     def test_duplicated_point(self):
         rs = raw_sums(Cloud([(3.5, -2.0), (3.5, -2.0)]))
@@ -99,13 +99,15 @@ class TestRawSums:
         s = math.ldexp(math.sqrt(Fraction(factor) * bound / 2 * 2 ** 1100), -550)
         pts = s * np.array([(1.0, 1.0), (2.0, 3.0), (4.0, 2.0)]).T
         xs, ys = pts if axis == "y" else pts[::-1]
-        mn, hn, d = exact_sums(xs, ys)
+        mn, hn, d = centered_sums(xs, ys)
         assert abs((hn if axis == "y" else d) / 3 / bound / factor - 1) < 1e-3
         cloud = Cloud.from_arrays(xs, ys)
         if factor < 1:
             with pytest.raises(ValueError, match="cloud spread too small"):
                 raw_sums(cloud)
         else:
+            # Kept, the moments carry the rounding of subnormal squares: the
+            # guard promises RTOL, not the moment budget.
             lc = linear_coefficients(cloud)
             for got, exact in ((lc.m, mn / d), (lc.h, hn / d)):
                 assert abs(Fraction(got) / exact - 1) <= RTOL
@@ -132,14 +134,11 @@ def test_raw_sums_chart_point_is_linear_coefficients(kind, n):
 class TestLinearCoefficients:
     def test_triangle(self):
         lc = linear_coefficients(Cloud(TRIANGLE))
-        assert lc.m == pytest.approx(0.0, abs=1e-15)
-        assert lc.h == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert chart_ulps(lc, centered_sums(*zip(*TRIANGLE))) <= MOMENT_ULPS
 
     def test_diagonal_line(self):
         lc = linear_coefficients(Cloud([(0, 0), (1, 1), (2, 2)]))
-        assert lc.m == pytest.approx(1.0)
-        assert lc.h == pytest.approx(1.0)
-        assert lc.h == pytest.approx(lc.m ** 2)
+        assert (lc.m, lc.h) == (1.0, 1.0)
 
     def test_vertical_line_degenerate(self):
         with pytest.raises(DegenerateCloud):
@@ -151,9 +150,9 @@ class TestLinearCoefficients:
             linear_coefficients(Cloud([(1e8, 0), (1e8, 1), (1e8, 2)]))
 
     def test_small_cloud_is_not_vertical(self):
-        cloud = Cloud.from_arrays(np.array([0.0, 1e-7, 2e-7]),
-                                  np.array([0.0, 1e-7, 3e-7]))
-        assert linear_coefficients(cloud).m == pytest.approx(1.5, rel=1e-12)
+        xs, ys = np.array([0.0, 1e-7, 2e-7]), np.array([0.0, 1e-7, 3e-7])
+        lc = linear_coefficients(Cloud.from_arrays(xs, ys))
+        assert chart_ulps(lc, centered_sums(xs, ys)) <= MOMENT_ULPS
 
 
 class TestIsCollinear:
@@ -190,7 +189,7 @@ class TestIsCollinear:
         target, t = factor * Fraction(RTOL), 1e-6
         for _ in range(3):
             ys = 0.5 * xs + t * w
-            mn, hn, d = exact_sums(xs, ys)
+            mn, hn, d = centered_sums(xs, ys)
             gap = 1 - mn * mn / (d * hn)
             t *= math.sqrt(target / gap)
         assert abs(gap / target - 1) < 1e-3
@@ -258,8 +257,8 @@ TINY_Y = [[(0.0, 0.0), (0.0, 3.0624586255546405e-156)],
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(coords, coords), min_size=2, max_size=40),
        st.randoms(use_true_random=False))
-# mn = -24.2499 here, and the two orders differ by 2.6e-11 in it: 1.8e-17 of
-# sqrt(d)*sqrt(hn), but 1.1e-12 of |mn|.
+# mn = -24.25 here, and the two orders differ in it by 0.2 ulp of
+# sqrt(d)*sqrt(hn), the scale it is counted in, but by 11 205 ulps of |mn|.
 @example([(-86.61555, 34.62086), (19.91998, 60.25008), (64.28676, -48.38952),
           (-43.61158, -42.75316), (-55.95928, -82.28524), (-11.05831, -5.71828),
           (65.01112, 12.87655), (10.64744, 41.94263), (68.85666, -13.94485),
@@ -278,13 +277,12 @@ def test_permutation_invariance(pts, pyrandom):
     assert (a is None) == (b is None)
     if a is None:
         return
-    for va, vb in [(a.hn, b.hn), (a.d, b.d)]:
-        assert abs(va - vb) <= 1e-12 * max(1.0, abs(va), abs(vb))
-    # mn can cancel far below its terms; its rounding scales with the
-    # Cauchy-Schwarz bound |mn| <= sqrt(d*hn), taken as a product of roots
-    # so that it cannot underflow.
-    scale = max(1.0, math.sqrt(a.d) * math.sqrt(a.hn))
-    assert abs(a.mn - b.mn) <= 1e-12 * scale
+    # Both orders are within the moment budget of the same exact sums; mn,
+    # which can cancel far below its terms, in ulps of sqrt(d*hn).
+    exact = centered_sums(*zip(*pts))
+    assert centered_sums(*zip(*shuffled)) == exact
+    assert scatter_ulps(a, exact) <= MOMENT_ULPS
+    assert scatter_ulps(b, exact) <= MOMENT_ULPS
 
 
 @settings(max_examples=200, deadline=None)
@@ -297,31 +295,32 @@ def test_nonnegativity_and_cauchy_schwarz(pts):
         return
     assert rs.d >= 0.0
     assert rs.hn >= 0.0
-    gap = rs.hn * rs.d - rs.mn * rs.mn
-    assert gap >= -1e-9 * max(1.0, rs.hn * rs.d)
+    # The exact sums obey Cauchy-Schwarz, and the float ones are within the
+    # moment budget of them (|mn| in ulps of sqrt(d*hn)).
+    mn, hn, d = exact = centered_sums(*zip(*pts))
+    assert hn * d - mn * mn >= 0
+    assert scatter_ulps(rs, exact) <= MOMENT_ULPS
 
 
 def test_offset_cloud_cancellation(rng):
     # Centered sums survive a large common offset that would wreck the raw
-    # textbook formulas.
+    # textbook formulas: at 1e6 as near 0, they are within the moment budget
+    # of the exact sums of their own coordinates.
     xs = rng.random(200)
     ys = rng.random(200)
-    near = raw_sums(Cloud.from_arrays(xs, ys))
-    far = raw_sums(Cloud.from_arrays(xs + 1e6, ys + 1e6))
-    assert far.mn == pytest.approx(near.mn, rel=1e-6, abs=1e-4)
-    assert far.hn == pytest.approx(near.hn, rel=1e-6)
-    assert far.d == pytest.approx(near.d, rel=1e-6)
+    for offset in (0.0, 1e6):
+        rs = raw_sums(Cloud.from_arrays(xs + offset, ys + offset))
+        assert scatter_ulps(rs, centered_sums(xs + offset, ys + offset)) <= MOMENT_ULPS
 
 
 def test_collinear_iff_zero_gap():
     # Equality in Cauchy-Schwarz exactly on collinear clouds.
-    line = Cloud([(0.0, 0.0), (1.0, 0.5), (2.0, 1.0), (4.0, 2.0)])
-    rs = raw_sums(line)
-    assert rs.hn * rs.d - rs.mn ** 2 == pytest.approx(0.0, abs=1e-12)
-    assert is_collinear(line)
-    bent = Cloud([(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)])
-    rsb = raw_sums(bent)
-    assert rsb.hn * rsb.d - rsb.mn ** 2 > 0.1
+    for pts, collinear in (([(0.0, 0.0), (1.0, 0.5), (2.0, 1.0), (4.0, 2.0)], True),
+                           ([(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)], False)):
+        mn, hn, d = exact = centered_sums(*zip(*pts))
+        assert (hn * d - mn * mn == 0) is collinear
+        assert scatter_ulps(raw_sums(Cloud(pts)), exact) <= MOMENT_ULPS
+        assert is_collinear(Cloud(pts)) is collinear
 
 
 # A constant column: zero, or any magnitude from 1e-100 to 1e100.
@@ -394,7 +393,7 @@ class TestVerticalTest:
         n = len(xs)
         xs, ys = np.array(xs), np.arange(n, dtype=float)
         cloud = Cloud.from_arrays(xs, ys)
-        d, want = raw_sums(cloud).d, exact_sums(xs, ys)[2]
+        d, want = raw_sums(cloud).d, centered_sums(xs, ys)[2]
         equal = bool(np.all(xs == xs[0]))
         assert (want == 0) is equal
         # The rounding of D is at most n*2**-50 times n*q, the sum of the
@@ -425,10 +424,12 @@ class TestVerticalTest:
                 with pytest.raises(DegenerateCloud):
                     linear_coefficients(cloud)
             return
-        a, b = linear_coefficients(base), linear_coefficients(moved)
-        # M**2 <= H (Cauchy-Schwarz), so sqrt(H) is the scale of M.
-        assert abs(b.m - a.m) <= 1e-12 * math.sqrt(a.h)
-        assert abs(b.h - a.h) <= 1e-12 * a.h
+        # The exact sums do not move, and both charts are within the moment
+        # budget of them.
+        exact = centered_sums(xs, ys)
+        assert centered_sums(moved.xs, moved.ys) == exact
+        for cloud in (base, moved):
+            assert chart_ulps(linear_coefficients(cloud), exact) <= MOMENT_ULPS
 
     @pytest.mark.parametrize("v,n", [(0.1, 3), (0.3, 70_000)])
     def test_equal_values_have_zero_spread(self, v, n):
@@ -452,8 +453,7 @@ class TestVerticalTest:
     def test_near_ties_are_kept(self, xs):
         ys = np.arange(xs.size, dtype=float)
         cloud = Cloud.from_arrays(xs, ys)
-        want = exact_sums(xs, ys)[2]
-        assert abs(Fraction(raw_sums(cloud).d) - want) <= 1e-12 * want
+        assert scatter_ulps(raw_sums(cloud), centered_sums(xs, ys)) <= MOMENT_ULPS
         linear_coefficients(cloud)
 
 
@@ -656,37 +656,23 @@ def test_every_cloud_is_one_read_only_block(rng, how):
     assert bits(cloud._moments) == bits(Cloud.from_arrays(cloud.xs, cloud.ys)._moments)
 
 
-def exact_sums(xs, ys):
-    """The exact (M_n, H_n, D) of float arrays, as Fractions: every value is
-    an integer over one common power of two, so integer sums are exact."""
-    n = xs.size
-    ratios = [v.as_integer_ratio() for v in xs.tolist() + ys.tolist()]
-    den = max(q for _, q in ratios)
-    ints = [p * (den // q) for p, q in ratios]
-    xi, yi = ints[:n], ints[n:]
-    sx, sy = sum(xi), sum(yi)
-    return (Fraction(n * sum(map(int.__mul__, xi, yi)) - sx * sy, den * den),
-            Fraction(n * sum(v * v for v in yi) - sy * sy, den * den),
-            Fraction(n * sum(v * v for v in xi) - sx * sx, den * den))
-
-
 class TestChunkedReduction:
     """Clouds are reduced in chunks of _CHUNK points, merged pairwise."""
 
     @pytest.mark.parametrize("n", [2, _CHUNK - 1, _CHUNK, _CHUNK + 1,
                                    3 * _CHUNK + 5])
-    def test_matches_two_pass_reference(self, rng, n):
+    def test_matches_exact_sums(self, rng, n):
         xs = rng.standard_normal(n)
         ys = 0.3 * xs + rng.standard_normal(n)
-        assert_sums_close(raw_sums(Cloud.from_arrays(xs, ys)),
-                          two_pass_sums(xs.tolist(), ys.tolist()))
+        assert scatter_ulps(raw_sums(Cloud.from_arrays(xs, ys)),
+                            centered_sums(xs, ys)) <= MOMENT_ULPS
 
     def test_offset_cloud_over_several_chunks(self, rng):
         n = 3 * _CHUNK + 5
         xs = 1e8 + rng.standard_normal(n)
         ys = -3e7 + 0.3 * (xs - 1e8) + rng.standard_normal(n)
-        assert_sums_close(raw_sums(Cloud.from_arrays(xs, ys)),
-                          two_pass_sums(xs.tolist(), ys.tolist()))
+        assert scatter_ulps(raw_sums(Cloud.from_arrays(xs, ys)),
+                            centered_sums(xs, ys)) <= MOMENT_ULPS
 
     def test_vertical_line_over_several_chunks(self, rng):
         n = 3 * _CHUNK + 5
@@ -772,11 +758,8 @@ class TestChunkedReduction:
             xs[late] += 1e6
             ys[late] -= 1e5
         rs = raw_sums(Cloud.from_arrays(xs, ys))
-        mn, hn, d = exact_sums(xs, ys)
         assert rs.d >= 0.0 and rs.hn >= 0.0
-        assert abs(Fraction(rs.d) - d) <= 1e-14 * d
-        assert abs(Fraction(rs.hn) - hn) <= 1e-14 * hn
-        assert abs(Fraction(rs.mn) - mn) <= 1e-14 * math.sqrt(d * hn)
+        assert scatter_ulps(rs, centered_sums(xs, ys)) <= MOMENT_ULPS
 
     def test_moments_do_not_depend_on_blas_threads(self):
         # The moments, to the last bit, of a seeded cloud of several chunks

@@ -14,6 +14,8 @@ from cloudinv import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR,
 from cloudinv.coefficients import RTOL
 from cloudinv.generators import _field
 from conftest import REF_H, REF_M, UNIT_DIRECTIONS, magnitude, random_cloud
+from exact import (KERNEL_ULPS, MOMENT_ULPS, centered_sums, chart, chart_ulps,
+                   congruence, kernel, kernel_ulps)
 
 CASE_STUDY = LinearFamily((-2.0, -2.0, -0.25, 0.5), (12.0, 8.0, 1.0, 2.0))
 
@@ -59,7 +61,7 @@ class TestEvaluate:
         (LOWER_TRIANGULAR, lambda p: (1.0, 0.0, p, 1.0), {1e300}),
     ], ids=["diag", "upper", "lower"])
     def test_named_pencils_are_exact(self, rng, family, entries, singular):
-        # Singular within tolerance: det is 0 or below 1e-12 * max|entry|**2.
+        # Singular within tolerance: det is 0 or below RTOL * max|entry|**2.
         for phi in [*rng.uniform(-3.0, 3.0, 50), 0.0, 5e-324, -1e-300, 1e300]:
             if phi in singular:
                 with pytest.raises(NonInvertibleMatrix):
@@ -76,12 +78,12 @@ class TestIdentityParameter:
     @pytest.mark.parametrize("family,phi_star,_", CLOSED_VARIANTS)
     def test_closed_variants(self, family, phi_star, _):
         assert family.identity_parameter() == phi_star
-        mat = family.evaluate(phi_star)
-        for got, want in zip(mat.entries(), (1.0, 0.0, 0.0, 1.0)):
-            assert abs(got - want) <= 1e-12
+        assert family.evaluate(phi_star).entries() == (1.0, 0.0, 0.0, 1.0)
 
     def test_case_study(self):
-        assert CASE_STUDY.identity_parameter() == pytest.approx(0.25, abs=1e-12)
+        # (1 - a0) / b of the largest |b|, 3/12, is exact.
+        assert CASE_STUDY.identity_parameter() == 0.25
+        assert CASE_STUDY.evaluate(0.25).entries() == (1.0, 0.0, 0.0, 1.0)
 
     def test_identity_base(self):
         fam = LinearFamily((1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 0.0))
@@ -183,14 +185,20 @@ REJECTED_FAMILIES = [
 ]
 
 
+def assert_identity_member(family):
+    """The member at the accepted phi is the identity, in exact arithmetic on
+    the float entries, within RTOL of each entry's own bound |a0| + |phi*b| + 1,
+    the bound the consistency solve states."""
+    phi = Fraction(family.identity_parameter())
+    for a, b, t in zip(family.a0, family.b, (1, 0, 0, 1)):
+        a, b = Fraction(a), Fraction(b)
+        assert abs(a + phi * b - t) <= Fraction(RTOL) * (abs(a) + abs(phi * b) + 1)
+
+
 class TestBranchEquivalence:
     @pytest.mark.parametrize("family", ACCEPTED_FAMILIES)
     def test_accepted(self, family):
-        phi = family.identity_parameter()
-        mat = family.evaluate(phi)
-        scale = max(1.0, max(abs(v) for v in family.a0 + family.b))
-        for got, want in zip(mat.entries(), (1.0, 0.0, 0.0, 1.0)):
-            assert abs(got - want) <= 1e-11 * scale
+        assert_identity_member(family)
 
     @pytest.mark.parametrize("family", REJECTED_FAMILIES)
     def test_rejected(self, family):
@@ -243,10 +251,11 @@ class TestKernelValue:
         assert kernel_value(spec, REF_M, REF_H) == pytest.approx(expected, abs=tol)
 
     def test_diagonal_spec_round_trips_ratio(self):
-        # Kernel is 1 - H/M^2 for the diagonal spec; the ratio itself must
-        # round-trip to the reported 1.06564.
-        k = kernel_value(FamilyGenerator(0.0, 0.0, -1.0), REF_M, REF_H)
-        assert 1.0 - k == pytest.approx(REF_H / REF_M ** 2, rel=1e-12)
+        # Kernel is 1 - H/M^2 for the diagonal spec, exactly; the ratio itself
+        # must round-trip to the reported 1.06564.
+        fg = FamilyGenerator(0.0, 0.0, -1.0)
+        assert kernel(fg, REF_M, REF_H) == 1 - Fraction(REF_H) / Fraction(REF_M) ** 2
+        assert kernel_ulps(kernel_value(fg, REF_M, REF_H), fg, REF_M, REF_H) <= KERNEL_ULPS
         assert REF_H / REF_M ** 2 == pytest.approx(1.06564, abs=5e-5)
 
     def test_collinear_coefficients_give_zero(self):
@@ -297,10 +306,8 @@ class TestKernelValue:
         # H far above M^2: its term alone sets the numerator, K = -1/H;
         # M^2 far above H: K = M^2/H^2.
         upper = FamilyGenerator(1.0, 0.0, 0.0)
-        assert kernel_value(upper, sign * 1e-300, 1e-10) == \
-            pytest.approx(-1e10, rel=1e-12)
-        assert kernel_value(upper, sign * 1e200, 1e300) == \
-            pytest.approx(1e-200, rel=1e-12)
+        for m, h in ((sign * 1e-300, 1e-10), (sign * 1e200, 1e300)):
+            assert kernel_ulps(kernel_value(upper, m, h), upper, m, h) <= KERNEL_ULPS
 
 
 @settings(max_examples=300, deadline=None)
@@ -328,24 +335,27 @@ def test_power_of_two_scaling_of_the_generator_is_exact(bprime, gprime, delta,
        st.sampled_from([1.0, -1.0]), st.floats(-1e6, 1e6),
        st.sampled_from([DIAGONAL.derivative_coefficients(),
                         generator_for_matrix(Matrix2(2.0, 0.0, 0.0, 1.0))]))
-def test_kernel_where_m_squared_is_out_of_range_matches_mpmath(frac, k, sign,
-                                                                t, fg):
+def test_kernel_where_m_squared_is_out_of_range_is_exact_to_budget(frac, k, sign,
+                                                                    t, fg):
     # |M| < 2**-511, where M*M underflows, and H = t*M^2 (rounded, perhaps
     # to a subnormal or 0); or |M| >= 2**512, where M*M overflows, and
     # H = t*1e302.  The error is measured against the kernel's own scale
     # (M^2 + |H|)/den^2, its size when M^2 and H do not cancel.
-    mpmath = pytest.importorskip("mpmath")
     m = sign * math.ldexp(frac, k)
-    with mpmath.workdps(40):
-        mm = mpmath.mpf(m)
-        h = float(mm * mm * t) if k < 0 else t * 1e302
-        den = h * fg.bprime - fg.gprime + fg.delta * m
-        want = (mm * mm - h) / mpmath.mpf(den) ** 2
-        scale = (mm * mm + abs(h)) / mpmath.mpf(den) ** 2
-        assert abs(kernel_value(fg, m, h) - want) <= 1e-12 * scale
+    h = float(Fraction(m) ** 2 * Fraction(t)) if k < 0 else t * 1e302
+    assert kernel_ulps(kernel_value(fg, m, h), fg, m, h) <= KERNEL_ULPS
 
 
 ALL_FAMILIES = [v[0] for v in CLOSED_VARIANTS] + [CASE_STUDY]
+
+
+def exact_member(family, phi):
+    """The exact entries of the member at phi: A0 + phi*B of the float
+    entries and phi, or rotation's float cos and sin, as Fractions."""
+    if isinstance(family, RotationFamily):
+        return family.evaluate(phi).entries()
+    return tuple(Fraction(a) + Fraction(phi) * Fraction(b)
+                 for a, b in zip(family.a0, family.b))
 
 
 def _family_phis(family, rng, count):
@@ -363,23 +373,34 @@ def _family_phis(family, rng, count):
 class TestKernelInvariance:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_sampled_invariance(self, family, rng):
+        # Exactly, the kernel of the cloud's sums is that of their image under
+        # the member the entries give, A0 + phi*B (or rotation's float cos and
+        # sin); in floats the image's chart is within the moment budget of the
+        # image's own sums, and each kernel within its budget of the exact
+        # kernel at its own (M, H).
         fg = family.derivative_coefficients()
         clouds = [random_cloud(rng) for _ in range(10)]
+        exact_sums = [centered_sums(cloud.xs, cloud.ys) for cloud in clouds]
         for phi in _family_phis(family, rng, 10):
             try:
                 matrix = family.evaluate(phi)
             except NonInvertibleMatrix:
                 continue
-            for cloud in clouds:
+            member = exact_member(family, phi)
+            for cloud, sums in zip(clouds, exact_sums):
+                image = apply_to_cloud(matrix, cloud)
                 before = linear_coefficients(cloud)
-                after = linear_coefficients(apply_to_cloud(matrix, cloud))
+                after = linear_coefficients(image)
                 dens = [h * fg.bprime - fg.gprime + fg.delta * m
                         for m, h in [(before.m, before.h), (after.m, after.h)]]
                 if min(abs(d) for d in dens) < 1e-3:
                     continue  # too close to the kernel's singular set
-                kb = kernel_value(fg, before.m, before.h)
-                ka = kernel_value(fg, after.m, after.h)
-                assert abs(ka - kb) <= 1e-8 * max(1.0, abs(kb))
+                assert kernel(fg, *chart(congruence(member, sums))) == \
+                    kernel(fg, *chart(sums))
+                assert chart_ulps(after, centered_sums(image.xs, image.ys)) <= MOMENT_ULPS
+                for lc in (before, after):
+                    assert kernel_ulps(kernel_value(fg, lc.m, lc.h),
+                                       fg, lc.m, lc.h) <= KERNEL_ULPS
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_pde_annihilation_sample(self, family, rng):
@@ -398,21 +419,22 @@ class TestKernelInvariance:
 
 def test_direction_scaling_covariance(rng):
     # Scaling the pencil direction by kappa scales the kernel by 1/kappa^2,
-    # so the set of functions of the kernel is unchanged.
+    # exactly, so the set of functions of the kernel is unchanged; each float
+    # kernel is within its budget of its own exact value.
     base_spec = CASE_STUDY.derivative_coefficients()
     for kappa in (2.0, -0.5, 7.25):
         rebased = LinearFamily((1.0, 0.0, 0.0, 1.0),
                                tuple(kappa * b for b in CASE_STUDY.b))
         scaled_spec = rebased.derivative_coefficients()
         assert (scaled_spec.bprime, scaled_spec.gprime, scaled_spec.delta) == \
-            pytest.approx(tuple(kappa * v for v in (8.0, 1.0, 10.0)))
+            tuple(kappa * v for v in (8.0, 1.0, 10.0))
         for _ in range(50):
             m = rng.uniform(-2.0, 2.0)
             h = m * m + rng.uniform(0.1, 3.0)
-            k_base = kernel_value(base_spec, m, h)
-            k_scaled = kernel_value(scaled_spec, m, h)
-            expected = k_base / (kappa * kappa)
-            assert abs(k_scaled - expected) <= 1e-12 * max(1.0, abs(expected))
+            assert kernel(scaled_spec, m, h) == \
+                kernel(base_spec, m, h) / Fraction(kappa) ** 2
+            for fg in (base_spec, scaled_spec):
+                assert kernel_ulps(kernel_value(fg, m, h), fg, m, h) <= KERNEL_ULPS
 
 
 class TestParseFamily:

@@ -5,6 +5,9 @@ After a deliberate output change, re-record the changed cases with
 ``PYTHONPATH=src python tests/test_golden.py NAME...`` (every case when no
 name is given) and name the change in CHANGES.md.  The text form of every
 ``--json`` case must hold the same report, one ``key  value`` line per leaf.
+The cases derived from a cloud are also certified: every float they report
+is within its layer's budget of the exact oracle on the cloud's coordinates,
+on any CPU, recorded and freshly run alike.
 """
 import contextlib
 import hashlib
@@ -16,7 +19,12 @@ from pathlib import Path
 
 import pytest
 
-from cloudinv.cli import main
+from cloudinv import (CloudGenSpec, FamilyGenerator, LinearCoefficients,
+                      Matrix2, Scatter, apply_to_cloud, generate_cloud,
+                      parse_family, read_cloud_csv)
+from cloudinv.cli import _SIMULATION_CASES, main
+from exact import (CLOSED_FORM_ULPS, KERNEL_ULPS, MOMENT_ULPS, centered_sums,
+                   chart_ulps, induced_ulps, kernel_ulps, scatter_ulps)
 
 GOLDEN = Path(__file__).parent / "golden"
 REF = "--coeffs=1.52244,2.46998"
@@ -126,7 +134,102 @@ def test_text_is_the_json_report(name, tmp_path, monkeypatch):
     assert (text_code, text_err) == (code, err) == (0, "")
     rows = [line.split(None, 1) for line in text.splitlines()]
     assert [key for key, _ in rows] == list(dict(rows))
-    assert {key: json.loads(value) for key, value in rows} == report
+    assert report_leaves(text) == report
+
+
+def report_leaves(stdout):
+    """The leaves of a report printed as JSON or as text, by dotted key."""
+    if stdout.startswith("{"):
+        return dict(leaves(json.loads(stdout)))
+    return {key: json.loads(value)
+            for key, value in (line.split(None, 1) for line in stdout.splitlines())}
+
+
+def source_cloud(report):
+    """The cloud a report was computed from: regenerated from its echoed
+    spec, or read from its CSV path."""
+    if report["inputs.source"] == "csv":
+        return read_cloud_csv(report["inputs.path"])
+    return generate_cloud(CloudGenSpec(*[report[f"inputs.{k}"]
+                                         for k in ("kind", "n", "noise", "seed")]))
+
+
+def _steps(report):
+    """(key prefix, matrix entries, generator or None) of each image a
+    report holds: transform's one, invariant's evaluations, simulate's cases."""
+    command = report["command"]
+    if command == "transform":
+        return [("", report["inputs.matrix"], None)]
+    spec = None if command == "simulate" else FamilyGenerator(
+        report["spec.bprime"], report["spec.gprime"], report["spec.delta"])
+    if command == "invariant" and "inputs.matrix" in report:
+        return [("", report["inputs.matrix"], spec)]
+    if command == "invariant":
+        family = parse_family(report["inputs.family"])
+        return [(f"evaluations[{i}].", family.evaluate(phi).entries(), spec)
+                for i, phi in enumerate(report["inputs.phi"])]
+    families = {name: family for name, _, family in _SIMULATION_CASES}
+    return [(f"cases[{i}].", report[f"cases[{i}].matrix"],
+             families[report[f"cases[{i}].name"]].derivative_coefficients())
+            for i in range(len(_SIMULATION_CASES))]
+
+
+def _point(report, key):
+    return LinearCoefficients(report[f"{key}.m"], report[f"{key}.h"])
+
+
+def certify(reports, cloud, image_of=None):
+    """Every float that each report (as :func:`report_leaves`) computes from
+    ``cloud``, within its layer's budget of the exact oracle on its own
+    inputs: the raw sums and the chart point against the cloud's centered
+    sums; each closed-form image against T S T^T of the reported chart point;
+    each direct recomputation against the sums of the image coordinates it
+    reduced, ``image_of(entries)`` (default: the image the package writes);
+    and each kernel at its own (M, H)."""
+    sums = centered_sums(cloud.xs, cloud.ys)
+    image_of = image_of or (lambda entries: apply_to_cloud(Matrix2(*entries), cloud))
+    images = {}
+    for report in reports:
+        if "raw_sums.mn" in report:
+            raw = Scatter(*[report[f"raw_sums.{k}"] for k in ("mn", "hn", "d")])
+            assert scatter_ulps(raw, sums) <= MOMENT_ULPS
+        command = report["command"]
+        before = _point(report, "coefficients" if command == "coeffs" else "before")
+        assert chart_ulps(before, sums) <= MOMENT_ULPS
+        closed = "after_closed_form" if command == "transform" else "after"
+        for prefix, entries, spec in [] if command == "coeffs" else _steps(report):
+            after = _point(report, prefix + closed)
+            assert induced_ulps(after, Matrix2(*entries), before) <= CLOSED_FORM_ULPS
+            if prefix + "after_direct.m" in report:
+                key = tuple(entries)
+                if key not in images:
+                    image = image_of(entries)
+                    images[key] = centered_sums(image.xs, image.ys)
+                direct = _point(report, prefix + "after_direct")
+                assert chart_ulps(direct, images[key]) <= MOMENT_ULPS
+            if spec is not None:
+                for at, name in ((before, "kernel_before"), (after, "kernel_after")):
+                    got = report[prefix + name]
+                    assert kernel_ulps(got, spec, at.m, at.h) <= KERNEL_ULPS
+
+
+@pytest.mark.parametrize("name", sorted(n for n, argv in CASES.items()
+                                        if "--gen" in argv or "--csv" in argv))
+def test_certified(name, tmp_path, monkeypatch):
+    # The recorded output and a fresh run, on the case's own coordinates:
+    # regenerated, read from the CSV text, or (for a dumped image) read back
+    # from the file the run wrote.  Unlike the bytes, this does not depend on
+    # the order in which the CPU's BLAS kernel sums.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / CSV_NAME).write_text(CSV_TEXT)
+    recorded = json.loads((GOLDEN / f"{name}.json").read_text())["stdout"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(CASES[name]) == 0
+    reports = [report_leaves(recorded), report_leaves(out.getvalue())]
+    dumped = "--dump-points" in CASES[name]
+    certify(reports, source_cloud(reports[0]),
+            (lambda entries: read_cloud_csv(DUMP_NAME)) if dumped else None)
 
 
 def record(names=()):

@@ -112,12 +112,18 @@ def test_rtol_is_read_only_by_the_guard_function():
                     ("coefficients.py", "_near_zero", "Load")]
 
 
+def _hits(pattern, paths):
+    return [f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
+            for path in sorted(paths)
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(pattern, line)]
+
+
 def test_no_environment_read_and_no_unit_floor():
     # Output depends on argv alone, and no comparison is floored at a unit
-    # scale by max(1, ...); neither form appears in src/ or the README.
-    pattern = re.compile(r"os\.environ|getenv|max\(1")
-    hits = [f"{path.relative_to(ROOT)}:{number}: {line.strip()}"
-            for path in sorted([*(ROOT / "src").rglob("*.py"), ROOT / "README.md"])
-            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-            if pattern.search(line)]
-    assert hits == []
+    # scale (a maximum with 1); neither form appears in src/ or the README,
+    # and the tests judge accuracy in ulps against the exact oracle, with no
+    # such floor either.
+    assert _hits(r"os\.environ|getenv|max\(1", [*(ROOT / "src").rglob("*.py"),
+                                                ROOT / "README.md"]) == []
+    assert _hits(r"max\(1", (ROOT / "tests").glob("*.py")) == []

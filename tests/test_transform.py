@@ -17,9 +17,11 @@ from cloudinv import (Cloud, CloudInvError, DegenerateImage, LinearCoefficients,
                       write_cloud_csv)
 from cloudinv.coefficients import _CHUNK, _QUOTE, RTOL, _parse_floats
 from cloudinv.transform import parse_entries
-from conftest import (BUILDS, REF_H, REF_M, assert_sums_close, build_cloud,
-                      matmul, not_a_number, random_cloud, random_invertible,
-                      traced_peak, two_pass_sums)
+from conftest import (BUILDS, REF_H, REF_M, build_cloud, matmul, not_a_number,
+                      random_cloud, random_invertible, traced_peak)
+from exact import (CLOSED_FORM_ULPS, MOMENT_ULPS, centered_sums, chart,
+                   chart_ulps, congruence, induced_raw_ulps, induced_ulps,
+                   product, scatter_ulps)
 
 REF = LinearCoefficients(REF_M, REF_H)
 
@@ -43,10 +45,10 @@ class TestMatrix2:
     @pytest.mark.parametrize("s", [1e-200, 2.0 ** -60, 1e-5, 0.5, 1.0, 3.0,
                                    1e150, 1e200])
     def test_singularity_threshold_both_sides(self, s):
-        # |det| against 1e-12 * max|entry|**2, just above and below.
-        Matrix2(s, 0.0, 0.0, 1.01e-12 * s)
+        # |det| against RTOL * max|entry|**2, just above and below.
+        Matrix2(s, 0.0, 0.0, 1.01 * RTOL * s)
         with pytest.raises(NonInvertibleMatrix):
-            Matrix2(s, 0.0, 0.0, 0.99e-12 * s)
+            Matrix2(s, 0.0, 0.0, 0.99 * RTOL * s)
 
     def test_induced_map_overflow_is_value_error(self):
         m = Matrix2(1e308, 1e308, -1e308, 1e308)
@@ -196,8 +198,7 @@ class TestApplyToCloudChunked:
         image = apply_to_cloud(m, Cloud.from_arrays(xs, ys))
         assert np.array_equal(image.xs, m.a * xs + m.b * ys)
         assert np.array_equal(image.ys, m.c * xs + m.d * ys)
-        assert_sums_close(raw_sums(image),
-                          two_pass_sums(image.xs.tolist(), image.ys.tolist()))
+        assert scatter_ulps(raw_sums(image), centered_sums(image.xs, image.ys)) <= MOMENT_ULPS
 
     def test_image_read_only(self):
         image = apply_to_cloud(Matrix2(1, 0.7, 0, 1), Cloud([(1, 1), (2, 0)]))
@@ -308,66 +309,63 @@ class TestInducedRaw:
 
     def test_diagonal(self):
         out = induced_raw(Matrix2(1, 0, 0, 2), Scatter(0.5, 2.0, 6.0))
-        assert (out.mn, out.hn, out.d) == pytest.approx((1.0, 8.0, 6.0))
+        assert (out.mn, out.hn, out.d) == (1.0, 8.0, 6.0)
 
     def test_shear(self):
-        out = induced_raw(Matrix2(1, 0.7, 0, 1), Scatter(0.0, 2.0, 6.0))
-        assert (out.mn, out.hn, out.d) == pytest.approx((1.4, 2.0, 6.98))
+        t, s = Matrix2(1, 0.7, 0, 1), Scatter(0.0, 2.0, 6.0)
+        assert induced_raw_ulps(induced_raw(t, s), t, s) <= CLOSED_FORM_ULPS
 
     def test_matches_direct_recomputation(self, rng):
+        # Each path against the exact value of its own inputs: the closed
+        # form against T S T^T of the scatter it took, the direct
+        # recomputation against the sums of the image it reduced.
         for _ in range(50):
             cloud = random_cloud(rng)
             m = random_invertible(rng)
-            closed = induced_raw(m, raw_sums(cloud))
-            direct = raw_sums(apply_to_cloud(m, cloud))
-            for a, b in [(closed.mn, direct.mn), (closed.hn, direct.hn),
-                         (closed.d, direct.d)]:
-                assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b))
+            rs = raw_sums(cloud)
+            closed = induced_raw(m, rs)
+            image = apply_to_cloud(m, cloud)
+            assert induced_raw_ulps(closed, m, rs) <= CLOSED_FORM_ULPS
+            assert scatter_ulps(raw_sums(image),
+                                centered_sums(image.xs, image.ys)) <= MOMENT_ULPS
 
 
 class TestCongruenceOracle:
     """Both induced maps against T S T^T for S = [[D, Mn], [Mn, Hn]], as sympy
-    derives it from symbols and mpmath evaluates it at 40 digits."""
+    derives it from symbols, evaluated exactly on the same float inputs: it
+    is the exact oracle's congruence, and each map is within the closed-form
+    budget of it."""
 
     @pytest.fixture(scope="class")
     def oracle(self):
         sympy = pytest.importorskip("sympy")
-        mpmath = pytest.importorskip("mpmath")
         a, b, c, d, mn, hn, dx = sympy.symbols("a b c d mn hn dx", real=True)
         image = (sympy.Matrix([[a, b], [c, d]]) * sympy.Matrix([[dx, mn], [mn, hn]])
                  * sympy.Matrix([[a, c], [b, d]]))
         form = sympy.lambdify((a, b, c, d, mn, hn, dx),
-                              (image[0, 1], image[1, 1], image[0, 0]), "mpmath")
+                              (image[0, 1], image[1, 1], image[0, 0]), modules=[])
 
-        def exact(t, mn, hn, dx):
-            with mpmath.workdps(40):
-                return tuple(float(v) for v in form(*t.entries(), mn, hn, dx))
-        return exact
+        def derived(t, s):
+            return form(*map(Fraction, (*t.entries(), s.mn, s.hn, s.d)))
+        return derived
 
     def test_raw_sums(self, rng, oracle):
         for _ in range(300):
             t = random_invertible(rng)
             rs = raw_sums(random_cloud(rng))
-            got = induced_raw(t, rs)
-            want = oracle(t, rs.mn, rs.hn, rs.d)
-            # The image is positive definite: its diagonal bounds |mn|.
-            scale = max(want[1], want[2])
-            for g, w in zip((got.mn, got.hn, got.d), want):
-                assert abs(g - w) <= 1e-13 * scale
+            assert oracle(t, rs) == congruence(t, rs)
+            assert induced_raw_ulps(induced_raw(t, rs), t, rs) <= CLOSED_FORM_ULPS
 
     def test_coefficients_are_its_quotients(self, rng, oracle):
         for _ in range(300):
             t = random_invertible(rng)
             lc = linear_coefficients(random_cloud(rng))
-            mn, hn, dx = oracle(t, lc.m, lc.h, 1.0)
             try:
                 got = induced_coefficients(t, lc)
             except DegenerateImage:
                 continue
-            # h >= m^2 on the image, so max(1, h) bounds |m| too.
-            scale = max(1.0, hn / dx)
-            assert abs(got.m - mn / dx) <= 1e-13 * scale
-            assert abs(got.h - hn / dx) <= 1e-13 * scale
+            assert oracle(t, lc) == congruence(t, lc)
+            assert induced_ulps(got, t, lc) <= CLOSED_FORM_ULPS
 
 
 class TestInducedCoefficients:
@@ -441,11 +439,8 @@ class TestInducedCoefficients:
     def test_large_h_maps_when_b_is_zero(self, lc, matrix):
         # With b = 0 the image's D is a**2 D, with nothing cancelled, however
         # large H is.
-        a, _, c, d = matrix.entries()
         got = induced_coefficients(matrix, lc)
-        assert got.m == pytest.approx((c + d * lc.m) / a, rel=1e-15)
-        assert got.h == pytest.approx(
-            (c * c + 2 * c * d * lc.m + d * d * lc.h) / (a * a), rel=1e-15)
+        assert induced_ulps(got, matrix, lc) <= CLOSED_FORM_ULPS
 
     def test_a_sixteenth_of_the_matrix_has_the_same_image(self):
         lc = LinearCoefficients(0.0, 0.5)
@@ -453,20 +448,22 @@ class TestInducedCoefficients:
         assert induced_coefficients(Matrix2(1e-5 / 16, 0, 0, 1 / 16), lc) == want
 
     def test_huge_entries_do_not_overflow(self):
-        # The image is that of the matrix divided by 1e200.
-        got = induced_coefficients(Matrix2(1e200, 1.0, 0.0, 1e200), REF)
-        want = induced_coefficients(Matrix2(1.0, 1e-200, 0.0, 1.0), REF)
-        assert got.m == pytest.approx(want.m, rel=1e-15)
-        assert got.h == pytest.approx(want.h, rel=1e-15)
+        # The image is that of the matrix divided by 1e200, whose own entries
+        # carry one rounding more.
+        for t in (Matrix2(1e200, 1.0, 0.0, 1e200), Matrix2(1.0, 1e-200, 0.0, 1.0)):
+            got = induced_coefficients(t, REF)
+            assert induced_ulps(got, t, REF) <= CLOSED_FORM_ULPS
 
     def test_raw_and_coefficient_levels_agree(self, rng):
+        # The chart of T S T^T depends on S through its chart alone, exactly;
+        # each level is within the closed-form budget of its own inputs.
         for _ in range(100):
             cloud = random_cloud(rng)
             m = random_invertible(rng)
-            rs_hat = induced_raw(m, raw_sums(cloud))
-            lc_hat = induced_coefficients(m, linear_coefficients(cloud))
-            assert rs_hat.mn / rs_hat.d == pytest.approx(lc_hat.m, rel=1e-9, abs=1e-12)
-            assert rs_hat.hn / rs_hat.d == pytest.approx(lc_hat.h, rel=1e-9, abs=1e-12)
+            rs, lc = raw_sums(cloud), linear_coefficients(cloud)
+            assert chart(congruence(m, rs)) == chart(congruence(m, (*chart(rs), 1)))
+            assert induced_raw_ulps(induced_raw(m, rs), m, rs) <= CLOSED_FORM_ULPS
+            assert induced_ulps(induced_coefficients(m, lc), m, lc) <= CLOSED_FORM_ULPS
 
     @pytest.mark.parametrize("offset", [0.0, 1e3])
     def test_raw_sums_give_the_chart_points_image(self, rng, offset):
@@ -475,11 +472,9 @@ class TestInducedCoefficients:
         for _ in range(300):
             cloud = random_cloud(rng, offset=offset)
             t = random_invertible(rng)
-            want = induced_coefficients(t, linear_coefficients(cloud))
-            got = induced_coefficients(t, raw_sums(cloud))
-            scale = max(abs(want.m), abs(want.h))
-            assert abs(got.m - want.m) <= 1e-13 * scale
-            assert abs(got.h - want.h) <= 1e-13 * scale
+            for s in (linear_coefficients(cloud), raw_sums(cloud)):
+                got = induced_coefficients(t, s)
+                assert induced_ulps(got, t, s) <= CLOSED_FORM_ULPS
 
     def test_scatter_of_a_vertical_line(self):
         # D = 0 has no chart point, but its image under a shear does: x = y.
@@ -490,13 +485,16 @@ class TestInducedCoefficients:
             induced_coefficients(Matrix2(1, 0, 0, 2), vertical)
 
     def test_oracle_equivalence_sample(self, rng):
+        # The closed form against the image of the chart point it took, the
+        # direct recomputation against the sums of the image it reduced.
         for _ in range(100):
             cloud = random_cloud(rng)
             m = random_invertible(rng)
-            closed = induced_coefficients(m, linear_coefficients(cloud))
-            direct = linear_coefficients(apply_to_cloud(m, cloud))
-            assert abs(closed.m - direct.m) <= 1e-9 * max(1.0, abs(closed.m))
-            assert abs(closed.h - direct.h) <= 1e-9 * max(1.0, abs(closed.h))
+            lc = linear_coefficients(cloud)
+            image = apply_to_cloud(m, cloud)
+            assert induced_ulps(induced_coefficients(m, lc), m, lc) <= CLOSED_FORM_ULPS
+            assert chart_ulps(linear_coefficients(image),
+                              centered_sums(image.xs, image.ys)) <= MOMENT_ULPS
 
 
 entry = st.floats(min_value=-3.0, max_value=3.0,
@@ -516,7 +514,8 @@ def _try_matrix(a, b, c, d):
 
 
 # The pinned examples have a subnormal b, so kappa * b is rounded at
-# subnormal precision, 8.9e-12 relative: the scaled matrix is not kappa*T.
+# subnormal precision, 8.9e-12 relative: the scaled matrix is not kappa*T,
+# and each image is measured against its own matrix.
 @settings(max_examples=200, deadline=None)
 @given(entry, entry, entry, entry, coeff_m, kappa_s)
 @example(0.0, 2.2250738585e-313, 2.879e-303, 0.0, 1.0, 1.25)
@@ -532,14 +531,12 @@ def test_kappa_scaling(a, b, c, d, m, kappa):
         scaled = induced_coefficients(scaled_mat, lc)
     except DegenerateImage:
         return
-    # delta: the largest exact relative error of kappa * x against kappa*x,
-    # the input rounding that the image may carry on.
-    delta = float(max((abs(Fraction(kappa * x) / (Fraction(kappa) * Fraction(x)) - 1)
-                       for x in (a, b, c, d) if x), default=0))
-    assert abs(scaled.m - base.m) <= (1e-12 * max(1.0, abs(base.m))
-                                      + 4 * delta * abs(base.m))
-    assert abs(scaled.h - base.h) <= (1e-12 * max(1.0, abs(base.h))
-                                      + 4 * delta * abs(base.h))
+    # The image has degree 0 in T, exactly; each float image is within the
+    # closed-form budget of its own matrix's.
+    exact_kappa_t = [Fraction(kappa) * Fraction(v) for v in (a, b, c, d)]
+    assert chart(congruence(exact_kappa_t, lc)) == chart(congruence(mat, lc))
+    assert induced_ulps(base, mat, lc) <= CLOSED_FORM_ULPS
+    assert induced_ulps(scaled, scaled_mat, lc) <= CLOSED_FORM_ULPS
 
 
 def _outcome(f, *args):
@@ -553,7 +550,7 @@ def _outcome(f, *args):
 
 # T * 2**k is exact unless an entry underflows, and the invertibility test
 # and the chart point have degree 0 in T, so neither may change.  The pinned
-# examples scale to (2**-7, 0; 0, 1.25e-10), within 1e-12 of singular only
+# examples scale to (2**-7, 0; 0, 1.25e-10), within RTOL of singular only
 # against an absolute floor, and to a denominator of 3.9e-13.
 @settings(max_examples=300, deadline=None)
 @given(entry, entry, entry, entry, coeff_m, st.integers(-500, 500))
@@ -573,24 +570,32 @@ def test_power_of_two_scaling_of_the_matrix_is_exact(a, b, c, d, m, k):
 
 
 def test_composition(rng):
+    # Exactly, the image under m1 and then m2 is the image under m2 m1; in
+    # floats each step is within the closed-form budget of its own inputs,
+    # the product's entries included.
     lc = REF
     checked = 0
     while checked < 200:
         m1 = random_invertible(rng)
         m2 = random_invertible(rng)
+        both = matmul(m2, m1)
         try:
             step1 = induced_coefficients(m1, lc)
             two_step = induced_coefficients(m2, step1)
-            one_step = induced_coefficients(matmul(m2, m1), lc)
+            one_step = induced_coefficients(both, lc)
         except DegenerateImage:
             continue
-        assert abs(two_step.m - one_step.m) <= 1e-9 * max(1.0, abs(one_step.m))
-        assert abs(two_step.h - one_step.h) <= 1e-9 * max(1.0, abs(one_step.h))
+        assert chart(congruence(m2, congruence(m1, lc))) == \
+            chart(congruence(product(m2, m1), lc))
+        for got, t, s in ((step1, m1, lc), (two_step, m2, step1), (one_step, both, lc)):
+            assert induced_ulps(got, t, s) <= CLOSED_FORM_ULPS
         checked += 1
 
 
 def test_collinearity_preserved(rng):
-    # The level set h = m^2 maps onto itself.
+    # The level set h = m^2 maps onto itself: exactly, the image's H - M^2
+    # is det(T)^2 (h - m^2) / D'^2, so the rounding of m*m in h is all that
+    # moves it off; in floats the image is within the closed-form budget.
     checked = 0
     while checked < 200:
         m_val = rng.uniform(-2.0, 2.0)
@@ -600,5 +605,10 @@ def test_collinearity_preserved(rng):
             out = induced_coefficients(mat, lc)
         except DegenerateImage:
             continue
-        assert abs(out.h - out.m ** 2) <= 1e-9 * max(1.0, abs(out.h))
+        image = congruence(mat, lc)
+        m, h = chart(image)
+        a, b, c, d = map(Fraction, mat.entries())
+        assert h - m * m == (a * d - b * c) ** 2 * (
+            Fraction(lc.h) - Fraction(lc.m) ** 2) / image[2] ** 2
+        assert induced_ulps(out, mat, lc) <= CLOSED_FORM_ULPS
         checked += 1
