@@ -105,9 +105,9 @@ class LinearFamily(_Value):
 
 def _direction(a: float, b: float, c: float, d: float) -> FamilyGenerator:
     """The trace-free part (b, c, a - d) of the direction (a b; c d), or of
-    half of it where a - d overflows: halving is exact (unless b or c is
-    subnormal), so the kernel is 4 times as large and invariant under the
-    same matrices."""
+    half of it where a - d overflows: halving is exact, so the kernel is 4
+    times as large and invariant under the same matrices, unless b or c is
+    subnormal, where halving rounds it (5e-324 to 0)."""
     if math.isinf(a - d):
         a, b, c, d = a / 2, b / 2, c / 2, d / 2
     return FamilyGenerator(b, c, a - d)
@@ -153,7 +153,8 @@ def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
 def generator_for_matrix(target: Matrix2) -> FamilyGenerator:
     """Derivative coefficients of the pencil I + phi*(target - I): the
     trace-free part of target (see :func:`_direction`), with delta = a - d
-    formed from its entries.
+    formed from its entries, or from the entries halved where a - d
+    overflows.
 
     Raises:
         DegenerateGenerator: target is a multiple of the identity within
@@ -171,7 +172,8 @@ def generator_for_matrix(target: Matrix2) -> FamilyGenerator:
 def kernel_for_matrix(target: Matrix2, m: float, h: float) -> float:
     """Invariant kernel value for an arbitrary invertible matrix.
 
-    Equals (M^2 - H) / (H*t12 - t21 + (t11 - t22)*M)^2 with t = target.
+    Equals (M^2 - H) / (H*t12 - t21 + (t11 - t22)*M)^2 with t = target, or
+    4 times that where t11 - t22 overflows (see :func:`_direction`).
 
     Raises:
         DegenerateGenerator: target is a multiple of the identity (uniform

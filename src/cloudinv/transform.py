@@ -108,8 +108,10 @@ def _congruence(s: Scatter, a: float, b: float, c: float, d: float) -> tuple:
 def induced_coefficients(t: Matrix2, s: Scatter) -> Scatter:
     """Closed-form image of (M, H) under an invertible matrix: the chart
     point of T S T^T, for the chart point of a cloud or any scatter S.
-    It has degree 0 in T, so it is computed on T / 2**e, 2**(e-1) <=
-    max|entry| < 2**e: exact unless an entry underflows, and no overflow.
+    It has degree 0 in T, so it is computed on T / 2**k for k = e,
+    2**(e-1) <= max|entry| < 2**e, unless that rounds an entry (one that is
+    or turns subnormal); then for the largest k that keeps every entry
+    exact, or, where that overflows, for k = e after all.
 
     Raises:
         DegenerateImage: the image's D = a^2 D + 2ab M_n + b^2 H_n is at most
@@ -117,9 +119,22 @@ def induced_coefficients(t: Matrix2, s: Scatter) -> Scatter:
             scaled T: D is charged at the row's size, so a = cos(pi/2) is 0.
         ValueError: the induced map overflows.
     """
-    e = -math.frexp(t.max_abs_entry())[1]
-    a, b, c, d = [math.ldexp(v, e) for v in t.entries()]
-    mn, hn, dd = _congruence(s, a, b, c, d)
+    entries = t.entries()
+    e = math.frexp(t.max_abs_entry())[1]
+    scaled = exact = [math.ldexp(v, -e) for v in entries]
+    if [math.ldexp(v, e) for v in scaled] != list(entries):
+        # v / 2**k is exact while v's lowest set bit stays at or above 2**-1074.
+        k = min(1074 + (n & -n).bit_length() - q.bit_length()
+                for n, q in map(float.as_integer_ratio, entries) if n)
+        exact = [math.ldexp(v, -k) for v in entries]
+    try:
+        a, b, c, d = exact
+        mn, hn, dd = _congruence(s, a, b, c, d)
+    except ValueError:
+        if exact is scaled:
+            raise
+        a, b, c, d = scaled
+        mn, hn, dd = _congruence(s, a, b, c, d)
     bound = ((abs(a) + abs(b)) ** 2 * abs(s.d) + abs(2.0 * a * b * s.mn)
              + b * b * abs(s.hn))
     if _near_zero(abs(dd), bound):

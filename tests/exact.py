@@ -16,7 +16,9 @@ ulps of its value, except where it cancels; there it is counted in ulps of
 its scale, the sum of the magnitudes of its terms (or, for M_n, the
 Cauchy-Schwarz bound sqrt(D*H_n)).  A quotient is counted in the ulps its
 numerator and denominator carry: n/d in units of (ulp(N) + |n/d| ulp(D)) / |d|
-for the scales N of n and D of d.
+for the scales N of n and D of d.  The units of ``induced_ulps`` and
+``kernel_ulps`` are exact, from the bit lengths of the exact scales, so a
+scale beyond the float range is counted as well.
 
 * ``MOMENT_ULPS``: the moment pass (``raw_sums``, and ``linear_coefficients``
   of a cloud, a pending image or a written one) against the centered sums of
@@ -31,9 +33,7 @@ for the scales N of n and D of d.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
-from itertools import repeat
 
 MOMENT_ULPS = 8
 CLOSED_FORM_ULPS = 4
@@ -42,35 +42,29 @@ KERNEL_ULPS = 4
 
 def _integers(values: list) -> tuple[list[int], int]:
     """(ints, k) with values[i] == ints[i] / 2**k exactly, k >= 0, for finite
-    floats: 2**k makes the smallest nonzero |value| an integer, and so every
-    value."""
-    tiny = min(filter(None, map(abs, values)), default=1.0)
-    k = max(53 - math.frexp(tiny)[1], 0)
-    try:
-        return list(map(int, map(math.ldexp, values, repeat(k)))), k
-    except OverflowError:  # the values span more binades than a float has
-        ps, qs = zip(*map(float.as_integer_ratio, values))
-        den = max(qs)
-        return list(map(operator.mul, ps, map(den.__floordiv__, qs))), den.bit_length() - 1
+    floats: 2**k is the largest denominator of their integer ratios."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = max(q for _, q in ratios)
+    return [p * (den // q) for p, q in ratios], den.bit_length() - 1
 
 
 def _numbers(values: tuple) -> tuple[list, int]:
     """The values as integers over a common 2**k (see :func:`_integers`) and
     that denominator, or as Fractions over 1 if one of them is a Fraction."""
-    if Fraction in set(map(type, values)):
+    if Fraction in map(type, values):
         return list(map(Fraction, values)), 1
-    ints, k = _integers(list(map(float, values)))
+    ints, k = _integers(values)
     return ints, 1 << k
 
 
 def centered_sums(xs, ys) -> tuple[Fraction, Fraction, Fraction]:
     """The scatter (M_n, H_n, D), n times the co-moments, of a cloud with
     float coordinates xs and ys."""
-    xs = xs.tolist() if hasattr(xs, "tolist") else list(map(float, xs))
-    ys = ys.tolist() if hasattr(ys, "tolist") else list(map(float, ys))
     n = len(xs)
     sums = _limb_sums(xs, ys) if _LARGE <= n < 1 << 19 else None
     if sums is None:
+        xs = xs.tolist() if hasattr(xs, "tolist") else list(xs)
+        ys = ys.tolist() if hasattr(ys, "tolist") else list(ys)
         ints, k = _integers(xs + ys)
         xi, yi = ints[:n], ints[n:]
         sums = (sum(xi), sum(yi), sum([x * x for x in xi]),
@@ -91,12 +85,12 @@ def centered_sums(xs, ys) -> tuple[Fraction, Fraction, Fraction]:
 _LARGE, _LIMB, _LIMBS = 1 << 12, 22, 5
 
 
-def _limb_sums(xs: list, ys: list):
+def _limb_sums(xs, ys):
     """(sum x, sum y, sum x*x, sum x*y, sum y*y, k) of the coordinates times
     2**k as integers, or None if they need more than _LIMBS limbs."""
     import numpy as np
 
-    block = np.array([xs, ys])
+    block = np.array([xs, ys], dtype=float)
     size = np.abs(block[block != 0])
     if not size.size:
         return None
@@ -189,6 +183,12 @@ def _gap(got: float, p, q) -> float:
     return float(abs(a * q - p * b) / abs(b * q))
 
 
+def pencil_gap(got: float, a: float, phi: float, b: float) -> float:
+    """|got - (a + phi*b)| for floats, rounded once."""
+    (p, q), (a1, a2), (b1, b2) = map(float.as_integer_ratio, (phi, a, b))
+    return _gap(got, a1 * q * b2 + p * b1 * a2, a2 * q * b2)
+
+
 def _in_units(gap: float, *errors: float) -> float:
     """gap over the sum of the errors a result carries, never less than the
     ulp of the smallest subnormal, the resolution of the format itself."""
@@ -235,42 +235,40 @@ def induced_raw_ulps(got, t, s) -> float:
                for g, v, b in zip((got.mn, got.hn, got.d), value, size))
 
 
+def _ulp_exp(p: int, q: int) -> int:
+    """x with 2**x the ulp of a float of magnitude p/q, for an integer
+    p >= 0 and a power of two q, p/q beyond the float range too: e - 52 for
+    2**e <= p/q < 2**(e + 1), at least -1074."""
+    return max(p.bit_length() - q.bit_length() - 52, -1074) if p else -1074
+
+
+def _in_exact_units(got: float, num: int, q: int, w: int, *terms: tuple) -> float:
+    """|got - num/q| in units of the error a result carries, sum(c * 2**x
+    for (c, x) in terms) / w for integers c >= 0, x >= -1074 and w > 0, or
+    of 2**-1074, the resolution of the format itself, if that is larger."""
+    g1, g2 = float(got).as_integer_ratio()
+    unit = max(sum(c << x + 1074 for c, x in terms), w)  # over w * 2**-1074
+    return (abs(g1 * q - num * g2) * w << 1074) / (g2 * abs(q) * unit)
+
+
 def induced_ulps(got, t, s) -> float:
     """The error of ``induced_coefficients(t, s)`` against the chart of the
-    exact T S T^T, on T / 2**e as the closed form takes it (exact unless an
-    entry underflows).  Each quotient is counted in the ulps its numerator
-    and D carry, each an ulp of its bound (see :func:`_image`): M in
-    (ulp(B_mn) + |M| ulp(B_d)) / |D| and H in (ulp(B_hn) + |H| ulp(B_d)) / |D|."""
-    entries = t.entries() if hasattr(t, "entries") else tuple(t)
-    e = -math.frexp(max(map(abs, entries)))[1]
-    (mn, hn, d), (b_mn, b_hn, b_d), den = _image([math.ldexp(v, e) for v in entries], s)
-    fd, u_d = abs(d / den), math.ulp(b_d / den)
-    return max(_in_units(_gap(got.m, mn, d), math.ulp(b_mn / den) / fd, abs(mn / d) * u_d / fd),
-               _in_units(_gap(got.h, hn, d), math.ulp(b_hn / den) / fd, abs(hn / d) * u_d / fd))
-
-
-def _ulp(x: Fraction) -> Fraction:
-    """The ulp of a float of magnitude x, exactly, for x beyond the float
-    range too: 2**(e - 52) for 2**e <= x < 2**(e + 1), at least 2**-1074."""
-    p, q = x.numerator, x.denominator
-    e = p.bit_length() - q.bit_length()
-    if Fraction(2) ** e > x:
-        e -= 1
-    return Fraction(2) ** max(e - 52, -1074) if p else Fraction(1, 1 << 1074)
+    exact T S T^T.  Each quotient is counted in the ulps its numerator and D
+    carry, each an ulp of its bound (see :func:`_image` and :func:`_ulp_exp`):
+    M in (ulp(B_mn) + |M| ulp(B_d)) / |D| and H in (ulp(B_hn) + |H| ulp(B_d)) / |D|."""
+    (mn, hn, d), (b_mn, b_hn, b_d), den = _image(t, s)
+    x_d = _ulp_exp(b_d, den)
+    return max(_in_exact_units(g, v, d, d * d, (abs(d) * den, _ulp_exp(b, den)),
+                               (abs(v) * den, x_d))
+               for g, v, b in ((got.m, mn, b_mn), (got.h, hn, b_hn)))
 
 
 def kernel_ulps(got: float, fg, m, h) -> float:
     """The error of a kernel value against the exact kernel of fg at (m, h),
     counted in the ulps its numerator and denominator carry, each an ulp of
-    its scale: ulp(M^2 + |H|) / den^2 + 2 |K| ulp(T) / |den|."""
+    its scale (see :func:`_ulp_exp`): ulp(M^2 + |H|) / den^2 + 2 |K| ulp(T) / |den|."""
     num, size, den, t, u = _kernel(fg, m, h)
     u2 = u * u
-    try:
-        fden = abs(den / u2)
-        return _in_units(_gap(got, num, den * den), math.ulp(size / (u2 * u2)) / fden / fden,
-                         2 * abs(num / (den * den)) * math.ulp(t / u2) / fden)
-    except OverflowError:  # a scale beyond the float range: the same, exactly
-        value, den = Fraction(num, den * den), abs(Fraction(den, u2))
-        unit = (_ulp(Fraction(size, u2 * u2)) / den ** 2
-                + 2 * abs(value) * _ulp(Fraction(t, u2)) / den)
-        return float(abs(Fraction(got) - value) / max(unit, _ulp(Fraction(0))))
+    return _in_exact_units(got, num, den * den, abs(den) ** 3,
+                           (u2 * u2 * abs(den), _ulp_exp(size, u2 * u2)),
+                           (2 * abs(num) * u2, _ulp_exp(t, u2)))

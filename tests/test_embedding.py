@@ -242,6 +242,12 @@ class TestKernelForMatrix:
         for m, h in ((REF_M, REF_H), (after.m, after.h)):
             assert kernel_ulps(kernel_for_matrix(target, m, h), fg, m, h) <= KERNEL_ULPS
 
+    def test_halving_rounds_a_subnormal_entry(self):
+        # Out of the halved direction's exactness: b = 5e-324 halves to 0, so
+        # the generator is that of (1e308, 0; 0, -1e308), not of the target.
+        fg = generator_for_matrix(Matrix2(1e308, 5e-324, 0.0, -1e308))
+        assert (fg.bprime, fg.gprime, fg.delta) == (0.0, 0.0, 1e308)
+
     def test_uniform_scaling_target_degenerate_generator(self):
         with pytest.raises(DegenerateGenerator):
             kernel_for_matrix(Matrix2(2, 0, 0, 2), REF_M, REF_H)

@@ -19,7 +19,7 @@ def test_limb_sums_are_the_integer_sums(monkeypatch, kind):
         "zeros": (np.r_[np.zeros(n - 2), 1.0, -0.5], rng.random(n)),
         "constant": (np.full(n, 3.5), np.arange(float(n))),
     }[kind]
-    limbs = exact._limb_sums(xs.tolist(), ys.tolist())
+    limbs = exact._limb_sums(xs, ys)
     assert (limbs is None) is (kind == "wide")
     fast = exact.centered_sums(xs, ys)
     monkeypatch.setattr(exact, "_LARGE", 1 << 19)

@@ -15,7 +15,7 @@ from cloudinv.coefficients import RTOL
 from cloudinv.generators import _field
 from conftest import REF_H, REF_M, UNIT_DIRECTIONS, magnitude, random_cloud
 from exact import (KERNEL_ULPS, MOMENT_ULPS, centered_sums, chart, chart_ulps,
-                   congruence, kernel, kernel_ulps)
+                   congruence, kernel, kernel_ulps, pencil_gap)
 
 CASE_STUDY = LinearFamily((-2.0, -2.0, -0.25, 0.5), (12.0, 8.0, 1.0, 2.0))
 
@@ -353,9 +353,21 @@ def exact_member(family, phi):
     """The exact entries of the member at phi: A0 + phi*B of the float
     entries and phi, or rotation's float cos and sin, as Fractions."""
     if isinstance(family, RotationFamily):
-        return family.evaluate(phi).entries()
+        c, s = math.cos(phi), math.sin(phi)
+        return c, s, -s, c
     return tuple(Fraction(a) + Fraction(phi) * Fraction(b)
                  for a, b in zip(family.a0, family.b))
+
+
+def assert_rounded_member(matrix, family, phi):
+    """matrix is the exact member at phi (see :func:`exact_member`) as floats
+    round it: rotation's exactly, and each entry a0 + phi*b within its two
+    roundings, half an ulp of the product phi*b and half an ulp of the entry."""
+    if isinstance(family, RotationFamily):
+        assert matrix.entries() == exact_member(family, phi)
+        return
+    for got, a, b in zip(matrix.entries(), family.a0, family.b):
+        assert pencil_gap(got, a, phi, b) <= (math.ulp(phi * b) + math.ulp(got)) / 2
 
 
 def _family_phis(family, rng, count):
@@ -375,9 +387,10 @@ class TestKernelInvariance:
     def test_sampled_invariance(self, family, rng):
         # Exactly, the kernel of the cloud's sums is that of their image under
         # the member the entries give, A0 + phi*B (or rotation's float cos and
-        # sin); in floats the image's chart is within the moment budget of the
-        # image's own sums, and each kernel within its budget of the exact
-        # kernel at its own (M, H).
+        # sin), and the float member is that one rounded; in floats the
+        # image's chart is within the moment budget of the image's own sums,
+        # and each kernel within its budget of the exact kernel at its own
+        # (M, H).
         fg = family.derivative_coefficients()
         clouds = [random_cloud(rng) for _ in range(10)]
         exact_sums = [centered_sums(cloud.xs, cloud.ys) for cloud in clouds]
@@ -387,6 +400,7 @@ class TestKernelInvariance:
             except NonInvertibleMatrix:
                 continue
             member = exact_member(family, phi)
+            assert_rounded_member(matrix, family, phi)
             for cloud, sums in zip(clouds, exact_sums):
                 image = apply_to_cloud(matrix, cloud)
                 before = linear_coefficients(cloud)

@@ -185,7 +185,9 @@ def certify(reports, cloud, image_of=None):
     sums; each closed-form image against T S T^T of the reported chart point;
     each direct recomputation against the sums of the image coordinates it
     reduced, ``image_of(entries)`` (default: the image the package writes);
-    and each kernel at its own (M, H)."""
+    and each kernel at its own (M, H).  The fields derived from these, the
+    discrepancy between closed form and direct recomputation and the kernel
+    drift, are the float expressions of the reported leaves, bit for bit."""
     sums = centered_sums(cloud.xs, cloud.ys)
     image_of = image_of or (lambda entries: apply_to_cloud(Matrix2(*entries), cloud))
     images = {}
@@ -207,10 +209,14 @@ def certify(reports, cloud, image_of=None):
                     images[key] = centered_sums(image.xs, image.ys)
                 direct = _point(report, prefix + "after_direct")
                 assert chart_ulps(direct, images[key]) <= MOMENT_ULPS
+                gap = "discrepancy" if command == "transform" else prefix + "closed_vs_direct"
+                assert report[gap] == max(abs(direct.m - after.m), abs(direct.h - after.h))
             if spec is not None:
                 for at, name in ((before, "kernel_before"), (after, "kernel_after")):
                     got = report[prefix + name]
                     assert kernel_ulps(got, spec, at.m, at.h) <= KERNEL_ULPS
+                drift = report[prefix + "kernel_after"] - report[prefix + "kernel_before"]
+                assert report[prefix + "drift.abs"] == abs(drift)
 
 
 @pytest.mark.parametrize("name", sorted(n for n, argv in CASES.items()

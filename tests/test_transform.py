@@ -454,6 +454,14 @@ class TestInducedCoefficients:
             got = induced_coefficients(t, REF)
             assert induced_ulps(got, t, REF) <= CLOSED_FORM_ULPS
 
+    def test_an_exact_scaling_that_overflows_gives_way(self):
+        # T / 4 rounds b, and T itself overflows at H = 1e308, so the image
+        # is that of T / 4 after all, its rounded b included.
+        t = Matrix2(3.0, 2.2250738585e-313, 0.0, 3.0)
+        lc = LinearCoefficients(0.0, 1e308)
+        quarter = Matrix2(*[v / 4 for v in t.entries()])
+        assert induced_coefficients(t, lc) == induced_coefficients(quarter, lc)
+
     def test_raw_and_coefficient_levels_agree(self, rng):
         # The chart of T S T^T depends on S through its chart alone, exactly;
         # each level is within the closed-form budget of its own inputs.
@@ -515,11 +523,13 @@ def _try_matrix(a, b, c, d):
 
 # The pinned examples have a subnormal b, so kappa * b is rounded at
 # subnormal precision, 8.9e-12 relative: the scaled matrix is not kappa*T,
-# and each image is measured against its own matrix.
+# and each image is measured against its own matrix.  In the third, dividing
+# T by 4 (to max|entry| in [1/2, 1)) would round b and move M by 11 ulps.
 @settings(max_examples=200, deadline=None)
 @given(entry, entry, entry, entry, coeff_m, kappa_s)
 @example(0.0, 2.2250738585e-313, 2.879e-303, 0.0, 1.0, 1.25)
 @example(0.0, 2.2250738585e-313, 2.879e-303, 0.0, 0.0, 1.25)
+@example(1.0, 2.2250738585e-313, 0.0, 3.0, 0.0, 1.25)
 def test_kappa_scaling(a, b, c, d, m, kappa):
     mat = _try_matrix(a, b, c, d)
     scaled_mat = _try_matrix(kappa * a, kappa * b, kappa * c, kappa * d)
