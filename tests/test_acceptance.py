@@ -6,7 +6,6 @@ Accuracy is asserted against the exact oracle (``exact.py``) on each
 computation's own float inputs, in ulps, within the budget of its layer.
 """
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,15 +17,15 @@ from cloudinv import (DIAGONAL, LOWER_TRIANGULAR, UPPER_TRIANGULAR, Cloud,
                       apply_to_cloud, family_pde_residual,
                       induced_coefficients, kernel_value, linear_coefficients)
 from conftest import (REF_H, REF_M, UNIT_DIRECTIONS, generator_fd_deviation,
-                      matmul, perturbed_matrix, random_cloud,
-                      random_invertible)
+                      perturbed_matrix, random_cloud, random_invertible)
 from exact import (CLOSED_FORM_ULPS, KERNEL_ULPS, MOMENT_ULPS, centered_sums,
                    chart, chart_ulps, congruence, induced_ulps, kernel,
-                   kernel_ulps, product)
+                   kernel_ulps)
 from test_embedding import assert_400x_unit_spec
 from test_families import (ACCEPTED_FAMILIES, CASE_STUDY, REJECTED_FAMILIES,
                            assert_identity_member, assert_rounded_member,
                            exact_member)
+from test_transform import composition_ulps, kappa_ulps, line_image_ulps
 
 REF = LinearCoefficients(REF_M, REF_H)
 
@@ -278,51 +277,17 @@ def test_criterion_7_structural_properties():
     # within the closed-form budget of the exact image of its own inputs.
     rng = np.random.default_rng(3005)
 
-    worst_scale = 0.0
-    checked = 0
+    worst_scale, checked = 0.0, 0
     while checked < 200:
         matrix = random_invertible(rng)
         m = rng.uniform(-2.0, 2.0)
-        h = m * m + rng.uniform(0.1, 4.0)
-        lc = LinearCoefficients(m, h)
-        kappa = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
-        scaled_matrix = Matrix2(*(kappa * v for v in matrix.entries()))
-        try:
-            base = induced_coefficients(matrix, lc)
-            scaled = induced_coefficients(scaled_matrix, lc)
-        except DegenerateImage:
-            continue
-        exact_scaled = [Fraction(kappa) * Fraction(v) for v in matrix.entries()]
-        assert chart(congruence(exact_scaled, lc)) == chart(congruence(matrix, lc))
-        worst_scale = max(worst_scale, induced_ulps(base, matrix, lc),
-                          induced_ulps(scaled, scaled_matrix, lc))
-        assert worst_scale <= CLOSED_FORM_ULPS
-        checked += 1
+        lc = LinearCoefficients(m, m * m + rng.uniform(0.1, 4.0))
+        worst = kappa_ulps(matrix, rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0]), lc)
+        if worst is not None:
+            worst_scale = max(worst_scale, worst)
+            checked += 1
 
-    worst_comp = 0.0
-    checked = 0
-    while checked < 200:
-        a = random_invertible(rng)
-        b = random_invertible(rng)
-        m = rng.uniform(-2.0, 2.0)
-        h = m * m + rng.uniform(0.1, 4.0)
-        lc = LinearCoefficients(m, h)
-        both = matmul(a, b)
-        try:
-            one_step = induced_coefficients(both, lc)
-            inner = induced_coefficients(b, lc)
-            if abs(2 * a.a * a.b * inner.m + a.b ** 2 * inner.h
-                   + a.a ** 2) < 1e-3:
-                continue
-            two_step = induced_coefficients(a, inner)
-        except (DegenerateImage, NonInvertibleMatrix):
-            continue
-        assert chart(congruence(a, congruence(b, lc))) == \
-            chart(congruence(product(a, b), lc))
-        worst_comp = max(worst_comp, induced_ulps(one_step, both, lc),
-                         induced_ulps(inner, b, lc), induced_ulps(two_step, a, inner))
-        assert worst_comp <= CLOSED_FORM_ULPS
-        checked += 1
+    worst_comp = composition_ulps(rng)
 
     violations = 0
     for _ in range(10_000):
@@ -331,26 +296,7 @@ def test_criterion_7_structural_properties():
             violations += 1
     assert violations == 0
 
-    worst_line = 0.0
-    checked = 0
-    while checked < 200:
-        m = rng.uniform(-2.0, 2.0)
-        lc = LinearCoefficients(m, m * m)
-        matrix = random_invertible(rng)
-        try:
-            after = induced_coefficients(matrix, lc)
-        except DegenerateImage:
-            continue
-        # H - M^2 is det(T)^2 (h - m^2) / D'^2 on the image: only the
-        # rounding of m*m in h moves it off the line.
-        image = congruence(matrix, lc)
-        m_after, h_after = chart(image)
-        det = Fraction(matrix.a) * Fraction(matrix.d) - Fraction(matrix.b) * Fraction(matrix.c)
-        assert h_after - m_after ** 2 == det ** 2 * (
-            Fraction(lc.h) - Fraction(lc.m) ** 2) / image[2] ** 2
-        worst_line = max(worst_line, induced_ulps(after, matrix, lc))
-        assert worst_line <= CLOSED_FORM_ULPS
-        checked += 1
+    worst_line = line_image_ulps(rng)
 
     print(f"PASS criterion 7: exact scaling, composition and collinearity "
           f"identities; the float images within {worst_scale:.1f}, "

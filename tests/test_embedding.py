@@ -9,7 +9,6 @@ from cloudinv import (DegenerateGenerator, FamilyGenerator, KernelSingular,
                       induced_coefficients, kernel_for_matrix, kernel_value,
                       linear_coefficients)
 from cloudinv.cli import main
-from cloudinv.coefficients import RTOL
 from conftest import REF_H, REF_M, random_cloud, random_invertible
 from exact import (CLOSED_FORM_ULPS, KERNEL_ULPS, MOMENT_ULPS, centered_sums,
                    chart, chart_ulps, congruence, induced_ulps, kernel,
@@ -79,59 +78,31 @@ def assert_400x_unit_spec(rng, target, points=1000):
 
 
 class TestUniformScalingThreshold:
-    """T counts as a multiple of the identity when b, c and the diagonal
-    difference are at most RTOL of its largest entry, at every scale."""
+    """Where generator_for_matrix refuses T as uniform scaling (its row in
+    test_guards.py), the kernel and the CLI do too.  As a pencil's direction
+    B the same entries are not refused: up to scale, that pencil is the group
+    generated by B's trace-free part, however small next to B's scale."""
 
     @pytest.mark.parametrize("direction", DIRECTIONS)
     @pytest.mark.parametrize("k", [-10, 0, 10, 100])
-    def test_below_is_degenerate(self, capsys, k, direction):
-        target = _near_scaling(k, direction, 0.5e-12)
-        with pytest.raises(DegenerateGenerator, match="uniform scaling"):
-            generator_for_matrix(target)
-        with pytest.raises(DegenerateGenerator, match="uniform scaling"):
-            kernel_for_matrix(target, REF_M, REF_H)
+    @pytest.mark.parametrize("eps", [0.5e-12, 2e-12])
+    def test_kernel_cli_and_pencil_on_both_sides(self, capsys, k, direction, eps):
+        target = _near_scaling(k, direction, eps)
         code, err = _invariant_exit(capsys, target)
-        assert code == 4 and "uniform scaling" in err
-        # As the direction B of the pencil I + phi*B, the same entries are
-        # not refused: up to scale, that pencil is the group generated by
-        # B's trace-free part, however small it is next to B's scale.
+        if eps < 1e-12:
+            with pytest.raises(DegenerateGenerator, match="uniform scaling"):
+                kernel_for_matrix(target, REF_M, REF_H)
+            assert code == 4 and "uniform scaling" in err
+        else:
+            kernel_for_matrix(target, REF_M, REF_H)
+            _assert_pencil_derivative(target)
+            assert code == 0
         a, b, c, d = target.entries()
         fg = LinearFamily((1, 0, 0, 1), (a, b, c, d)).derivative_coefficients()
         assert (fg.bprime, fg.gprime, fg.delta) == (b, c, a - d)
         literal = "{!r},{!r};{!r},{!r}".format(a, b, c, d)
         assert main(["invariant", f"--coeffs={REF_M},{REF_H}",
                      f"--family=linear:1,0;0,1|{literal}"]) == 0
-
-    @pytest.mark.parametrize("direction", DIRECTIONS)
-    @pytest.mark.parametrize("k", [-10, 0, 10, 100])
-    def test_above_is_not(self, capsys, k, direction):
-        target = _near_scaling(k, direction, 2e-12)
-        generator_for_matrix(target)  # a FamilyGenerator is never all zero
-        _assert_pencil_derivative(target)
-        kernel_for_matrix(target, REF_M, REF_H)
-        code, _ = _invariant_exit(capsys, target)
-        assert code == 0
-
-    @pytest.mark.parametrize("scale", [2.0 ** -600, 1.0, 2.0 ** 600])
-    @pytest.mark.parametrize("largest", ["b", "c", "a - d"])
-    @pytest.mark.parametrize("ratio", [0.5, 2.0])
-    def test_guard_on_both_sides(self, scale, largest, ratio):
-        # The largest of b, c and a - d is ratio * RTOL times max|entry| =
-        # scale, and the other two are half and a quarter of it.
-        size = float(Fraction(ratio) * Fraction(RTOL) * Fraction(scale))
-        names = [largest, *[t for t in ("b", "c", "a - d") if t != largest]]
-        terms = dict(zip(names, [size, size / 2, size / 4]))
-        target = Matrix2(scale, terms["b"], terms["c"], scale - terms["a - d"])
-        a, b, c, d = target.entries()
-        exact = Fraction(max(abs(b), abs(c), abs(a - d))) / Fraction(scale)
-        assert abs(exact / Fraction(RTOL) / ratio - 1) < 1e-3
-        assert {"b": b, "c": c, "a - d": a - d}[largest] == max(b, c, a - d)
-        if ratio < 1:
-            with pytest.raises(DegenerateGenerator, match="uniform scaling"):
-                generator_for_matrix(target)
-        else:
-            fg = generator_for_matrix(target)
-            assert (fg.bprime, fg.gprime, fg.delta) == (b, c, a - d)
 
 
 def test_generator_is_the_embedded_pencils_derivative(rng):

@@ -89,19 +89,9 @@ class TestIdentityParameter:
         fam = LinearFamily((1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 0.0))
         assert fam.identity_parameter() == 0.0
 
-    def test_inconsistent_fixed_entry(self):
-        fam = LinearFamily((2.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 0.0))
-        with pytest.raises(NoIdentityParameter):
-            fam.identity_parameter()
-
     def test_constant_identity_family(self):
         fam = LinearFamily((1.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0))
         assert fam.identity_parameter() == 0.0
-
-    def test_constant_non_identity_family(self):
-        fam = LinearFamily((2.0, 0.0, 0.0, 2.0), (0.0, 0.0, 0.0, 0.0))
-        with pytest.raises(NoIdentityParameter):
-            fam.identity_parameter()
 
     @pytest.mark.parametrize("fam", [
         LinearFamily((2.0, 0.0, 0.0, 2.0), (0.0, 0.0, 0.0, 0.0)),
@@ -113,27 +103,6 @@ class TestIdentityParameter:
         with pytest.raises(NoIdentityParameter,
                            match=r"no phi makes A0 \+ phi\*B the identity"):
             fam.identity_parameter()
-
-    @pytest.mark.parametrize("ratio", [0.5, 2.0])
-    @pytest.mark.parametrize("dominant", ["a0", "phi*b"])
-    def test_identity_guard_on_both_sides(self, dominant, ratio):
-        # A12 = -2X + 2X*phi gives phi = 1 exactly.  A11 = a + phi*b with
-        # phi*b = -X (a = 1 + X + r, |a0| the largest term) or +X
-        # (a = 1 - X + r, |phi*b| the largest), so a + phi*b - 1 = r, exactly,
-        # is ratio * RTOL times the bound |a| + |phi*b| + 1.
-        x = Fraction(2**30)
-        sign = 1 if dominant == "a0" else -1
-        r = Fraction(ratio) * Fraction(RTOL) * (2 * x + 2)
-        a = float(1 + sign * x + r)
-        fam = LinearFamily((a, float(-2 * x), 0.0, 1.0),
-                           (float(-sign * x), float(2 * x), 0.0, 0.0))
-        exact = (Fraction(a) - sign * x - 1) / (abs(Fraction(a)) + x + 1)
-        assert abs(exact / Fraction(RTOL) / ratio - 1) < 1e-3
-        if ratio < 1:
-            assert fam.identity_parameter() == 1.0
-        else:
-            with pytest.raises(NoIdentityParameter):
-                fam.identity_parameter()
 
 
 def _branch1(b11, b12, b21, b22, a22):
@@ -274,27 +243,6 @@ class TestKernelValue:
         # b'=1, g'=h, delta=0 makes the denominator h - h = 0.
         with pytest.raises(KernelSingular):
             kernel_value(FamilyGenerator(1.0, 2.0, 0.0), 1.0, 2.0)
-
-    @pytest.mark.parametrize("ratio", [0.5, 2.0])
-    @pytest.mark.parametrize("cancelling", ["h*b', g'", "g', delta*M",
-                                            "h*b', delta*M"])
-    def test_denominator_guard_on_both_sides(self, cancelling, ratio):
-        # Two of the terms h*b', -g' and delta*M, 1 and -v, cancel to
-        # ratio * RTOL times the bound |h*b'| + |g'| + |delta*M|, and the
-        # third is 0: each term is a dominant one in two of the cases.
-        v = float(1 - Fraction(2 * ratio) * Fraction(RTOL))
-        spec, m, h = {"h*b', g'": (FamilyGenerator(1.0, v, 0.0), 0.5, 1.0),
-                      "g', delta*M": (FamilyGenerator(0.0, 1.0, 1.0), v, 0.5),
-                      "h*b', delta*M": (FamilyGenerator(1.0, 0.0, 1.0), -v, 1.0),
-                      }[cancelling]
-        b, g, dl, m, h = map(Fraction, (spec.bprime, spec.gprime, spec.delta, m, h))
-        exact = abs(h * b - g + dl * m) / (abs(h * b) + abs(g) + abs(dl * m))
-        assert abs(exact / Fraction(RTOL) / ratio - 1) < 1e-3
-        if ratio < 1:
-            with pytest.raises(KernelSingular):
-                kernel_value(spec, float(m), float(h))
-        else:
-            assert math.isfinite(kernel_value(spec, float(m), float(h)))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_degree_zero_kernel_keeps_its_square(self, sign):

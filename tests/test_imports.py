@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_guards import GUARDS
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 
@@ -88,28 +90,35 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def _rtol_uses(node, func=None):
-    """(enclosing function or None, how) for each mention of RTOL under node."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        func = getattr(node, "name", "<lambda>")
+def _tolerance_uses(node, func=None):
+    """(enclosing function's qualified name or None, how) for each mention of
+    RTOL and each call of _near_zero under node."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        func = f"{func}.{node.name}" if func else node.name
     if isinstance(node, ast.Name) and node.id == "RTOL":
         yield func, type(node.ctx).__name__
     elif isinstance(node, ast.Attribute) and node.attr == "RTOL":
         yield func, "Attribute"
     elif isinstance(node, ast.alias) and node.name == "RTOL":
         yield func, "import"
+    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_near_zero":
+        yield func, "guard"
     for child in ast.iter_child_nodes(node):
-        yield from _rtol_uses(child, func)
+        yield from _tolerance_uses(child, func)
 
 
 def test_rtol_is_read_only_by_the_guard_function():
     # The tolerance rule is written once: RTOL is assigned, and read only in
-    # coefficients._near_zero, which every guard calls.
-    uses = [(path.name, *use)
+    # coefficients._near_zero.  Each function that calls it, once, has its row
+    # of two sides in test_guards.GUARDS, and no row outlives its guard.
+    uses = [(f"cloudinv.{path.stem}", *use)
             for path in sorted((ROOT / "src" / "cloudinv").glob("*.py"))
-            for use in _rtol_uses(ast.parse(path.read_text(encoding="utf-8")))]
-    assert uses == [("coefficients.py", None, "Store"),
-                    ("coefficients.py", "_near_zero", "Load")]
+            for use in _tolerance_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert [use for use in uses if use[2] != "guard"] == [
+        ("cloudinv.coefficients", None, "Store"),
+        ("cloudinv.coefficients", "_near_zero", "Load")]
+    assert sorted(use[:2] for use in uses if use[2] == "guard") == sorted(
+        (guard.__module__, guard.__qualname__) for guard in GUARDS)
 
 
 def _hits(pattern, paths):

@@ -15,7 +15,7 @@ from cloudinv import (Cloud, CloudInvError, DegenerateImage, LinearCoefficients,
                       apply_to_cloud, induced_coefficients, induced_raw,
                       linear_coefficients, parse_matrix, raw_sums,
                       write_cloud_csv)
-from cloudinv.coefficients import _CHUNK, _QUOTE, RTOL, _parse_floats
+from cloudinv.coefficients import _CHUNK, _QUOTE, _parse_floats
 from cloudinv.transform import parse_entries
 from conftest import (BUILDS, REF_H, REF_M, build_cloud, matmul, not_a_number,
                       random_cloud, random_invertible, traced_peak)
@@ -31,29 +31,20 @@ class TestMatrix2:
         with pytest.raises(NonInvertibleMatrix):
             Matrix2(1.0, 2.0, 2.0, 4.0)
 
-    def test_singularity_scale_relative(self):
-        # det=1 is tiny relative to entries of size 1e9.
-        with pytest.raises(NonInvertibleMatrix):
-            Matrix2(1e9, 0.0, 0.0, 1e-9)
-
     def test_invertibility_of_huge_entries_does_not_overflow(self):
         # max|entry|**2 and the determinant itself overflow here.
         Matrix2(1e308, 1e308, -1e308, 1e308)
         with pytest.raises(NonInvertibleMatrix):
             Matrix2(1e308, 1e308, 1e308, 1e308)
 
-    @pytest.mark.parametrize("s", [1e-200, 2.0 ** -60, 1e-5, 0.5, 1.0, 3.0,
-                                   1e150, 1e200])
-    def test_singularity_threshold_both_sides(self, s):
-        # |det| against RTOL * max|entry|**2, just above and below.
-        Matrix2(s, 0.0, 0.0, 1.01 * RTOL * s)
-        with pytest.raises(NonInvertibleMatrix):
-            Matrix2(s, 0.0, 0.0, 0.99 * RTOL * s)
-
     def test_induced_map_overflow_is_value_error(self):
-        m = Matrix2(1e308, 1e308, -1e308, 1e308)
-        with pytest.raises(ValueError, match="overflows"):
-            induced_raw(m, LinearCoefficients(1.5, 3.5))
+        # induced_raw maps by T as given; induced_coefficients by T / 2**e,
+        # whose image still overflows at H = 1.7e308.
+        for induced, t, lc in (
+                (induced_raw, (1e308, 1e308, -1e308, 1e308), (1.5, 3.5)),
+                (induced_coefficients, (1e300, 1e300, 0, 1e300), (1e308, 1.7e308))):
+            with pytest.raises(ValueError, match="induced map overflows"):
+                induced(Matrix2(*t), LinearCoefficients(*lc))
 
     def test_small_well_conditioned_matrix_is_invertible(self):
         # Condition number about 1.2, entries far below unit scale.
@@ -390,38 +381,6 @@ class TestInducedCoefficients:
             induced_coefficients(Matrix2(0, 1, -1, 0),
                                  LinearCoefficients(0.0, 0.0))
 
-    @pytest.mark.parametrize("ratio", [0.5, 2.0])
-    @pytest.mark.parametrize("row,d,hn", [
-        # a = b with H_n = 0: (|a| + |b|)**2 D is the bound's largest term.
-        ((0.5, 0.5), 1.0, 0.0),
-        # a = b with H_n = 7 D: |2ab M_n| is.
-        ((0.5, 0.5), 1.0, 7.0),
-        # b = a/4 with H_n = -32 D: b**2 |H_n| is.
-        ((1.0, 0.25), 1.0, -32.0),
-    ])
-    def test_image_d_guard_on_both_sides(self, row, d, hn, ratio):
-        # M_n is set so that the image's D = a^2 D + 2ab M_n + b^2 H_n is
-        # ratio * RTOL times its bound (|a| + |b|)^2 |D| + |2ab M_n| + b^2 |H_n|.
-        a, b, d, hn = map(Fraction, (*row, d, hn))
-
-        def image_d_and_bound(mn):
-            return (a * a * d + 2 * a * b * mn + b * b * hn,
-                    (abs(a) + abs(b)) ** 2 * abs(d) + abs(2 * a * b * mn)
-                    + b * b * abs(hn))
-
-        mn = -(a * a * d + b * b * hn) / (2 * a * b)  # the image's D is 0
-        bound = image_d_and_bound(mn)[1]
-        mn = Fraction(float(mn + ratio * Fraction(RTOL) * bound / (2 * a * b)))
-        image_d, bound = image_d_and_bound(mn)
-        assert abs(image_d / bound / Fraction(RTOL) / ratio - 1) < 1e-3
-        t = Matrix2(float(a), float(b), 0.0, 1.0)
-        s = Scatter(float(mn), float(hn), float(d))
-        if ratio < 1:
-            with pytest.raises(DegenerateImage):
-                induced_coefficients(t, s)
-        else:
-            induced_coefficients(t, s)
-
     def test_closed_form_and_direct_fail_together(self):
         horizontal = Cloud([(0.0, 2.0), (1.0, 2.0), (2.0, 2.0)])
         quarter = RotationFamily().evaluate(math.pi / 2)
@@ -514,11 +473,22 @@ kappa_s = st.floats(min_value=-10.0, max_value=10.0,
                         lambda k: abs(k) > 1e-3)
 
 
-def _try_matrix(a, b, c, d):
+def kappa_ulps(mat, kappa, lc):
+    """The worse error in ulps of the images of lc under mat and under its
+    float multiple by kappa, or None where either is refused.  The image has
+    degree 0 in T, exactly; each float image is within the closed-form budget
+    of its own matrix's."""
     try:
-        return Matrix2(a, b, c, d)
-    except NonInvertibleMatrix:
+        scaled_mat = Matrix2(*(kappa * v for v in mat.entries()))
+        base = induced_coefficients(mat, lc)
+        scaled = induced_coefficients(scaled_mat, lc)
+    except (DegenerateImage, NonInvertibleMatrix):
         return None
+    exact_kappa_t = [Fraction(kappa) * Fraction(v) for v in mat.entries()]
+    assert chart(congruence(exact_kappa_t, lc)) == chart(congruence(mat, lc))
+    worst = max(induced_ulps(base, mat, lc), induced_ulps(scaled, scaled_mat, lc))
+    assert worst <= CLOSED_FORM_ULPS
+    return worst
 
 
 # The pinned examples have a subnormal b, so kappa * b is rounded at
@@ -531,22 +501,11 @@ def _try_matrix(a, b, c, d):
 @example(0.0, 2.2250738585e-313, 2.879e-303, 0.0, 0.0, 1.25)
 @example(1.0, 2.2250738585e-313, 0.0, 3.0, 0.0, 1.25)
 def test_kappa_scaling(a, b, c, d, m, kappa):
-    mat = _try_matrix(a, b, c, d)
-    scaled_mat = _try_matrix(kappa * a, kappa * b, kappa * c, kappa * d)
-    if mat is None or scaled_mat is None:
-        return
-    lc = LinearCoefficients(m, m * m + 0.5)
     try:
-        base = induced_coefficients(mat, lc)
-        scaled = induced_coefficients(scaled_mat, lc)
-    except DegenerateImage:
+        mat = Matrix2(a, b, c, d)
+    except NonInvertibleMatrix:
         return
-    # The image has degree 0 in T, exactly; each float image is within the
-    # closed-form budget of its own matrix's.
-    exact_kappa_t = [Fraction(kappa) * Fraction(v) for v in (a, b, c, d)]
-    assert chart(congruence(exact_kappa_t, lc)) == chart(congruence(mat, lc))
-    assert induced_ulps(base, mat, lc) <= CLOSED_FORM_ULPS
-    assert induced_ulps(scaled, scaled_mat, lc) <= CLOSED_FORM_ULPS
+    kappa_ulps(mat, kappa, LinearCoefficients(m, m * m + 0.5))
 
 
 def _outcome(f, *args):
@@ -579,35 +538,40 @@ def test_power_of_two_scaling_of_the_matrix_is_exact(a, b, c, d, m, k):
     assert _outcome(image, entries) == _outcome(image, scaled)
 
 
-def test_composition(rng):
-    # Exactly, the image under m1 and then m2 is the image under m2 m1; in
-    # floats each step is within the closed-form budget of its own inputs,
-    # the product's entries included.
-    lc = REF
-    checked = 0
-    while checked < 200:
-        m1 = random_invertible(rng)
-        m2 = random_invertible(rng)
-        both = matmul(m2, m1)
+def composition_ulps(rng, draws=200):
+    """The worst error in ulps over draws random pairs of matrices, each at a
+    random (M, H).  Exactly, the image under m1 and then m2 is the image under
+    m2 m1; in floats each step is within the closed-form budget of its own
+    inputs, the product's entries included."""
+    worst, checked = 0.0, 0
+    while checked < draws:
+        m1, m2 = random_invertible(rng), random_invertible(rng)
+        m = rng.uniform(-2.0, 2.0)
+        lc = LinearCoefficients(m, m * m + rng.uniform(0.1, 4.0))
         try:
+            both = matmul(m2, m1)
             step1 = induced_coefficients(m1, lc)
             two_step = induced_coefficients(m2, step1)
             one_step = induced_coefficients(both, lc)
-        except DegenerateImage:
+        except (DegenerateImage, NonInvertibleMatrix):
             continue
         assert chart(congruence(m2, congruence(m1, lc))) == \
             chart(congruence(product(m2, m1), lc))
         for got, t, s in ((step1, m1, lc), (two_step, m2, step1), (one_step, both, lc)):
-            assert induced_ulps(got, t, s) <= CLOSED_FORM_ULPS
+            worst = max(worst, induced_ulps(got, t, s))
+            assert worst <= CLOSED_FORM_ULPS
         checked += 1
+    return worst
 
 
-def test_collinearity_preserved(rng):
-    # The level set h = m^2 maps onto itself: exactly, the image's H - M^2
-    # is det(T)^2 (h - m^2) / D'^2, so the rounding of m*m in h is all that
-    # moves it off; in floats the image is within the closed-form budget.
-    checked = 0
-    while checked < 200:
+def line_image_ulps(rng, draws=200):
+    """The worst error in ulps over draws random matrices, each at a random
+    point of the level set h = m^2, which maps onto itself.  Exactly, the
+    image's H - M^2 is det(T)^2 (h - m^2) / D'^2, so the rounding of m*m in h
+    is all that moves it off; in floats the image is within the closed-form
+    budget."""
+    worst, checked = 0.0, 0
+    while checked < draws:
         m_val = rng.uniform(-2.0, 2.0)
         lc = LinearCoefficients(m_val, m_val * m_val)
         mat = random_invertible(rng)
@@ -620,5 +584,15 @@ def test_collinearity_preserved(rng):
         a, b, c, d = map(Fraction, mat.entries())
         assert h - m * m == (a * d - b * c) ** 2 * (
             Fraction(lc.h) - Fraction(lc.m) ** 2) / image[2] ** 2
-        assert induced_ulps(out, mat, lc) <= CLOSED_FORM_ULPS
+        worst = max(worst, induced_ulps(out, mat, lc))
+        assert worst <= CLOSED_FORM_ULPS
         checked += 1
+    return worst
+
+
+def test_composition(rng):
+    assert composition_ulps(rng) <= CLOSED_FORM_ULPS
+
+
+def test_collinearity_preserved(rng):
+    assert line_image_ulps(rng) <= CLOSED_FORM_ULPS
