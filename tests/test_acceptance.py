@@ -306,15 +306,18 @@ def test_criterion_7_structural_properties():
 
 # Criterion 8 -------------------------------------------------------------
 
-def test_criterion_8_branch_equivalence():
-    for family in ACCEPTED_FAMILIES:
+@pytest.mark.parametrize("family,accepted", [
+    *((family, True) for family in ACCEPTED_FAMILIES),
+    *((family, False) for family in REJECTED_FAMILIES)])
+def test_criterion_8_branch_equivalence(family, accepted):
+    if accepted:
         assert_identity_member(family)
-    for family in REJECTED_FAMILIES:
+    else:
         with pytest.raises(NoIdentityParameter):
             family.identity_parameter()
-    print(f"PASS criterion 8: consistency solver accepted "
-          f"{len(ACCEPTED_FAMILIES)} and rejected {len(REJECTED_FAMILIES)} "
-          f"constructed pencil families")
+    print(f"PASS criterion 8: consistency solver "
+          f"{'accepted' if accepted else 'rejected'} the constructed pencil "
+          f"family a0={family.a0}, b={family.b}")
 
 
 # Criterion 9 -------------------------------------------------------------

@@ -32,10 +32,6 @@ class TestPointAndCloud:
         with pytest.raises(ValueError):
             Cloud([(0.0, float("inf")), (1.0, 1.0)])
 
-    def test_cloud_needs_two_points(self):
-        with pytest.raises(ValueError):
-            Cloud([(0.0, 0.0)])
-
     def test_cloud_accepts_points_and_pairs(self):
         c = Cloud([[0, 0], (1, 1)])
         assert len(c) == 2
@@ -56,10 +52,11 @@ class TestPointAndCloud:
             Cloud.from_arrays(np.zeros(3), np.zeros(4))
 
     @pytest.mark.parametrize("n", [0, 1])
-    def test_from_arrays_needs_two_points(self, n):
+    @pytest.mark.parametrize("build", [Cloud.from_arrays, lambda xs, ys: Cloud(zip(xs, ys))])
+    def test_a_cloud_needs_two_points(self, n, build):
         with pytest.raises(ValueError,
                            match=f"^a cloud needs at least 2 points, got {n}$"):
-            Cloud.from_arrays(np.zeros(n), np.zeros(n))
+            build(np.zeros(n), np.zeros(n))
 
     def test_repr_does_not_write_a_pending_image(self):
         image = apply_to_cloud(Matrix2(2.0, 0.0, 0.0, 1.0), Cloud(TRIANGLE[:2]))

@@ -164,17 +164,6 @@ def assert_identity_member(family):
         assert abs(a + phi * b - t) <= Fraction(RTOL) * (abs(a) + abs(phi * b) + 1)
 
 
-class TestBranchEquivalence:
-    @pytest.mark.parametrize("family", ACCEPTED_FAMILIES)
-    def test_accepted(self, family):
-        assert_identity_member(family)
-
-    @pytest.mark.parametrize("family", REJECTED_FAMILIES)
-    def test_rejected(self, family):
-        with pytest.raises(NoIdentityParameter):
-            family.identity_parameter()
-
-
 class TestDerivativeCoefficients:
     @pytest.mark.parametrize("family,_,expected", CLOSED_VARIANTS)
     def test_closed_forms(self, family, _, expected):

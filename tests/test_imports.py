@@ -1,8 +1,10 @@
 """The scalar layer and the CLI's --coeffs paths run without numpy; numpy is
-loaded when a point array is first built.  The package's value types need
+loaded when a point array is first built, and importing the CLI loads only
+argparse and json beyond the package.  The package's value types need
 neither ``dataclasses`` nor the ``inspect`` machinery it loads.  No module
-of the package or of the tests imports a name it does not use, and the
-package reads its tolerance in one function and no environment variable."""
+of the package or of the tests imports a name it does not use, no shared
+test helper goes uncalled, and the package reads its tolerance in one
+function and no environment variable."""
 import ast
 import json
 import os
@@ -16,12 +18,18 @@ from test_guards import GUARDS
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 
-# Prints which of numpy, dataclasses and inspect were loaded after importing
-# the package and running each argv given as JSON on the command line (exit
-# codes and output of the runs are reported too).
+# Prints the modules importing the CLI adds, beyond the stdlib modules the
+# package imports besides argparse and json (which site may have loaded or
+# not), and which of numpy, dataclasses and inspect were loaded after running
+# each argv given as JSON on the command line (exit codes and output of the
+# runs are reported too).
 PROBE = """
-import contextlib, io, json, sys
+import sys
+import math, os, reprlib, typing
+before = set(sys.modules)
 import cloudinv, cloudinv.cli
+added = sorted(set(sys.modules) - before)
+import contextlib, io, json
 WATCHED = ("numpy", "dataclasses", "inspect")
 runs = []
 for argv in json.loads(sys.argv[1]):
@@ -30,7 +38,7 @@ for argv in json.loads(sys.argv[1]):
         code = cloudinv.cli.main(argv)
     runs.append([code, out.getvalue(), err.getvalue()])
 print(json.dumps({"loaded": [m for m in WATCHED if m in sys.modules],
-                  "runs": runs}))
+                  "added": added, "runs": runs}))
 """
 
 
@@ -42,7 +50,17 @@ def probe(*argvs):
 
 
 def test_import_does_not_load_numpy():
-    assert probe() == {"loaded": [], "runs": []}
+    # Of the rest, importing the CLI adds the package's own modules and at
+    # most argparse and json with what they import: a subset, as site may
+    # have loaded some of them already.
+    result = probe()
+    assert (result["loaded"], result["runs"]) == ([], [])
+    added = set(result["added"])
+    package = {"cloudinv", *(f"cloudinv.{path.stem}" for path in
+                             (ROOT / "src" / "cloudinv").glob("*.py") if path.stem != "__init__")}
+    assert {name for name in added if name.partition(".")[0] == "cloudinv"} == package
+    assert added - package <= {"argparse", "gettext", "json", "json.decoder", "json.encoder",
+                               "json.scanner", "_json", "__future__"}
 
 
 def test_coeffs_commands_do_not_load_numpy():
@@ -69,15 +87,18 @@ def test_generated_cloud_loads_numpy():
 
 def test_no_unused_imports():
     # A name an import binds must be read somewhere in its module (as a
-    # name, so ``np`` in ``np.array`` counts) or be exported by ``__all__``.
-    unused = []
+    # name, so ``np`` in ``np.array`` counts) or be exported by ``__all__``;
+    # a function of conftest.py or exact.py must be read somewhere in tests/.
+    unused, helpers, read = [], {}, set()
     for path in sorted([*(ROOT / "src" / "cloudinv").glob("*.py"),
                         *(ROOT / "tests").glob("*.py")]):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        bound, used = {}, set()
+        bound, used, attrs = {}, set(), set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
+            elif isinstance(node, (ast.Attribute, ast.arg)):  # exact.f, a fixture
+                attrs.add(getattr(node, "attr", None) or node.arg)
             elif isinstance(node, ast.Assign) and any(
                     getattr(t, "id", None) == "__all__" for t in node.targets):
                 used.update(ast.literal_eval(node.value))
@@ -87,7 +108,12 @@ def test_no_unused_imports():
                     bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
         unused += [f"{path.relative_to(ROOT)}:{line}: {name}"
                    for name, line in bound.items() if name not in used]
-    assert unused == []
+        if path.parent.name == "tests":
+            read |= used | attrs
+        if path.name in ("conftest.py", "exact.py"):
+            helpers.update({node.name: f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+                            for node in tree.body if isinstance(node, ast.FunctionDef)})
+    assert unused + [where for name, where in helpers.items() if name not in read] == []
 
 
 def _tolerance_uses(node, func=None):

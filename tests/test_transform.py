@@ -407,11 +407,17 @@ class TestInducedCoefficients:
         assert induced_coefficients(Matrix2(1e-5 / 16, 0, 0, 1 / 16), lc) == want
 
     def test_huge_entries_do_not_overflow(self):
-        # The image is that of the matrix divided by 1e200, whose own entries
-        # carry one rounding more.
-        for t in (Matrix2(1e200, 1.0, 0.0, 1e200), Matrix2(1.0, 1e-200, 0.0, 1.0)):
-            got = induced_coefficients(t, REF)
-            assert induced_ulps(got, t, REF) <= CLOSED_FORM_ULPS
+        # The image is that of the matrix divided by a power of two, so no
+        # product overflows, up to entries of 1e308.  The last T / 2**101
+        # would flush b to 0, so T is divided by 2**74, the largest power
+        # that keeps b exact: a smaller one overflows at H = 1e292.
+        for t, lc in ((Matrix2(1e200, 1.0, 0.0, 1e200), REF),
+                      (Matrix2(1.0, 1e-200, 0.0, 1.0), REF),
+                      (Matrix2(1e308, 1e308, -1e308, 1e308), REF),
+                      (Matrix2(2.0 ** 100, 2.0 ** -1000, 0.0, 2.0 ** 100),
+                       LinearCoefficients(0.0, 1e292))):
+            got = induced_coefficients(t, lc)
+            assert induced_ulps(got, t, lc) <= CLOSED_FORM_ULPS
 
     def test_an_exact_scaling_that_overflows_gives_way(self):
         # T / 4 rounds b, and T itself overflows at H = 1e308, so the image
