@@ -21,10 +21,9 @@ from conftest import (REF_H, REF_M, UNIT_DIRECTIONS, generator_fd_deviation,
 from exact import (CLOSED_FORM_ULPS, KERNEL_ULPS, MOMENT_ULPS, centered_sums,
                    chart, chart_ulps, congruence, induced_ulps, kernel,
                    kernel_ulps)
-from test_embedding import assert_400x_unit_spec
 from test_families import (ACCEPTED_FAMILIES, CASE_STUDY, REJECTED_FAMILIES,
-                           assert_identity_member, assert_rounded_member,
-                           exact_member)
+                           assert_400x_unit_spec, assert_identity_member,
+                           assert_rounded_member, exact_member)
 from test_transform import composition_ulps, kappa_ulps, line_image_ulps
 
 REF = LinearCoefficients(REF_M, REF_H)
@@ -49,16 +48,15 @@ CRITERION_1 = [
 ]
 
 
-def test_criterion_1_coefficient_fidelity():
-    worst = 0.0
-    for name, matrix, want_m, tol_m, want_h, tol_h in CRITERION_1:
-        after = induced_coefficients(matrix, REF)
-        assert abs(after.m - want_m) <= tol_m, name
-        assert abs(after.h - want_h) <= tol_h, name
-        worst = max(worst, abs(after.m - want_m) / tol_m,
-                    abs(after.h - want_h) / tol_h)
-    print(f"PASS criterion 1: four reference coefficient pairs reproduced, "
-          f"worst {worst:.2f} of allowed tolerance")
+@pytest.mark.parametrize("name,matrix,want_m,tol_m,want_h,tol_h", CRITERION_1,
+                         ids=[case[0] for case in CRITERION_1])
+def test_criterion_1_coefficient_fidelity(name, matrix, want_m, tol_m, want_h, tol_h):
+    after = induced_coefficients(matrix, REF)
+    assert abs(after.m - want_m) <= tol_m
+    assert abs(after.h - want_h) <= tol_h
+    worst = max(abs(after.m - want_m) / tol_m, abs(after.h - want_h) / tol_h)
+    print(f"PASS criterion 1 ({name}): reference coefficient pair reproduced, "
+          f"{worst:.2f} of allowed tolerance")
 
 
 # Criterion 2 -------------------------------------------------------------
@@ -99,60 +97,58 @@ def test_criterion_2_invariant_fidelity(name, matrix, spec, want, tol):
 
 # Criterion 3 -------------------------------------------------------------
 
-def test_criterion_3_oracle_equivalence():
+@pytest.mark.parametrize("n", [3, 10, 30, 100, 10000])
+def test_criterion_3_oracle_equivalence(n):
     # Each path against the exact image of its own inputs: the closed form
     # against T S T^T of the chart point it took, the direct recomputation
     # against the sums of the image it reduced.
-    rng = np.random.default_rng(3001)
-    sizes = (3, 10, 100, 10000)
-    per_size = 250
-    total = 0
+    rng = np.random.default_rng([3001, n])
+    draws = 250
     skipped = 0
     worst_closed = worst_direct = 0.0
-    for n in sizes:
-        for _ in range(per_size):
-            total += 1
-            xs = rng.uniform(-5.0, 5.0, size=n)
-            ys = rng.uniform(-5.0, 5.0, size=n)
-            matrix = random_invertible(rng)
-            try:
-                cloud = Cloud.from_arrays(xs, ys)
-                lc = linear_coefficients(cloud)
-                den = (2.0 * matrix.a * matrix.b * lc.m
-                       + matrix.b ** 2 * lc.h + matrix.a ** 2)
-                if abs(den) < 1e-5:
-                    skipped += 1
-                    continue
-                closed = induced_coefficients(matrix, lc)
-                image = apply_to_cloud(matrix, cloud)
-                direct = linear_coefficients(image)
-            except (DegenerateCloud, DegenerateImage):
+    for _ in range(draws):
+        xs = rng.uniform(-5.0, 5.0, size=n)
+        ys = rng.uniform(-5.0, 5.0, size=n)
+        matrix = random_invertible(rng)
+        try:
+            cloud = Cloud.from_arrays(xs, ys)
+            lc = linear_coefficients(cloud)
+            den = (2.0 * matrix.a * matrix.b * lc.m
+                   + matrix.b ** 2 * lc.h + matrix.a ** 2)
+            if abs(den) < 1e-5:
                 skipped += 1
                 continue
-            worst_closed = max(worst_closed, induced_ulps(closed, matrix, lc))
-            worst_direct = max(worst_direct, chart_ulps(
-                direct, centered_sums(image.xs, image.ys)))
-            assert worst_closed <= CLOSED_FORM_ULPS, (n, matrix)
-            assert worst_direct <= MOMENT_ULPS, (n, matrix)
-    assert total >= 1000
-    assert skipped < 0.01 * total
-    print(f"PASS criterion 3: closed form and direct recomputation against the "
-          f"exact oracle on {total - skipped} pairs, worst {worst_closed:.1f} and "
-          f"{worst_direct:.1f} ulps, {skipped} skipped")
+            closed = induced_coefficients(matrix, lc)
+            image = apply_to_cloud(matrix, cloud)
+            direct = linear_coefficients(image)
+        except (DegenerateCloud, DegenerateImage):
+            skipped += 1
+            continue
+        worst_closed = max(worst_closed, induced_ulps(closed, matrix, lc))
+        worst_direct = max(worst_direct, chart_ulps(
+            direct, centered_sums(image.xs, image.ys)))
+        assert worst_closed <= CLOSED_FORM_ULPS, matrix
+        assert worst_direct <= MOMENT_ULPS, matrix
+    assert skipped < 0.01 * draws
+    print(f"PASS criterion 3 (n={n}): closed form and direct recomputation "
+          f"against the exact oracle on {draws - skipped} pairs, worst "
+          f"{worst_closed:.1f} and {worst_direct:.1f} ulps, {skipped} skipped")
 
 
 # Criterion 4 -------------------------------------------------------------
 
-CRITERION_4 = [
-    ("diagonal", DIAGONAL, 0.3, 3.0),
-    ("upper", UPPER_TRIANGULAR, -2.0, 2.0),
-    ("lower", LOWER_TRIANGULAR, -2.0, 2.0),
-    ("rotation", RotationFamily(), -1.3, 1.3),
-    ("linear", CASE_STUDY, 0.2, 0.5),
-]
+# name -> (family, the range its phi are drawn from).
+FAMILIES = {
+    "diagonal": (DIAGONAL, 0.3, 3.0),
+    "upper": (UPPER_TRIANGULAR, -2.0, 2.0),
+    "lower": (LOWER_TRIANGULAR, -2.0, 2.0),
+    "rotation": (RotationFamily(), -1.3, 1.3),
+    "linear": (CASE_STUDY, 0.2, 0.5),
+}
 
 
-def test_criterion_4_invariance_drift():
+@pytest.mark.parametrize("name", FAMILIES)
+def test_criterion_4_invariance_drift(name):
     # The drift of the float kernel is the rounding of its layers, each
     # within its budget at its own inputs: the image of (M, H) under the
     # member (closed form) and the kernel before and after.  The float member
@@ -161,47 +157,53 @@ def test_criterion_4_invariance_drift():
     # kernel does not drift under that member, checked at each cloud's first
     # phi.  20 phi a cloud: each draw costs about 50 us of exact arithmetic.
     rng = np.random.default_rng(3002)
+    family, lo, hi = FAMILIES[name]
     worst_closed = worst_kernel = 0.0
     resampled = 0
-    for name, family, lo, hi in CRITERION_4:
-        spec = family.derivative_coefficients()
-        clouds = 0
-        while clouds < 100:
-            lc = linear_coefficients(random_cloud(rng))
-            if abs(_kernel_den(spec, lc.m, lc.h)) < 1e-3:
-                resampled += 1
-                continue
-            clouds += 1
-            kb = kernel_value(spec, lc.m, lc.h)
-            worst_kernel = max(worst_kernel, kernel_ulps(kb, spec, lc.m, lc.h))
-            accepted = 0
-            while accepted < 20:
-                phi = rng.uniform(lo, hi)
-                try:
-                    matrix = family.evaluate(phi)
-                    after = induced_coefficients(matrix, lc)
-                    if abs(_kernel_den(spec, after.m, after.h)) < 1e-3:
-                        resampled += 1
-                        continue
-                    ka = kernel_value(spec, after.m, after.h)
-                except (NonInvertibleMatrix, DegenerateImage, KernelSingular):
+    spec = family.derivative_coefficients()
+    clouds = 0
+    while clouds < 100:
+        lc = linear_coefficients(random_cloud(rng))
+        if abs(_kernel_den(spec, lc.m, lc.h)) < 1e-3:
+            resampled += 1
+            continue
+        clouds += 1
+        kb = kernel_value(spec, lc.m, lc.h)
+        worst_kernel = max(worst_kernel, kernel_ulps(kb, spec, lc.m, lc.h))
+        accepted = 0
+        while accepted < 20:
+            phi = rng.uniform(lo, hi)
+            try:
+                matrix = family.evaluate(phi)
+                after = induced_coefficients(matrix, lc)
+                if abs(_kernel_den(spec, after.m, after.h)) < 1e-3:
                     resampled += 1
                     continue
-                assert_rounded_member(matrix, family, phi)
-                if accepted == 0:
-                    image = congruence(exact_member(family, phi), lc)
-                    assert kernel(spec, *chart(image)) == kernel(spec, lc.m, lc.h)
-                worst_closed = max(worst_closed, induced_ulps(after, matrix, lc))
-                worst_kernel = max(worst_kernel, kernel_ulps(ka, spec, after.m, after.h))
-                assert worst_closed <= CLOSED_FORM_ULPS, (name, phi)
-                assert worst_kernel <= KERNEL_ULPS, (name, phi)
-                accepted += 1
-    print(f"PASS criterion 4: kernel invariance over 5 variants x 20 phi x 100 "
+                ka = kernel_value(spec, after.m, after.h)
+            except (NonInvertibleMatrix, DegenerateImage, KernelSingular):
+                resampled += 1
+                continue
+            assert_rounded_member(matrix, family, phi)
+            if accepted == 0:
+                image = congruence(exact_member(family, phi), lc)
+                assert kernel(spec, *chart(image)) == kernel(spec, lc.m, lc.h)
+            worst_closed = max(worst_closed, induced_ulps(after, matrix, lc))
+            worst_kernel = max(worst_kernel, kernel_ulps(ka, spec, after.m, after.h))
+            assert worst_closed <= CLOSED_FORM_ULPS, phi
+            assert worst_kernel <= KERNEL_ULPS, phi
+            accepted += 1
+    print(f"PASS criterion 4 ({name}): kernel invariance over 20 phi x 100 "
           f"clouds, exact under each member, worst {worst_closed:.1f} ulps in the "
           f"image and {worst_kernel:.1f} in the kernel, {resampled} resampled draws")
 
 
 # Criterion 5 -------------------------------------------------------------
+
+# Controls are drawn from variants whose kernels stay O(1) at generic
+# points, so a genuinely wrong pairing shows an O(1) residual.
+CONTROLS = {"diagonal": "upper", "upper": "lower", "lower": "rotation",
+            "rotation": "diagonal", "linear": "lower"}
+
 
 def _generic_point(rng, specs, min_den=0.5):
     while True:
@@ -211,51 +213,50 @@ def _generic_point(rng, specs, min_den=0.5):
             return m, h
 
 
-def test_criterion_5_pde_residuals():
+@pytest.mark.parametrize("kernel_of", ["own", "control"])
+@pytest.mark.parametrize("name", FAMILIES)
+def test_criterion_5_pde_residuals(name, kernel_of):
     rng = np.random.default_rng(3003)
-    specs = [family.derivative_coefficients()
-             for _, family, _, _ in CRITERION_4]
-    worst = 0.0
-    for spec in specs:
+    spec = FAMILIES[name][0].derivative_coefficients()
+    if kernel_of == "own":
         kernel = lambda m, h: kernel_value(spec, m, h)
+        worst = 0.0
         for _ in range(100):
             m, h = _generic_point(rng, [spec])
             res = abs(family_pde_residual(spec, kernel, m, h))
             worst = max(worst, res)
-            assert res <= 1e-6, spec
-    exceeded_counts = []
-    # Controls are drawn from variants whose kernels stay O(1) at generic
-    # points, so a genuinely wrong pairing shows an O(1) residual.
-    control_index = (1, 2, 3, 0, 2)
-    for i, spec in enumerate(specs):
-        control = specs[control_index[i]]
-        kernel = lambda m, h: kernel_value(control, m, h)
-        exceeded = 0
-        for _ in range(100):
-            m, h = _generic_point(rng, [spec, control], min_den=0.3)
-            if abs(family_pde_residual(spec, kernel, m, h)) > 1e-3:
-                exceeded += 1
-        assert exceeded >= 95, (spec, control, exceeded)
-        exceeded_counts.append(exceeded)
-    print(f"PASS criterion 5: own-kernel residuals <= {worst:.2e}; "
-          f"negative controls exceeded 1e-3 at {min(exceeded_counts)}+ of "
-          f"100 points per variant")
+            assert res <= 1e-6
+        print(f"PASS criterion 5 ({name}): own-kernel residuals <= {worst:.2e}")
+        return
+    control = FAMILIES[CONTROLS[name]][0].derivative_coefficients()
+    kernel = lambda m, h: kernel_value(control, m, h)
+    exceeded = 0
+    for _ in range(100):
+        m, h = _generic_point(rng, [spec, control], min_den=0.3)
+        if abs(family_pde_residual(spec, kernel, m, h)) > 1e-3:
+            exceeded += 1
+    assert exceeded >= 95
+    print(f"PASS criterion 5 ({name}): the {CONTROLS[name]} kernel as a negative "
+          f"control exceeded 1e-3 at {exceeded} of 100 points")
 
 
 # Criterion 6 -------------------------------------------------------------
 
-def test_criterion_6_generator_fields():
+@pytest.mark.parametrize("at", ["random", "reference", "unit"])
+@pytest.mark.parametrize("name", UNIT_DIRECTIONS)
+def test_criterion_6_generator_fields(name, at):
+    # 100 random points off the collinear curve, the reference point, and
+    # (1, 1) on the curve.
     rng = np.random.default_rng(3004)
+    points = {"reference": [(REF_M, REF_H)], "unit": [(1.0, 1.0)]}.get(at) or [
+        (m, rng.uniform(m * m + 1e-3, 10.0)) for m in rng.uniform(-3.0, 3.0, 100)]
     worst = 0.0
-    for _ in range(100):
-        m = rng.uniform(-3.0, 3.0)
-        h = rng.uniform(m * m + 1e-3, 10.0)
-        for name, e in UNIT_DIRECTIONS.items():
-            dev = generator_fd_deviation(e, m, h)
-            worst = max(worst, dev)
-            assert dev <= 1e-7, (name, m, h)
-    print(f"PASS criterion 6: finite differences match the closed fields "
-          f"(-M,-2H), (H-2M^2,-2HM), (1,+2M), (M,2H); worst gap {worst:.2e}")
+    for m, h in points:
+        dev = generator_fd_deviation(UNIT_DIRECTIONS[name], m, h)
+        worst = max(worst, dev)
+        assert dev <= 1e-7, (m, h)
+    print(f"PASS criterion 6 ({name}, {at}): finite differences match the closed "
+          f"field; worst gap {worst:.2e}")
 
 
 @pytest.mark.xfail(strict=True,
@@ -272,36 +273,40 @@ def test_criterion_6_sign_flipped_shear_variant():
 
 # Criterion 7 -------------------------------------------------------------
 
-def test_criterion_7_structural_properties():
-    # Each identity holds exactly in the oracle, and each float image is
-    # within the closed-form budget of the exact image of its own inputs.
-    rng = np.random.default_rng(3005)
-
-    worst_scale, checked = 0.0, 0
+def _scaling_ulps(rng):
+    worst, checked = 0.0, 0
     while checked < 200:
         matrix = random_invertible(rng)
         m = rng.uniform(-2.0, 2.0)
         lc = LinearCoefficients(m, m * m + rng.uniform(0.1, 4.0))
-        worst = kappa_ulps(matrix, rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0]), lc)
-        if worst is not None:
-            worst_scale = max(worst_scale, worst)
+        ulps = kappa_ulps(matrix, rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0]), lc)
+        if ulps is not None:
+            worst = max(worst, ulps)
             checked += 1
+    return worst
 
-    worst_comp = composition_ulps(rng)
 
-    violations = 0
-    for _ in range(10_000):
-        lc = linear_coefficients(random_cloud(rng, n=12))
-        if lc.h < lc.m ** 2:
-            violations += 1
-    assert violations == 0
+def _variance_violations(rng):
+    lcs = [linear_coefficients(random_cloud(rng, n=12)) for _ in range(10_000)]
+    return sum(lc.h < lc.m ** 2 for lc in lcs)
 
-    worst_line = line_image_ulps(rng)
 
-    print(f"PASS criterion 7: exact scaling, composition and collinearity "
-          f"identities; the float images within {worst_scale:.1f}, "
-          f"{worst_comp:.1f} and {worst_line:.1f} ulps; 0/10000 "
-          f"variance-ratio violations")
+@pytest.mark.parametrize("identity,check", [
+    ("scaling", _scaling_ulps), ("composition", composition_ulps),
+    ("collinearity", line_image_ulps), ("variance-ratio", _variance_violations)],
+    ids=["scaling", "composition", "collinearity", "variance-ratio"])
+def test_criterion_7_structural_properties(identity, check):
+    # Each identity holds exactly in the oracle, and each float image is
+    # within the closed-form budget of the exact image of its own inputs; no
+    # cloud has H < M^2.
+    worst = check(np.random.default_rng(3005))
+    if identity == "variance-ratio":
+        assert worst == 0
+        print("PASS criterion 7 (variance-ratio): 0/10000 variance-ratio violations")
+        return
+    assert worst <= CLOSED_FORM_ULPS
+    print(f"PASS criterion 7 ({identity}): exact identity; the float images "
+          f"within {worst:.1f} ulps")
 
 
 # Criterion 8 -------------------------------------------------------------
@@ -325,5 +330,5 @@ def test_criterion_8_branch_equivalence(family, accepted):
 def test_criterion_9_embedding_consistency():
     assert_400x_unit_spec(np.random.default_rng(3009), GENERAL_MATRIX)
     print("PASS criterion 9: canonical embedding kernel equals 400x the "
-          "unit-spec kernel at 1000 points, exactly for the decimal target and "
+          "unit-spec kernel at the reference point and 1000 random ones, exactly for the decimal target and "
           "within the kernel budget for each float kernel")

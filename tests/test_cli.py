@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudinv import (FamilyGenerator, LinearCoefficients, cli, coefficients,
-                      read_cloud_csv)
+from cloudinv import FamilyGenerator, cli, coefficients
 from cloudinv.cli import main
 from cloudinv.coefficients import _CHUNK, _QUOTE
 from conftest import REF_H, REF_M, traced_peak
-from exact import (CLOSED_FORM_ULPS, KERNEL_ULPS, centered_sums, chart,
-                   induced_ulps, kernel_ulps)
+from exact import KERNEL_ULPS, centered_sums, chart, kernel_ulps
 from test_golden import certify, leaves, source_cloud
 
 REF_COEFFS = f"--coeffs={REF_M},{REF_H}"
@@ -110,29 +107,6 @@ def triangle_csv(tmp_path):
 
 
 class TestCoeffs:
-    def test_csv_triangle(self, capsys, triangle_csv):
-        code, report, _ = run_json(capsys, "coeffs", "--csv", triangle_csv)
-        assert code == 0
-        assert report["schema"] == "cloud-invariants/1"
-        certify_report(report)
-        assert chart(centered_sums([0, 1, 2], [0, 1, 0])) == (0, Fraction(1, 3))
-        assert report["collinear"] is False
-
-    def test_collinear_csv(self, capsys, tmp_path):
-        path = tmp_path / "line.csv"
-        path.write_text("0,0\n1,1\n2,2\n")
-        code, report, _ = run_json(capsys, "coeffs", "--csv", str(path))
-        assert code == 0
-        assert report["collinear"] is True
-        assert report["coefficients"] == {"m": 1.0, "h": 1.0}
-
-    def test_single_point_rejected(self, capsys, tmp_path):
-        path = tmp_path / "one.csv"
-        path.write_text("1,2\n")
-        code, _, err = run(capsys, "coeffs", "--csv", str(path))
-        assert code == 2
-        assert "error" in err
-
     def test_vertical_line_degenerate(self, capsys, tmp_path):
         path = tmp_path / "vert.csv"
         path.write_text("0,0\n0,1\n0,2\n")
@@ -171,88 +145,12 @@ class TestCoeffs:
         assert (code, out) == (2, "")
         assert re.fullmatch(r"error: cloud spread too small: .* 3 subnormal squares\n", err)
 
-    def test_offset_cloud_is_not_vertical(self, capsys, tmp_path):
-        # D = 6 is far from zero; a bound that grew with n*mean**2 called it
-        # vertical at x = 5e6.
-        path = tmp_path / "offset.csv"
-        path.write_text("5000000,0\n5000001,1\n5000002,3\n")
-        code, report, _ = run_json(capsys, "coeffs", "--csv", str(path))
-        assert code == 0
-        assert report["coefficients"]["m"] == 1.5
-
-    @pytest.mark.parametrize("header", ["x,y\n", ""])
-    def test_csv_with_byte_order_mark(self, capsys, tmp_path, header):
-        body = (header + "0,0\n1,1\n2,3\n").encode()
-        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
-        plain.write_bytes(body)
-        marked.write_bytes(b"\xef\xbb\xbf" + body)
-        code, want, _ = run_json(capsys, "coeffs", "--csv", str(plain))
-        assert code == 0
-        code, got, err = run_json(capsys, "coeffs", "--csv", str(marked))
-        assert (code, err) == (0, "")
-        assert got["coefficients"] == want["coefficients"] == {"m": 1.5, "h": 7 / 3}
-        assert got["raw_sums"] == want["raw_sums"]
-
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "coeffs", "--csv", "/no/such/file.csv")
         assert code == 2
 
-    def test_no_source(self, capsys):
-        code, _, err = run(capsys, "coeffs")
-        assert code == 2
-
-    def test_generated(self, capsys):
-        code, report, _ = run_json(capsys, "coeffs", "--gen", "two-segment",
-                                   "--n", "500", "--seed", "7")
-        assert code == 0
-        assert report["inputs"]["seed"] == 7
-
 
 class TestTransform:
-    def test_generated_cloud_discrepancy(self, capsys):
-        # Closed form and direct recomputation, each against the exact value
-        # of its own inputs.
-        code, report, _ = run_json(
-            capsys, "transform", "--gen", "two-segment", "--n", "2000",
-            "--seed", "11", "--matrix", "1,0;0,2")
-        assert code == 0
-        certify_report(report)
-
-    def test_identity_zero_drift(self, capsys, triangle_csv):
-        code, report, _ = run_json(capsys, "transform", "--csv", triangle_csv,
-                                   "--matrix", "1,0;0,1")
-        assert code == 0
-        assert report["before"] == report["after_closed_form"]
-        assert report["discrepancy"] == 0.0
-
-    def test_degenerate_image_exit_code(self, capsys, tmp_path):
-        path = tmp_path / "horizontal.csv"
-        path.write_text("0,5\n1,5\n2,5\n")
-        code, _, err = run(capsys, "transform", "--csv", str(path),
-                           "--matrix", "0,1;-1,0")
-        assert code == 3
-
-    def test_singular_matrix_exit_code(self, capsys, triangle_csv):
-        code, _, err = run(capsys, "transform", "--csv", triangle_csv,
-                           "--matrix", "1,1;1,1")
-        assert code == 2
-
-    def test_coeffs_bypass(self, capsys):
-        code, report, _ = run_json(capsys, "transform", REF_COEFFS,
-                                   "--matrix", "1,0;0,2")
-        assert code == 0
-        assert report["after_closed_form"]["m"] == pytest.approx(3.04488, abs=5e-5)
-        assert "after_direct" not in report
-
-    def test_dump_points(self, capsys, triangle_csv, tmp_path):
-        out = tmp_path / "image.csv"
-        code, report, _ = run_json(capsys, "transform", "--csv", triangle_csv,
-                                   "--matrix", "1,0;0,2",
-                                   "--dump-points", str(out))
-        assert code == 0
-        image = read_cloud_csv(str(out))
-        assert image.ys[1] == 2.0
-
     def test_dumped_image_reads_back_to_after_direct(self, capsys, tmp_path):
         # A generated block, a written image and a CSV cloud in turn: the
         # image read back from --dump-points has the direct recompute's
@@ -294,27 +192,6 @@ class TestTransform:
                            "--dump-points", str(tmp_path / "x.csv"))
         assert code == 2
 
-    @pytest.mark.parametrize("literal", ["1e308,1e308;-1e308,1e308",
-                                         "[[1e308,1e308],[-1e308,1e308]]",
-                                         "1e200,1;0,1e200"])
-    def test_huge_matrix_maps_like_its_scaled_copy(self, capsys, literal):
-        # The image has degree 0 in T, which the closed form scales by a power
-        # of two first: no product overflows, and the image is within the
-        # closed-form budget of the exact image under the matrix as given.
-        code, report, _ = run_json(capsys, "transform", "--coeffs", "1.5,3.5",
-                                   "--matrix", literal)
-        assert code == 0
-        got = LinearCoefficients(**report["after_closed_form"])
-        assert induced_ulps(got, report["inputs"]["matrix"], (1.5, 3.5, 1.0)) <= CLOSED_FORM_ULPS
-
-
-    @pytest.mark.parametrize("coeffs", ["0,1e12", "1e7,100000000000001"])
-    def test_large_h_under_the_identity(self, capsys, coeffs):
-        code, report, _ = run_json(capsys, "transform", "--coeffs", coeffs,
-                                   "--matrix", "1,0;0,1")
-        assert code == 0
-        assert report["after_closed_form"] == report["before"]
-
     def test_y_spread_far_above_x_spread(self, capsys, tmp_path):
         # The image of a box under diag(1, 2**20) has H near 1e12; the closed
         # form must map it under the identity as the direct recomputation does.
@@ -347,41 +224,6 @@ class TestInvariant:
         assert code == 0
         certify_report(report)
 
-    def test_diag_identity_phi(self, capsys):
-        code, report, _ = run_json(capsys, "invariant", REF_COEFFS,
-                                   "--family", "diag", "--phi", "1")
-        assert code == 0
-        ev = report["evaluations"][0]
-        assert ev["kernel_after"] == ev["kernel_before"]
-        assert ev["h_over_m2_after"] == pytest.approx(1.06564, abs=5e-5)
-
-    def test_uniform_scaling_family_exit_code(self, capsys):
-        code, _, err = run(capsys, "invariant", REF_COEFFS,
-                           "--family", "linear:1,0;0,1|2,0;0,2",
-                           "--phi", "0.5")
-        assert code == 4
-
-    def test_no_identity_family_exit_code(self, capsys):
-        code, _, err = run(capsys, "invariant", REF_COEFFS,
-                           "--family", "linear:2,0;0,1|0,1;0,0",
-                           "--phi", "0.5")
-        assert code == 2
-
-    def test_identity_matrix_exit_code(self, capsys):
-        code, _, err = run(capsys, "invariant", REF_COEFFS,
-                           "--matrix", "1,0;0,1")
-        assert code == 4
-        assert "multiple of the identity (uniform scaling)" in err
-
-    @pytest.mark.parametrize("matrix", ["2,1e-300;0,2", "2,0;0,2.0000000000001",
-                                        "1e200,1;0,1e200"])
-    def test_near_uniform_scaling_matrix_exit_code(self, capsys, matrix):
-        # Within RTOL of a multiple of the identity, relative to the
-        # largest entry: the same exit as an exact multiple.
-        code, out, err = run(capsys, "invariant", REF_COEFFS, "--matrix", matrix)
-        assert (code, out) == (4, "")
-        assert "multiple of the identity (uniform scaling)" in err
-
     def test_pencil_equal_to_diag_reports_ratio(self, capsys):
         code, diag, _ = run_json(capsys, "invariant", REF_COEFFS,
                                  "--family", "diag", "--phi", "2")
@@ -393,74 +235,17 @@ class TestInvariant:
         pencil["inputs"]["family"] = "diag"
         assert pencil == diag
 
-    @pytest.mark.parametrize("target", [["--matrix", "2,0;0,3"],
-                                        ["--family", "linear:1,0;0,1|0,0;0,1"]])
-    def test_every_diagonal_direction_reports_ratio(self, capsys, target):
+    def test_a_diagonal_matrix_reports_ratio(self, capsys):
         # b' = g' = 0: every member is diagonal, and H/M^2 is invariant.
         code, report, _ = run_json(capsys, "invariant", "--coeffs", "1.5,3.5",
-                                   *target)
+                                   "--matrix", "2,0;0,3")
         assert code == 0
-        ev = report["evaluations"][0] if "--family" in target else report
-        assert ev["h_over_m2_before"] == pytest.approx(3.5 / 1.5 ** 2, rel=1e-15)
-        assert ev["h_over_m2_after"] == pytest.approx(ev["h_over_m2_before"],
-                                                      rel=1e-15)
-
-    def test_no_ratio_off_the_diagonal_directions(self, capsys):
-        code, report, _ = run_json(capsys, "invariant", "--coeffs", "1.5,3.5",
-                                   "--matrix", "2,1e-3;0,3")
-        assert code == 0
-        assert "h_over_m2_before" not in report
-
-    def test_singular_family_member_exit_code(self, capsys):
-        code, out, err = run(capsys, "invariant", REF_COEFFS,
-                             "--family", "diag", "--phi", "0")
-        assert (code, out) == (2, "")
-        assert "has determinant 0.0 within tolerance of zero" in err
-
-    def test_family_and_matrix_exclusive(self, capsys):
-        code, _, err = run(capsys, "invariant", REF_COEFFS,
-                           "--family", "diag", "--matrix", "1,0;0,2")
-        assert code == 2
+        assert report["h_over_m2_before"] == pytest.approx(3.5 / 1.5 ** 2, rel=1e-15)
+        assert report["h_over_m2_after"] == pytest.approx(report["h_over_m2_before"],
+                                                          rel=1e-15)
 
 
 class TestSimulate:
-    def test_generated_cloud_drifts(self, capsys):
-        code, report, _ = run_json(capsys, "simulate", "--gen", "two-segment",
-                                   "--n", "10000", "--seed", "42")
-        assert code == 0
-        assert len(report["cases"]) == 4
-        certify_report(report)
-
-    def test_reference_coefficients_reproduce_reported_values(self, capsys):
-        code, report, _ = run_json(capsys, "simulate", REF_COEFFS)
-        assert code == 0
-        by_name = {c["name"]: c for c in report["cases"]}
-        diag = by_name["diagonal"]
-        assert diag["after"]["m"] == pytest.approx(3.04488, abs=5e-5)
-        assert diag["after"]["h"] == pytest.approx(9.87991, abs=5e-5)
-        assert diag["h_over_m2_before"] == pytest.approx(1.06564, abs=5e-5)
-        upper = by_name["upper-triangular"]
-        assert upper["after"]["m"] == pytest.approx(0.748882, abs=5e-6)
-        assert upper["after"]["h"] == pytest.approx(0.568896, abs=5e-6)
-        rot = by_name["rotation-pi/3"]
-        assert rot["after"]["m"] == pytest.approx(-0.0364518, abs=5e-7)
-        assert rot["after"]["h"] == pytest.approx(0.0143303, abs=5e-7)
-        assert rot["kernel_before"] == pytest.approx(-0.0126368, abs=5e-7)
-        gen = by_name["general"]
-        assert gen["after"]["m"] == pytest.approx(-4.86159, abs=5e-5)
-        assert gen["after"]["h"] == pytest.approx(27.4371, abs=5e-4)
-        assert gen["kernel_before"] == pytest.approx(-0.000131743, abs=5e-9)
-
-    def test_byte_identical_reports(self, capsys):
-        args = ["simulate", "--gen", "two-segment", "--n", "1000",
-                "--seed", "999", "--json"]
-        code1 = main(args)
-        out1 = capsys.readouterr().out
-        code2 = main(args)
-        out2 = capsys.readouterr().out
-        assert code1 == code2 == 0
-        assert out1 == out2
-
     def test_tiny_collinear_cloud_zero_kernels(self, capsys):
         # The exact kernel of a line is 0, and the reported kernels are
         # within their budget of the exact kernel at the reported points.
@@ -474,30 +259,6 @@ class TestSimulate:
         assert h == m * m
 
 
-class TestSeed:
-    """CLOUD_INV_SEED, once the default of --seed, is no longer read."""
-
-    @pytest.mark.parametrize("value", ["31337", "not-a-number"])
-    def test_env_is_ignored(self, capsys, monkeypatch, value):
-        # argv alone decides a run: --seed defaults to 0 whatever the
-        # environment holds.
-        monkeypatch.setenv("CLOUD_INV_SEED", value)
-        code, report, _ = run_json(capsys, "coeffs", "--gen", "uniform-box",
-                                   "--n", "50")
-        assert code == 0
-        assert report["inputs"]["seed"] == 0
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        # The same argv gives the same report with and without the variable.
-        argv = ["coeffs", "--gen", "uniform-box", "--n", "50", "--seed", "1"]
-        want = run_json(capsys, *argv)
-        monkeypatch.setenv("CLOUD_INV_SEED", "31337")
-        assert run_json(capsys, *argv) == want
-        code, report, _ = want
-        assert code == 0
-        assert report["inputs"]["seed"] == 1
-
-
 class TestBadInputExitCodes:
     """Inputs that once escaped as tracebacks: each must give its documented
     exit code and a single error line."""
@@ -509,54 +270,19 @@ class TestBadInputExitCodes:
         assert err == "error: kernel denominator overflows at (1.5, 3.5)\n"
 
     @pytest.mark.parametrize("argv,exit_code", [
-        (["invariant", "--coeffs", "1.5,3.5", "--matrix", "2,0;0,2"], 4),
         (["invariant", "--coeffs", "1.5,3.5", "--matrix", "[[0.5,0],[0,0.5]]"], 4),
-        (["transform", "--coeffs", "1.5,3.5", "--matrix", "[[null,1],[2,3]]"], 2),
-        (["transform", "--coeffs", "1.5,3.5", "--matrix", "[[{},1],[2,3]]"], 2),
-        (["transform", "--coeffs", "1.5,3.5", "--matrix", "[[1,[2]],[2,3]]"], 2),
-        (["transform", "--coeffs", "1.5,3.5", "--matrix", '[[1,2],["3",4]]'], 2),
-        (["transform", "--coeffs", "1.5,3.5", "--matrix", "[[1,2],[3,true]]"], 2),
-        (["transform", "--coeffs", "1.5,3.5", "--matrix", f"[[1{'0' * 400},0],[0,1]]"], 2),
-        # A finite 1e308 matrix maps (TestTransform); a literal past the
-        # float range reads as inf and is refused.
-        (["transform", "--coeffs", "1.5,3.5", "--matrix", "1e309,1;-1,1"], 2),
-        (["transform", "--coeffs", "1.5,3.5", "--matrix", "[[1,1],[-1,1e309]]"], 2),
-        (["invariant", "--coeffs", "1.5,3.5", "--family", "rot", "--phi", "inf"], 2),
-        (["invariant", "--coeffs", "1.5,3.5", "--family", "rot", "--phi", "0.5,nan"], 2),
-        (["invariant", "--coeffs", "1.5,3.5", "--family", "diag", "--phi", "inf"], 2),
-        (["invariant", "--coeffs", "1.5,3.5", "--family", "diag", "--phi", "nan"], 2),
-        # A --phi list with no value is refused, not read as the identity.
-        (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", ","], 2),
-        (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", " "], 2),
-        (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", ""], 2),
         # Kernels that overflow to inf or -inf, in either output form:
         # K = (M^2 - H)/H^2 is about 1e800 here, and about -1e578 below.
         (["invariant", "--coeffs", "1e200,1e-200", "--family", "upper", "--json"], 2),
         (["invariant", "--coeffs", "1e-11,1e300", "--family", "diag", "--json"], 2),
         (["invariant", "--coeffs", "1e200,1e-200", "--family", "upper"], 2),
-        (["simulate", "--coeffs", "nan,1"], 2),
-        (["simulate", "--coeffs", "1,x"], 2),
-        # So is a list with an empty item.
-        (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", "1,,2"], 2),
-        (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", "1,"], 2),
-        (["invariant", "--coeffs", "1.5,3.5", "--family", "upper", "--phi", ",1"], 2),
-        (SINGULAR_MEMBER, 2),
         # Usage errors: one error line through main(), not a usage block.
-        (["transform", "--coeffs", "1,2"], 2),
-        (["coeffs", "--gen", "ellipse", "--n", "abc"], 2),
-        (["coeffs", "--gen", "ellipse", "--no-such-option"], 2),
         ([], 2),
         (["coeffs"], 2),
         (["coeffs", "--gen", "ellipse", "--csv", "cloud.csv"], 2),
         (["transform", "--coeffs", "1,2", "--gen", "ellipse", "--matrix", "1,0;0,2"], 2),
         (["invariant", "--coeffs", "1,2"], 2),
         *[(form(item), 2) for form in LIST_FORMS.values() for item in REFUSED_LISTS],
-        # A bracketed literal is two rows under the number-list rule, and
-        # nothing else: no space inside a number, no third level, no
-        # missing or extra row, no recursion however deep the brackets.
-        *[(["transform", "--coeffs", "1.5,3.5", "--matrix", literal], 2)
-          for literal in ["[[1 2,3],[4,5]]", "[[1,2],[3]]", "[[1,2]],[[3,4]]",
-                          "[1,2],[3,4]", "[" * 20_000 + "]" * 20_000]],
     ])
     def test_exit_code_and_one_error_line(self, capsys, argv, exit_code):
         code, out, err = run(capsys, *argv)
@@ -565,7 +291,7 @@ class TestBadInputExitCodes:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        if "--phi" in argv and argv != SINGULAR_MEMBER:
+        if "--phi" in argv:
             assert lines[0].startswith("error: bad --phi list")
 
     @pytest.mark.parametrize("argv,message", [
@@ -581,7 +307,7 @@ class TestBadInputExitCodes:
     def test_usage_error_is_returned_as_one_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("argv", [["--help"], ["coeffs", "--help"], ["--version"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"]])
     def test_help_and_version_still_exit_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -607,14 +333,6 @@ class TestBadInputExitCodes:
     @pytest.mark.parametrize("argv,start", [
         (["simulate", "--coeffs", LONG], "expected finite --coeffs M,H: 'xxx"),
         ([*SINGULAR_MEMBER[:-1], LONG], "bad --phi list: 'xxx"),
-        (["transform", "--coeffs", "1.5,3.5", "--matrix", LONG],
-         "expected 'a,b;c,d', got 'xxx"),
-        (["transform", "--coeffs", "1.5,3.5", "--matrix", "[" * 20_000 + "]" * 20_000],
-         "expected [[a,b],[c,d]], got '[[["),
-        (["invariant", "--coeffs", "1.5,3.5", "--family", LONG],
-         "unknown family literal 'xxx"),
-        (["invariant", "--coeffs", "1.5,3.5", "--family", f"linear:{LONG}|1,0;0,1"],
-         "expected 'a,b;c,d', got 'xxx"),
         (["coeffs", "--csv", "{csv}"], "bad CSV {csv}: line 2: 'xxx"),
     ])
     def test_a_long_value_is_quoted_by_head_and_tail(self, capsys, tmp_path, argv,
@@ -628,64 +346,23 @@ class TestBadInputExitCodes:
         assert err.startswith("error: " + start.replace("{csv}", str(path)))
         assert err.count("\n") == 1 and "..." in err and len(err) < 1000
 
-    @pytest.mark.parametrize("argv", [
-        ["coeffs", "--gen", "ellipse", "--n", "9" * 40_000],
-        ["coeffs", "--gen", LONG],
-        ["coeffs", "--gen", "ellipse", "--noise", LONG],
-        [LONG, "--coeffs", "1,2"],
-    ])
-    def test_a_long_usage_error_is_cut_by_head_and_tail(self, capsys, argv):
-        # argparse writes the value back whole; the line keeps 400 characters.
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: argument ") and "..." in err
-        assert err.count("\n") == 1 and len(err.encode()) < 1000
-
     @pytest.mark.parametrize("extra", [0, 1])
-    def test_a_usage_error_is_cut_past_400_characters(self, capsys, extra):
-        # argparse's message for --n <value>, at exactly 400 characters and
-        # at 401.
-        frame = run(capsys, "coeffs", "--gen", "ellipse", "--n", "")[2]
+    @pytest.mark.parametrize("argv", [["coeffs", "--gen", "ellipse", "--n"], ["coeffs", "--gen"],
+                                      ["coeffs", "--gen", "ellipse", "--noise"], []],
+                             ids=["n", "gen", "noise", "command"])
+    def test_a_usage_error_is_cut_past_400_characters(self, capsys, argv, extra):
+        # argparse writes the value back whole: its message for each option
+        # or the command, at exactly 400 characters and at 401.
+        frame = run(capsys, *argv, "")[2]
         value = "x" * (400 + extra - (len(frame) - len("error: \n")))
         message = frame[len("error: "):-1].replace("''", repr(value))
         assert len(message) == 400 + extra
-        code, out, err = run(capsys, "coeffs", "--gen", "ellipse", "--n", value)
+        code, out, err = run(capsys, *argv, value)
         assert (code, out) == (2, "")
         if extra:
             assert err == f"error: {_QUOTE.repr(message)[1:-1]}\n" and "..." in err
         else:
             assert err == f"error: {message}\n"
-
-    @pytest.mark.parametrize("form", [*LIST_FORMS, "csv"])
-    def test_number_list_rule_accepts(self, capsys, tmp_path, form):
-        if form == "csv":
-            path = tmp_path / "cloud.csv"
-            path.write_text("0,0\n1,2\n5,1\n")
-            argv = ["coeffs", "--csv", str(path)]
-        else:
-            argv = LIST_FORMS[form]("1,2")
-        code, report, err = run_json(capsys, *argv)
-        assert (code, err) == (0, "")
-        inputs = report["inputs"]
-        if form == "csv":
-            assert inputs["n"] == 3
-        elif form == "coeffs":
-            assert [inputs["m"], inputs["h"]] == [1.0, 2.0]
-        else:
-            assert inputs[form][:2] == [1.0, 2.0]
-
-    @pytest.mark.parametrize("row", REFUSED_LISTS)
-    def test_number_list_rule_on_a_csv_row(self, capsys, tmp_path, row):
-        path = tmp_path / "cloud.csv"
-        path.write_text(f"0,0\n{row}\n5,1\n")
-        code, out, err = run(capsys, "coeffs", "--csv", str(path), "--json")
-        if not row.strip():
-            # A blank or all-space row is a blank line, which CSV input skips.
-            assert (code, json.loads(out)["inputs"]["n"]) == (0, 2)
-            return
-        assert (code, out) == (2, "")
-        assert err == (f"error: bad CSV {path}: line 2: {row!r} is not a list of "
-                       "2 finite numbers\n")
 
     @pytest.mark.parametrize("argv,exit_code", [
         (["invariant", "--coeffs", "1.5e-100,3.5e-200", "--family", "upper"], 0),
@@ -694,6 +371,7 @@ class TestBadInputExitCodes:
         (["simulate", "--coeffs", "1e-300,0"], 2),
         (["invariant", "--coeffs", "1e-11,1e300", "--family", "diag"], 2),
         (["invariant", "--coeffs", "0,1.5e308", "--family", "upper"], 0),
+        (["invariant", "--coeffs", "1e200,1e300", "--family", "upper"], 0),
         # a - d overflows: the direction is formed at half scale.
         (["invariant", "--coeffs", "1.5,3.5", "--matrix", "1e308,0;0,-1e308"], 0),
         (["invariant", "--coeffs", "1.5,3.5", "--family",
@@ -710,18 +388,6 @@ class TestBadInputExitCodes:
             upper = FamilyGenerator(1.0, 0.0, 0.0)
             assert kernel_ulps(report["kernel_before"], upper, m, h) <= KERNEL_ULPS
 
-    @pytest.mark.parametrize("coeffs", ["1e-300,0", "1e-200,2e-400", "1e200,0",
-                                        "1e200,1e300", "1.7e308,0"])
-    @pytest.mark.parametrize("target", [["--family", "diag"],
-                                        ["--matrix", "2,0;0,1"]])
-    def test_degree_zero_kernel_keeps_its_square(self, capsys, coeffs, target):
-        # M*M under- or overflows here, yet K = (M^2 - H)/M^2 is 1 (H is
-        # at most 1e-100 of M^2).
-        code, report, _ = run_json(capsys, "invariant", "--coeffs", coeffs,
-                                   *target)
-        assert code == 0
-        assert report["kernel_before"] == 1.0
-
     def test_diagonal_ratio_out_of_range(self, capsys):
         # A diagonal --matrix reports H/M^2, here 1e390: past the float range.
         for form in [], ["--json"]:
@@ -737,14 +403,6 @@ class TestBadInputExitCodes:
         assert (code, out) == (2, "")
         assert err == ("error: kernel denominator 0.0 is zero within tolerance "
                        "at (0.0, 3.5)\n")
-
-    def test_huge_m_kernel_is_finite(self, capsys):
-        # M*M overflows, yet K = (M^2 - H)/H^2 is about 1e-200.
-        code, report, _ = run_json(capsys, "invariant", "--coeffs",
-                                   "1e200,1e300", "--family", "upper")
-        assert code == 0
-        upper = FamilyGenerator(1.0, 0.0, 0.0)
-        assert kernel_ulps(report["kernel_before"], upper, 1e200, 1e300) <= KERNEL_ULPS
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -8,24 +8,6 @@ from conftest import traced_peak
 
 
 class TestSpecValidation:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            CloudGenSpec(kind="spiral", n=10)
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            CloudGenSpec(kind="uniform-box", n=1)
-
-    def test_negative_noise(self):
-        with pytest.raises(ValueError):
-            CloudGenSpec(kind="ellipse", n=10, noise=-0.1)
-
-    def test_seed_range(self):
-        with pytest.raises(ValueError):
-            CloudGenSpec(kind="ellipse", n=10, seed=-1)
-        with pytest.raises(ValueError):
-            CloudGenSpec(kind="ellipse", n=10, seed=2 ** 64)
-
     @pytest.mark.parametrize("field,args", [
         ("n", (2.5,)), ("n", ("10",)), ("n", (True,)), ("n", (10.0,)),
         ("seed", (10, 0.0, 1.5)), ("seed", (10, 0.0, "3")),
@@ -40,46 +22,12 @@ class TestSpecValidation:
             CloudGenSpec("ellipse", 10, noise)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_deterministic_under_fixed_seed(kind):
-    spec = CloudGenSpec(kind=kind, n=500, noise=0.05, seed=1234)
-    a = generate_cloud(spec)
-    b = generate_cloud(spec)
-    assert np.array_equal(a.xs, b.xs)
-    assert np.array_equal(a.ys, b.ys)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_seed_changes_cloud(kind):
-    a = generate_cloud(CloudGenSpec(kind=kind, n=100, noise=0.05, seed=1))
-    b = generate_cloud(CloudGenSpec(kind=kind, n=100, noise=0.05, seed=2))
-    assert not np.array_equal(a.xs, b.xs)
-
-
-def test_point_counts():
-    for n in (2, 3, 101):
-        cloud = generate_cloud(CloudGenSpec(kind="two-segment", n=n, seed=5))
-        assert len(cloud) == n
-
-
 def test_noiseless_line_exactly_collinear():
     cloud = generate_cloud(CloudGenSpec(kind="line-with-noise", n=50,
                                         noise=0.0, seed=99))
     assert is_collinear(cloud)
     lc = linear_coefficients(cloud)
     assert lc.h - lc.m ** 2 == 0.0
-
-
-def test_noisy_line_not_collinear():
-    cloud = generate_cloud(CloudGenSpec(kind="line-with-noise", n=200,
-                                        noise=0.1, seed=99))
-    assert not is_collinear(cloud)
-
-
-def test_two_segment_shape_is_generic():
-    cloud = generate_cloud(CloudGenSpec(kind="two-segment", n=10000, seed=42))
-    lc = linear_coefficients(cloud)
-    assert lc.h > lc.m ** 2 + 0.01
 
 
 def reference_arrays(spec):
@@ -111,8 +59,8 @@ def reference_arrays(spec):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", [2, 3, 1001, 70000])
-@pytest.mark.parametrize("noise", [0.0, 0.05])
+@pytest.mark.parametrize("n", [2, 3, 101, 500, 1001, 10000, 70000])
+@pytest.mark.parametrize("noise", [0.0, 0.05, 0.1])
 def test_bit_identical_to_reference_formulas(kind, n, noise):
     spec = CloudGenSpec(kind=kind, n=n, noise=noise, seed=n + 17)
     cloud = generate_cloud(spec)

@@ -26,12 +26,6 @@ TRIANGLE = [(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)]
 
 
 class TestPointAndCloud:
-    def test_point_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Cloud([(float("nan"), 0.0), (1.0, 1.0)])
-        with pytest.raises(ValueError):
-            Cloud([(0.0, float("inf")), (1.0, 1.0)])
-
     def test_cloud_accepts_points_and_pairs(self):
         c = Cloud([[0, 0], (1, 1)])
         assert len(c) == 2
@@ -63,23 +57,8 @@ class TestPointAndCloud:
         assert repr(Cloud(TRIANGLE[:2])) == repr(image) == "Cloud(n=2)"
         assert image._t is not None
 
-    def test_cloud_arrays_read_only(self):
-        c = Cloud(TRIANGLE)
-        with pytest.raises(ValueError):
-            c.xs[0] = 5.0
-
 
 class TestRawSums:
-    def test_triangle(self):
-        exact = centered_sums(*zip(*TRIANGLE))
-        assert exact == (0, 2, 6)
-        assert scatter_ulps(raw_sums(Cloud(TRIANGLE)), exact) <= MOMENT_ULPS
-
-    def test_two_points(self):
-        rs = raw_sums(Cloud([(0, 0), (1, 1)]))
-        assert centered_sums([0, 1], [0, 1]) == (1, 1, 1)
-        assert (rs.mn, rs.hn, rs.d) == (1.0, 1.0, 1.0)
-
     def test_duplicated_point(self):
         rs = raw_sums(Cloud([(3.5, -2.0), (3.5, -2.0)]))
         assert (rs.mn, rs.hn, rs.d) == (0.0, 0.0, 0.0)
@@ -93,53 +72,9 @@ class TestRawSums:
         assert (vertical.mn, vertical.d) == (0.0, 0.0) and vertical.hn > 0
 
 
-@pytest.mark.parametrize("n", [300, 70_000])
-@pytest.mark.parametrize("kind", KINDS)
-def test_raw_sums_chart_point_is_linear_coefficients(kind, n):
-    # The same division mn / d, so the same bits.
-    cloud = generate_cloud(CloudGenSpec(kind, n, seed=7))
-    rs, lc = raw_sums(cloud), linear_coefficients(cloud)
-    assert (rs.m, rs.h) == (lc.m, lc.h)
-    assert lc.d == 1.0
-
-
-class TestLinearCoefficients:
-    def test_triangle(self):
-        lc = linear_coefficients(Cloud(TRIANGLE))
-        assert chart_ulps(lc, centered_sums(*zip(*TRIANGLE))) <= MOMENT_ULPS
-
-    def test_diagonal_line(self):
-        lc = linear_coefficients(Cloud([(0, 0), (1, 1), (2, 2)]))
-        assert (lc.m, lc.h) == (1.0, 1.0)
-
-    def test_vertical_line_degenerate(self):
-        with pytest.raises(DegenerateCloud):
-            linear_coefficients(Cloud([(0, 0), (0, 1), (0, 2)]))
-
-    def test_degeneracy_scale_relative(self):
-        # Large equal x-coordinates still count as degenerate.
-        with pytest.raises(DegenerateCloud):
-            linear_coefficients(Cloud([(1e8, 0), (1e8, 1), (1e8, 2)]))
-
-    def test_small_cloud_is_not_vertical(self):
-        xs, ys = np.array([0.0, 1e-7, 2e-7]), np.array([0.0, 1e-7, 3e-7])
-        lc = linear_coefficients(Cloud.from_arrays(xs, ys))
-        assert chart_ulps(lc, centered_sums(xs, ys)) <= MOMENT_ULPS
-
-
 class TestIsCollinear:
-    def test_exact_line(self):
-        assert is_collinear(Cloud([(0, 0), (1, 1), (2, 2)]))
-
-    def test_triangle_not_collinear(self):
-        assert not is_collinear(Cloud(TRIANGLE))
-
     def test_vertical_line(self):
         assert is_collinear(Cloud([(0, 0), (0, 1), (0, 2)]))
-
-    def test_small_box_is_not_collinear(self, rng):
-        xs, ys = rng.uniform(0.0, 1e-4, (2, 100))
-        assert not is_collinear(Cloud.from_arrays(xs, ys))
 
     @pytest.mark.parametrize("pts,collinear", [
         (TRIANGLE, False), ([(0, 0), (1, 2), (2, 4)], True),
@@ -257,31 +192,22 @@ def test_nonnegativity_and_cauchy_schwarz(pts):
     assert scatter_ulps(rs, exact) <= MOMENT_ULPS
 
 
-def test_offset_cloud_cancellation(rng):
-    # Centered sums survive a large common offset that would wreck the raw
-    # textbook formulas: at 1e6 as near 0, they are within the moment budget
-    # of the exact sums of their own coordinates.
-    xs = rng.random(200)
-    ys = rng.random(200)
-    for offset in (0.0, 1e6):
-        rs = raw_sums(Cloud.from_arrays(xs + offset, ys + offset))
-        assert scatter_ulps(rs, centered_sums(xs + offset, ys + offset)) <= MOMENT_ULPS
-
-
-def test_collinear_iff_zero_gap():
+@pytest.mark.parametrize("pts,collinear", [
+    ([(0.0, 0.0), (1.0, 0.5), (2.0, 1.0), (4.0, 2.0)], True), ([(0, 0), (1, 1), (2, 2)], True),
+    ([(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)], False), (TRIANGLE, False)],
+    ids=["line", "diagonal-line", "off-line", "triangle"])
+def test_collinear_iff_zero_gap(pts, collinear):
     # Equality in Cauchy-Schwarz exactly on collinear clouds.
-    for pts, collinear in (([(0.0, 0.0), (1.0, 0.5), (2.0, 1.0), (4.0, 2.0)], True),
-                           ([(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)], False)):
-        mn, hn, d = exact = centered_sums(*zip(*pts))
-        assert (hn * d - mn * mn == 0) is collinear
-        assert scatter_ulps(raw_sums(Cloud(pts)), exact) <= MOMENT_ULPS
-        assert is_collinear(Cloud(pts)) is collinear
+    mn, hn, d = exact = centered_sums(*zip(*pts))
+    assert (hn * d - mn * mn == 0) is collinear
+    assert scatter_ulps(raw_sums(Cloud(pts)), exact) <= MOMENT_ULPS
+    assert is_collinear(Cloud(pts)) is collinear
 
 
 # A constant column: zero, or any magnitude from 1e-100 to 1e100.
 constant = st.one_of(st.just(0.0), st.floats(1e-100, 1e100),
                      st.floats(-1e100, -1e-100))
-chunked_sizes = st.sampled_from([2, 3, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 5])
+CHUNKED_SIZES = [2, 3, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 5]
 
 
 @st.composite
@@ -318,17 +244,19 @@ class TestVerticalTest:
     terms that cannot cancel, is tested for 0 itself: a cloud is vertical
     exactly when all its x are equal."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(constant, chunked_sizes, st.integers(0, 2**32 - 1))
-    def test_constant_x_has_exactly_zero_spread(self, v, n, seed):
+    @pytest.mark.parametrize("n", CHUNKED_SIZES)
+    @settings(max_examples=40, deadline=None)
+    @given(constant, st.integers(0, 2**32 - 1))
+    def test_constant_x_has_exactly_zero_spread(self, n, v, seed):
         cloud = Cloud.from_arrays(np.full(n, v), spread(seed, n))
         assert raw_sums(cloud).d == 0.0
         with pytest.raises(DegenerateCloud):
             linear_coefficients(cloud)
 
-    @settings(max_examples=200, deadline=None)
-    @given(constant, chunked_sizes, st.integers(0, 2**32 - 1))
-    def test_constant_y_has_exactly_zero_spread(self, v, n, seed):
+    @pytest.mark.parametrize("n", CHUNKED_SIZES)
+    @settings(max_examples=40, deadline=None)
+    @given(constant, st.integers(0, 2**32 - 1))
+    def test_constant_y_has_exactly_zero_spread(self, n, v, seed):
         cloud = Cloud.from_arrays(spread(seed, n), np.full(n, v))
         assert raw_sums(cloud).hn == 0.0
         assert is_collinear(cloud)
@@ -386,18 +314,6 @@ class TestVerticalTest:
         for cloud in (base, moved):
             assert chart_ulps(linear_coefficients(cloud), exact) <= MOMENT_ULPS
 
-    @pytest.mark.parametrize("v,n", [(0.1, 3), (0.3, 70_000)])
-    def test_equal_values_have_zero_spread(self, v, n):
-        cloud = Cloud.from_arrays(np.full(n, v), np.arange(n, dtype=float))
-        assert raw_sums(cloud).d == 0.0
-
-    def test_horizontal_line_of_tenths(self):
-        cloud = Cloud([(0.0, 0.1), (1.0, 0.1), (2.5, 0.1)])
-        assert raw_sums(cloud).hn == 0.0
-        assert is_collinear(cloud)
-        lc = linear_coefficients(cloud)
-        assert (lc.m, lc.h) == (0.0, 0.0)
-
     def test_offset_line_is_not_vertical(self):
         cloud = Cloud([(5e6, 0.0), (5e6 + 1, 1.0), (5e6 + 2, 3.0)])
         assert linear_coefficients(cloud).m == 1.5
@@ -419,34 +335,24 @@ class TestCsv:
         assert (cloud.xs[2], cloud.ys[2]) == (2.0, 0.0)
 
     def test_read_without_header_and_blank_lines(self):
-        cloud = read_cloud_csv(io.StringIO("0,0\n\n1,1\n\n"))
+        cloud = read_cloud_csv(io.StringIO("0,0\n\n \n1,1\n\n"))
         assert len(cloud) == 2
 
     def test_read_crlf(self):
         cloud = read_cloud_csv(io.StringIO("x,y\r\n1.5,-2\r\n0,3\r\n"))
         assert (cloud.xs[0], cloud.ys[0]) == (1.5, -2.0)
 
-    def test_read_bad_cell_count(self):
-        with pytest.raises(ValueError):
-            read_cloud_csv(io.StringIO("1,2,3\n"))
-
-    def test_read_bad_number(self):
-        with pytest.raises(ValueError):
-            read_cloud_csv(io.StringIO("1,zzz\n"))
-
-    def test_roundtrip(self, rng):
-        cloud = Cloud.from_arrays(rng.random(10), rng.random(10))
-        buf = io.StringIO()
-        write_cloud_csv(cloud, buf)
-        back = read_cloud_csv(io.StringIO(buf.getvalue()))
-        assert np.array_equal(back.xs, cloud.xs)
-        assert np.array_equal(back.ys, cloud.ys)
-
+    @pytest.mark.parametrize("source", ["stream", "file"])
     @pytest.mark.parametrize("header", ["x,y\n", ""])
-    def test_byte_order_mark_of_a_text_stream(self, header):
+    def test_byte_order_mark_of_a_stream_or_file(self, tmp_path, header, source):
+        def read(text):
+            if source == "stream":
+                return read_cloud_csv(io.StringIO(text))
+            (tmp_path / "cloud.csv").write_text(text, encoding="utf-8")
+            return read_cloud_csv(str(tmp_path / "cloud.csv"))
+
         body = header + "0,0\n1,1\n2,3\n"
-        marked = read_cloud_csv(io.StringIO("\ufeff" + body))
-        plain = read_cloud_csv(io.StringIO(body))
+        marked, plain = read("\ufeff" + body), read(body)
         assert np.array_equal(marked.xs, plain.xs)
         assert np.array_equal(marked.ys, plain.ys)
         assert marked._moments == plain._moments
@@ -455,20 +361,12 @@ class TestCsv:
         with pytest.raises(ValueError, match="^line 2: "):
             read_cloud_csv(io.StringIO("0,0\n\ufeff1,1\n2,3\n"))
 
-    @pytest.mark.parametrize("row,message", [
-        ("1,2,3", "line 2: '1,2,3' is not a list of 2 finite numbers"),
-        ("1", "line 2: '1' is not a list of 2 finite numbers"),
-        ("1,zzz", "line 2: '1,zzz' is not a list of 2 finite numbers"),
-        ("inf,1", "line 2: 'inf,1' is not a list of 2 finite numbers"),
-        ("1, nan", "line 2: '1, nan' is not a list of 2 finite numbers"),
-        ("1e309,0", "line 2: '1e309,0' is not a list of 2 finite numbers"),
-        (",", "line 2: ',' is not a list of 2 finite numbers"),
-    ])
-    def test_bad_row_names_its_line(self, row, message):
+    @pytest.mark.parametrize("row", ["1,2,3", "1", "1,zzz", "inf,1", "1, nan", "1e309,0", ",",
+                                     "1,,2", "x", "inf", "nan", "1e309"])
+    def test_bad_row_names_its_line(self, row):
         with pytest.raises(ValueError) as info:
             read_cloud_csv(io.StringIO(f"x,y\n{row}\n0,0\n1,1\n"))
-        assert str(info.value) == message
-
+        assert str(info.value) == f"line 2: {row!r} is not a list of 2 finite numbers"
 
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
         # The decoder reads the file in buffers; the error names the line.
@@ -637,19 +535,6 @@ class TestChunkedReduction:
         ys = 0.3 * xs + rng.standard_normal(n)
         assert scatter_ulps(raw_sums(Cloud.from_arrays(xs, ys)),
                             centered_sums(xs, ys)) <= MOMENT_ULPS
-
-    def test_offset_cloud_over_several_chunks(self, rng):
-        n = 3 * _CHUNK + 5
-        xs = 1e8 + rng.standard_normal(n)
-        ys = -3e7 + 0.3 * (xs - 1e8) + rng.standard_normal(n)
-        assert scatter_ulps(raw_sums(Cloud.from_arrays(xs, ys)),
-                            centered_sums(xs, ys)) <= MOMENT_ULPS
-
-    def test_vertical_line_over_several_chunks(self, rng):
-        n = 3 * _CHUNK + 5
-        with pytest.raises(DegenerateCloud):
-            linear_coefficients(Cloud.from_arrays(np.full(n, 1e8),
-                                                  rng.standard_normal(n)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("axis", [0, 1])

@@ -117,6 +117,7 @@ INF, NAN = math.inf, math.nan
 INVALID = [
     (lambda: Cloud([(NAN, 0), (1, 1)]), ValueError, r"point x must be finite, got nan"),
     (lambda: Cloud([(0, -INF), (1, 1)]), ValueError, r"point y must be finite, got -inf"),
+    (lambda: Cloud([(0, INF), (1, 1)]), ValueError, r"point y must be finite, got inf"),
     (lambda: Scatter(INF, 0, 0), ValueError, r"scatter mn must be finite, got inf"),
     (lambda: Scatter(0, NAN, 0), ValueError, r"scatter hn must be finite"),
     (lambda: Scatter(0, 0, -INF), ValueError, r"scatter d must be finite, got -inf"),
@@ -125,6 +126,7 @@ INVALID = [
     (lambda: LinearCoefficients(0, INF), ValueError,
      r"scatter hn must be finite, got inf"),
     (lambda: Matrix2(NAN, 0, 0, 1), ValueError, r"matrix entry a must be finite"),
+    (lambda: Matrix2(INF, 0, 0, 1), ValueError, r"matrix entry a must be finite, got inf"),
     (lambda: Matrix2(1, 0, 0, INF), ValueError, r"matrix entry d must be finite"),
     (lambda: Matrix2(1, 2, 2, 4), NonInvertibleMatrix, r"determinant 0\.0"),
     (lambda: Matrix2(0, 0, 0, 0), NonInvertibleMatrix, r"within tolerance of zero"),
@@ -134,6 +136,7 @@ INVALID = [
     (lambda: FamilyGenerator(0, INF, 0), ValueError, r"gprime must be finite"),
     (lambda: FamilyGenerator(0, 0, -INF), ValueError, r"delta must be finite"),
     (lambda: CloudGenSpec("circle", 10), ValueError, r"unknown generator kind"),
+    (lambda: CloudGenSpec("spiral", 10), ValueError, r"unknown generator kind 'spiral'"),
     (lambda: CloudGenSpec("ellipse", 1), ValueError, r"point count must be >= 2"),
     (lambda: CloudGenSpec("ellipse", 10, -0.1), ValueError,
      r"noise amplitude must be >= 0"),
@@ -158,13 +161,6 @@ INVALID = [
 def test_validation_errors(make, exc, match):
     with pytest.raises(exc, match=match):
         make()
-
-
-def test_linear_coefficients_is_the_chart_point():
-    lc = LinearCoefficients(m=1.52244, h=2.46998)
-    assert lc == Scatter(1.52244, 2.46998, 1.0)
-    assert (lc.m, lc.h) == (1.52244, 2.46998)
-    assert Scatter(3.0, 6.0, 2.0).m == 1.5 and Scatter(3.0, 6.0, 2.0).h == 3.0
 
 
 @pytest.mark.parametrize("s", [raw_sums(Cloud([(1, 1), (1, 2)])), Scatter(1.0, 2.0, 0.0)])
