@@ -98,6 +98,15 @@ def _evaluation(matrix: Matrix2, spec: FamilyGenerator, lc: Scatter) -> dict:
     return entry
 
 
+def _direct(matrix: Matrix2, cloud: Cloud, closed: dict) -> tuple[Cloud, dict, float]:
+    """The image of a cloud under matrix, the image's chart point from its
+    points, and that point's largest |dM|, |dH| from the closed form's."""
+    image = apply_to_cloud(matrix, cloud)
+    direct = linear_coefficients(image)
+    return image, {"m": direct.m, "h": direct.h}, max(
+        abs(direct.m - closed["m"]), abs(direct.h - closed["h"]))
+
+
 def _flatten(node: object, key: str = ""):
     """(dotted key, leaf) for each leaf of a report, in its order.  Items of
     a list of dicts are indexed; any other list is one leaf."""
@@ -159,11 +168,8 @@ def _cmd_transform(args: argparse.Namespace) -> dict:
         "after_closed_form": {"m": after_closed.m, "h": after_closed.h},
     }
     if cloud is not None:
-        image = apply_to_cloud(matrix, cloud)
-        after_direct = linear_coefficients(image)
-        report["after_direct"] = {"m": after_direct.m, "h": after_direct.h}
-        report["discrepancy"] = max(abs(after_direct.m - after_closed.m),
-                                    abs(after_direct.h - after_closed.h))
+        image, report["after_direct"], report["discrepancy"] = _direct(
+            matrix, cloud, report["after_closed_form"])
         if args.dump_points:
             try:
                 write_cloud_csv(image, args.dump_points)
@@ -213,11 +219,8 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
         case = {"name": name, "matrix": list(matrix.entries()),
                 **_evaluation(matrix, spec, lc)}
         if cloud is not None:
-            direct = linear_coefficients(apply_to_cloud(matrix, cloud))
-            after = case["after"]
-            case["after_direct"] = {"m": direct.m, "h": direct.h}
-            case["closed_vs_direct"] = max(abs(direct.m - after["m"]),
-                                           abs(direct.h - after["h"]))
+            _, case["after_direct"], case["closed_vs_direct"] = _direct(
+                matrix, cloud, case["after"])
         cases.append(case)
     return {
         "inputs": echo,

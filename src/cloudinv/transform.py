@@ -97,9 +97,21 @@ def induced_raw(t: Matrix2, s: Scatter) -> Scatter:
 
 
 def _congruence(s: Scatter, a: float, b: float, c: float, d: float) -> tuple:
-    image = ((a * d + b * c) * s.mn + b * d * s.hn + a * c * s.d,
-             2.0 * c * d * s.mn + d * d * s.hn + c * c * s.d,
-             2.0 * a * b * s.mn + b * b * s.hn + a * a * s.d)
+    return _finite((a * d + b * c) * s.mn + b * d * s.hn + a * c * s.d,
+                   2.0 * c * d * s.mn + d * d * s.hn + c * c * s.d,
+                   2.0 * a * b * s.mn + b * b * s.hn + a * a * s.d)
+
+
+def _congruence_by_rows(s: Scatter, a: float, b: float, c: float, d: float) -> tuple:
+    """T S T^T as (T S) T^T: each entry of T meets an entry of S before it
+    meets another entry of T, so no product of two entries of T is rounded
+    at subnormal precision before S scales it."""
+    p, q = a * s.d + b * s.mn, a * s.mn + b * s.hn
+    r, u = c * s.d + d * s.mn, c * s.mn + d * s.hn
+    return _finite(p * c + q * d, r * c + u * d, p * a + q * b)
+
+
+def _finite(*image: float) -> tuple:
     if not all(map(math.isfinite, image)):
         raise ValueError(f"induced map overflows: T S T^T is {image}")
     return image
@@ -111,7 +123,7 @@ def induced_coefficients(t: Matrix2, s: Scatter) -> Scatter:
     It has degree 0 in T, so it is computed on T / 2**k for k = e,
     2**(e-1) <= max|entry| < 2**e, unless that rounds an entry (one that is
     or turns subnormal); then for the largest k that keeps every entry
-    exact, or, where that overflows, for k = e after all.
+    exact, as (T S) T^T, or, where that overflows, for k = e after all.
 
     Raises:
         DegenerateImage: the image's D = a^2 D + 2ab M_n + b^2 H_n is at most
@@ -129,7 +141,7 @@ def induced_coefficients(t: Matrix2, s: Scatter) -> Scatter:
         exact = [math.ldexp(v, -k) for v in entries]
     try:
         a, b, c, d = exact
-        mn, hn, dd = _congruence(s, a, b, c, d)
+        mn, hn, dd = (_congruence if exact is scaled else _congruence_by_rows)(s, a, b, c, d)
     except ValueError:
         if exact is scaled:
             raise

@@ -9,12 +9,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from cloudinv import (Cloud, CloudGenSpec, LinearCoefficients, Matrix2,
                       generate_cloud, induced_coefficients, read_cloud_csv,
                       write_cloud_csv)
 from cloudinv import generators
+
+# tests/mutate.py runs tier-1 on each mutant under this profile: a failing
+# property test ends at its first failing example, which is not shrunk.
+settings.register_profile("mutation", phases=[p for p in Phase if p is not Phase.shrink])
 
 # The reference coefficient pair used throughout the worked examples.
 REF_M = 1.52244

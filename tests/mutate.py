@@ -8,8 +8,11 @@ RTOL times 10**3 or 10**-3.  It is named file:line:col Old->New, at the
 operand right of the operator.  Each runs in a temporary copy of src/, tests/,
 pyproject.toml and README.md, with every module written by ast.unparse (the
 unmutated copy runs first), under pytest -x -q -p no:cacheprovider
---hypothesis-seed=0, no bytecode written and a fresh hypothesis database.
-Exits 1 unless the survivors are exactly EQUIVALENT.
+--hypothesis-seed=0 and conftest.py's "mutation" profile, which does not
+shrink, with no bytecode written and a fresh hypothesis database.  The copy
+runs every tier-1 test, FIRST's modules first, but SAME_NAMES, which checks
+EQUIVALENT against the lines of src/ as written, not as unparsed.  Exits 1 unless the survivors are
+exactly EQUIVALENT; the last line gives the counts and the wall time.
 """
 import ast
 import itertools
@@ -18,6 +21,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -32,6 +36,12 @@ EQUIVALENT = {
                                  "coordinate is -0.0, so each keeps its bits",
     "coefficients.py:388:25 Lt->LtE": "0.0 <= s: this branch has s != 0, where it is 0.0 < s",
 }
+
+SAME_NAMES = "tests/test_imports.py::test_each_equivalent_mutant_is_made"
+# Run first: the goldens and the guard table take about a second and kill
+# most mutants, which pytest -x then stops at; test_transform.py alone
+# reaches the exact-scaling branch of induced_coefficients.
+FIRST = ["tests/test_golden.py", "tests/test_guards.py", "tests/test_transform.py"]
 
 
 def mutations(tree):
@@ -59,17 +69,19 @@ def mutations(tree):
 def passes(copy):
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    rest = sorted(f"tests/{path.name}" for path in copy.glob("tests/test_*.py"))
     try:  # a mutant that loops is killed by the timeout
         return subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--hypothesis-seed=0"], cwd=copy, env=env, stdout=subprocess.DEVNULL,
+             "--hypothesis-seed=0", "--hypothesis-profile=mutation", "--deselect",
+             SAME_NAMES, *FIRST, *(name for name in rest if name not in FIRST)], cwd=copy, env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL, timeout=600).returncode == 0
     except subprocess.TimeoutExpired:
         return False
 
 
 def main():
-    survivors, count = set(), 0
+    start, survivors, count = time.monotonic(), set(), 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         for part in ("src", "tests", "pyproject.toml", "README.md"):
@@ -89,7 +101,9 @@ def main():
                 print("killed  " if killed else "SURVIVED", name, flush=True)
             path.write_text(ast.unparse(ast.parse(source)))
     wrong = sorted(survivors ^ set(EQUIVALENT))
-    print(f"{count} mutants, {count - len(survivors)} killed; not as EQUIVALENT lists: {wrong}")
+    minutes, seconds = divmod(round(time.monotonic() - start), 60)
+    print(f"{count} mutants, {count - len(survivors)} killed; not as EQUIVALENT lists: "
+          f"{wrong}; {minutes} min {seconds} s")
     return 1 if wrong else 0
 
 

@@ -311,17 +311,20 @@ def test_criterion_7_structural_properties(identity, check):
 
 # Criterion 8 -------------------------------------------------------------
 
-@pytest.mark.parametrize("family,accepted", [
-    *((family, True) for family in ACCEPTED_FAMILIES),
-    *((family, False) for family in REJECTED_FAMILIES)])
-def test_criterion_8_branch_equivalence(family, accepted):
-    if accepted:
+@pytest.mark.parametrize("family,query", [
+    *((family, None) for family in ACCEPTED_FAMILIES),
+    *((family, query) for family in REJECTED_FAMILIES
+      for query in ("identity_parameter", "derivative_coefficients"))])
+def test_criterion_8_branch_equivalence(family, query):
+    # derivative_coefficients() asks identity_parameter() first.
+    if query is None:
         assert_identity_member(family)
     else:
-        with pytest.raises(NoIdentityParameter):
-            family.identity_parameter()
+        with pytest.raises(NoIdentityParameter,
+                           match=r"no phi makes A0 \+ phi\*B the identity"):
+            getattr(family, query)()
     print(f"PASS criterion 8: consistency solver "
-          f"{'accepted' if accepted else 'rejected'} the constructed pencil "
+          f"{'accepted' if query is None else 'rejected'} the constructed pencil "
           f"family a0={family.a0}, b={family.b}")
 
 

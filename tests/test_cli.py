@@ -145,10 +145,6 @@ class TestCoeffs:
         assert (code, out) == (2, "")
         assert re.fullmatch(r"error: cloud spread too small: .* 3 subnormal squares\n", err)
 
-    def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "coeffs", "--csv", "/no/such/file.csv")
-        assert code == 2
-
 
 class TestTransform:
     def test_dumped_image_reads_back_to_after_direct(self, capsys, tmp_path):
@@ -185,12 +181,6 @@ class TestTransform:
                              "--matrix", "1e-160,0;0,1e-160")
         assert (code, out) == (2, "")
         assert err.startswith("error: cloud spread too small: ")
-
-    def test_dump_points_needs_cloud(self, capsys, tmp_path):
-        code, _, err = run(capsys, "transform", REF_COEFFS,
-                           "--matrix", "1,0;0,2",
-                           "--dump-points", str(tmp_path / "x.csv"))
-        assert code == 2
 
     def test_y_spread_far_above_x_spread(self, capsys, tmp_path):
         # The image of a box under diag(1, 2**20) has H near 1e12; the closed
@@ -235,15 +225,6 @@ class TestInvariant:
         pencil["inputs"]["family"] = "diag"
         assert pencil == diag
 
-    def test_a_diagonal_matrix_reports_ratio(self, capsys):
-        # b' = g' = 0: every member is diagonal, and H/M^2 is invariant.
-        code, report, _ = run_json(capsys, "invariant", "--coeffs", "1.5,3.5",
-                                   "--matrix", "2,0;0,3")
-        assert code == 0
-        assert report["h_over_m2_before"] == pytest.approx(3.5 / 1.5 ** 2, rel=1e-15)
-        assert report["h_over_m2_after"] == pytest.approx(report["h_over_m2_before"],
-                                                          rel=1e-15)
-
 
 class TestSimulate:
     def test_tiny_collinear_cloud_zero_kernels(self, capsys):
@@ -263,12 +244,6 @@ class TestBadInputExitCodes:
     """Inputs that once escaped as tracebacks: each must give its documented
     exit code and a single error line."""
 
-    def test_overflowing_kernel_denominator(self, capsys):
-        code, out, err = run(capsys, "invariant", "--coeffs", "1.5,3.5",
-                             "--matrix", "1e308,1e308;-1e308,1e308")
-        assert (code, out) == (2, "")
-        assert err == "error: kernel denominator overflows at (1.5, 3.5)\n"
-
     @pytest.mark.parametrize("argv,exit_code", [
         (["invariant", "--coeffs", "1.5,3.5", "--matrix", "[[0.5,0],[0,0.5]]"], 4),
         # Kernels that overflow to inf or -inf, in either output form:
@@ -280,6 +255,8 @@ class TestBadInputExitCodes:
         ([], 2),
         (["coeffs"], 2),
         (["coeffs", "--gen", "ellipse", "--csv", "cloud.csv"], 2),
+        (["coeffs", "--csv", "/no/such/file.csv"], 2),
+        (["transform", REF_COEFFS, "--matrix", "1,0;0,2", "--dump-points", "x.csv"], 2),
         (["transform", "--coeffs", "1,2", "--gen", "ellipse", "--matrix", "1,0;0,2"], 2),
         (["invariant", "--coeffs", "1,2"], 2),
         *[(form(item), 2) for form in LIST_FORMS.values() for item in REFUSED_LISTS],
@@ -303,8 +280,29 @@ class TestBadInputExitCodes:
          "unrecognized arguments: --no-such-option"),
         (["invariant", "--coeffs", "1,2", "--family", "diag", "--matrix", "1,0;0,2"],
          "argument --matrix: not allowed with argument --family"),
+        (["invariant", "--coeffs", "1.5,3.5", "--matrix", "1e308,1e308;-1e308,1e308"],
+         "kernel denominator overflows at (1.5, 3.5)"),
+        # At M = 0 the kernel denominator delta*M is 0 before H/M^2 is formed.
+        (["invariant", "--coeffs", "0,3.5", "--matrix", "2,0;0,3"],
+         "kernel denominator 0.0 is zero within tolerance at (0.0, 3.5)"),
+        # A diagonal --matrix reports H/M^2, here 1e390: past the float range.
+        *[(["invariant", "--coeffs", "1e-200,1e-10", "--matrix", "1e200,0;0,2e200", *form],
+           "report value h_over_m2_before is not finite: inf") for form in ([], ["--json"])],
+        (SINGULAR_MEMBER,
+         "matrix (1.0, 0.0; 0.0, 0.0) has determinant 0.0 within tolerance of zero"),
+        # With --matrix, a --phi list (well formed or not) is refused, not
+        # ignored; without --gen, a generator option is, even at its default.
+        *[(["invariant", "--coeffs", "1.5,3.5", "--matrix", "1,0.7;0,1", "--phi", phi,
+            *form], "--phi needs --family")
+          for phi in ("1,2", "1,2,nonsense") for form in ([], ["--json"])],
+        (["simulate", "--coeffs", "1.5,3.5", "--n", "-5"], "--n needs --gen"),
+        (["transform", "--coeffs", "1,2", "--matrix", "1,1;0,1", "--seed", "9",
+          "--n", "7"], "--n needs --gen"),
+        (["invariant", "--coeffs", "1.5,3.5", "--family", "diag", "--seed", "0"],
+         "--seed needs --gen"),
+        (["coeffs", "--csv", "cloud.csv", "--noise", "0.05"], "--noise needs --gen"),
     ])
-    def test_usage_error_is_returned_as_one_line(self, capsys, argv, message):
+    def test_an_error_is_returned_as_one_exact_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"]])
@@ -388,22 +386,6 @@ class TestBadInputExitCodes:
             upper = FamilyGenerator(1.0, 0.0, 0.0)
             assert kernel_ulps(report["kernel_before"], upper, m, h) <= KERNEL_ULPS
 
-    def test_diagonal_ratio_out_of_range(self, capsys):
-        # A diagonal --matrix reports H/M^2, here 1e390: past the float range.
-        for form in [], ["--json"]:
-            code, out, err = run(capsys, "invariant", "--coeffs", "1e-200,1e-10",
-                                 "--matrix", "1e200,0;0,2e200", *form)
-            assert (code, out) == (2, "")
-            assert err == "error: report value h_over_m2_before is not finite: inf\n"
-
-    def test_diagonal_ratio_at_zero_slope_is_a_singular_kernel(self, capsys):
-        # At M = 0 the kernel denominator delta*M is 0 before H/M^2 is formed.
-        code, out, err = run(capsys, "invariant", "--coeffs", "0,3.5",
-                             "--matrix", "2,0;0,3")
-        assert (code, out) == (2, "")
-        assert err == ("error: kernel denominator 0.0 is zero within tolerance "
-                       "at (0.0, 3.5)\n")
-
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_argv_fuzz_exits_by_the_documented_codes(self, data):
@@ -421,37 +403,11 @@ class TestBadInputExitCodes:
         else:
             assert lines == []
 
-    @pytest.mark.parametrize("phi", ["1,2", "1,2,nonsense"])
-    @pytest.mark.parametrize("form", [[], ["--json"]])
-    def test_phi_needs_a_family(self, capsys, phi, form):
-        # With --matrix, a --phi list (well formed or not) is refused, not ignored.
-        argv = ["invariant", "--coeffs", "1.5,3.5", "--matrix", "1,0.7;0,1",
-                "--phi", phi, *form]
-        assert run(capsys, *argv) == (2, "", "error: --phi needs --family\n")
-
-    @pytest.mark.parametrize("argv,option", [
-        (["simulate", "--coeffs", "1.5,3.5", "--n", "-5"], "--n"),
-        (["transform", "--coeffs", "1,2", "--matrix", "1,1;0,1", "--seed", "9",
-          "--n", "7"], "--n"),
-        (["invariant", "--coeffs", "1.5,3.5", "--family", "diag", "--seed", "0"],
-         "--seed"),
-        (["coeffs", "--csv", "cloud.csv", "--noise", "0.05"], "--noise"),
-    ])
-    def test_generator_options_need_gen(self, capsys, argv, option):
-        # Without --gen they are refused, not ignored, even at their defaults.
-        assert run(capsys, *argv) == (2, "", f"error: {option} needs --gen\n")
-
     def test_generator_options_default_under_gen(self, capsys):
         code, report, _ = run_json(capsys, "coeffs", "--gen", "uniform-box")
         assert code == 0
         assert report["inputs"] == {"source": "generated", "kind": "uniform-box",
                                     "n": 1000, "noise": 0.05, "seed": 0}
-
-    def test_singular_family_member_names_the_matrix(self, capsys):
-        code, out, err = run(capsys, *SINGULAR_MEMBER)
-        assert (code, out) == (2, "")
-        assert err == ("error: matrix (1.0, 0.0; 0.0, 0.0) has determinant 0.0 "
-                       "within tolerance of zero\n")
 
     @pytest.mark.parametrize("as_json", [True, False])
     def test_non_finite_report_prints_nothing(self, capsys, as_json):

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,17 +51,8 @@ class TestPointAndCloud:
                            match=f"^a cloud needs at least 2 points, got {n}$"):
             build(np.zeros(n), np.zeros(n))
 
-    def test_repr_does_not_write_a_pending_image(self):
-        image = apply_to_cloud(Matrix2(2.0, 0.0, 0.0, 1.0), Cloud(TRIANGLE[:2]))
-        assert repr(Cloud(TRIANGLE[:2])) == repr(image) == "Cloud(n=2)"
-        assert image._t is not None
-
 
 class TestRawSums:
-    def test_duplicated_point(self):
-        rs = raw_sums(Cloud([(3.5, -2.0), (3.5, -2.0)]))
-        assert (rs.mn, rs.hn, rs.d) == (0.0, 0.0, 0.0)
-
     @pytest.mark.parametrize("tiny", [1e-300, 5e-324])
     def test_exact_zero_spread_at_any_magnitude_is_kept(self, tiny):
         # A column of equal tiny values has no subnormal squares to lose.
@@ -73,9 +63,6 @@ class TestRawSums:
 
 
 class TestIsCollinear:
-    def test_vertical_line(self):
-        assert is_collinear(Cloud([(0, 0), (0, 1), (0, 2)]))
-
     @pytest.mark.parametrize("pts,collinear", [
         (TRIANGLE, False), ([(0, 0), (1, 2), (2, 4)], True),
         ([(0, 0), (1, 0), (2, 0)], True)])
@@ -194,8 +181,9 @@ def test_nonnegativity_and_cauchy_schwarz(pts):
 
 @pytest.mark.parametrize("pts,collinear", [
     ([(0.0, 0.0), (1.0, 0.5), (2.0, 1.0), (4.0, 2.0)], True), ([(0, 0), (1, 1), (2, 2)], True),
-    ([(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)], False), (TRIANGLE, False)],
-    ids=["line", "diagonal-line", "off-line", "triangle"])
+    ([(0.0, 0.0), (1.0, 0.5), (2.0, 2.0)], False), (TRIANGLE, False),
+    ([(0, 0), (0, 1), (0, 2)], True), ([(3.5, -2.0), (3.5, -2.0)], True)],
+    ids=["line", "diagonal-line", "off-line", "triangle", "vertical-line", "one-point-twice"])
 def test_collinear_iff_zero_gap(pts, collinear):
     # Equality in Cauchy-Schwarz exactly on collinear clouds.
     mn, hn, d = exact = centered_sums(*zip(*pts))
@@ -467,15 +455,10 @@ def assert_same_cloud(got, want):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150)),
                 min_size=2, max_size=40))
+@example((np.random.default_rng(3).random((3 * _CHUNK + 5, 2)) + (1e3, 0)).tolist())
 def test_cloud_of_points_is_the_cloud_of_arrays(pts):
+    # The example has several chunks.
     xs, ys = np.array(pts).T.copy()
-    want = Cloud.from_arrays(xs, ys)
-    for points in point_sources(xs, ys).values():
-        assert_same_cloud(Cloud(points), want)
-
-
-def test_cloud_of_points_over_several_chunks(rng):
-    xs, ys = rng.random(3 * _CHUNK + 5) + 1e3, rng.random(3 * _CHUNK + 5)
     want = Cloud.from_arrays(xs, ys)
     for points in point_sources(xs, ys).values():
         assert_same_cloud(Cloud(points), want)
@@ -485,7 +468,7 @@ def test_cloud_of_points_over_several_chunks(rng):
 def test_every_cloud_is_one_read_only_block(rng, how):
     # Whatever built it, a cloud's coordinates are the two rows of one block
     # that it owns and that is read-only as a whole, reduced to the moments
-    # of a copy of them.
+    # of a copy of them: what it was built from may change after.
     n = 2 * _CHUNK + 3
     xs, ys = 1e3 + rng.random(n), rng.random(n)
     if how == "points":
@@ -505,6 +488,7 @@ def test_every_cloud_is_one_read_only_block(rng, how):
         cloud.xs.flags.writeable = True
     with pytest.raises(ValueError):
         cloud.xs.base[...] = 7.0
+    xs[...], ys[...] = 0.0, 1.0
     assert raw_sums(cloud) == before
     assert bits(cloud._moments) == bits(Cloud.from_arrays(cloud.xs, cloud.ys)._moments)
 
@@ -553,17 +537,6 @@ class TestChunkedReduction:
         assert np.array_equal(cloud.xs, xs)
         with pytest.raises(ValueError, match="must be finite"):
             raw_sums(cloud)
-
-    def test_from_arrays_copies(self, rng):
-        xs = rng.random(3 * _CHUNK + 5)
-        ys = rng.random(3 * _CHUNK + 5)
-        cloud = Cloud.from_arrays(xs, ys)
-        kept = (cloud.xs.copy(), cloud.ys.copy(), raw_sums(cloud))
-        xs[:] = 0.0
-        ys[:] = 1.0
-        assert np.array_equal(cloud.xs, kept[0])
-        assert np.array_equal(cloud.ys, kept[1])
-        assert raw_sums(cloud) == kept[2]
 
     @pytest.mark.parametrize("n", [2, _DOT + 3, 2 * _DOT, _CHUNK])
     def test_one_chunk_is_a_plain_two_pass_reduction(self, rng, n):
@@ -688,18 +661,6 @@ class TestAllocation:
 
     def test_from_arrays(self, arrays):
         assert traced_peak(lambda: Cloud.from_arrays(*arrays)) <= self.BUILD_LIMIT
-
-    def test_from_arrays_copies_into_one_block(self, arrays):
-        # Both coordinates live in one 2 x n allocation, not one per axis.
-        tracemalloc.start()
-        try:
-            cloud = Cloud.from_arrays(*arrays)
-            large = [t.size for t in tracemalloc.take_snapshot().traces
-                     if t.size >= 8 * self.N]
-        finally:
-            tracemalloc.stop()
-        assert large == [16 * self.N]
-        assert cloud.xs.base is cloud.ys.base
 
     def test_apply_to_cloud(self, arrays):
         cloud = Cloud.from_arrays(*arrays)

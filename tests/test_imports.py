@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from mutate import EQUIVALENT, mutations
 from test_guards import GUARDS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,21 +50,10 @@ def probe(*argvs):
     return json.loads(proc.stdout)
 
 
-def test_import_does_not_load_numpy():
+def test_import_and_coeffs_commands_do_not_load_numpy():
     # Of the rest, importing the CLI adds the package's own modules and at
     # most argparse and json with what they import: a subset, as site may
     # have loaded some of them already.
-    result = probe()
-    assert (result["loaded"], result["runs"]) == ([], [])
-    added = set(result["added"])
-    package = {"cloudinv", *(f"cloudinv.{path.stem}" for path in
-                             (ROOT / "src" / "cloudinv").glob("*.py") if path.stem != "__init__")}
-    assert {name for name in added if name.partition(".")[0] == "cloudinv"} == package
-    assert added - package <= {"argparse", "gettext", "json", "json.decoder", "json.encoder",
-                               "json.scanner", "_json", "__future__"}
-
-
-def test_coeffs_commands_do_not_load_numpy():
     ref = "--coeffs=1.52244,2.46998"
     result = probe(
         ["transform", ref, "--matrix", "1,0.7;0,1"],
@@ -76,6 +66,12 @@ def test_coeffs_commands_do_not_load_numpy():
     )
     assert [run[0] for run in result["runs"]] == [0, 0, 0, 0, 2, 3, 4]
     assert result["loaded"] == []
+    added = set(result["added"])
+    package = {"cloudinv", *(f"cloudinv.{path.stem}" for path in
+                             (ROOT / "src" / "cloudinv").glob("*.py") if path.stem != "__init__")}
+    assert {name for name in added if name.partition(".")[0] == "cloudinv"} == package
+    assert added - package <= {"argparse", "gettext", "json", "json.decoder", "json.encoder",
+                               "json.scanner", "_json", "__future__"}
 
 
 def test_generated_cloud_loads_numpy():
@@ -142,6 +138,14 @@ def test_no_unused_imports():
             helpers.update({node.name: f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
                             for node in tree.body if isinstance(node, ast.FunctionDef)})
     assert unused + [where for name, where in helpers.items() if name not in read] == []
+
+
+def test_each_equivalent_mutant_is_made():
+    # An edit of src/ that moves or removes a listed mutant fails here, not
+    # only at the end of the mutation run.
+    made = {f"{path.name}:{name}" for path in (ROOT / "src" / "cloudinv").glob("*.py")
+            for name, _ in mutations(ast.parse(path.read_text(encoding="utf-8")))}
+    assert set(EQUIVALENT) - made == set()
 
 
 def _tolerance_uses(node, func=None):

@@ -129,7 +129,11 @@ def test_every_entry_point_takes_a_number(entry, value):
 
 
 def test_fields_hold_the_float():
-    assert Matrix2(Fraction(1, 4), 0, 0, np.int64(3)).entries() == (0.25, 0.0, 0.0, 3.0)
-    assert type(CloudGenSpec("ellipse", 10, 1).noise) is float
+    # Whatever number type each field is given.
+    family = LinearFamily([1, 0, 0, 1], [0, 1, 0, np.int64(2)])
     cloud = Cloud([(Decimal("0.5"), 1), (2, np.float32(0.25))])
-    assert (cloud.xs.tolist(), cloud.ys.tolist()) == ([0.5, 2.0], [1.0, 0.25])
+    fields = [*Matrix2(Fraction(1, 4), 0, 0, np.int64(3)).entries(), *family.a0, *family.b,
+              Scatter(1, 2, Decimal(3)).d, FamilyGenerator(1, 0, 0).bprime,
+              CloudGenSpec("ellipse", 10, 1).noise, *cloud.xs.tolist(), *cloud.ys.tolist()]
+    assert [type(v) for v in fields] == [float] * len(fields) and type(family.b) is tuple
+    assert fields[:4] + fields[-4:] == [0.25, 0.0, 0.0, 3.0, 0.5, 2.0, 1.0, 0.25]

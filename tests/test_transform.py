@@ -180,10 +180,12 @@ class TestPendingImage:
         return Cloud.from_arrays(1e6 + rng.standard_normal(n),
                                  rng.standard_normal(n))
 
-    def test_len_does_not_write_the_image(self, source):
+    @pytest.mark.parametrize("query,want", [(len, 3 * _CHUNK + 5),
+                                            (repr, f"Cloud(n={3 * _CHUNK + 5})")])
+    def test_a_query_does_not_write_the_image(self, source, query, want):
         image = apply_to_cloud(self.M, source)
-        assert traced_peak(lambda: len(image)) < 64 * 1024
-        assert len(image) == len(source)
+        assert traced_peak(lambda: query(image)) < 64 * 1024
+        assert query(image) == query(source) == want
 
     @pytest.mark.parametrize("n", [2, 3 * _CHUNK + 5])
     @pytest.mark.parametrize("m", [M, Matrix2(1, 0, 0, 1), Matrix2(1, 0, 0, 2),
@@ -302,12 +304,18 @@ class TestInducedCoefficients:
     @pytest.mark.parametrize("t,lc", [
         (Matrix2(1e200, 1.0, 0.0, 1e200), REF), (Matrix2(1.0, 1e-200, 0.0, 1.0), REF),
         (Matrix2(1e308, 1e308, -1e308, 1e308), REF),
-        (Matrix2(2.0 ** 100, 2.0 ** -1000, 0.0, 2.0 ** 100), LinearCoefficients(0.0, 1e292))])
+        (Matrix2(2.0 ** 100, 2.0 ** -1000, 0.0, 2.0 ** 100), LinearCoefficients(0.0, 1e292)),
+        *[(Matrix2(1, 2.2250738585e-313, 0, 3), LinearCoefficients(0.0, h)) for h in (100, 1e5, 1e306)],
+        (Matrix2(3, 2.2250738585e-313, 0, 2.0 ** -30), Scatter(1e6, 1.0, 2.0 ** -1018)),
+        (Matrix2(1, 2.2250738585e-313, 1, 3), Scatter(1.0, 1.0, 2.0))])
     def test_huge_entries_do_not_overflow(self, t, lc):
         # The image is that of the matrix divided by a power of two, so no
-        # product overflows, up to entries of 1e308.  The last T / 2**101
+        # product overflows, up to entries of 1e308.  The 2**100 T / 2**101
         # would flush b to 0, so T is divided by 2**74, the largest power
-        # that keeps b exact: a smaller one overflows at H = 1e292.
+        # that keeps b exact: a smaller one overflows at H = 1e292.  The
+        # subnormal b of the next three meets H_n before d does: b*d rounded
+        # first put the image 40 000 ulps off at H = 1e5.  In the last two,
+        # every term of (T S) T^T moves the image past the budget.
         assert induced_ulps(induced_coefficients(t, lc), t, lc) <= CLOSED_FORM_ULPS
 
     def test_an_exact_scaling_that_overflows_gives_way(self):

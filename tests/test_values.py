@@ -102,16 +102,6 @@ def test_pickle_and_copy_round_trip(name):
             setattr(back, "not_a_field", 0.0)
 
 
-def test_fields_are_converted():
-    assert all(type(v) is float for v in Matrix2(1, 0, 0, 1).entries())
-    assert type(Scatter(1, 2, 3).d) is float
-    assert type(LinearCoefficients(1, 2).h) is float
-    assert type(FamilyGenerator(1, 0, 0).bprime) is float
-    family = LinearFamily([1, 0, 0, 1], [0, 1, 0, 0])
-    assert family.a0 == (1.0, 0.0, 0.0, 1.0) and type(family.b) is tuple
-    assert all(type(v) is float for v in family.a0 + family.b)
-
-
 INF, NAN = math.inf, math.nan
 
 INVALID = [
