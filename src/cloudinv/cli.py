@@ -29,12 +29,12 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .cloudgen import KINDS, CloudGenSpec, generate_cloud
-from .coefficients import (_QUOTE, Cloud, LinearCoefficients, Scatter,
-                           _parse_floats, is_collinear, linear_coefficients,
+from .coefficients import (_QUOTE, Cloud, LinearCoefficients, Scatter, _exact,
+                           _parse_floats, _ratio, is_collinear, linear_coefficients,
                            raw_sums, read_cloud_csv, write_cloud_csv)
 from .errors import CloudInvError, DegenerateGenerator, DegenerateImage
 from .families import (DIAGONAL, UPPER_TRIANGULAR, LinearFamily,
-                       RotationFamily, _over_square, generator_for_matrix,
+                       RotationFamily, generator_for_matrix,
                        kernel_value, parse_family)
 from .generators import FamilyGenerator
 from .transform import (Matrix2, apply_to_cloud, induced_coefficients,
@@ -93,8 +93,9 @@ def _evaluation(matrix: Matrix2, spec: FamilyGenerator, lc: Scatter) -> dict:
         "drift": {"abs": abs(after_kernel - before_kernel)},
     }
     if spec.bprime == spec.gprime == 0.0:
-        entry["h_over_m2_before"] = _over_square(lc.h, lc.m)
-        entry["h_over_m2_after"] = _over_square(after.h, after.m)
+        for key, at in (("before", lc), ("after", after)):
+            (h, m), q = _exact(at.h, at.m)
+            entry[f"h_over_m2_{key}"] = _ratio(h * q, m * m)
     return entry
 
 

@@ -47,11 +47,34 @@ _QUOTE.maxstring = _QUOTE.maxlong = _QUOTE.maxother = 400
 RTOL = 1e-12
 
 
-def _near_zero(size: float, bound: float) -> bool:
+def _near_zero(size: float | int, bound: float | int) -> bool:
     """The one tolerance rule, every guard's: size (|x|, or a gap >= 0 up to rounding)
     counts as zero when at most RTOL times bound, the largest value x's expression
-    can take for inputs of their magnitudes: a bound of x's degree, no unit floor."""
-    return size <= RTOL * bound
+    can take for inputs of their magnitudes: a bound of x's degree, no unit floor.
+    Both are floats, or both exact integers over one denominator (see :func:`_exact`),
+    compared with RTOL's float at its exact value, beyond the float range too."""
+    p, q = RTOL.as_integer_ratio()
+    if type(size) is int:
+        return size * q <= p * bound
+    return size <= p / q * bound
+
+
+def _exact(*values: float) -> tuple[list[int], int]:
+    """(ints, q): the finite values as integers over one power of two,
+    values[i] == ints[i] / q exactly, so that a closed form of them is an
+    integer expression, rounded once by ``int / int`` (correctly rounded)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    q = max([d for _, d in ratios])
+    return [n * (q // d) for n, d in ratios], q
+
+
+def _ratio(num: int, den: int) -> float:
+    """num / den rounded once (CPython's int / int is correctly rounded), for
+    den != 0, or an infinity of its sign where that overflows."""
+    try:
+        return num / den
+    except OverflowError:  # the signs differ where num ^ den is negative
+        return -math.inf if num ^ den < 0 else math.inf
 
 
 class _Value:
@@ -373,10 +396,11 @@ def raw_sums(cloud: Cloud) -> Scatter:
 
     Raises:
         ValueError: n * 2**-1075, the rounding of n subnormal squares, is
-            more than RTOL times a nonzero Sxx or Syy (tested as n * 2**-1022
-            against the sum times 2**53, where both are floats): such moments
-            have lost their bits, as squares of coordinate gaps under ~1e-154 do.
-            So has a sum of exactly 0 over coordinates that are not all equal.
+            more than RTOL times 2**-13 times a nonzero Sxx or Syy, about an
+            ulp of it (tested as n * 2**-1022 against the sum times 2**40,
+            where both are floats): such moments have lost their bits, as
+            squares of coordinate gaps under ~1e-154 do.  So has a sum of
+            exactly 0 over coordinates that are not all equal.
     """
     n = len(cloud)
     sxx, sxy, syy = cloud._moments
@@ -385,7 +409,7 @@ def raw_sums(cloud: Cloud) -> Scatter:
             coords = getattr(cloud, row)
             lost = coords.min() < coords.max()
         else:  # a NaN sum is judged by Scatter: "must be finite"
-            lost = 0.0 < s and not _near_zero(n * 2.0 ** -1022, s * 2.0 ** 53)
+            lost = 0.0 < s and not _near_zero(n * 2.0 ** -1022, s * 2.0 ** 40)
         if lost:
             raise ValueError(f"cloud spread too small: a centered sum of squares {s} is "
                              f"within tolerance of the rounding of {n} subnormal squares")
@@ -408,12 +432,12 @@ def is_collinear(cloud: Cloud) -> bool:
     """True iff the cloud lies on a straight line (any orientation).
 
     det S = D*H_n - M_n**2 is zero when at most RTOL times D*H_n, its largest
-    value (Cauchy-Schwarz), tested in degree 2 as D - M_n**2/H_n against D, so
-    that no product underflows.  True on vertical (D == 0) and horizontal
-    (H_n == 0) lines; a constant y has H_n exactly 0, at any offset.
+    value (Cauchy-Schwarz), both exact.  True on vertical (D == 0) and
+    horizontal (H_n == 0) lines; a constant y has H_n exactly 0, at any offset.
     """
     rs = raw_sums(cloud)
-    return rs.hn == 0.0 or _near_zero(rs.d - rs.mn * (rs.mn / rs.hn), rs.d)
+    (mn, hn, d), _ = _exact(rs.mn, rs.hn, rs.d)
+    return _near_zero(d * hn - mn * mn, d * hn)
 
 
 def read_cloud_csv(source: Union[str, IO[str]]) -> Cloud:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .coefficients import _QUOTE, Entries, _near_zero, _real, _Value
+from .coefficients import _QUOTE, Entries, _exact, _near_zero, _ratio, _real, _Value
 from .errors import DegenerateGenerator, KernelSingular, NoIdentityParameter
 from .generators import FamilyGenerator
 from .transform import Matrix2, parse_entries
@@ -113,38 +113,22 @@ def _direction(a: float, b: float, c: float, d: float) -> FamilyGenerator:
     return FamilyGenerator(b, c, a - d)
 
 
-def _over_square(num: float, den: float, shift: int = 0) -> float:
-    """2**shift * num / den**2 for a nonzero den, on the mantissas of num and
-    den, so that no product or quotient on the way under- or overflows where
-    the result does not: the same bits as num / (den*den) where that is a
-    normal float, and copysign(inf, num) where the result overflows."""
-    (n, e), (d, f) = math.frexp(num), math.frexp(den)
-    try:
-        return math.ldexp(n / (d * d), e - 2 * f + shift)
-    except OverflowError:
-        return math.copysign(math.inf, num)
-
-
 def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
-    """The invariant kernel (M^2 - H) / (H*b' - g' + delta*M)^2.
+    """The invariant kernel (M^2 - H) / (H*b' - g' + delta*M)^2, its exact
+    value rounded once.
 
     Raises:
+        ValueError: m or h is not a finite number (see :func:`_real`).
         KernelSingular: the denominator is at most RTOL * (|H*b'| + |g'| +
-            |delta*M|), its largest value, or it or the value overflows.
+            |delta*M|), its largest value, both exact; or the kernel overflows.
     """
-    den = h * ks.bprime - ks.gprime + ks.delta * m
-    scale = abs(h * ks.bprime) + abs(ks.gprime) + abs(ks.delta * m)
-    if not math.isfinite(scale):
-        raise KernelSingular(f"kernel denominator overflows at ({m}, {h})")
-    if _near_zero(abs(den), scale):
-        raise KernelSingular(
-            f"kernel denominator {den} is zero within tolerance at ({m}, {h})")
-    # M^2 - H at the scale 2**(2e) of its larger term, so M*M can neither
-    # overflow nor underflow where it counts; 2e goes back in with the
-    # division.  Exact scaling: the same bits wherever M*M - H is normal.
-    e = math.frexp(max(abs(m), math.sqrt(abs(h))))[1]
-    mm = math.ldexp(m, -e)
-    value = _over_square(mm * mm - math.ldexp(h, -2 * e), den, 2 * e)
+    m, h = _real(m, "m"), _real(h, "h")
+    (b, g, dl, mi, hi), q = _exact(ks.bprime, ks.gprime, ks.delta, m, h)
+    den = hi * b - g * q + dl * mi  # over q**2
+    if _near_zero(abs(den), abs(hi * b) + abs(g * q) + abs(dl * mi)):
+        raise KernelSingular(f"kernel denominator {_ratio(den, q * q)} is zero "
+                             f"within tolerance at ({m}, {h})")
+    value = _ratio((mi * mi - hi * q) * q * q, den * den)
     if not math.isfinite(value):
         raise KernelSingular(f"kernel non-finite at ({m}, {h}): {value}")
     return value
@@ -162,7 +146,7 @@ def generator_for_matrix(target: Matrix2) -> FamilyGenerator:
             difference all vanish at that scale, so T barely moves (M, H).
     """
     a, b, c, d = target.entries()
-    if _near_zero(max(abs(b), abs(c), abs(a - d)), target.max_abs_entry()):
+    if _near_zero(max(abs(b), abs(c), abs(a - d)), max(map(abs, (a, b, c, d)))):
         raise DegenerateGenerator(
             "target - I is a multiple of the identity (uniform scaling); "
             "every function of (M, H) is invariant")

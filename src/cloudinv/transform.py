@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .coefficients import (Cloud, Entries, LinearCoefficients, Scatter, _QUOTE,
-                           _near_zero, _parse_floats, _Value)
+                           _exact, _near_zero, _parse_floats, _ratio, _Value)
 from .errors import DegenerateImage, NonInvertibleMatrix
 
 
@@ -23,28 +23,18 @@ class Matrix2(_Value):
 
     Raises:
         ValueError: an entry is not finite.
-        NonInvertibleMatrix: |det| is at most RTOL * max|entry|**2, tested on the
-            entries divided by max|entry| (not for the zero matrix) so that
-            no product overflows.
+        NonInvertibleMatrix: |det| is at most RTOL * max|entry|**2, both exact.
     """
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: float, b: float, c: float, d: float) -> None:
         self._set_floats("matrix entry ", a, b, c, d)
-        s = self.max_abs_entry() or 1.0
-        a, b, c, d = self.a / s, self.b / s, self.c / s, self.d / s
-        if _near_zero(abs(a * d - b * c), 1.0):
+        (a, b, c, d), q = _exact(self.a, self.b, self.c, self.d)
+        if _near_zero(abs(a * d - b * c), max(map(abs, (a, b, c, d))) ** 2):
             raise NonInvertibleMatrix(
                 f"matrix ({self.a}, {self.b}; {self.c}, {self.d}) has "
-                f"determinant {self.det} within tolerance of zero")
-
-    @property
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    def max_abs_entry(self) -> float:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+                f"determinant {_ratio(a * d - b * c, q * q)} within tolerance of zero")
 
     def entries(self) -> Entries:
         return (self.a, self.b, self.c, self.d)
@@ -86,72 +76,46 @@ def apply_to_cloud(m: Matrix2, cloud: Cloud) -> Cloud:
     return Cloud._own((cloud.xs, cloud.ys), m.entries())
 
 
+def _image(t: Matrix2, s: Scatter) -> tuple[tuple[int, int, int], int, int]:
+    """T S T^T as exact integers (M_n, H_n, D), the bound of its D (see
+    :func:`induced_coefficients`) and their common denominator."""
+    (a, b, c, d, mn, hn, dd), q = _exact(*t.entries(), s.mn, s.hn, s.d)
+    p, r = a * dd + b * mn, a * mn + b * hn  # the rows of T S
+    u, v = c * dd + d * mn, c * mn + d * hn
+    bound = (abs(a) + abs(b)) ** 2 * abs(dd) + abs(2 * a * b * mn) + b * b * abs(hn)
+    return (p * c + r * d, u * c + v * d, p * a + r * b), bound, q ** 3
+
+
 def induced_raw(t: Matrix2, s: Scatter) -> Scatter:
     """T S T^T: the scatter of the image of a cloud with scatter S under an
-    invertible matrix T, the one quadratic form behind both induced maps.
+    invertible matrix T, the one quadratic form behind both induced maps,
+    each entry the exact value rounded once.
 
     Raises:
         ValueError: an entry of T S T^T overflows.
     """
-    return Scatter(*_congruence(s, *t.entries()))
-
-
-def _congruence(s: Scatter, a: float, b: float, c: float, d: float) -> tuple:
-    return _finite((a * d + b * c) * s.mn + b * d * s.hn + a * c * s.d,
-                   2.0 * c * d * s.mn + d * d * s.hn + c * c * s.d,
-                   2.0 * a * b * s.mn + b * b * s.hn + a * a * s.d)
-
-
-def _congruence_by_rows(s: Scatter, a: float, b: float, c: float, d: float) -> tuple:
-    """T S T^T as (T S) T^T: each entry of T meets an entry of S before it
-    meets another entry of T, so no product of two entries of T is rounded
-    at subnormal precision before S scales it."""
-    p, q = a * s.d + b * s.mn, a * s.mn + b * s.hn
-    r, u = c * s.d + d * s.mn, c * s.mn + d * s.hn
-    return _finite(p * c + q * d, r * c + u * d, p * a + q * b)
-
-
-def _finite(*image: float) -> tuple:
+    image, _, den = _image(t, s)
+    image = [_ratio(v, den) for v in image]
     if not all(map(math.isfinite, image)):
         raise ValueError(f"induced map overflows: T S T^T is {image}")
-    return image
+    return Scatter(*image)
 
 
 def induced_coefficients(t: Matrix2, s: Scatter) -> Scatter:
     """Closed-form image of (M, H) under an invertible matrix: the chart
-    point of T S T^T, for the chart point of a cloud or any scatter S.
-    It has degree 0 in T, so it is computed on T / 2**k for k = e,
-    2**(e-1) <= max|entry| < 2**e, unless that rounds an entry (one that is
-    or turns subnormal); then for the largest k that keeps every entry
-    exact, as (T S) T^T, or, where that overflows, for k = e after all.
+    point of T S T^T, for the chart point of a cloud or any scatter S, each
+    quotient of the exact entries rounded once.
 
     Raises:
         DegenerateImage: the image's D = a^2 D + 2ab M_n + b^2 H_n is at most
-            RTOL * ((|a| + |b|)**2 |D| + |2ab M_n| + b^2 |H_n|), a, b of the
-            scaled T: D is charged at the row's size, so a = cos(pi/2) is 0.
-        ValueError: the induced map overflows.
+            RTOL * ((|a| + |b|)**2 |D| + |2ab M_n| + b^2 |H_n|), both exact:
+            D is charged at the row's size, so a = cos(pi/2) is 0.
+        ValueError: the chart point overflows ("scatter mn must be finite").
     """
-    entries = t.entries()
-    e = math.frexp(t.max_abs_entry())[1]
-    scaled = exact = [math.ldexp(v, -e) for v in entries]
-    if [math.ldexp(v, e) for v in scaled] != list(entries):
-        # v / 2**k is exact while v's lowest set bit stays at or above 2**-1074.
-        k = min(1074 + (n & -n).bit_length() - q.bit_length()
-                for n, q in map(float.as_integer_ratio, entries) if n)
-        exact = [math.ldexp(v, -k) for v in entries]
-    try:
-        a, b, c, d = exact
-        mn, hn, dd = (_congruence if exact is scaled else _congruence_by_rows)(s, a, b, c, d)
-    except ValueError:
-        if exact is scaled:
-            raise
-        a, b, c, d = scaled
-        mn, hn, dd = _congruence(s, a, b, c, d)
-    bound = ((abs(a) + abs(b)) ** 2 * abs(s.d) + abs(2.0 * a * b * s.mn)
-             + b * b * abs(s.hn))
+    (mn, hn, dd), bound, den = _image(t, s)
     if _near_zero(abs(dd), bound):
         raise DegenerateImage(
-            f"induced-map denominator {dd} is zero within tolerance; the "
+            f"induced-map denominator {_ratio(dd, den)} is zero within tolerance; the "
             "image cloud has no x-spread"
         )
-    return LinearCoefficients(mn / dd, hn / dd)
+    return LinearCoefficients(_ratio(mn, dd), _ratio(hn, dd))

@@ -3,32 +3,26 @@
 A float is a dyadic rational, so every sum, product and quotient of floats
 has an exact value, which ``fractions.Fraction`` holds.  Each function below
 takes the floats a computation of the package took and returns, as Fractions,
-what that computation gives in exact arithmetic; the ``*_ulps`` functions
-measure a float result against it.  Floats are scaled by one power of two to
-integers first, so that sums and products are integer arithmetic, in Python
-integers and Fractions (a large cloud's sums in int64 limbs, see
-``_limb_sums``); a Fraction input (an exact value from this module) is taken
-as it is.
+what that computation gives in exact arithmetic.  Floats are scaled by one
+power of two to integers first, so that sums and products are integer
+arithmetic, in Python integers and Fractions (a large cloud's sums in int64
+limbs, see ``_limb_sums``); a Fraction input (an exact value from this module)
+is taken as it is.
 
-Each layer has one budget, in ulps, set from its measured worst case over the
-tests' own draws (the README states both).  A sum or product is counted in
-ulps of its value, except where it cancels; there it is counted in ulps of
-its scale, the sum of the magnitudes of its terms (or, for M_n, the
-Cauchy-Schwarz bound sqrt(D*H_n)).  A quotient is counted in the ulps its
-numerator and denominator carry: n/d in units of (ulp(N) + |n/d| ulp(D)) / |d|
-for the scales N of n and D of d.  The units of ``induced_ulps`` and
-``kernel_ulps`` are exact, from the bit lengths of the exact scales, so a
-scale beyond the float range is counted as well.
+The closed forms (``induced_raw``, ``induced_coefficients``, ``kernel_value``
+and the CLI's H/M^2) round their exact value once, so each must equal
+``float()`` of its exact value here, which is correctly rounded (Fraction's
+``float()`` is ``int / int``): see :func:`induced`.  The moment pass sums
+floats, so it has a budget in ulps, set from its measured worst case over the
+tests' own draws (the README states both), and the ``*_ulps`` functions
+measure it.  A sum that cancels is counted in ulps of its scale: M_n in ulps
+of the Cauchy-Schwarz bound sqrt(D*H_n).  A quotient is counted in the ulps
+its numerator and denominator carry: n/d in units of
+(ulp(N) + |n/d| ulp(D)) / |d| for the scales N of n and D of d.
 
 * ``MOMENT_ULPS``: the moment pass (``raw_sums``, and ``linear_coefficients``
   of a cloud, a pending image or a written one) against the centered sums of
   its coordinates.
-* ``CLOSED_FORM_ULPS``: ``induced_raw`` and ``induced_coefficients`` against
-  T S T^T of the same float T and S; the image's D cancels as T turns the
-  cloud towards the vertical.
-* ``KERNEL_ULPS``: ``kernel_value`` against the kernel of the same float
-  generator and (M, H), (M**2 - H) / den**2, of scales M**2 + |H| and
-  T = |H b'| + |g'| + |delta M|; den cancels near the kernel's poles.
 """
 from __future__ import annotations
 
@@ -36,8 +30,6 @@ import math
 from fractions import Fraction
 
 MOMENT_ULPS = 8
-CLOSED_FORM_ULPS = 4
-KERNEL_ULPS = 4
 
 
 def _integers(values: list) -> tuple[list[int], int]:
@@ -138,42 +130,37 @@ def product(p, q) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _image(t, s) -> tuple[tuple, tuple, int]:
-    """(T S T^T, its bound, u**3): both as (M_n, H_n, D) over the common
-    denominator u**3 (u = 1 for Fraction inputs).  The bound of an entry is
-    the sum of the magnitudes of its terms, the scale its rounding is
-    counted against."""
-    (a, b, c, d, mn, hn, dd), u = _numbers(
-        (t.entries() if hasattr(t, "entries") else tuple(t)) + _triple(s))
-    m1, m2, m3 = (a * d + b * c) * mn, b * d * hn, a * c * dd
-    h1, h2, h3 = 2 * c * d * mn, d * d * hn, c * c * dd
-    d1, d2, d3 = 2 * a * b * mn, b * b * hn, a * a * dd
-    return ((m1 + m2 + m3, h1 + h2 + h3, d1 + d2 + d3),
-            (abs(m1) + abs(m2) + abs(m3), abs(h1) + abs(h2) + abs(h3),
-             abs(d1) + abs(d2) + abs(d3)), u * u * u)
-
-
 def congruence(t, s) -> tuple[Fraction, Fraction, Fraction]:
     """T S T^T as (M_n, H_n, D), for a ``Matrix2`` (or four entries) T and a
     scatter S (see :func:`scatter`)."""
-    value, _, den = _image(t, s)
-    return tuple(Fraction(v, den) for v in value)
+    (a, b, c, d, mn, hn, dd), u = _numbers(
+        (t.entries() if hasattr(t, "entries") else tuple(t)) + _triple(s))
+    image = ((a * d + b * c) * mn + b * d * hn + a * c * dd,
+             2 * c * d * mn + d * d * hn + c * c * dd,
+             2 * a * b * mn + b * b * hn + a * a * dd)
+    return tuple(Fraction(v, u * u * u) for v in image)
+
+
+def induced(t, s) -> tuple[float, float]:
+    """The chart point (M, H) of T S T^T, each rounded once to the nearest
+    float: what ``induced_coefficients(t, s)`` must return."""
+    return tuple(map(float, chart(congruence(t, s))))
 
 
 def _kernel(fg, m, h) -> tuple:
-    """(numerator, its scale, den, T) of the kernel, and u: the numerator
-    and its scale M**2 + |H| times u**4, den and its scale T times u**2."""
+    """(numerator, den, T): the kernel's numerator M**2 - H times u**4, its
+    denominator H*b' - g' + delta*M and that denominator's bound
+    T = |H b'| + |g'| + |delta M|, both times u**2."""
     (b, g, dl, m, h), u = _numbers((fg.bprime, fg.gprime, fg.delta, m, h))
-    u2 = u * u
-    return ((m * m - h * u) * u2, (m * m + abs(h) * u) * u2,
-            h * b - g * u + dl * m, abs(h * b) + abs(g * u) + abs(dl * m), u)
+    return ((m * m - h * u) * u * u, h * b - g * u + dl * m,
+            abs(h * b) + abs(g * u) + abs(dl * m))
 
 
 def kernel(fg, m, h) -> Fraction:
     """The kernel K = (M^2 - H) / (H*b' - g' + delta*M)^2 of a
     ``FamilyGenerator`` at (m, h); ZeroDivisionError where its denominator
     is 0."""
-    num, _, den, _, _ = _kernel(fg, m, h)
+    num, den, _ = _kernel(fg, m, h)
     return Fraction(num, den * den)
 
 
@@ -225,50 +212,3 @@ def chart_ulps(got, exact) -> float:
                   abs(float(mn)) / fd * u_d / fd),
         _in_units(_gap(got.h, hn.numerator * d.denominator, hn.denominator * d.numerator),
                   math.ulp(float(hn)) / fd, fh * u_d / fd))
-
-
-def induced_raw_ulps(got, t, s) -> float:
-    """The error of ``induced_raw(t, s)`` against the exact T S T^T, each
-    entry in ulps of its bound (see :func:`_image`)."""
-    value, size, den = _image(t, s)
-    return max(_gap(g, v, den) / math.ulp(b / den)
-               for g, v, b in zip((got.mn, got.hn, got.d), value, size))
-
-
-def _ulp_exp(p: int, q: int) -> int:
-    """x with 2**x the ulp of a float of magnitude p/q, for an integer
-    p >= 0 and a power of two q, p/q beyond the float range too: e - 52 for
-    2**e <= p/q < 2**(e + 1), at least -1074."""
-    return max(p.bit_length() - q.bit_length() - 52, -1074) if p else -1074
-
-
-def _in_exact_units(got: float, num: int, q: int, w: int, *terms: tuple) -> float:
-    """|got - num/q| in units of the error a result carries, sum(c * 2**x
-    for (c, x) in terms) / w for integers c >= 0, x >= -1074 and w > 0, or
-    of 2**-1074, the resolution of the format itself, if that is larger."""
-    g1, g2 = float(got).as_integer_ratio()
-    unit = max(sum(c << x + 1074 for c, x in terms), w)  # over w * 2**-1074
-    return (abs(g1 * q - num * g2) * w << 1074) / (g2 * abs(q) * unit)
-
-
-def induced_ulps(got, t, s) -> float:
-    """The error of ``induced_coefficients(t, s)`` against the chart of the
-    exact T S T^T.  Each quotient is counted in the ulps its numerator and D
-    carry, each an ulp of its bound (see :func:`_image` and :func:`_ulp_exp`):
-    M in (ulp(B_mn) + |M| ulp(B_d)) / |D| and H in (ulp(B_hn) + |H| ulp(B_d)) / |D|."""
-    (mn, hn, d), (b_mn, b_hn, b_d), den = _image(t, s)
-    x_d = _ulp_exp(b_d, den)
-    return max(_in_exact_units(g, v, d, d * d, (abs(d) * den, _ulp_exp(b, den)),
-                               (abs(v) * den, x_d))
-               for g, v, b in ((got.m, mn, b_mn), (got.h, hn, b_hn)))
-
-
-def kernel_ulps(got: float, fg, m, h) -> float:
-    """The error of a kernel value against the exact kernel of fg at (m, h),
-    counted in the ulps its numerator and denominator carry, each an ulp of
-    its scale (see :func:`_ulp_exp`): ulp(M^2 + |H|) / den^2 + 2 |K| ulp(T) / |den|."""
-    num, size, den, t, u = _kernel(fg, m, h)
-    u2 = u * u
-    return _in_exact_units(got, num, den * den, abs(den) ** 3,
-                           (u2 * u2 * abs(den), _ulp_exp(size, u2 * u2)),
-                           (2 * abs(num) * u2, _ulp_exp(t, u2)))

@@ -34,13 +34,15 @@ TWINS.update({v: k for k, v in TWINS.items()})
 EQUIVALENT = {
     "cloudgen.py:99:15 Gt->GtE": "noise >= 0 adds 0 * N(0, 1) at noise 0: no generated "
                                  "coordinate is -0.0, so each keeps its bits",
-    "coefficients.py:388:25 Lt->LtE": "0.0 <= s: this branch has s != 0, where it is 0.0 < s",
+    "coefficients.py:77:40 Lt->LtE": "num ^ den <= 0: the xor is 0 only at num == den, "
+                                     "whose quotient 1.0 does not overflow",
+    "coefficients.py:412:25 Lt->LtE": "0.0 <= s: this branch has s != 0, where it is 0.0 < s",
 }
 
 SAME_NAMES = "tests/test_imports.py::test_each_equivalent_mutant_is_made"
 # Run first: the goldens and the guard table take about a second and kill
-# most mutants, which pytest -x then stops at; test_transform.py alone
-# reaches the exact-scaling branch of induced_coefficients.
+# most mutants, which pytest -x then stops at; test_transform.py holds the
+# closed forms' extreme inputs, subnormal and near-overflow entries.
 FIRST = ["tests/test_golden.py", "tests/test_guards.py", "tests/test_transform.py"]
 
 

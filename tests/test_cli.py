@@ -17,7 +17,7 @@ from cloudinv import FamilyGenerator, cli, coefficients
 from cloudinv.cli import main
 from cloudinv.coefficients import _CHUNK, _QUOTE
 from conftest import REF_H, REF_M, traced_peak
-from exact import KERNEL_ULPS, centered_sums, chart, kernel_ulps
+from exact import centered_sums, chart, kernel
 from test_golden import certify, leaves, source_cloud
 
 REF_COEFFS = f"--coeffs={REF_M},{REF_H}"
@@ -280,11 +280,13 @@ class TestBadInputExitCodes:
          "unrecognized arguments: --no-such-option"),
         (["invariant", "--coeffs", "1,2", "--family", "diag", "--matrix", "1,0;0,2"],
          "argument --matrix: not allowed with argument --family"),
-        (["invariant", "--coeffs", "1.5,3.5", "--matrix", "1e308,1e308;-1e308,1e308"],
-         "kernel denominator overflows at (1.5, 3.5)"),
         # At M = 0 the kernel denominator delta*M is 0 before H/M^2 is formed.
         (["invariant", "--coeffs", "0,3.5", "--matrix", "2,0;0,3"],
          "kernel denominator 0.0 is zero within tolerance at (0.0, 3.5)"),
+        # Rotation's denominator H + 1 is 2**-52, its exact value.
+        (["invariant", "--coeffs", "0.5,-0.9999999999999998", "--family", "rot"],
+         "kernel denominator 2.220446049250313e-16 is zero within tolerance at "
+         "(0.5, -0.9999999999999998)"),
         # A diagonal --matrix reports H/M^2, here 1e390: past the float range.
         *[(["invariant", "--coeffs", "1e-200,1e-10", "--matrix", "1e200,0;0,2e200", *form],
            "report value h_over_m2_before is not finite: inf") for form in ([], ["--json"])],
@@ -374,17 +376,21 @@ class TestBadInputExitCodes:
         (["invariant", "--coeffs", "1.5,3.5", "--matrix", "1e308,0;0,-1e308"], 0),
         (["invariant", "--coeffs", "1.5,3.5", "--family",
           "linear:1,0;0,1|1e308,0;0,-1e308"], 0),
+        # The denominator 4.5e308 overflows, and the kernel -1.25/4.5e308**2
+        # underflows to -0.0: reported, as any kernel that does not overflow.
+        (["invariant", "--coeffs", "1.5,3.5", "--matrix", "1e308,1e308;-1e308,1e308"], 0),
     ])
     def test_squared_denominator_out_of_range(self, capsys, argv, exit_code):
-        # den**2 underflows to 0 (or overflows) where the quotient does not.
+        # den**2 underflows to 0 (or overflows) where the quotient does not:
+        # the kernel is its exact value rounded once.
         code, report, err = run_json(capsys, *argv)
         assert code == exit_code
         if code:
             assert err.startswith("error: kernel ")
-        elif "upper" in argv:
-            m, h = map(float, argv[2].split(","))
-            upper = FamilyGenerator(1.0, 0.0, 0.0)
-            assert kernel_ulps(report["kernel_before"], upper, m, h) <= KERNEL_ULPS
+        else:
+            spec = FamilyGenerator(*[report["spec"][k] for k in ("bprime", "gprime", "delta")])
+            before = report["before"]
+            assert report["kernel_before"] == float(kernel(spec, before["m"], before["h"]))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -5,9 +5,10 @@ After a deliberate output change, re-record the changed cases with
 ``PYTHONPATH=src python tests/test_golden.py NAME...`` (every case when no
 name is given) and name the change in CHANGES.md.  The text form of every
 ``--json`` case must hold the same report, one ``key  value`` line per leaf.
-The cases derived from a cloud are also certified: every float they report
-is within its layer's budget of the exact oracle on the cloud's coordinates,
-on any CPU, recorded and freshly run alike.
+The cases derived from a cloud are also certified against the exact oracle
+on the cloud's coordinates: every closed form they report is its exact value
+rounded once, and every moment within its layer's budget, on any CPU,
+recorded and freshly run alike.
 """
 import contextlib
 import hashlib
@@ -15,6 +16,7 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,8 +25,8 @@ from cloudinv import (CloudGenSpec, FamilyGenerator, LinearCoefficients,
                       Matrix2, Scatter, apply_to_cloud, generate_cloud,
                       parse_family, read_cloud_csv)
 from cloudinv.cli import _SIMULATION_CASES, main
-from exact import (CLOSED_FORM_ULPS, KERNEL_ULPS, MOMENT_ULPS, centered_sums,
-                   chart_ulps, induced_ulps, kernel_ulps, scatter_ulps)
+from exact import (MOMENT_ULPS, centered_sums, chart_ulps, induced, kernel,
+                   scatter_ulps)
 
 GOLDEN = Path(__file__).parent / "golden"
 REF = "--coeffs=1.52244,2.46998"
@@ -180,12 +182,13 @@ def _point(report, key):
 
 def certify(reports, cloud, image_of=None):
     """Every float that each report (as :func:`report_leaves`) computes from
-    ``cloud``, within its layer's budget of the exact oracle on its own
-    inputs: the raw sums and the chart point against the cloud's centered
-    sums; each closed-form image against T S T^T of the reported chart point;
-    each direct recomputation against the sums of the image coordinates it
-    reduced, ``image_of(entries)`` (default: the image the package writes);
-    and each kernel at its own (M, H).  The fields derived from these, the
+    ``cloud``, against the exact oracle on its own inputs: within its
+    layer's budget, the raw sums and the chart point against the cloud's
+    centered sums, and each direct recomputation against the sums of the
+    image coordinates it reduced, ``image_of(entries)`` (default: the image
+    the package writes); rounded once, each closed-form image, T S T^T of
+    the reported chart point, and each kernel and H/M^2 at its own (M, H).
+    The fields derived from these, the
     discrepancy between closed form and direct recomputation and the kernel
     drift, are the float expressions of the reported leaves, bit for bit."""
     sums = centered_sums(cloud.xs, cloud.ys)
@@ -201,7 +204,7 @@ def certify(reports, cloud, image_of=None):
         closed = "after_closed_form" if command == "transform" else "after"
         for prefix, entries, spec in [] if command == "coeffs" else _steps(report):
             after = _point(report, prefix + closed)
-            assert induced_ulps(after, Matrix2(*entries), before) <= CLOSED_FORM_ULPS
+            assert (after.m, after.h) == induced(entries, before)
             if prefix + "after_direct.m" in report:
                 key = tuple(entries)
                 if key not in images:
@@ -214,9 +217,13 @@ def certify(reports, cloud, image_of=None):
             if spec is not None:
                 for at, name in ((before, "kernel_before"), (after, "kernel_after")):
                     got = report[prefix + name]
-                    assert kernel_ulps(got, spec, at.m, at.h) <= KERNEL_ULPS
+                    assert got == float(kernel(spec, at.m, at.h))
                 drift = report[prefix + "kernel_after"] - report[prefix + "kernel_before"]
                 assert report[prefix + "drift.abs"] == abs(drift)
+            for at, name in ((before, "before"), (after, "after")):
+                if f"{prefix}h_over_m2_{name}" in report:
+                    want = Fraction(at.h) / Fraction(at.m) ** 2
+                    assert report[f"{prefix}h_over_m2_{name}"] == float(want)
 
 
 @pytest.mark.parametrize("name", sorted(n for n, argv in CASES.items()

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from cloudinv import (Cloud, DegenerateGenerator, DegenerateImage,
-                      FamilyGenerator, KernelSingular, LinearFamily, Matrix2,
+                      FamilyGenerator, KernelSingular, LinearCoefficients,
+                      LinearFamily, Matrix2,
                       NoIdentityParameter, NonInvertibleMatrix, Scatter,
                       generator_for_matrix, induced_coefficients, is_collinear,
                       kernel_value, linear_coefficients, raw_sums)
 from cloudinv.coefficients import RTOL
-from exact import (CLOSED_FORM_ULPS, _kernel, centered_sums, congruence,
-                   induced_ulps)
+from exact import _kernel, centered_sums, congruence, induced
 
 R = Fraction(RTOL)
 
@@ -46,7 +46,7 @@ def _induced(case, ratio):
     mn = Fraction(float(mn + ratio * R * bound(mn) / (2 * a * b)))
     t, s = Matrix2(float(a), float(b), 0.0, 1.0), Scatter(float(mn), float(hn), float(d))
     return (abs(congruence(t, s)[2]) / bound(mn) / R,
-            lambda: induced_ulps(induced_coefficients(t, s), t, s) <= CLOSED_FORM_ULPS)
+            lambda: induced_coefficients(t, s) == LinearCoefficients(*induced(t, s)))
 
 
 def _identity(dominant, ratio):
@@ -68,7 +68,7 @@ def _kernel_value(cancelling, ratio):
     spec, m, h = {"h*b', g'": (FamilyGenerator(1.0, v, 0.0), 0.5, 1.0),
                   "g', delta*M": (FamilyGenerator(0.0, 1.0, 1.0), v, 0.5),
                   "h*b', delta*M": (FamilyGenerator(1.0, 0.0, 1.0), -v, 1.0)}[cancelling]
-    _, _, den, bound, _ = _kernel(spec, m, h)
+    _, den, bound = _kernel(spec, m, h)
     return abs(den) / bound / R, lambda: math.isfinite(kernel_value(spec, m, h))
 
 
@@ -104,9 +104,10 @@ def _collinear(offset, ratio):
 def _raw_sums(axis, ratio):
     # (1, 1), (2, 3), (4, 2) times s, the axis under test given the gaps
     # (1, 3, 2): n * 2**-1075, the rounding of n subnormal squares, is ratio *
-    # RTOL times its centered sum of squares 2 s**2 (the other's is 14/3 s**2).
-    # Kept, (M, H) carries that rounding: the guard promises RTOL only.
-    s = math.ldexp(math.sqrt(Fraction(3, 2 ** 1076) / (ratio * R) * 2 ** 1100), -550)
+    # RTOL * 2**-13 times its centered sum of squares 2 s**2 (the other's is
+    # 14/3 s**2).  Kept, (M, H) carries that rounding: the guard promises
+    # RTOL only.
+    s = math.ldexp(math.sqrt(Fraction(3, 2 ** 1063) / (ratio * R) * 2 ** 1100), -550)
     xs, ys = s * np.array([(1.0, 1.0), (2.0, 3.0), (4.0, 2.0)]).T[::1 if axis == "y" else -1]
     mn, hn, d = centered_sums(xs, ys)
 
@@ -115,7 +116,7 @@ def _raw_sums(axis, ratio):
         return all(abs(Fraction(got) / want - 1) <= RTOL
                    for got, want in ((lc.m, mn / d), (lc.h, hn / d)))
 
-    return Fraction(9, 2 ** 1075) / min(hn, d) / R, accurate
+    return Fraction(9, 2 ** 1062) / min(hn, d) / R, accurate
 
 
 GUARDS = {
@@ -151,3 +152,12 @@ def test_guard_on_both_sides(guard, scale, ratio):
             call()
     else:
         assert call() is want
+
+
+def test_the_threshold_itself_counts_as_zero():
+    # size == RTOL * bound exactly: on a guard of floats (the generator's
+    # b against max|entry| = 1) and on one of exact integers (the det).
+    with pytest.raises(DegenerateGenerator, match="uniform scaling"):
+        generator_for_matrix(Matrix2(1.0, RTOL, 0.0, 1.0))
+    with pytest.raises(NonInvertibleMatrix, match="determinant 1e-12 within"):
+        Matrix2(1.0, 0.0, 0.0, RTOL)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 from cloudinv import (DIAGONAL, Cloud, CloudGenSpec, FamilyGenerator,
                       LinearCoefficients, LinearFamily, Matrix2,
-                      RotationFamily, Scatter, parse_family)
+                      RotationFamily, Scatter, kernel_value, parse_family)
 from cloudinv.coefficients import _parse_floats
 from cloudinv.transform import parse_entries
 from conftest import not_a_number
@@ -32,6 +32,7 @@ ENTRY_POINTS = {
     "Cloud.from_arrays": (lambda v: Cloud.from_arrays([v, v], [1.0, 2.0]),
                           "coordinate"),
     "CloudGenSpec": (lambda v: CloudGenSpec("ellipse", 10, v), "noise"),
+    "kernel_value": (lambda v: kernel_value(FamilyGenerator(1.0, 0.0, 0.0), 0.5, v), "h"),
 }
 
 

@@ -20,8 +20,7 @@ from cloudinv.coefficients import _CHUNK, _QUOTE, _parse_floats
 from cloudinv.transform import parse_entries
 from conftest import (BUILDS, REF_H, REF_M, build_cloud, matmul, not_a_number,
                       random_cloud, random_invertible, traced_peak)
-from exact import (CLOSED_FORM_ULPS, chart, congruence, induced_raw_ulps,
-                   induced_ulps, product)
+from exact import chart, congruence, induced, product
 
 REF = LinearCoefficients(REF_M, REF_H)
 
@@ -34,13 +33,13 @@ class TestMatrix2:
             Matrix2(1e308, 1e308, 1e308, 1e308)
 
     def test_induced_map_overflow_is_value_error(self):
-        # induced_raw maps by T as given; induced_coefficients by T / 2**e,
-        # whose image still overflows at H = 1.7e308.
-        for induced, t, lc in (
-                (induced_raw, (1e308, 1e308, -1e308, 1e308), (1.5, 3.5)),
-                (induced_coefficients, (1e300, 1e300, 0, 1e300), (1e308, 1.7e308))):
-            with pytest.raises(ValueError, match="induced map overflows"):
-                induced(Matrix2(*t), LinearCoefficients(*lc))
+        # An entry of T S T^T past the float range is refused; the chart
+        # point of an image whose D' = 3.7e608 overflows is not: 27/37, 17/37.
+        with pytest.raises(ValueError, match="induced map overflows"):
+            induced_raw(Matrix2(1e308, 1e308, -1e308, 1e308), LinearCoefficients(1.5, 3.5))
+        t, lc = Matrix2(1e300, 1e300, 0, 1e300), LinearCoefficients(1e308, 1.7e308)
+        got = induced_coefficients(t, lc)
+        assert (got.m, got.h) == induced(t, lc) == (0.7297297297297297, 0.45945945945945943)
 
 
 def _written(value: object) -> str:
@@ -247,8 +246,8 @@ class TestPendingImage:
 class TestCongruenceOracle:
     """Both induced maps against T S T^T for S = [[D, Mn], [Mn, Hn]], as sympy
     derives it from symbols, evaluated exactly on the same float inputs: it
-    is the exact oracle's congruence, and each map is within the closed-form
-    budget of it."""
+    is the exact oracle's congruence, and induced_raw is it, each entry
+    rounded once."""
 
     @pytest.fixture(scope="class")
     def oracle(self):
@@ -273,7 +272,8 @@ class TestCongruenceOracle:
             (random_invertible(rng), raw_sums(random_cloud(rng))) for _ in range(300)]
         for t, rs in draws:
             assert oracle(t, rs) == congruence(t, rs)
-            assert induced_raw_ulps(induced_raw(t, rs), t, rs) <= CLOSED_FORM_ULPS
+            got = induced_raw(t, rs)
+            assert (got.mn, got.hn, got.d) == tuple(map(float, congruence(t, rs)))
 
 
 class TestInducedCoefficients:
@@ -299,7 +299,7 @@ class TestInducedCoefficients:
         # With b = 0 the image's D is a**2 D, with nothing cancelled, however
         # large H is.
         got = induced_coefficients(matrix, lc)
-        assert induced_ulps(got, matrix, lc) <= CLOSED_FORM_ULPS
+        assert (got.m, got.h) == induced(matrix, lc)
 
     @pytest.mark.parametrize("t,lc", [
         (Matrix2(1e200, 1.0, 0.0, 1e200), REF), (Matrix2(1.0, 1e-200, 0.0, 1.0), REF),
@@ -307,34 +307,30 @@ class TestInducedCoefficients:
         (Matrix2(2.0 ** 100, 2.0 ** -1000, 0.0, 2.0 ** 100), LinearCoefficients(0.0, 1e292)),
         *[(Matrix2(1, 2.2250738585e-313, 0, 3), LinearCoefficients(0.0, h)) for h in (100, 1e5, 1e306)],
         (Matrix2(3, 2.2250738585e-313, 0, 2.0 ** -30), Scatter(1e6, 1.0, 2.0 ** -1018)),
-        (Matrix2(1, 2.2250738585e-313, 1, 3), Scatter(1.0, 1.0, 2.0))])
+        (Matrix2(1, 2.2250738585e-313, 1, 3), Scatter(1.0, 1.0, 2.0)),
+        (Matrix2(3, 2.2250738585e-313, 0, 3), LinearCoefficients(0.0, 1e308)),
+        (Matrix2(-1.7071048433658747e-08, 4.43946186524e-312, -5.781059058447222e-13,
+                 58.45896744675271), Scatter(-7.473030989770657e-266, 1e-237, 1e-293))])
     def test_huge_entries_do_not_overflow(self, t, lc):
-        # The image is that of the matrix divided by a power of two, so no
-        # product overflows, up to entries of 1e308.  The 2**100 T / 2**101
-        # would flush b to 0, so T is divided by 2**74, the largest power
-        # that keeps b exact: a smaller one overflows at H = 1e292.  The
-        # subnormal b of the next three meets H_n before d does: b*d rounded
-        # first put the image 40 000 ulps off at H = 1e5.  In the last two,
-        # every term of (T S) T^T moves the image past the budget.
-        assert induced_ulps(induced_coefficients(t, lc), t, lc) <= CLOSED_FORM_ULPS
-
-    def test_an_exact_scaling_that_overflows_gives_way(self):
-        # T / 4 rounds b, and T itself overflows at H = 1e308, so the image
-        # is that of T / 4 after all, its rounded b included.
-        t = Matrix2(3.0, 2.2250738585e-313, 0.0, 3.0)
-        lc = LinearCoefficients(0.0, 1e308)
-        quarter = Matrix2(*[v / 4 for v in t.entries()])
-        assert induced_coefficients(t, lc) == induced_coefficients(quarter, lc)
+        # The chart point of the exact T S T^T, rounded once, from subnormal
+        # entries up to 1e308.  Float arithmetic kept in range lost bits here:
+        # T / 2**101 flushes the fourth's b to 0; b*d rounded before H_n
+        # scales it put the image 40 000 ulps off at H = 1e5; T / 4, which
+        # rounds b, put the third from last 110 911 ulps off at H = 1e308;
+        # the last was 5.35 ulps off when formed as (T S) T^T.
+        got = induced_coefficients(t, lc)
+        assert (got.m, got.h) == induced(t, lc)
 
     @pytest.mark.parametrize("level", [linear_coefficients, raw_sums],
                              ids=["chart-point", "raw-sums"])
     @pytest.mark.parametrize("offset", [0.0, 1e3])
     def test_raw_sums_give_the_chart_points_image(self, rng, offset, level):
-        # T S T^T of the raw sums and of the chart point (D = 1) have the same
-        # quotients; only the rounding of the terms differs.
+        # The chart point of T S T^T rounded once, whether S is the raw sums
+        # or their chart point (D = 1).
         for _ in range(300):
             t, s = random_invertible(rng), level(random_cloud(rng, offset=offset))
-            assert induced_ulps(induced_coefficients(t, s), t, s) <= CLOSED_FORM_ULPS
+            got = induced_coefficients(t, s)
+            assert (got.m, got.h) == induced(t, s)
 
     def test_scatter_of_a_vertical_line(self):
         # D = 0 has no chart point, but its image under a shear does: x = y.
@@ -353,28 +349,25 @@ kappa_s = st.floats(min_value=-10.0, max_value=10.0,
                         lambda k: abs(k) > 1e-3)
 
 
-def kappa_ulps(mat, kappa, lc):
-    """The worse error in ulps of the images of lc under mat and under its
-    float multiple by kappa, or None where either is refused.  The image has
-    degree 0 in T, exactly; each float image is within the closed-form budget
-    of its own matrix's."""
+def kappa_images(mat, kappa, lc):
+    """Whether the images of lc under mat and under its float multiple by
+    kappa are both defined.  The image has degree 0 in T, exactly; each
+    float image is the exact image under its own matrix rounded once."""
     try:
         scaled_mat = Matrix2(*(kappa * v for v in mat.entries()))
-        base = induced_coefficients(mat, lc)
-        scaled = induced_coefficients(scaled_mat, lc)
+        images = [(induced_coefficients(t, lc), t) for t in (mat, scaled_mat)]
     except (DegenerateImage, NonInvertibleMatrix):
-        return None
+        return False
     exact_kappa_t = [Fraction(kappa) * Fraction(v) for v in mat.entries()]
     assert chart(congruence(exact_kappa_t, lc)) == chart(congruence(mat, lc))
-    worst = max(induced_ulps(base, mat, lc), induced_ulps(scaled, scaled_mat, lc))
-    assert worst <= CLOSED_FORM_ULPS
-    return worst
+    for got, t in images:
+        assert (got.m, got.h) == induced(t, lc)
+    return True
 
 
 # The pinned examples have a subnormal b, so kappa * b is rounded at
 # subnormal precision, 8.9e-12 relative: the scaled matrix is not kappa*T,
-# and each image is measured against its own matrix.  In the third, dividing
-# T by 4 (to max|entry| in [1/2, 1)) would round b and move M by 11 ulps.
+# and each image is checked against its own matrix.
 @settings(max_examples=200, deadline=None)
 @given(entry, entry, entry, entry, coeff_m, kappa_s)
 @example(0.0, 2.2250738585e-313, 2.879e-303, 0.0, 1.0, 1.25)
@@ -385,7 +378,7 @@ def test_kappa_scaling(a, b, c, d, m, kappa):
         mat = Matrix2(a, b, c, d)
     except NonInvertibleMatrix:
         return
-    kappa_ulps(mat, kappa, LinearCoefficients(m, m * m + 0.5))
+    kappa_images(mat, kappa, LinearCoefficients(m, m * m + 0.5))
 
 
 def _outcome(f, *args):
@@ -418,12 +411,12 @@ def test_power_of_two_scaling_of_the_matrix_is_exact(a, b, c, d, m, k):
     assert _outcome(image, entries) == _outcome(image, scaled)
 
 
-def composition_ulps(rng, draws=200):
-    """The worst error in ulps over draws random pairs of matrices, each at a
-    random (M, H).  Exactly, the image under m1 and then m2 is the image under
-    m2 m1; in floats each step is within the closed-form budget of its own
-    inputs, the product's entries included."""
-    worst, checked = 0.0, 0
+def composition_images(rng, draws=200):
+    """Draws random pairs of matrices, each at a random (M, H).  Exactly, the
+    image under m1 and then m2 is the image under m2 m1; in floats each step
+    is the exact image of its own inputs rounded once, the product's entries
+    included."""
+    checked = 0
     while checked < draws:
         m1, m2 = random_invertible(rng), random_invertible(rng)
         m = rng.uniform(-2.0, 2.0)
@@ -438,19 +431,16 @@ def composition_ulps(rng, draws=200):
         assert chart(congruence(m2, congruence(m1, lc))) == \
             chart(congruence(product(m2, m1), lc))
         for got, t, s in ((step1, m1, lc), (two_step, m2, step1), (one_step, both, lc)):
-            worst = max(worst, induced_ulps(got, t, s))
-            assert worst <= CLOSED_FORM_ULPS
+            assert (got.m, got.h) == induced(t, s)
         checked += 1
-    return worst
 
 
-def line_image_ulps(rng, draws=200):
-    """The worst error in ulps over draws random matrices, each at a random
-    point of the level set h = m^2, which maps onto itself.  Exactly, the
-    image's H - M^2 is det(T)^2 (h - m^2) / D'^2, so the rounding of m*m in h
-    is all that moves it off; in floats the image is within the closed-form
-    budget."""
-    worst, checked = 0.0, 0
+def line_images(rng, draws=200):
+    """Draws random matrices, each at a random point of the level set
+    h = m^2, which maps onto itself.  Exactly, the image's H - M^2 is
+    det(T)^2 (h - m^2) / D'^2, so the rounding of m*m in h is all that moves
+    it off; in floats the image is the exact image rounded once."""
+    checked = 0
     while checked < draws:
         m_val = rng.uniform(-2.0, 2.0)
         lc = LinearCoefficients(m_val, m_val * m_val)
@@ -464,7 +454,5 @@ def line_image_ulps(rng, draws=200):
         a, b, c, d = map(Fraction, mat.entries())
         assert h - m * m == (a * d - b * c) ** 2 * (
             Fraction(lc.h) - Fraction(lc.m) ** 2) / image[2] ** 2
-        worst = max(worst, induced_ulps(out, mat, lc))
-        assert worst <= CLOSED_FORM_ULPS
+        assert (out.m, out.h) == (float(m), float(h))
         checked += 1
-    return worst

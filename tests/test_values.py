@@ -119,6 +119,8 @@ INVALID = [
     (lambda: Matrix2(INF, 0, 0, 1), ValueError, r"matrix entry a must be finite, got inf"),
     (lambda: Matrix2(1, 0, 0, INF), ValueError, r"matrix entry d must be finite"),
     (lambda: Matrix2(1, 2, 2, 4), NonInvertibleMatrix, r"determinant 0\.0"),
+    (lambda: Matrix2(1, 2, 2, 4.000000000001), NonInvertibleMatrix,
+     r"determinant 1\.000088900582341e-12 within"),
     (lambda: Matrix2(0, 0, 0, 0), NonInvertibleMatrix, r"within tolerance of zero"),
     (lambda: Matrix2(1, INF, 0, 1), ValueError, r"matrix entry b must be finite"),
     (lambda: Matrix2(1, 0, NAN, 1), ValueError, r"matrix entry c must be finite"),
