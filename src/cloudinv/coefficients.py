@@ -47,16 +47,13 @@ _QUOTE.maxstring = _QUOTE.maxlong = _QUOTE.maxother = 400
 RTOL = 1e-12
 
 
-def _near_zero(size: float | int, bound: float | int) -> bool:
-    """The one tolerance rule, every guard's: size (|x|, or a gap >= 0 up to rounding)
-    counts as zero when at most RTOL times bound, the largest value x's expression
-    can take for inputs of their magnitudes: a bound of x's degree, no unit floor.
-    Both are floats, or both exact integers over one denominator (see :func:`_exact`),
-    compared with RTOL's float at its exact value, beyond the float range too."""
+def _near_zero(size: int, bound: int) -> bool:
+    """The one tolerance rule, every guard's: size (|x|, or a gap >= 0) counts as
+    zero when at most RTOL times bound, the largest value x's expression can take
+    for inputs of their magnitudes (a bound of x's degree, no unit floor).  Both are
+    exact integers over one denominator (:func:`_exact`); RTOL is its float's exact value."""
     p, q = RTOL.as_integer_ratio()
-    if type(size) is int:
-        return size * q <= p * bound
-    return size <= p / q * bound
+    return size * q <= p * bound
 
 
 def _exact(*values: float) -> tuple[list[int], int]:
@@ -395,12 +392,11 @@ def raw_sums(cloud: Cloud) -> Scatter:
     the catastrophic cancellation the raw formulas suffer on offset clouds.
 
     Raises:
-        ValueError: n * 2**-1075, the rounding of n subnormal squares, is
-            more than RTOL times 2**-13 times a nonzero Sxx or Syy, about an
-            ulp of it (tested as n * 2**-1022 against the sum times 2**40,
-            where both are floats): such moments have lost their bits, as
-            squares of coordinate gaps under ~1e-154 do.  So has a sum of
-            exactly 0 over coordinates that are not all equal.
+        ValueError: n * 2**-1075, the rounding of n subnormal squares, is more than
+            RTOL * 2**-13 times a nonzero finite Sxx or Syy, about an ulp of it (n *
+            2**-1022 against the sum times 2**40, exactly): such moments have lost
+            their bits, as squares of coordinate gaps under ~1e-154 do.  So has a
+            sum of exactly 0 over coordinates that are not all equal.
     """
     n = len(cloud)
     sxx, sxy, syy = cloud._moments
@@ -408,8 +404,11 @@ def raw_sums(cloud: Cloud) -> Scatter:
         if s == 0.0:  # only here are the coordinates read (a pending image is written)
             coords = getattr(cloud, row)
             lost = coords.min() < coords.max()
-        else:  # a NaN sum is judged by Scatter: "must be finite"
-            lost = 0.0 < s and not _near_zero(n * 2.0 ** -1022, s * 2.0 ** 40)
+        elif math.isfinite(s):  # s > 0, a sum of squares
+            (si, tiny), _ = _exact(s, 2.0 ** -1022)
+            lost = not _near_zero(n * tiny, si * 2 ** 40)
+        else:  # a NaN sum is judged by Scatter ("must be finite"); an inf one is kept
+            continue
         if lost:
             raise ValueError(f"cloud spread too small: a centered sum of squares {s} is "
                              f"within tolerance of the rounding of {n} subnormal squares")

@@ -29,7 +29,7 @@ from .errors import DegenerateGenerator, KernelSingular, NoIdentityParameter
 from .generators import FamilyGenerator
 from .transform import Matrix2, parse_entries
 
-_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+_IDENTITY = (1, 0, 0, 1)
 
 
 class RotationFamily(_Value):
@@ -79,16 +79,18 @@ class LinearFamily(_Value):
         """Per-entry consistency solve for A(phi*) = identity.
 
         Every entry with a nonzero B component proposes phi = (target - a0)/b;
-        the one from the largest |b| (0.0 for a constant family) must leave
-        |a0 + phi*b - target| at most RTOL * (|a0| + |phi*b| + 1) at every entry,
-        where 1 is the size of the identity's own entries.
+        the one from the largest |b| (0.0 for a constant family) must be finite
+        and leave |a0 + phi*b - target| at most RTOL * (|a0| + |phi*b| + 1) at
+        every entry, both exact, where 1 is the size of the identity's entries.
         """
         candidates = [(abs(b), (t - a) / b)
                       for a, b, t in zip(self.a0, self.b, _IDENTITY) if b != 0.0]
         phi = max(candidates)[1] if candidates else 0.0
-        if all(_near_zero(abs(a + phi * b - t), abs(a) + abs(phi * b) + 1.0)
-               for a, b, t in zip(self.a0, self.b, _IDENTITY)):
-            return phi
+        if math.isfinite(phi):
+            (f, *e), q = _exact(phi, *self.a0, *self.b)
+            if all(_near_zero(abs(a * q + f * b - t * q * q), abs(a * q) + abs(f * b) + q * q)
+                   for a, b, t in zip(e[:4], e[4:], _IDENTITY)):
+                return phi
         raise NoIdentityParameter(
             f"no phi makes A0 + phi*B the identity (best candidate {phi})")
 
@@ -135,22 +137,21 @@ def kernel_value(ks: FamilyGenerator, m: float, h: float) -> float:
 
 
 def generator_for_matrix(target: Matrix2) -> FamilyGenerator:
-    """Derivative coefficients of the pencil I + phi*(target - I): the
-    trace-free part of target (see :func:`_direction`), with delta = a - d
-    formed from its entries, or from the entries halved where a - d
-    overflows.
+    """Derivative coefficients of the pencil I + phi*(target - I): the trace-free
+    part of target (see :func:`_direction`), with delta = a - d formed from its
+    entries, or from the entries halved where a - d overflows.
 
     Raises:
         DegenerateGenerator: target is a multiple of the identity within
-            RTOL relative to its largest entry: b, c and the diagonal
+            RTOL relative to its largest entry, both exact: b, c and the diagonal
             difference all vanish at that scale, so T barely moves (M, H).
     """
-    a, b, c, d = target.entries()
+    (a, b, c, d), _ = _exact(*target.entries())
     if _near_zero(max(abs(b), abs(c), abs(a - d)), max(map(abs, (a, b, c, d)))):
         raise DegenerateGenerator(
             "target - I is a multiple of the identity (uniform scaling); "
             "every function of (M, H) is invariant")
-    return _direction(a, b, c, d)
+    return _direction(*target.entries())
 
 
 def kernel_for_matrix(target: Matrix2, m: float, h: float) -> float:

@@ -34,9 +34,8 @@ TWINS.update({v: k for k, v in TWINS.items()})
 EQUIVALENT = {
     "cloudgen.py:99:15 Gt->GtE": "noise >= 0 adds 0 * N(0, 1) at noise 0: no generated "
                                  "coordinate is -0.0, so each keeps its bits",
-    "coefficients.py:77:40 Lt->LtE": "num ^ den <= 0: the xor is 0 only at num == den, "
+    "coefficients.py:74:40 Lt->LtE": "num ^ den <= 0: the xor is 0 only at num == den, "
                                      "whose quotient 1.0 does not overflow",
-    "coefficients.py:412:25 Lt->LtE": "0.0 <= s: this branch has s != 0, where it is 0.0 < s",
 }
 
 SAME_NAMES = "tests/test_imports.py::test_each_equivalent_mutant_is_made"

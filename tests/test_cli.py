@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from inspect import CO_GENERATOR
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,14 @@ class TestBadInputExitCodes:
         (["invariant", "--coeffs", "1.5,3.5", "--family", "diag", "--seed", "0"],
          "--seed needs --gen"),
         (["coeffs", "--csv", "cloud.csv", "--noise", "0.05"], "--noise needs --gen"),
+        # Pencils that never reach the identity: the candidate phi overflows,
+        # or its phi*b is past the float range in A12.
+        (["invariant", "--coeffs", "1.5,3.5", "--family",
+          "linear:2,1;1,2|5e-324,5e-324;5e-324,5e-324"],
+         "no phi makes A0 + phi*B the identity (best candidate -inf)"),
+        (["invariant", "--coeffs", "1.5,3.5", "--family", "linear:-1.7976931348623157e308,0;0,1"
+          "|1.7187820019775026e289,1.7187820019775026e289;0,0"],
+         "no phi makes A0 + phi*B the identity (best candidate 1.0459110770266526e+19)"),
     ])
     def test_an_error_is_returned_as_one_exact_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -468,7 +477,8 @@ class TestMomentPasses:
     """The moment passes (calls of ``coefficients._copy_and_reduce``) each
     command makes: a count, so a change that adds a pass fails here without
     a wall-clock comparison.  A cloud is reduced once when it is built, an
-    image once as it is reduced pending, and a written image once more."""
+    image once as it is reduced pending, and a written image once more.  The
+    Python-level calls of a --phi request are counted the same way."""
 
     @pytest.mark.parametrize("argv,passes", [
         (["coeffs", "--gen", "ellipse", "--n", "300"], 1),
@@ -496,6 +506,34 @@ class TestMomentPasses:
         monkeypatch.setattr(coefficients, "_copy_and_reduce", counting)
         assert run(capsys, *argv)[0] == 0
         assert len(calls) == passes
+
+    # Python-level calls of named functions in src/cloudinv per invariant
+    # request with k values of --phi: (a base, and the calls each value adds).
+    # Comprehensions, lambdas and generators are not counted, so the count
+    # does not depend on whether the Python version inlines them.
+    CALLS_PER_PHI_REQUEST = {"diag": (39, 53), "upper": (39, 41), "rot": (32, 41),
+                             "linear:-2,-2;-0.25,0.5|12,8;1,2": (54, 41)}
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("family", CALLS_PER_PHI_REQUEST)
+    def test_python_calls_per_phi_request(self, capsys, family, k):
+        src, calls = str(Path(cli.__file__).parent), []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if (event == "call" and code.co_filename.startswith(src)
+                    and not code.co_name.startswith("<") and not code.co_flags & CO_GENERATOR):
+                calls.append(code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            code = main(["invariant", REF_COEFFS, "--family", family,
+                         "--phi", ",".join(["0.5", "2"][:k])])
+        finally:
+            sys.setprofile(None)
+        assert (code, capsys.readouterr().err) == (0, "")
+        base, per_phi = self.CALLS_PER_PHI_REQUEST[family]
+        assert len(calls) == base + per_phi * k
 
 
 class TestAllocation:

@@ -123,6 +123,12 @@ REJECTED_FAMILIES = [
     # A12 is 1e-7 at every phi; the large A11 and phi = -999999 must not
     # hide that: each entry is checked at its own scale.
     LinearFamily((1e6, 1e-7, 0.0, 1.0), (1.0, 0.0, 0.0, 0.0)),
+    # The candidate overflows: (1 - 2)/5e-324 is -inf.
+    LinearFamily((2.0, 1.0, 1.0, 2.0), (5e-324,) * 4),
+    # A finite candidate whose phi*b, about 1.8e308, is past the float range
+    # in A12: only the exact gap shows it.
+    LinearFamily((-1.7976931348623157e308, 0.0, 0.0, 1.0),
+                 (1.7187820019775026e289, 1.7187820019775026e289, 0.0, 0.0)),
 ]
 
 

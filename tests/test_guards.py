@@ -3,7 +3,8 @@ function that calls ``coefficients._near_zero(size, bound)`` (test_imports.py
 requires exactly these).  A row builds inputs whose size is ratio * RTOL *
 bound at each of its own scales, returns that ratio computed exactly, and
 names the call's outcome on each side: a refusal (an exception and a fragment
-of its message) or the value it returns."""
+of its message) or the value it returns.  Every guard hands the rule two
+exact integers, so each side is decided in one arithmetic."""
 import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -17,7 +18,8 @@ from cloudinv import (Cloud, DegenerateGenerator, DegenerateImage,
                       NoIdentityParameter, NonInvertibleMatrix, Scatter,
                       generator_for_matrix, induced_coefficients, is_collinear,
                       kernel_value, linear_coefficients, raw_sums)
-from cloudinv.coefficients import RTOL
+from cloudinv import coefficients, families, transform
+from cloudinv.coefficients import RTOL, _near_zero
 from exact import _kernel, centered_sums, congruence, induced
 
 R = Fraction(RTOL)
@@ -142,7 +144,12 @@ GUARDS = {
 @pytest.mark.parametrize("guard,scale", [
     pytest.param(guard, scale, id=f"{guard.__qualname__}-{scale}")
     for guard, row in GUARDS.items() for scale in row.scales])
-def test_guard_on_both_sides(guard, scale, ratio):
+def test_guard_on_both_sides(monkeypatch, guard, scale, ratio):
+    # Each binding of the rule is spied on: every call gets two ints.
+    calls = []
+    for module in (coefficients, transform, families):
+        monkeypatch.setattr(module, "_near_zero", lambda size, bound: calls.append(
+            (type(size), type(bound))) or _near_zero(size, bound))
     row = GUARDS[guard]
     exact, call = row.build(scale, Fraction(ratio))
     assert abs(exact / ratio - 1) < 1e-3
@@ -152,11 +159,12 @@ def test_guard_on_both_sides(guard, scale, ratio):
             call()
     else:
         assert call() is want
+    assert calls and set(calls) == {(int, int)}
 
 
 def test_the_threshold_itself_counts_as_zero():
-    # size == RTOL * bound exactly: on a guard of floats (the generator's
-    # b against max|entry| = 1) and on one of exact integers (the det).
+    # size == RTOL * bound exactly: the generator's b against max|entry| = 1,
+    # and the det.
     with pytest.raises(DegenerateGenerator, match="uniform scaling"):
         generator_for_matrix(Matrix2(1.0, RTOL, 0.0, 1.0))
     with pytest.raises(NonInvertibleMatrix, match="determinant 1e-12 within"):
